@@ -1,14 +1,16 @@
-"""Ridge-regularized least squares on augmented design matrices.
+"""Ridge-regularized least squares on augmented design matrices, and the affine kernel.
 
 Every predictor in this package is affine and stored as one coefficient
 vector of length d+1: feature weights first, bias last.  The solver works
 on the augmented design (features plus a trailing column of ones) so the
 bias lives inside the coefficient vector but stays outside the penalty.
+Every routing decision and leaf value is evaluated by :func:`affine` or
+its one-row form :func:`affine_row`, which perform the same floating-point
+operations in the same order.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateSystem
 
@@ -25,8 +27,10 @@ def augment(X: np.ndarray) -> np.ndarray:
 
 
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    c, low = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    return scipy.linalg.cho_solve((c, low), b, check_finite=False)
+    # L L^T x = b by two solves; cholesky raises LinAlgError unless a is
+    # positive definite.
+    low = np.linalg.cholesky(a)
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
 def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
@@ -34,8 +38,9 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
 
     ``X`` is an augmented design whose last column is identically 1; the
     bias coefficient is excluded from the penalty.  The system is solved
-    through the normal equations with a Cholesky factorization.  If the
-    factorization fails, one retry is made with a small jitter
+    through the normal equations with NumPy's Cholesky factorization
+    (``np.linalg.cholesky``) and two ``np.linalg.solve`` calls on the
+    factors.  If the factorization fails, one retry is made with a small jitter
     (``1e-10 * trace(X.T @ X) / (d+1)``) added to every diagonal entry;
     a second failure raises :class:`DegenerateSystem`.
     """
@@ -82,8 +87,49 @@ def fit_or_mean(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         return theta
 
 
-def predict_linear(theta: np.ndarray, x: np.ndarray) -> float:
-    """Evaluate the affine model: dot(x, weights) + bias."""
+def affine(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Evaluate the affine model on every row of a (non-augmented) feature matrix.
+
+    The arithmetic is fixed: ``acc = X[:, 0] * w[0]``, then
+    ``acc += X[:, j] * w[j]`` for j = 1 .. d-1 in order, then ``acc += b``;
+    every step is one rounded IEEE multiply or add per row.  A row's result
+    therefore depends only on that row, never on the batch size or on the
+    BLAS, and equals :func:`affine_row` on the same row bit for bit.  With
+    no features the result is the bias.
+    """
+    X = np.asarray(X, dtype=float)
     theta = np.asarray(theta, dtype=float)
+    d = X.shape[1]
+    if d == 0:
+        return np.full(X.shape[0], theta[-1])
+    acc = X[:, 0] * theta[0]
+    for j in range(1, d):
+        acc += X[:, j] * theta[j]
+    acc += theta[-1]
+    return acc
+
+
+def affine_row(x: list[float], theta: list[float]) -> float:
+    """One-row form of :func:`affine` on Python floats, in the same order.
+
+    ``x`` holds d features and ``theta`` d+1 coefficients.  Builtin
+    ``sum`` (compensated from Python 3.12 on), ``math.fsum`` and fused
+    multiply-add would all round differently from the batch kernel, so the
+    loop is written out.
+    """
+    d = len(x)
+    if d == 0:
+        return theta[-1]
+    acc = x[0] * theta[0]
+    for j in range(1, d):
+        acc += x[j] * theta[j]
+    return acc + theta[-1]
+
+
+def predict_linear(theta: np.ndarray, x: np.ndarray) -> float:
+    """Evaluate the affine model on one sample through :func:`affine_row`."""
+    theta = np.asarray(theta, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
-    return float(x @ theta[:-1] + theta[-1])
+    if x.shape[0] + 1 != theta.shape[0]:
+        raise ValueError(f"expected {theta.shape[0] - 1} features, got {x.shape[0]}")
+    return affine_row(x.tolist(), theta.tolist())

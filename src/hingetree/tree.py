@@ -4,6 +4,10 @@ A node becomes a leaf (its own ridge fit) when the depth cap, the minimum
 sample count, or the RMSE threshold fires.  Otherwise both hinge variants
 are optimized and the better one routes the samples; if optimization
 stalls, a random-feature median split keeps growth going.
+
+Training and prediction route rows with one comparison of two
+:func:`~hingetree.linear.affine` evaluations, so a training row reaches
+the leaf that was fitted on it.
 """
 from __future__ import annotations
 
@@ -12,15 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import AllFeaturesConstant, DimensionMismatch, EmptyDataset
-from .linear import augment, fit_or_mean, predict_linear
-from .split import (
-    HingeKind,
-    SplitConfig,
-    SplitOutcome,
-    _partition_aug,
-    median_fallback,
-    select_split,
-)
+from .linear import affine, affine_row, augment, fit_or_mean
+from .split import HingeKind, SplitConfig, SplitOutcome, median_fallback, select_split
 
 _MASK64 = (1 << 64) - 1
 
@@ -122,11 +119,23 @@ class _Counters:
         self.traces: list[list[float]] | None = [] if collect_traces else None
 
 
+def _goes_first(split: SplitOutcome, a, b):
+    """The routing test on hinge values ``a`` and ``b`` (floats or arrays).
+
+    Ties go to the first branch for both variants.
+    """
+    return a >= b if split.kind is HingeKind.MAX else a <= b
+
+
+def _first_mask(split: SplitOutcome, X: np.ndarray) -> np.ndarray:
+    """Which rows of ``X`` the split sends to its first branch."""
+    return _goes_first(split, affine(X, split.theta1), affine(X, split.theta2))
+
+
 def _grow(X, y, depth, seed, config: TreeConfig, acc: _Counters) -> TreeNode:
     n = X.shape[0]
-    Xa = augment(X)
-    theta_leaf = fit_or_mean(Xa, y, config.split.ridge_alpha)
-    rmse = float(np.sqrt(np.mean((y - Xa @ theta_leaf) ** 2)))
+    theta_leaf = fit_or_mean(augment(X), y, config.split.ridge_alpha)
+    rmse = float(np.sqrt(np.mean((y - affine(X, theta_leaf)) ** 2)))
     if depth >= config.d_max or n < config.n_min or rmse < config.tau_rmse:
         return Leaf(theta=theta_leaf, n_train=n)
 
@@ -138,23 +147,26 @@ def _grow(X, y, depth, seed, config: TreeConfig, acc: _Counters) -> TreeNode:
     if acc.traces is not None:
         acc.traces.append(list(outcome.objective_trace))
 
-    s1, s2 = _partition_aug(Xa, outcome.theta1, outcome.theta2, outcome.kind)
+    first = _first_mask(outcome, X)
+    n_first = int(np.count_nonzero(first))
     # A split that cannot produce two viable children stalls growth just
     # like non-convergence does, so both symptoms route to the fallback.
-    stalled = (not outcome.converged) or min(s1.size, s2.size) < config.n_min
+    stalled = (not outcome.converged) or min(n_first, n - n_first) < config.n_min
     if stalled and config.fallback_on_nonconvergence:
         try:
             outcome = median_fallback(X, seed=derive_seed(seed, depth, 2))
         except AllFeaturesConstant:
             return Leaf(theta=theta_leaf, n_train=n)
-        s1, s2 = _partition_aug(Xa, outcome.theta1, outcome.theta2, outcome.kind)
+        first = _first_mask(outcome, X)
+        n_first = int(np.count_nonzero(first))
 
-    if s1.size < config.n_min or s2.size < config.n_min:
+    if min(n_first, n - n_first) < config.n_min:
         # Ineffective split: keep the node's own fit.
         return Leaf(theta=theta_leaf, n_train=n)
 
-    left = _grow(X[s1], y[s1], depth + 1, derive_seed(seed, depth, 0), config, acc)
-    right = _grow(X[s2], y[s2], depth + 1, derive_seed(seed, depth, 1), config, acc)
+    second = ~first
+    left = _grow(X[first], y[first], depth + 1, derive_seed(seed, depth, 0), config, acc)
+    right = _grow(X[second], y[second], depth + 1, derive_seed(seed, depth, 1), config, acc)
     return Internal(split=outcome, left=left, right=right)
 
 
@@ -202,38 +214,72 @@ def build_tree(X, y, config: TreeConfig | None = None) -> HrtModel:
     return HrtModel(root=root, d=X.shape[1], config=config, stats=stats)
 
 
-def _route(node: TreeNode, x: np.ndarray) -> Leaf:
+def check_features(X, d: int) -> np.ndarray:
+    """``X`` as a float matrix of ``d`` columns, or :class:`DimensionMismatch`.
+
+    A matrix with no rows is accepted at any width.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch("expected a 2-D feature matrix")
+    if X.shape[0] and X.shape[1] != d:
+        raise DimensionMismatch(f"expected {d} features, got {X.shape[1]}")
+    return X
+
+
+def predict_row(node: TreeNode, x: list[float]) -> float:
+    """Route one checked sample, given as Python floats, from ``node`` to a leaf value.
+
+    Every hinge value and the leaf value come from
+    :func:`~hingetree.linear.affine_row`, the one-row form of the batch
+    kernel.
+    """
     while isinstance(node, Internal):
         o = node.split
-        a = float(x @ o.theta1[:-1] + o.theta1[-1])
-        b = float(x @ o.theta2[:-1] + o.theta2[-1])
-        go_left = a >= b if o.kind is HingeKind.MAX else a <= b
-        node = node.left if go_left else node.right
-    return node
+        a = affine_row(x, o.theta1.tolist())
+        b = affine_row(x, o.theta2.tolist())
+        node = node.left if _goes_first(o, a, b) else node.right
+    return affine_row(x, node.theta.tolist())
 
 
 def predict(model: HrtModel, x) -> float:
     """Route one sample to its leaf and evaluate the leaf model.
 
     Ties on a split hyperplane go to the first branch, matching training.
+    The affine arithmetic is :func:`~hingetree.linear.affine_row`: a
+    left-to-right float accumulation of ``x[j] * w[j]`` followed by the
+    bias, so the result equals :func:`predict_batch` on the same row bit
+    for bit.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != model.d:
-        raise DimensionMismatch(f"expected {model.d} features, got {x.shape[0]}")
-    leaf = _route(model.root, x)
-    return predict_linear(leaf.theta, x)
+    return predict_row(model.root, check_features(np.reshape(x, (1, -1)), model.d)[0].tolist())
+
+
+def _fill(node: TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    if rows.size == 0:
+        return
+    if isinstance(node, Leaf):
+        out[rows] = affine(X, node.theta)
+        return
+    first = _first_mask(node.split, X)
+    second = ~first
+    _fill(node.left, X[first], rows[first], out)
+    _fill(node.right, X[second], rows[second], out)
 
 
 def predict_batch(model: HrtModel, X) -> np.ndarray:
-    """Row-wise :func:`predict`; bit-identical to the scalar path."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch("expected a 2-D feature matrix")
-    if X.shape[0] == 0:
-        return np.empty(0)
-    if X.shape[1] != model.d:
-        raise DimensionMismatch(f"expected {model.d} features, got {X.shape[1]}")
-    return np.array([predict(model, row) for row in X])
+    """Predict every row of ``X``; bit-identical to :func:`predict` per row.
+
+    Rows are routed a node at a time: each internal node evaluates both
+    hinge sides with :func:`~hingetree.linear.affine` on the rows that
+    reached it and passes the two subsets down, and each leaf writes its
+    rows' values into the output.  The kernel's fixed column order makes
+    every value independent of the batch size and of which other rows
+    share the batch.
+    """
+    X = check_features(X, model.d)
+    out = np.empty(X.shape[0])
+    _fill(model.root, X, np.arange(X.shape[0]), out)
+    return out
 
 
 def tree_stats(model: HrtModel) -> TrainStats:

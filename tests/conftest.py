@@ -15,3 +15,14 @@ def random_regression(seed, n, d, noise=0.1):
     b = gen.normal()
     y = X @ w + b + noise * gen.normal(size=n)
     return X, y
+
+
+def hinge_regression(seed, n, d, noise=0.05):
+    """Seeded max-hinge target on d features: two random affine pieces plus noise."""
+    gen = np.random.default_rng(seed)
+    X = gen.uniform(-1.0, 1.0, size=(n, d))
+    Xa = np.hstack([X, np.ones((n, 1))])
+    a = gen.normal(size=d + 1)
+    b = gen.normal(size=d + 1)
+    y = np.maximum(Xa @ a, Xa @ b) + noise * gen.normal(size=n)
+    return X, y

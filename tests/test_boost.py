@@ -18,7 +18,7 @@ from hingetree import (
     predict_boost_batch,
     staged_losses,
 )
-from conftest import random_regression
+from conftest import hinge_regression, random_regression
 
 
 def abs_tree_config(seed=0):
@@ -145,6 +145,22 @@ class TestPredictBoost:
         pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(64, 1))
         batch = predict_boost_batch(model, pts)
         assert np.array_equal(batch, [predict_boost(model, row) for row in pts])
+
+    @pytest.mark.parametrize("name", ["f2", "hinge16"])
+    def test_batch_matches_scalar_multi_feature(self, name):
+        if name == "f2":
+            ds = gen_synthetic("f2", 400, 0.05, seed=6)
+            X, y = ds.X, ds.y
+        else:
+            X, y = hinge_regression(6, 300, 16)
+        model = fit_boost(X, y, BoostConfig(m_stages=5, tree=TreeConfig(
+            d_max=2, n_min=5, tau_rmse=0.0, split=SplitConfig(step="auto", seed=6))))
+        assert len(model.learners) > 1
+        pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(64, X.shape[1]))
+        batch = predict_boost_batch(model, pts)
+        assert np.array_equal(batch, [predict_boost(model, row) for row in pts])
+        chunks = [predict_boost_batch(model, pts[i:i + 7]) for i in range(0, 64, 7)]
+        assert np.concatenate(chunks).tobytes() == batch.tobytes()
 
     def test_dimension_mismatch(self):
         _, model = sinc_boost(m_stages=2)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import hingetree
 from hingetree import gen_synthetic, load_model, write_csv
 from hingetree.cli import SCHEMAS, ablate_step_rows, main
 
@@ -277,3 +281,23 @@ class TestParsing:
 
     def test_missing_required_out(self, capsys):
         assert run(capsys, "train", SINC, "hrt")[0] == 2
+
+
+def run_python(*args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hingetree.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestProcess:
+    def test_module_entry_prints_usage(self):
+        proc = run_python("-m", "hingetree.cli", "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: hingetree")
+
+    def test_import_loads_no_scipy(self):
+        proc = run_python("-c", "import sys, hingetree, hingetree.cli; "
+                                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "[]"

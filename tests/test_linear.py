@@ -5,6 +5,7 @@ import pytest
 
 import hingetree.linear as linear
 from hingetree import DegenerateSystem, augment, fit_or_mean, predict_linear, ridge_solve
+from hingetree.linear import affine, affine_row
 from conftest import random_regression
 
 
@@ -150,3 +151,28 @@ class TestPredictLinear:
     def test_hand_arithmetic(self):
         theta = np.array([2.0, -1.0, 3.0])
         assert predict_linear(theta, [1.0, 4.0]) == 1.0
+
+
+class TestAffine:
+    @pytest.mark.parametrize("d", [1, 2, 17, 64])
+    def test_matches_left_to_right_loop_and_row_form(self, d):
+        gen = np.random.default_rng(d)
+        X = gen.normal(size=(30, d))
+        theta = gen.normal(size=d + 1)
+        out = affine(X, theta)
+        for row, value in zip(X, out):
+            acc = float(row[0]) * float(theta[0])
+            for j in range(1, d):
+                acc = acc + float(row[j]) * float(theta[j])
+            acc = acc + float(theta[-1])
+            assert value == acc
+            assert affine_row(row.tolist(), theta.tolist()) == value
+            assert predict_linear(theta, row) == value
+
+    def test_no_features_is_the_bias(self):
+        assert affine(np.empty((3, 0)), np.array([2.5])).tolist() == [2.5] * 3
+        assert predict_linear(np.array([2.5]), []) == 2.5
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            predict_linear(np.array([1.0, 2.0, 3.0]), [1.0])

@@ -20,7 +20,7 @@ from hingetree import (
     tree_stats,
 )
 from hingetree.tree import Internal, Leaf, derive_seed
-from conftest import random_regression
+from conftest import hinge_regression, random_regression
 
 
 def abs_config(**overrides):
@@ -219,16 +219,24 @@ class TestPredict:
         gen = np.random.default_rng(10)
         points = gen.normal(size=(1000, 4))
 
+        def value(theta, x):
+            # Left-to-right float accumulation: w[0]*x[0], + w[j]*x[j], + bias.
+            acc = None
+            for xj, wj in zip(x, theta[:-1]):
+                term = float(xj) * float(wj)
+                acc = term if acc is None else acc + term
+            return acc + float(theta[-1])
+
         def replay(x):
             # Independent re-evaluation of every comparison on the path.
             node = model.root
             while isinstance(node, Internal):
                 o = node.split
-                a = float(np.dot(x, o.theta1[:-1]) + o.theta1[-1])
-                b = float(np.dot(x, o.theta2[:-1]) + o.theta2[-1])
+                a = value(o.theta1, x)
+                b = value(o.theta2, x)
                 go_left = a >= b if o.kind is HingeKind.MAX else a <= b
                 node = node.left if go_left else node.right
-            return float(np.dot(x, node.theta[:-1]) + node.theta[-1])
+            return value(node.theta, x)
 
         for x in points:
             assert predict(model, x) == replay(x)
@@ -263,6 +271,55 @@ class TestPredictBatch:
         model = manual_model(depth=1, d=2)
         with pytest.raises(DimensionMismatch):
             predict_batch(model, np.zeros((4, 3)))
+
+
+def multi_feature_data(name):
+    # d >= 2, where a fixed-order sum and a BLAS dot product round differently.
+    if name == "f2":
+        ds = gen_synthetic("f2", 600, 0.05, seed=4)
+        return ds.X, ds.y
+    return hinge_regression(16, 400, 16)
+
+
+def relabel_leaves(model):
+    """Copy of ``model`` whose leaf k predicts the constant k; returns (copy, n_train per leaf)."""
+    counts = []
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            theta = np.zeros(model.d + 1)
+            theta[-1] = float(len(counts))
+            counts.append(node.n_train)
+            return Leaf(theta=theta, n_train=node.n_train)
+        return Internal(split=node.split, left=walk(node.left), right=walk(node.right))
+
+    root = walk(model.root)
+    return HrtModel(root=root, d=model.d, config=model.config, stats=model.stats), counts
+
+
+class TestRoutingContract:
+    @pytest.mark.parametrize("name", ["f2", "hinge16"])
+    def test_training_rows_reach_their_leaves_and_batch_matches_scalar(self, name):
+        X, y = multi_feature_data(name)
+        model = build_tree(X, y, TreeConfig(
+            d_max=5, n_min=5, tau_rmse=0.0, split=SplitConfig(step="auto", seed=1)))
+        labelled, counts = relabel_leaves(model)
+        assert len(counts) > 1
+        leaf_of_row = predict_batch(labelled, X)
+        reached = np.bincount(leaf_of_row.astype(int), minlength=len(counts))
+        assert reached.tolist() == counts
+        batch = predict_batch(model, X)
+        assert np.array_equal(batch, [predict(model, row) for row in X])
+
+    @pytest.mark.parametrize("d", [1, 2, 17, 64])
+    def test_chunk_invariance(self, d):
+        model = manual_model(depth=4, d=d, seed=d)
+        X = np.random.default_rng(d).normal(size=(40, d))
+        full = predict_batch(model, X)
+        for size in (1, 7, X.shape[0]):
+            chunks = [predict_batch(model, X[i:i + size]) for i in range(0, X.shape[0], size)]
+            assert np.concatenate(chunks).tobytes() == full.tobytes()
+        assert np.array_equal(full, [predict(model, row) for row in X])
 
 
 class TestTreeStats:
