@@ -170,7 +170,7 @@ def predict_boost(model: BoostModel, x) -> float:
     :func:`~hingetree.tree.predict_row`.  The float operations are those
     of :func:`predict_boost_batch` on the same row.
     """
-    row = check_features(np.reshape(x, (1, -1)), model.d)[0].tolist()
+    row = check_features(np.asarray(x, dtype=float).reshape(1, -1), model.d)[0].tolist()
     total = model.f0
     for learner in model.learners:
         total += model.eta * predict_row(learner.root, row)

@@ -251,7 +251,8 @@ def predict(model: HrtModel, x) -> float:
     bias, so the result equals :func:`predict_batch` on the same row bit
     for bit.
     """
-    return predict_row(model.root, check_features(np.reshape(x, (1, -1)), model.d)[0].tolist())
+    row = check_features(np.asarray(x, dtype=float).reshape(1, -1), model.d)[0].tolist()
+    return predict_row(model.root, row)
 
 
 def _fill(node: TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
