@@ -32,6 +32,7 @@ from .errors import (
     HingeTreeError,
     LengthMismatch,
     MissingTarget,
+    NonFiniteInput,
     NonNumericCell,
     ParseError,
     TooFewSamples,

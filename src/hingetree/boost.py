@@ -12,13 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset
+from .errors import DimensionMismatch
 from .split import SplitConfig
 from .tree import (  # noqa: F401 -- perfbench/tracer.py patches hingetree.boost.predict
     HrtModel,
     TreeConfig,
     build_tree,
     check_features,
+    check_training,
     derive_seed,
     predict,
     predict_batch,
@@ -111,12 +112,7 @@ def fit_boost(X, y, config: BoostConfig | None = None) -> BoostModel:
         config = BoostConfig()
     tree_cfg = config.tree if config.tree is not None else default_boost_tree_config()
     config = replace(config, tree=tree_cfg)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-        raise EmptyDataset("training data must have at least one sample and one feature")
-    if X.shape[0] != y.shape[0]:
-        raise DimensionMismatch("X and y row counts differ")
+    X, y = check_training(X, y)
 
     base_seed = tree_cfg.split.seed
     f0 = float(np.mean(y))

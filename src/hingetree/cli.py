@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -349,8 +349,7 @@ def cmd_train(args) -> int:
         except ValueError as exc:
             raise CliConfigError(f"boost configuration: {exc}") from None
         model = fit_boost(ds.X, ds.y, config)
-        config_doc = {"m_stages": config.m_stages, "eta": config.eta,
-                      "record_gamma": config.record_gamma, "tree": asdict(config.tree)}
+        config_doc = asdict(config)
     fit_time = time.perf_counter() - started
     model.preprocess = preprocess
 
@@ -527,7 +526,6 @@ def cmd_ablate_step(args) -> int:
     def make_config(mu, run_seed):
         holder = argparse.Namespace(**{**vars(args), "step": None})
         config = _tree_config(holder, file_cfg, HRT_DEFAULTS, run_seed, False)
-        from dataclasses import replace
         return replace(config, split=replace(config.split, step=mu))
 
     rows = ablate_step_rows(
@@ -734,12 +732,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliConfigError as exc:
-        if _debug_mode():
-            log.exception("configuration error")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliConfigError, ValueError) as exc:
         if _debug_mode():
             log.exception("configuration error")
         print(f"error: {exc}", file=sys.stderr)

@@ -115,14 +115,14 @@ def gen_synthetic(name: str, n: int, sigma: float = 0.0, seed: int = 0) -> Datas
     )
 
 
-def load_csv(path: str, target, header: bool = True) -> Dataset:
-    """Read a comma-separated numeric file.
+def _read_csv(path: str, header: bool, target=None):
+    """Parse a numeric CSV into ``(values, names, target_index)``.
 
-    Dialect: comma separator, '.' decimal point, optional single header
-    row, no quoting.  ``target`` is a column name (header required) or a
-    0-based index.  Features are the remaining columns in file order.
-    Blank lines are ignored; row/col positions in errors are 1-based file
-    coordinates.
+    ``target`` (a header name or a 0-based index) is resolved, and the
+    file checked to hold a target plus at least one feature, before any
+    cell is parsed; with ``target=None`` every column is a feature and the
+    index is None.  A cell that is not a finite number raises
+    :class:`NonNumericCell` at its 1-based file row and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = [(i + 1, line.rstrip("\n").rstrip("\r")) for i, line in enumerate(fh)]
@@ -138,7 +138,7 @@ def load_csv(path: str, target, header: bool = True) -> Dataset:
         raise EmptyInput(f"{path} contains no data rows")
 
     width = len(rows[0][1])
-    if width < 2:
+    if target is not None and width < 2:
         raise ParseError(rows[0][0], 1, "need a target column plus at least one feature")
     if names is None:
         names = [f"c{i}" for i in range(width)]
@@ -146,13 +146,14 @@ def load_csv(path: str, target, header: bool = True) -> Dataset:
         raise ParseError(rows[0][0], min(len(names), width) + 1,
                          "header and data column counts differ")
 
+    t_idx = None
     if isinstance(target, str):
         if not header:
             raise MissingTarget("target by name requires a header row")
         if target not in names:
             raise MissingTarget(f"target column {target!r} not in header {names}")
         t_idx = names.index(target)
-    else:
+    elif target is not None:
         t_idx = int(target)
         if not 0 <= t_idx < width:
             raise MissingTarget(f"target index {t_idx} outside 0..{width - 1}")
@@ -167,8 +168,24 @@ def load_csv(path: str, target, header: bool = True) -> Dataset:
                 values[r, c] = float(cell)
             except ValueError:
                 raise NonNumericCell(lineno, c + 1, cell.strip()) from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise NonNumericCell(rows[r][0], c + 1, rows[r][1][c].strip())
+    return values, names, t_idx
 
-    keep = [i for i in range(width) if i != t_idx]
+
+def load_csv(path: str, target, header: bool = True) -> Dataset:
+    """Read a comma-separated numeric file.
+
+    Dialect: comma separator, '.' decimal point, optional single header
+    row, no quoting.  ``target`` is a column name (header required) or a
+    0-based index.  Features are the remaining columns in file order.
+    Blank lines are ignored; row/col positions in errors are 1-based file
+    coordinates.  ``nan`` and ``inf`` cells are rejected.
+    """
+    values, names, t_idx = _read_csv(path, header, target)
+    keep = [i for i in range(len(names)) if i != t_idx]
     return Dataset(
         X=values[:, keep],
         y=values[:, t_idx],
@@ -183,33 +200,7 @@ def load_features(path: str, header: bool = True):
 
     Same dialect as :func:`load_csv`.  Returns ``(X, feature_names)``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [(i + 1, line.rstrip("\n").rstrip("\r")) for i, line in enumerate(fh)]
-    rows = [(lineno, line.split(",")) for lineno, line in raw if line.strip()]
-    if not rows:
-        raise EmptyInput(f"{path} contains no rows")
-    names = None
-    if header:
-        names = [c.strip() for c in rows[0][1]]
-        rows = rows[1:]
-    if not rows:
-        raise EmptyInput(f"{path} contains no data rows")
-    width = len(rows[0][1])
-    if names is None:
-        names = [f"c{i}" for i in range(width)]
-    elif len(names) != width:
-        raise ParseError(rows[0][0], min(len(names), width) + 1,
-                         "header and data column counts differ")
-    values = np.empty((len(rows), width))
-    for r, (lineno, cells) in enumerate(rows):
-        if len(cells) != width:
-            raise ParseError(lineno, min(len(cells), width) + 1,
-                             f"expected {width} columns, got {len(cells)}")
-        for c, cell in enumerate(cells):
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise NonNumericCell(lineno, c + 1, cell.strip()) from None
+    values, names, _ = _read_csv(path, header)
     return values, names
 
 

@@ -25,6 +25,10 @@ class DimensionMismatch(HingeTreeError):
     """Input feature count does not match the model."""
 
 
+class NonFiniteInput(HingeTreeError):
+    """Training data holds a NaN or infinite value."""
+
+
 class LengthMismatch(HingeTreeError):
     """Paired vectors have different lengths."""
 
@@ -54,7 +58,7 @@ class ParseError(HingeTreeError):
 
 
 class NonNumericCell(ParseError):
-    """A data cell failed to parse as a decimal number."""
+    """A data cell is not a finite decimal number."""
 
     def __init__(self, row, col, text):
-        super().__init__(row, col, f"cell {text!r} is not a number")
+        super().__init__(row, col, f"cell {text!r} is not a finite number")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .boost import BoostConfig, BoostModel
 from .split import HingeKind, SplitConfig, SplitOutcome
-from .tree import HrtModel, Internal, Leaf, TrainStats, TreeConfig, TreeNode
+from .tree import HrtModel, Internal, Leaf, TreeConfig, TreeNode, train_stats
 
 FORMAT_VERSION = 1
 
@@ -60,24 +60,12 @@ def _node_from_dict(doc: dict) -> TreeNode:
                     right=_node_from_dict(body["right"]))
 
 
-def _tree_config_to_dict(config: TreeConfig) -> dict:
-    return asdict(config)
-
-
 def _tree_config_from_dict(doc: dict) -> TreeConfig:
     split = SplitConfig(**doc["split"])
-    rest = {k: v for k, v in doc.items() if k != "split"}
+    # Earlier format-1 files also store ``fallback_on_nonconvergence``; the
+    # median fallback is now unconditional, so that key is ignored.
+    rest = {k: v for k, v in doc.items() if k not in ("split", "fallback_on_nonconvergence")}
     return TreeConfig(split=split, **rest)
-
-
-def _structural_stats(root: TreeNode) -> TrainStats:
-    from .tree import _structure
-
-    n_leaves, depth, n_splits, n_fallbacks = _structure(root)
-    # Optimizer effort counters are not serialized; they read 0 on load.
-    return TrainStats(n_leaves=n_leaves, depth=depth, n_splits=n_splits,
-                      n_fallbacks=n_fallbacks, total_split_iterations=0,
-                      total_variant_iterations=0)
 
 
 def model_to_dict(model) -> dict:
@@ -86,7 +74,7 @@ def model_to_dict(model) -> dict:
             "format_version": FORMAT_VERSION,
             "kind": "hrt",
             "d": int(model.d),
-            "config": _tree_config_to_dict(model.config),
+            "config": asdict(model.config),
             "root": _node_to_dict(model.root),
         }
         if model.preprocess is not None:
@@ -102,12 +90,7 @@ def model_to_dict(model) -> dict:
             "gamma_trace": [float(g) for g in model.gamma_trace],
             "loss_trace": [float(v) for v in model.loss_trace],
             "stage_retained": [bool(b) for b in model.stage_retained],
-            "config": {
-                "m_stages": model.config.m_stages,
-                "eta": model.config.eta,
-                "record_gamma": model.config.record_gamma,
-                "tree": _tree_config_to_dict(model.config.tree),
-            },
+            "config": asdict(model.config),
             "learners": [_node_to_dict(t.root) for t in model.learners],
         }
         if model.preprocess is not None:
@@ -127,7 +110,8 @@ def model_from_dict(doc: dict):
             root=root,
             d=int(doc["d"]),
             config=_tree_config_from_dict(doc["config"]),
-            stats=_structural_stats(root),
+            # Optimizer effort counters are not serialized; they read 0 on load.
+            stats=train_stats(root),
             preprocess=doc.get("preprocess"),
         )
     if kind == "boost":
@@ -143,7 +127,7 @@ def model_from_dict(doc: dict):
             root = _node_from_dict(node_doc)
             learners.append(HrtModel(root=root, d=int(doc["d"]),
                                      config=tree_config,
-                                     stats=_structural_stats(root)))
+                                     stats=train_stats(root)))
         return BoostModel(
             f0=float(doc["f0"]),
             eta=float(doc["eta"]),

@@ -82,10 +82,10 @@ class SplitOutcome:
 
     ``objective_trace`` holds the objective value at initialization and
     after every accepted iteration (length ``iterations + 1`` for
-    optimized splits; empty for fallback splits).  ``mu_trace``,
-    ``partition_sizes`` and ``direction_norms`` are per-iteration
-    diagnostics; ``variant_iterations`` is filled by :func:`select_split`
-    with the raw (max-variant, min-variant) iteration counts.
+    optimized splits; empty for fallback splits).  ``mu_trace`` and
+    ``partition_sizes`` are per-iteration diagnostics;
+    ``variant_iterations`` is filled by :func:`select_split` with the raw
+    (max-variant, min-variant) iteration counts.
     """
 
     theta1: np.ndarray
@@ -99,7 +99,6 @@ class SplitOutcome:
     fallback_threshold: float | None = None
     mu_trace: list[float] = field(default_factory=list)
     partition_sizes: list[tuple[int, int]] = field(default_factory=list)
-    direction_norms: list[float] = field(default_factory=list)
     variant_iterations: tuple[int, int] | None = None
 
 
@@ -159,6 +158,12 @@ def _fit_subset(Xa, y, idx, alpha, min_subset, current):
         return current
 
 
+def _refit(Xa, y, s1, s2, theta1, theta2, alpha, min_subset):
+    """Both sides' ridge targets for the partition (s1, s2) of the augmented design."""
+    return (_fit_subset(Xa, y, s1, alpha, min_subset, theta1),
+            _fit_subset(Xa, y, s2, alpha, min_subset, theta2))
+
+
 def _step_toward(theta, target, mu):
     # mu == 1 lands exactly on the refit solution (unit Newton step).
     if mu == 1.0:
@@ -166,15 +171,29 @@ def _step_toward(theta, target, mu):
     return theta + mu * (target - theta)
 
 
+def _line_search(Xa, y, kind, theta1, theta2, f1, f2, v0, config):
+    """Backtrack from ``mu0`` until a step toward (f1, f2) lowers the objective below v0.
+
+    Returns ``(mu, theta1', theta2', v)``; ``mu`` is 0 and the parameters
+    and ``v0`` come back unchanged when no candidate lowers the objective.
+    """
+    mu = config.mu0
+    for _ in range(config.max_backtracks):
+        c1 = _step_toward(theta1, f1, mu)
+        c2 = _step_toward(theta2, f2, mu)
+        v = _objective_aug(Xa, y, c1, c2, kind)
+        if v < v0:
+            return mu, c1, c2, v
+        mu *= config.beta
+    return 0.0, theta1, theta2, v0
+
+
 def damped_update(X, y, s1, s2, theta1, theta2, mu: float,
                   alpha: float = 0.0, min_subset: int = 2):
     """One damped Newton step with the partition (s1, s2) held fixed."""
     X, y = _as_xy(X, y)
-    Xa = augment(X)
-    s1 = np.asarray(s1, dtype=int)
-    s2 = np.asarray(s2, dtype=int)
-    f1 = _fit_subset(Xa, y, s1, alpha, min_subset, theta1)
-    f2 = _fit_subset(Xa, y, s2, alpha, min_subset, theta2)
+    f1, f2 = _refit(augment(X), y, np.asarray(s1, dtype=int), np.asarray(s2, dtype=int),
+                    theta1, theta2, alpha, min_subset)
     return _step_toward(theta1, f1, mu), _step_toward(theta2, f2, mu)
 
 
@@ -183,12 +202,8 @@ def newton_step(X, y, theta1, theta2, kind: HingeKind, mu: float,
     """Partition by the current parameters, then take one damped Newton step."""
     if not 0.0 < mu <= 1.0:
         raise ValueError("mu must lie in (0, 1]")
-    X, y = _as_xy(X, y)
-    Xa = augment(X)
-    s1, s2 = _partition_aug(Xa, theta1, theta2, kind)
-    f1 = _fit_subset(Xa, y, s1, alpha, min_subset, theta1)
-    f2 = _fit_subset(Xa, y, s2, alpha, min_subset, theta2)
-    return _step_toward(theta1, f1, mu), _step_toward(theta2, f2, mu)
+    s1, s2 = partition(X, theta1, theta2, kind)
+    return damped_update(X, y, s1, s2, theta1, theta2, mu, alpha, min_subset)
 
 
 def backtracking_step(X, y, theta1, theta2, kind: HingeKind,
@@ -204,17 +219,10 @@ def backtracking_step(X, y, theta1, theta2, kind: HingeKind,
     X, y = _as_xy(X, y)
     Xa = augment(X)
     s1, s2 = _partition_aug(Xa, theta1, theta2, kind)
-    f1 = _fit_subset(Xa, y, s1, config.ridge_alpha, config.min_subset, theta1)
-    f2 = _fit_subset(Xa, y, s2, config.ridge_alpha, config.min_subset, theta2)
+    f1, f2 = _refit(Xa, y, s1, s2, theta1, theta2, config.ridge_alpha, config.min_subset)
     v0 = _objective_aug(Xa, y, theta1, theta2, kind)
-    mu = config.mu0
-    for _ in range(config.max_backtracks):
-        c1 = _step_toward(theta1, f1, mu)
-        c2 = _step_toward(theta2, f2, mu)
-        if _objective_aug(Xa, y, c1, c2, kind) < v0:
-            return mu, c1, c2
-        mu *= config.beta
-    return 0.0, theta1, theta2
+    mu, theta1, theta2, _ = _line_search(Xa, y, kind, theta1, theta2, f1, f2, v0, config)
+    return mu, theta1, theta2
 
 
 def initialize_params(X, y, alpha: float = 0.0, seed: int = 0):
@@ -274,7 +282,10 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutco
     """Optimize one hinge split of the given kind.
 
     Alternates refitting and repartitioning for at most ``t_max``
-    iterations.  Convergence means the summed parameter change fell below
+    iterations.  Each iteration refits and steps as :func:`newton_step`
+    (fixed step) or :func:`backtracking_step` (auto) do, through the same
+    private refit and line search, on an augmented design formed once per
+    call.  Convergence means the summed parameter change fell below
     ``epsilon``, or (auto step only) no backtracking candidate decreased
     the objective.  Under the auto step the recorded objective trace is
     strictly decreasing by construction.  The fallback split is not taken
@@ -287,36 +298,19 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutco
             f"need at least {2 * config.min_subset} samples, got {n}"
         )
     Xa = augment(X)
-    alpha = config.ridge_alpha
-    ms = config.min_subset
-    theta1, theta2 = initialize_params(X, y, alpha, config.seed)
+    theta1, theta2 = initialize_params(X, y, config.ridge_alpha, config.seed)
 
     trace = [_objective_aug(Xa, y, theta1, theta2, kind)]
     s1, s2 = _partition_aug(Xa, theta1, theta2, kind)
     sizes = [(int(s1.size), int(s2.size))]
     mu_trace: list[float] = []
-    dir_norms: list[float] = []
-    iterations = 0
     converged = False
 
     for _ in range(config.t_max):
-        f1 = _fit_subset(Xa, y, s1, alpha, ms, theta1)
-        f2 = _fit_subset(Xa, y, s2, alpha, ms, theta2)
-        p_norm = float(np.linalg.norm(f1 - theta1) + np.linalg.norm(f2 - theta2))
-
+        f1, f2 = _refit(Xa, y, s1, s2, theta1, theta2, config.ridge_alpha, config.min_subset)
         if config.auto_step:
-            mu = 0.0
-            cand = config.mu0
-            new1 = new2 = None
-            v_new = None
-            for _ in range(config.max_backtracks):
-                c1 = _step_toward(theta1, f1, cand)
-                c2 = _step_toward(theta2, f2, cand)
-                v = _objective_aug(Xa, y, c1, c2, kind)
-                if v < trace[-1]:
-                    mu, new1, new2, v_new = cand, c1, c2, v
-                    break
-                cand *= config.beta
+            mu, new1, new2, v = _line_search(Xa, y, kind, theta1, theta2, f1, f2,
+                                             trace[-1], config)
             if mu == 0.0:
                 # No decreasing step exists along this direction; stop.
                 converged = True
@@ -325,17 +319,13 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutco
             mu = float(config.step)
             new1 = _step_toward(theta1, f1, mu)
             new2 = _step_toward(theta2, f2, mu)
-            v_new = None
+            v = _objective_aug(Xa, y, new1, new2, kind)
 
         change = float(np.linalg.norm(new1 - theta1) + np.linalg.norm(new2 - theta2))
         theta1, theta2 = new1, new2
-        iterations += 1
         s1, s2 = _partition_aug(Xa, theta1, theta2, kind)
-        if v_new is None:
-            v_new = _objective_aug(Xa, y, theta1, theta2, kind)
-        trace.append(v_new)
+        trace.append(v)
         mu_trace.append(mu)
-        dir_norms.append(p_norm)
         sizes.append((int(s1.size), int(s2.size)))
         if change < config.epsilon:
             converged = True
@@ -346,11 +336,10 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutco
         theta2=theta2,
         kind=kind,
         converged=converged,
-        iterations=iterations,
+        iterations=len(mu_trace),
         objective_trace=trace,
         mu_trace=mu_trace,
         partition_sizes=sizes,
-        direction_norms=dir_norms,
     )
 
 

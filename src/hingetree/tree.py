@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AllFeaturesConstant, DimensionMismatch, EmptyDataset
+from .errors import AllFeaturesConstant, DimensionMismatch, EmptyDataset, NonFiniteInput
 from .linear import affine, affine_row, augment, fit_or_mean
 from .split import HingeKind, SplitConfig, SplitOutcome, median_fallback, select_split
 
@@ -51,14 +51,15 @@ class TreeConfig:
     ``d_max`` counts edges, with the root at depth 0 (0 means a single
     leaf).  ``n_min`` is the minimum sample count for a node to be split
     and for each resulting child.  ``tau_rmse`` compares against the
-    unpenalized RMSE of the node's ridge-fit leaf model.
+    unpenalized RMSE of the node's ridge-fit leaf model.  A split that
+    does not converge, or that leaves a child below ``n_min``, is replaced
+    by :func:`~hingetree.split.median_fallback`.
     """
 
     d_max: int = 6
     n_min: int = 5
     tau_rmse: float = 0.03
     split: SplitConfig = field(default_factory=SplitConfig)
-    fallback_on_nonconvergence: bool = True
     collect_traces: bool = False
 
     def __post_init__(self):
@@ -152,7 +153,7 @@ def _grow(X, y, depth, seed, config: TreeConfig, acc: _Counters) -> TreeNode:
     # A split that cannot produce two viable children stalls growth just
     # like non-convergence does, so both symptoms route to the fallback.
     stalled = (not outcome.converged) or min(n_first, n - n_first) < config.n_min
-    if stalled and config.fallback_on_nonconvergence:
+    if stalled:
         try:
             outcome = median_fallback(X, seed=derive_seed(seed, depth, 2))
         except AllFeaturesConstant:
@@ -184,6 +185,21 @@ def _structure(node: TreeNode, depth: int = 0):
     )
 
 
+def train_stats(root: TreeNode, split_iterations: int = 0, variant_iterations: int = 0,
+                per_node_traces: list[list[float]] | None = None) -> TrainStats:
+    """The tree's structural counts plus the optimizer counters from its training."""
+    n_leaves, depth, n_splits, n_fallbacks = _structure(root)
+    return TrainStats(
+        n_leaves=n_leaves,
+        depth=depth,
+        n_splits=n_splits,
+        n_fallbacks=n_fallbacks,
+        total_split_iterations=split_iterations,
+        total_variant_iterations=variant_iterations,
+        per_node_traces=per_node_traces,
+    )
+
+
 def build_tree(X, y, config: TreeConfig | None = None) -> HrtModel:
     """Fit a hinge regression tree.
 
@@ -192,26 +208,29 @@ def build_tree(X, y, config: TreeConfig | None = None) -> HrtModel:
     """
     if config is None:
         config = TreeConfig()
+    X, y = check_training(X, y)
+    acc = _Counters(config.collect_traces)
+    root = _grow(X, y, 0, config.split.seed & _MASK64, config, acc)
+    stats = train_stats(root, acc.winner_iters, acc.variant_iters, acc.traces)
+    return HrtModel(root=root, d=X.shape[1], config=config, stats=stats)
+
+
+def check_training(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` as a float matrix and target vector to train on, or a typed error.
+
+    Raises :class:`EmptyDataset` without a sample or a feature,
+    :class:`DimensionMismatch` when the row counts differ, and
+    :class:`NonFiniteInput` when any value is NaN or infinite.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
         raise EmptyDataset("training data must have at least one sample and one feature")
     if X.shape[0] != y.shape[0]:
         raise DimensionMismatch("X and y row counts differ")
-
-    acc = _Counters(config.collect_traces)
-    root = _grow(X, y, 0, config.split.seed & _MASK64, config, acc)
-    n_leaves, depth, n_splits, n_fallbacks = _structure(root)
-    stats = TrainStats(
-        n_leaves=n_leaves,
-        depth=depth,
-        n_splits=n_splits,
-        n_fallbacks=n_fallbacks,
-        total_split_iterations=acc.winner_iters,
-        total_variant_iterations=acc.variant_iters,
-        per_node_traces=acc.traces,
-    )
-    return HrtModel(root=root, d=X.shape[1], config=config, stats=stats)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise NonFiniteInput("training data contains a NaN or infinite value")
+    return X, y
 
 
 def check_features(X, d: int) -> np.ndarray:
@@ -285,13 +304,6 @@ def predict_batch(model: HrtModel, X) -> np.ndarray:
 
 def tree_stats(model: HrtModel) -> TrainStats:
     """Structural statistics recomputed from the stored tree."""
-    n_leaves, depth, n_splits, n_fallbacks = _structure(model.root)
-    return TrainStats(
-        n_leaves=n_leaves,
-        depth=depth,
-        n_splits=n_splits,
-        n_fallbacks=n_fallbacks,
-        total_split_iterations=model.stats.total_split_iterations,
-        total_variant_iterations=model.stats.total_variant_iterations,
-        per_node_traces=model.stats.per_node_traces,
-    )
+    s = model.stats
+    return train_stats(model.root, s.total_split_iterations, s.total_variant_iterations,
+                       s.per_node_traces)

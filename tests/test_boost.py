@@ -6,6 +6,7 @@ import pytest
 from hingetree import (
     BoostConfig,
     DimensionMismatch,
+    NonFiniteInput,
     SplitConfig,
     TreeConfig,
     dumps_model,
@@ -118,6 +119,16 @@ class TestFitBoost:
         _, a = sinc_boost(m_stages=6)
         _, b = sinc_boost(m_stages=6)
         assert dumps_model(a) == dumps_model(b)
+
+    @pytest.mark.parametrize("target, value", [("X", np.nan), ("y", np.inf)])
+    def test_non_finite_input_rejected(self, target, value):
+        X, y = random_regression(3, 40, 2)
+        if target == "X":
+            X[17, 1] = value
+        else:
+            y[5] = value
+        with pytest.raises(NonFiniteInput):
+            fit_boost(X, y, BoostConfig(m_stages=3))
 
 
 class TestPredictBoost:

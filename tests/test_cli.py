@@ -79,6 +79,17 @@ class TestTrain:
                            "--out", str(tmp_path / "m.json"))
         assert code == 3
 
+    def test_non_finite_csv_cell_is_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "d.csv"
+        write_csv(gen_synthetic("twisted_sigmoid", 50, 0.025, seed=2), csv)
+        lines = csv.read_text().splitlines()
+        lines[4] = lines[4].split(",")[0] + ",nan"
+        csv.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "train", str(csv), "hrt",
+                           "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert "row 5, col 2" in err
+
     def test_boost_training(self, tmp_path, capsys):
         out = tmp_path / "b.json"
         code, text, _ = run(capsys, "train", SINC, "boost",

@@ -114,6 +114,17 @@ class TestCsv:
             load_csv(path, target="y")
         assert err.value.row == 3 and err.value.col == 2
 
+    @pytest.mark.parametrize("cell, row, col", [("nan", 3, 2), ("inf", 2, 3), ("-inf", 3, 1)])
+    def test_non_finite_cell_has_location(self, tmp_path, cell, row, col):
+        lines = [["a", "b", "y"], ["1", "2", "3"], ["4", "5", "6"]]
+        lines[row - 1][col - 1] = cell
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("".join(",".join(line) + "\n" for line in lines))
+        for load in (lambda: load_csv(path, target="y"), lambda: load_features(path)):
+            with pytest.raises(NonNumericCell) as err:
+                load()
+            assert err.value.row == row and err.value.col == col
+
     def test_ragged_row_is_parse_error(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b,y\n1,2,3\n4,5\n")

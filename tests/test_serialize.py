@@ -59,6 +59,17 @@ class TestTreeRoundTrip:
         _, model = trained_tree(seed=5)
         assert dumps_model(model) == dumps_model(model)
 
+    def test_document_with_dropped_fallback_key_loads(self):
+        # Earlier format-1 files store TreeConfig.fallback_on_nonconvergence.
+        _, model = trained_tree(seed=2)
+        doc = model_to_dict(model)
+        assert "fallback_on_nonconvergence" not in doc["config"]
+        doc["config"]["fallback_on_nonconvergence"] = True
+        back = loads_model(json.dumps(doc))
+        assert back.config == model.config
+        points = np.random.default_rng(4).uniform(-1.5, 1.5, size=(500, 1))
+        assert np.array_equal(predict_batch(back, points), predict_batch(model, points))
+
     def test_fallback_fields_only_when_used(self):
         _, model = trained_tree(seed=7)
         doc = model_to_dict(model)
@@ -124,6 +135,16 @@ class TestBoostRoundTrip:
         assert back.loss_trace == model.loss_trace
         assert back.stage_retained == model.stage_retained
         assert len(back.learners) == len(model.learners)
+
+    def test_document_with_dropped_fallback_key_loads(self):
+        _, model = trained_boost(seed=3)
+        doc = model_to_dict(model)
+        doc["config"]["tree"]["fallback_on_nonconvergence"] = True
+        back = loads_model(json.dumps(doc))
+        assert back.config == model.config
+        points = np.random.default_rng(5).uniform(-3, 3, size=(500, 2))
+        assert np.array_equal(predict_boost_batch(back, points),
+                              predict_boost_batch(model, points))
 
     def test_envelope_fields(self):
         _, model = trained_boost(seed=5)

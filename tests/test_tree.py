@@ -5,6 +5,7 @@ from hingetree import (
     DimensionMismatch,
     EmptyDataset,
     HingeKind,
+    NonFiniteInput,
     HrtModel,
     SplitConfig,
     SplitOutcome,
@@ -95,6 +96,16 @@ class TestBuildTree:
     def test_mismatched_rows_rejected(self):
         with pytest.raises(DimensionMismatch):
             build_tree(np.zeros((4, 2)), np.zeros(3))
+
+    @pytest.mark.parametrize("target, value", [("X", np.nan), ("y", np.inf)])
+    def test_non_finite_input_rejected(self, target, value):
+        X, y = random_regression(3, 40, 2)
+        if target == "X":
+            X[17, 1] = value
+        else:
+            y[5] = value
+        with pytest.raises(NonFiniteInput):
+            build_tree(X, y)
 
     def test_deterministic_given_seed(self):
         ds = gen_synthetic("sinc", 400, 0.025, seed=9)
