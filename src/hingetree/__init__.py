@@ -24,6 +24,7 @@ from .datasets import (
 )
 from .errors import (
     AllFeaturesConstant,
+    CorruptModel,
     DegenerateSplit,
     DegenerateSystem,
     DimensionMismatch,

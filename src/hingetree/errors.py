@@ -29,6 +29,10 @@ class NonFiniteInput(HingeTreeError):
     """Training data holds a NaN or infinite value."""
 
 
+class CorruptModel(HingeTreeError):
+    """A model file is not JSON or lacks a key, a child or a well-formed coefficient vector."""
+
+
 class LengthMismatch(HingeTreeError):
     """Paired vectors have different lengths."""
 

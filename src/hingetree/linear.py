@@ -4,11 +4,16 @@ Every predictor in this package is affine and stored as one coefficient
 vector of length d+1: feature weights first, bias last.  The solver works
 on the augmented design (features plus a trailing column of ones) so the
 bias lives inside the coefficient vector but stays outside the penalty.
+One builder forms the normal equations for :func:`ridge_solve` and for
+:func:`ridge_solve_pair`, which factorizes a hinge split's two side
+systems as one stacked Cholesky with the same bits as two single solves.
 Every routing decision and leaf value is evaluated by :func:`affine` or
 its one-row form :func:`affine_row`, which perform the same floating-point
 operations in the same order.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -26,21 +31,39 @@ def augment(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
+@functools.lru_cache(maxsize=None)
+def _penalty(p: int) -> np.ndarray:
+    # Identity with the bias entry zeroed: the bias is not regularized.
+    penalty = np.eye(p)
+    penalty[-1, -1] = 0.0
+    penalty.flags.writeable = False
+    return penalty
+
+
+def _normal_equations(X: np.ndarray, y: np.ndarray, alpha: float):
+    """``(gram, rhs, system)`` of the ridge problem; ``system`` is ``gram`` when alpha is 0."""
+    gram = X.T @ X
+    rhs = X.T @ y
+    system = gram + alpha * _penalty(X.shape[1]) if alpha > 0 else gram
+    return gram, rhs, system
+
+
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # L L^T x = b by two solves; cholesky raises LinAlgError unless a is
-    # positive definite.
+    # L L^T x = b by two solves, on one system or a stack of them;
+    # cholesky raises LinAlgError unless every a is positive definite.
     low = np.linalg.cholesky(a)
-    return np.linalg.solve(low.T, np.linalg.solve(low, b))
+    return np.linalg.solve(np.swapaxes(low, -1, -2), np.linalg.solve(low, b[..., None]))[..., 0]
 
 
 def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
     """Minimize ``0.5*||y - X @ theta||^2 + 0.5*alpha*||theta[:-1]||^2``.
 
     ``X`` is an augmented design whose last column is identically 1; the
-    bias coefficient is excluded from the penalty.  The system is solved
-    through the normal equations with NumPy's Cholesky factorization
-    (``np.linalg.cholesky``) and two ``np.linalg.solve`` calls on the
-    factors.  If the factorization fails, one retry is made with a small jitter
+    bias coefficient is excluded from the penalty.  The normal equations
+    come from the builder that :func:`ridge_solve_pair` shares, and are
+    solved with NumPy's Cholesky factorization (``np.linalg.cholesky``)
+    and two ``np.linalg.solve`` calls on the factors.  If the
+    factorization fails, one retry is made with a small jitter
     (``1e-10 * trace(X.T @ X) / (d+1)``) added to every diagonal entry;
     a second failure raises :class:`DegenerateSystem`.
     """
@@ -52,18 +75,12 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         raise ValueError("design and target row counts differ")
     if alpha < 0:
         raise ValueError("ridge penalty must be non-negative")
-    p = X.shape[1]
-    gram = X.T @ X
-    rhs = X.T @ y
-    system = gram
-    if alpha > 0:
-        penalty = np.eye(p)
-        penalty[-1, -1] = 0.0  # bias is not regularized
-        system = gram + alpha * penalty
+    gram, rhs, system = _normal_equations(X, y, alpha)
     try:
         return _spd_solve(system, rhs)
     except np.linalg.LinAlgError:
         pass
+    p = X.shape[1]
     jitter = JITTER_SCALE * float(np.trace(gram)) / p
     try:
         return _spd_solve(system + jitter * np.eye(p), rhs)
@@ -71,6 +88,29 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         raise DegenerateSystem(
             "normal equations are singular even after the jitter retry"
         ) from None
+
+
+def ridge_solve_pair(X1: np.ndarray, y1: np.ndarray, X2: np.ndarray, y2: np.ndarray,
+                     alpha: float = 0.0):
+    """Two :func:`ridge_solve` problems of one width in a single stacked factorization.
+
+    ``X1`` and ``X2`` are augmented float designs with at least one row
+    each and the same number of columns, ``y1`` and ``y2`` 1-D float
+    targets; only the sign of ``alpha`` is checked.  The two systems are
+    factorized as one ``(2, p, p)`` stack, which gives the same bits as two
+    separate :func:`ridge_solve` calls.  Returns ``(theta1, theta2)``, or
+    ``None`` when either system is not positive definite: the jitter retry
+    is left to :func:`ridge_solve`.
+    """
+    if alpha < 0:
+        raise ValueError("ridge penalty must be non-negative")
+    _, rhs1, system1 = _normal_equations(X1, y1, alpha)
+    _, rhs2, system2 = _normal_equations(X2, y2, alpha)
+    try:
+        theta = _spd_solve(np.array((system1, system2)), np.array((rhs1, rhs2)))
+    except np.linalg.LinAlgError:
+        return None
+    return theta[0], theta[1]
 
 
 def fit_or_mean(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:

@@ -3,16 +3,21 @@
 Floats are emitted in Python's shortest round-trip decimal form, so a
 save/load cycle reproduces every binary64 value exactly and predictions
 are bit-identical.  Documents are written with sorted keys so identical
-models serialize to identical bytes.
+models serialize to identical bytes.  A document's structure is checked
+before any of it is built: text that is not JSON, a missing key or child,
+a coefficient vector that is not d+1 finite numbers, or an unknown config
+field raises :class:`CorruptModel`.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 
 from .boost import BoostConfig, BoostModel
+from .errors import CorruptModel
 from .split import HingeKind, SplitConfig, SplitOutcome
 from .tree import HrtModel, Internal, Leaf, TreeConfig, TreeNode, train_stats
 
@@ -38,6 +43,67 @@ def _node_to_dict(node: TreeNode) -> dict:
     return {"internal": body}
 
 
+# Keys every document must carry, per model kind and per node tag.
+_MODEL_KEYS = {
+    "hrt": ("d", "config", "root"),
+    "boost": ("d", "f0", "eta", "gamma_trace", "loss_trace", "stage_retained", "config",
+              "learners"),
+}
+_NODE_KEYS = {
+    "leaf": ("theta", "n_train"),
+    "internal": ("kind", "theta1", "theta2", "used_fallback", "left", "right"),
+}
+
+
+def _require(doc, keys, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise CorruptModel(f"{where}: expected a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise CorruptModel(f"{where}: missing {', '.join(map(repr, missing))}")
+
+
+def _check_theta(theta, d: int, where: str) -> None:
+    if not (isinstance(theta, list) and len(theta) == d + 1
+            and all(type(v) in (int, float) and math.isfinite(v) for v in theta)):
+        raise CorruptModel(f"{where}: expected a list of {d + 1} finite coefficients")
+
+
+def _check_node(doc, d: int, where: str) -> None:
+    """Raise CorruptModel unless this node and every node below it are well formed."""
+    if not isinstance(doc, dict) or len(doc) != 1 or next(iter(doc)) not in _NODE_KEYS:
+        raise CorruptModel(f"{where}: expected a 'leaf' or an 'internal' node")
+    ((tag, body),) = doc.items()
+    where = f"{where}.{tag}"
+    _require(body, _NODE_KEYS[tag], where)
+    if tag == "leaf":
+        _check_theta(body["theta"], d, f"{where}.theta")
+        return
+    if body["kind"] not in [k.value for k in HingeKind]:
+        raise CorruptModel(f"{where}.kind: unknown hinge kind {body['kind']!r}")
+    _check_theta(body["theta1"], d, f"{where}.theta1")
+    _check_theta(body["theta2"], d, f"{where}.theta2")
+    _check_node(body["left"], d, f"{where}.left")
+    _check_node(body["right"], d, f"{where}.right")
+
+
+def _check_model(doc: dict, kind: str) -> None:
+    _require(doc, _MODEL_KEYS[kind], "model")
+    d = doc["d"]
+    if type(d) is not int or d < 0:
+        raise CorruptModel(f"model: 'd' must be a non-negative integer, got {d!r}")
+    if kind == "hrt":
+        _require(doc["config"], ("split",), "config")
+        _check_node(doc["root"], d, "root")
+        return
+    _require(doc["config"], ("m_stages", "eta", "tree", "record_gamma"), "config")
+    _require(doc["config"]["tree"], ("split",), "config.tree")
+    if not isinstance(doc["learners"], list):
+        raise CorruptModel("learners: expected a list")
+    for i, node in enumerate(doc["learners"]):
+        _check_node(node, d, f"learners[{i}]")
+
+
 def _node_from_dict(doc: dict) -> TreeNode:
     if "leaf" in doc:
         leaf = doc["leaf"]
@@ -61,11 +127,13 @@ def _node_from_dict(doc: dict) -> TreeNode:
 
 
 def _tree_config_from_dict(doc: dict) -> TreeConfig:
-    split = SplitConfig(**doc["split"])
     # Earlier format-1 files also store ``fallback_on_nonconvergence``; the
     # median fallback is now unconditional, so that key is ignored.
     rest = {k: v for k, v in doc.items() if k not in ("split", "fallback_on_nonconvergence")}
-    return TreeConfig(split=split, **rest)
+    try:
+        return TreeConfig(split=SplitConfig(**doc["split"]), **rest)
+    except TypeError as exc:  # an unknown field, or a split block that is not an object
+        raise CorruptModel(f"config: {exc}") from None
 
 
 def model_to_dict(model) -> dict:
@@ -100,10 +168,21 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(doc: dict):
+    """Build a model from its document.
+
+    An unsupported ``format_version`` or model kind raises ``ValueError``;
+    a malformed structure raises :class:`CorruptModel` before anything is
+    built.
+    """
+    if not isinstance(doc, dict):
+        raise CorruptModel("model: expected a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     kind = doc.get("kind")
+    if kind not in _MODEL_KEYS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    _check_model(doc, kind)
     if kind == "hrt":
         root = _node_from_dict(doc["root"])
         return HrtModel(
@@ -114,32 +193,30 @@ def model_from_dict(doc: dict):
             stats=train_stats(root),
             preprocess=doc.get("preprocess"),
         )
-    if kind == "boost":
-        tree_config = _tree_config_from_dict(doc["config"]["tree"])
-        config = BoostConfig(
-            m_stages=int(doc["config"]["m_stages"]),
-            eta=float(doc["config"]["eta"]),
-            tree=tree_config,
-            record_gamma=bool(doc["config"]["record_gamma"]),
-        )
-        learners = []
-        for node_doc in doc["learners"]:
-            root = _node_from_dict(node_doc)
-            learners.append(HrtModel(root=root, d=int(doc["d"]),
-                                     config=tree_config,
-                                     stats=train_stats(root)))
-        return BoostModel(
-            f0=float(doc["f0"]),
-            eta=float(doc["eta"]),
-            learners=learners,
-            gamma_trace=[float(g) for g in doc["gamma_trace"]],
-            loss_trace=[float(v) for v in doc["loss_trace"]],
-            stage_retained=[bool(b) for b in doc["stage_retained"]],
-            d=int(doc["d"]),
-            config=config,
-            preprocess=doc.get("preprocess"),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    tree_config = _tree_config_from_dict(doc["config"]["tree"])
+    config = BoostConfig(
+        m_stages=int(doc["config"]["m_stages"]),
+        eta=float(doc["config"]["eta"]),
+        tree=tree_config,
+        record_gamma=bool(doc["config"]["record_gamma"]),
+    )
+    learners = []
+    for node_doc in doc["learners"]:
+        root = _node_from_dict(node_doc)
+        learners.append(HrtModel(root=root, d=int(doc["d"]),
+                                 config=tree_config,
+                                 stats=train_stats(root)))
+    return BoostModel(
+        f0=float(doc["f0"]),
+        eta=float(doc["eta"]),
+        learners=learners,
+        gamma_trace=[float(g) for g in doc["gamma_trace"]],
+        loss_trace=[float(v) for v in doc["loss_trace"]],
+        stage_retained=[bool(b) for b in doc["stage_retained"]],
+        d=int(doc["d"]),
+        config=config,
+        preprocess=doc.get("preprocess"),
+    )
 
 
 def dumps_model(model) -> str:
@@ -147,7 +224,11 @@ def dumps_model(model) -> str:
 
 
 def loads_model(text: str):
-    return model_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorruptModel(f"model: not valid JSON ({exc})") from None
+    return model_from_dict(doc)
 
 
 def save_model(model, path: str) -> None:

@@ -10,13 +10,14 @@ at ``mu0`` and shrinks geometrically until the objective strictly drops.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import AllFeaturesConstant, DegenerateSystem, TooFewSamples
-from .linear import augment, fit_or_mean, ridge_solve
+from .linear import augment, fit_or_mean, ridge_solve, ridge_solve_pair
 
 # Two parameter vectors closer than this (max-norm) count as identical
 # during initialization and trigger a symmetry-breaking perturbation.
@@ -110,32 +111,38 @@ def _as_xy(X, y):
     return X, y
 
 
-def hinge_values(Xa: np.ndarray, theta1: np.ndarray, theta2: np.ndarray,
-                 kind: HingeKind) -> np.ndarray:
-    """Hinge prediction max/min(Xa @ theta1, Xa @ theta2) per row of an augmented design."""
-    a = Xa @ theta1
-    b = Xa @ theta2
+def _envelope(a, b, kind):
     return np.maximum(a, b) if kind is HingeKind.MAX else np.minimum(a, b)
 
 
-def _objective_aug(Xa, y, theta1, theta2, kind) -> float:
-    r = y - hinge_values(Xa, theta1, theta2, kind)
-    return 0.5 * float(r @ r)
+def _sides(a, b, kind, idx):
+    # Ties go to the first branch for both variants.
+    first = a >= b if kind is HingeKind.MAX else a <= b
+    return idx[first], idx[~first]
+
+
+def _evaluate(Xa, y, theta1, theta2, kind):
+    """Objective at (theta1, theta2) on the augmented design, with the side values a and b.
+
+    ``a = Xa @ theta1`` and ``b = Xa @ theta2`` are returned so that the
+    caller can partition by them without recomputing either matvec.
+    """
+    a = Xa @ theta1
+    b = Xa @ theta2
+    r = y - _envelope(a, b, kind)
+    return 0.5 * float(r @ r), a, b
+
+
+def hinge_values(Xa: np.ndarray, theta1: np.ndarray, theta2: np.ndarray,
+                 kind: HingeKind) -> np.ndarray:
+    """Hinge prediction max/min(Xa @ theta1, Xa @ theta2) per row of an augmented design."""
+    return _envelope(Xa @ theta1, Xa @ theta2, kind)
 
 
 def objective(X, y, theta1, theta2, kind: HingeKind) -> float:
     """Node objective: half the summed squared error of the hinge prediction."""
     X, y = _as_xy(X, y)
-    return _objective_aug(augment(X), y, theta1, theta2, kind)
-
-
-def _partition_aug(Xa, theta1, theta2, kind):
-    a = Xa @ theta1
-    b = Xa @ theta2
-    # Ties go to the first branch for both variants.
-    first = a >= b if kind is HingeKind.MAX else a <= b
-    idx = np.arange(Xa.shape[0])
-    return idx[first], idx[~first]
+    return _evaluate(augment(X), y, theta1, theta2, kind)[0]
 
 
 def partition(X, theta1, theta2, kind: HingeKind):
@@ -144,8 +151,8 @@ def partition(X, theta1, theta2, kind: HingeKind):
     Max variant: j is in S1 iff x~.theta1 >= x~.theta2; min variant uses
     <=.  The two sets are disjoint and exhaustive.
     """
-    X = np.asarray(X, dtype=float)
-    return _partition_aug(augment(X), theta1, theta2, kind)
+    Xa = augment(X)
+    return _sides(Xa @ theta1, Xa @ theta2, kind, np.arange(Xa.shape[0]))
 
 
 def _fit_subset(Xa, y, idx, alpha, min_subset, current):
@@ -159,7 +166,16 @@ def _fit_subset(Xa, y, idx, alpha, min_subset, current):
 
 
 def _refit(Xa, y, s1, s2, theta1, theta2, alpha, min_subset):
-    """Both sides' ridge targets for the partition (s1, s2) of the augmented design."""
+    """Both sides' ridge targets for the partition (s1, s2) of the augmented design.
+
+    When both sides are large enough the two systems share one stacked
+    factorization; if that fails, each side is fitted on its own, with the
+    jitter retry and the keep-current rule of a single fit.
+    """
+    if s1.size >= min_subset and s2.size >= min_subset:
+        pair = ridge_solve_pair(Xa[s1], y[s1], Xa[s2], y[s2], alpha)
+        if pair is not None:
+            return pair
     return (_fit_subset(Xa, y, s1, alpha, min_subset, theta1),
             _fit_subset(Xa, y, s2, alpha, min_subset, theta2))
 
@@ -174,18 +190,20 @@ def _step_toward(theta, target, mu):
 def _line_search(Xa, y, kind, theta1, theta2, f1, f2, v0, config):
     """Backtrack from ``mu0`` until a step toward (f1, f2) lowers the objective below v0.
 
-    Returns ``(mu, theta1', theta2', v)``; ``mu`` is 0 and the parameters
-    and ``v0`` come back unchanged when no candidate lowers the objective.
+    Returns ``(mu, theta1', theta2', v, a, b)`` with the accepted pair's
+    side values ``a`` and ``b`` (see :func:`_evaluate`); ``mu`` is 0, the
+    parameters and ``v0`` come back unchanged and ``a``, ``b`` are None
+    when no candidate lowers the objective.
     """
     mu = config.mu0
     for _ in range(config.max_backtracks):
         c1 = _step_toward(theta1, f1, mu)
         c2 = _step_toward(theta2, f2, mu)
-        v = _objective_aug(Xa, y, c1, c2, kind)
+        v, a, b = _evaluate(Xa, y, c1, c2, kind)
         if v < v0:
-            return mu, c1, c2, v
+            return mu, c1, c2, v, a, b
         mu *= config.beta
-    return 0.0, theta1, theta2, v0
+    return 0.0, theta1, theta2, v0, None, None
 
 
 def damped_update(X, y, s1, s2, theta1, theta2, mu: float,
@@ -218,10 +236,10 @@ def backtracking_step(X, y, theta1, theta2, kind: HingeKind,
     """
     X, y = _as_xy(X, y)
     Xa = augment(X)
-    s1, s2 = _partition_aug(Xa, theta1, theta2, kind)
+    v0, a, b = _evaluate(Xa, y, theta1, theta2, kind)
+    s1, s2 = _sides(a, b, kind, np.arange(Xa.shape[0]))
     f1, f2 = _refit(Xa, y, s1, s2, theta1, theta2, config.ridge_alpha, config.min_subset)
-    v0 = _objective_aug(Xa, y, theta1, theta2, kind)
-    mu, theta1, theta2, _ = _line_search(Xa, y, kind, theta1, theta2, f1, f2, v0, config)
+    mu, theta1, theta2, *_ = _line_search(Xa, y, kind, theta1, theta2, f1, f2, v0, config)
     return mu, theta1, theta2
 
 
@@ -285,7 +303,11 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutco
     iterations.  Each iteration refits and steps as :func:`newton_step`
     (fixed step) or :func:`backtracking_step` (auto) do, through the same
     private refit and line search, on an augmented design formed once per
-    call.  Convergence means the summed parameter change fell below
+    call.  Each iteration factorizes both sides' normal equations as one
+    stacked Cholesky (:func:`hingetree.linear.ridge_solve_pair`), and the
+    side values ``Xa @ theta`` of the accepted parameters serve both the
+    objective and the next partition, so each pair is evaluated once.
+    Convergence means the summed parameter change fell below
     ``epsilon``, or (auto step only) no backtracking candidate decreased
     the objective.  Under the auto step the recorded objective trace is
     strictly decreasing by construction.  The fallback split is not taken
@@ -298,10 +320,12 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutco
             f"need at least {2 * config.min_subset} samples, got {n}"
         )
     Xa = augment(X)
+    idx = np.arange(n)
     theta1, theta2 = initialize_params(X, y, config.ridge_alpha, config.seed)
 
-    trace = [_objective_aug(Xa, y, theta1, theta2, kind)]
-    s1, s2 = _partition_aug(Xa, theta1, theta2, kind)
+    v, a, b = _evaluate(Xa, y, theta1, theta2, kind)
+    trace = [v]
+    s1, s2 = _sides(a, b, kind, idx)
     sizes = [(int(s1.size), int(s2.size))]
     mu_trace: list[float] = []
     converged = False
@@ -309,8 +333,8 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutco
     for _ in range(config.t_max):
         f1, f2 = _refit(Xa, y, s1, s2, theta1, theta2, config.ridge_alpha, config.min_subset)
         if config.auto_step:
-            mu, new1, new2, v = _line_search(Xa, y, kind, theta1, theta2, f1, f2,
-                                             trace[-1], config)
+            mu, new1, new2, v, a, b = _line_search(Xa, y, kind, theta1, theta2, f1, f2,
+                                                   trace[-1], config)
             if mu == 0.0:
                 # No decreasing step exists along this direction; stop.
                 converged = True
@@ -319,11 +343,14 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutco
             mu = float(config.step)
             new1 = _step_toward(theta1, f1, mu)
             new2 = _step_toward(theta2, f2, mu)
-            v = _objective_aug(Xa, y, new1, new2, kind)
+            v, a, b = _evaluate(Xa, y, new1, new2, kind)
 
-        change = float(np.linalg.norm(new1 - theta1) + np.linalg.norm(new2 - theta2))
+        # Euclidean norms; math.sqrt of the dot gives np.linalg.norm's bits.
+        d1 = new1 - theta1
+        d2 = new2 - theta2
+        change = math.sqrt(float(d1 @ d1)) + math.sqrt(float(d2 @ d2))
         theta1, theta2 = new1, new2
-        s1, s2 = _partition_aug(Xa, theta1, theta2, kind)
+        s1, s2 = _sides(a, b, kind, idx)
         trace.append(v)
         mu_trace.append(mu)
         sizes.append((int(s1.size), int(s2.size)))

@@ -154,6 +154,42 @@ class TestEval:
         assert code == 3
 
 
+class TestCorruptModelFile:
+    def corrupt(self, tmp_path, capsys, damage):
+        out = tmp_path / "m.json"
+        run(capsys, "train", SINC, "hrt", "--out", str(out), "--max-depth", "2")
+        doc = json.loads(out.read_text())
+        damage(doc)
+        out.write_text(json.dumps(doc))
+        return run(capsys, "eval", str(out), SINC)
+
+    def test_missing_root_is_data_error(self, tmp_path, capsys):
+        code, _, err = self.corrupt(tmp_path, capsys, lambda doc: doc.pop("root"))
+        assert code == 3
+        assert err.startswith("error: model: missing 'root'")
+        assert "Traceback" not in err
+
+    def test_missing_left_child_is_data_error(self, tmp_path, capsys):
+        code, _, err = self.corrupt(tmp_path, capsys,
+                                    lambda doc: doc["root"]["internal"].pop("left"))
+        assert code == 3
+        assert err.startswith("error: root.internal: missing 'left'")
+
+    def test_truncated_file_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        run(capsys, "train", SINC, "hrt", "--out", str(out), "--max-depth", "2")
+        out.write_text(out.read_text()[:100])
+        code, _, err = run(capsys, "eval", str(out), SINC)
+        assert code == 3
+        assert err.startswith("error: model: not valid JSON")
+
+    def test_truncated_theta_is_data_error(self, tmp_path, capsys):
+        code, _, err = self.corrupt(tmp_path, capsys,
+                                    lambda doc: doc["root"]["internal"]["theta1"].pop())
+        assert code == 3
+        assert err.startswith("error: root.internal.theta1: expected a list of 2")
+
+
 class TestPredict:
     def test_predictions_to_file(self, tmp_path, capsys):
         out = tmp_path / "m.json"

@@ -5,7 +5,7 @@ import pytest
 
 import hingetree.linear as linear
 from hingetree import DegenerateSystem, augment, fit_or_mean, predict_linear, ridge_solve
-from hingetree.linear import affine, affine_row
+from hingetree.linear import affine, affine_row, ridge_solve_pair
 from conftest import random_regression
 
 
@@ -137,6 +137,39 @@ class TestRidgeSolve:
         Xa = augment(np.array([[0.0], [1.0], [2.0]]))
         theta = fit_or_mean(Xa, np.array([1.0, 2.0, 6.0]), 0.0)
         np.testing.assert_allclose(theta, [0.0, 3.0])
+
+
+def augmented(gen, n, p):
+    return augment(gen.normal(size=(n, p - 1)))
+
+
+class TestRidgeSolvePair:
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.1])
+    def test_matches_two_single_solves_bit_for_bit(self, alpha):
+        gen = np.random.default_rng(31)
+        for _ in range(80):
+            p = int(gen.integers(2, 18))
+            X1 = augmented(gen, int(gen.integers(p, 6 * p)), p)
+            X2 = augmented(gen, int(gen.integers(p, 6 * p)), p)
+            y1 = gen.normal(size=X1.shape[0])
+            y2 = gen.normal(size=X2.shape[0])
+            theta1, theta2 = ridge_solve_pair(X1, y1, X2, y2, alpha)
+            assert np.array_equal(theta1, ridge_solve(X1, y1, alpha))
+            assert np.array_equal(theta2, ridge_solve(X2, y2, alpha))
+
+    def test_singular_side_returns_none(self):
+        # Identical rows make the unpenalized system singular; the jitter
+        # retry belongs to ridge_solve alone.
+        X1 = augment(np.ones((4, 2)))
+        X2 = augmented(np.random.default_rng(3), 10, 3)
+        assert ridge_solve_pair(X1, np.arange(4.0), X2, np.ones(10), 0.0) is None
+        assert ridge_solve_pair(X2, np.ones(10), X1, np.arange(4.0), 0.0) is None
+        assert np.all(np.isfinite(ridge_solve(X1, np.arange(4.0), 0.0)))
+
+    def test_negative_alpha_rejected(self):
+        X = augment(np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError):
+            ridge_solve_pair(X, np.ones(2), X, np.ones(2), -1.0)
 
 
 class TestPredictLinear:

@@ -1,0 +1,78 @@
+"""Property tests of the split layer's invariants (Hypothesis)."""
+import hypothesis.extra.numpy as hnp
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hingetree import HingeKind, SplitConfig, augment, find_optimal_split, partition, ridge_solve
+from hingetree import linear
+from conftest import hinge_regression
+
+# Few derandomized examples keep the suite fast and its outcome fixed.
+FAST = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+coefficients = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hinge_instances(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=coefficients))
+    theta1 = draw(hnp.arrays(np.float64, d + 1, elements=coefficients))
+    # Equal parameters put every row on the tie.
+    theta2 = theta1.copy() if draw(st.booleans()) else draw(
+        hnp.arrays(np.float64, d + 1, elements=coefficients))
+    return X, theta1, theta2, draw(st.sampled_from(HingeKind))
+
+
+@FAST
+@given(hinge_instances())
+def test_partition_is_disjoint_and_covers_every_row(instance):
+    X, theta1, theta2, kind = instance
+    s1, s2 = partition(X, theta1, theta2, kind)
+    assert np.intersect1d(s1, s2).size == 0
+    assert np.array_equal(np.sort(np.concatenate([s1, s2])), np.arange(X.shape[0]))
+
+
+@FAST
+@given(seed=st.integers(0, 2**16), n=st.integers(8, 60), d=st.integers(1, 3),
+       step=st.sampled_from([0.05, 0.5, 1.0, "auto"]), alpha=st.sampled_from([0.0, 1e-3]),
+       kind=st.sampled_from(HingeKind))
+def test_last_partition_size_is_that_of_the_returned_split(seed, n, d, step, alpha, kind):
+    X, y = hinge_regression(seed, n, d, noise=0.1)
+    out = find_optimal_split(X, y, kind, SplitConfig(step=step, ridge_alpha=alpha, seed=seed))
+    s1, s2 = partition(X, out.theta1, out.theta2, kind)
+    assert out.partition_sizes[-1] == (s1.size, s2.size)
+
+
+def factorizes(X, y, alpha):
+    try:
+        np.linalg.cholesky(linear._normal_equations(X, y, alpha)[2])
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@st.composite
+def side_systems(draw):
+    p = draw(st.integers(2, 8))
+    sides = []
+    for _ in range(2):
+        n = draw(st.integers(1, 30))
+        X = augment(draw(hnp.arrays(np.float64, (n, p - 1), elements=st.floats(-100, 100))))
+        y = draw(hnp.arrays(np.float64, n, elements=st.floats(-100, 100)))
+        sides += [X, y]
+    return sides
+
+
+@FAST
+@given(side_systems(), st.sampled_from([0.0, 1e-3, 0.1]))
+def test_pair_solve_matches_two_ridge_solves(sides, alpha):
+    X1, y1, X2, y2 = sides
+    pair = linear.ridge_solve_pair(X1, y1, X2, y2, alpha)
+    if pair is None:
+        assert not (factorizes(X1, y1, alpha) and factorizes(X2, y2, alpha))
+        return
+    assert np.array_equal(pair[0], ridge_solve(X1, y1, alpha))
+    assert np.array_equal(pair[1], ridge_solve(X2, y2, alpha))

@@ -5,6 +5,7 @@ import pytest
 
 from hingetree import (
     BoostConfig,
+    CorruptModel,
     SplitConfig,
     TreeConfig,
     build_tree,
@@ -161,3 +162,88 @@ class TestBoostRoundTrip:
         path = tmp_path / "pre.json"
         save_model(model, path)
         assert load_model(path).preprocess == model.preprocess
+
+
+def first_leaf(node_doc):
+    while "internal" in node_doc:
+        node_doc = node_doc["internal"]["left"]
+    return node_doc["leaf"]
+
+
+class TestCorruptModel:
+    def tree_doc(self):
+        doc = model_to_dict(trained_tree()[1])
+        assert "internal" in doc["root"]
+        return doc
+
+    def test_missing_root(self):
+        doc = self.tree_doc()
+        del doc["root"]
+        with pytest.raises(CorruptModel, match="'root'"):
+            model_from_dict(doc)
+
+    def test_internal_node_without_left_child(self):
+        doc = self.tree_doc()
+        del doc["root"]["internal"]["left"]
+        with pytest.raises(CorruptModel, match="root.internal: missing 'left'"):
+            model_from_dict(doc)
+
+    def test_short_theta(self):
+        doc = self.tree_doc()
+        first_leaf(doc["root"])["theta"].pop()
+        with pytest.raises(CorruptModel, match=f"leaf.theta: expected a list of {doc['d'] + 1}"):
+            model_from_dict(doc)
+
+    def test_short_split_theta(self):
+        doc = self.tree_doc()
+        doc["root"]["internal"]["theta2"].pop()
+        with pytest.raises(CorruptModel, match="root.internal.theta2"):
+            model_from_dict(doc)
+
+    def test_non_finite_or_non_numeric_theta(self):
+        for bad in (float("nan"), float("inf"), "1.0", None, True):
+            doc = self.tree_doc()
+            first_leaf(doc["root"])["theta"][0] = bad
+            with pytest.raises(CorruptModel):
+                model_from_dict(doc)
+
+    def test_node_with_no_known_tag(self):
+        doc = self.tree_doc()
+        doc["root"]["internal"]["right"] = {"branch": {}}
+        with pytest.raises(CorruptModel, match="root.internal.right"):
+            model_from_dict(doc)
+
+    def test_unknown_hinge_kind(self):
+        doc = self.tree_doc()
+        doc["root"]["internal"]["kind"] = "median"
+        with pytest.raises(CorruptModel, match="root.internal.kind"):
+            model_from_dict(doc)
+
+    def test_unknown_config_field(self):
+        doc = self.tree_doc()
+        doc["config"]["split"]["momentum"] = 0.9
+        with pytest.raises(CorruptModel, match="momentum"):
+            model_from_dict(doc)
+
+    def test_boost_learner_with_short_theta(self):
+        _, model = trained_boost()
+        doc = model_to_dict(model)
+        first_leaf(doc["learners"][-1])["theta"].append(0.0)
+        with pytest.raises(CorruptModel, match=r"learners\[%d\]" % (len(doc["learners"]) - 1)):
+            model_from_dict(doc)
+
+    def test_boost_without_learners(self):
+        _, model = trained_boost()
+        doc = model_to_dict(model)
+        del doc["learners"]
+        with pytest.raises(CorruptModel, match="'learners'"):
+            model_from_dict(doc)
+
+    def test_document_that_is_not_an_object(self):
+        with pytest.raises(CorruptModel):
+            loads_model("[1, 2, 3]")
+
+    def test_truncated_text(self):
+        text = dumps_model(trained_tree()[1])
+        with pytest.raises(CorruptModel, match="not valid JSON"):
+            loads_model(text[: len(text) // 2])

@@ -20,6 +20,8 @@ from hingetree import (
     ridge_solve,
     select_split,
 )
+from hingetree import split
+from hingetree.linear import ridge_solve_pair
 from hingetree.split import hinge_values
 from conftest import hinge_regression, random_regression
 
@@ -101,6 +103,32 @@ class TestPartition:
                 s1, s2 = partition(X, t1, t2, kind)
                 merged = np.sort(np.concatenate([s1, s2]))
                 assert np.array_equal(merged, np.arange(X.shape[0]))
+
+
+class TestRefit:
+    def test_singular_side_falls_back_to_single_side_fits(self):
+        # S1's rows are identical, so the stacked factorization fails at
+        # alpha = 0 and each side is refitted on its own.
+        gen = np.random.default_rng(5)
+        X = np.vstack([np.tile([[0.5, -1.0]], (6, 1)), gen.normal(size=(20, 2))])
+        y = gen.normal(size=26)
+        Xa = augment(X)
+        s1, s2 = np.arange(6), np.arange(6, 26)
+        t1, t2 = gen.normal(size=3), gen.normal(size=3)
+        assert ridge_solve_pair(Xa[s1], y[s1], Xa[s2], y[s2], 0.0) is None
+        for alpha in (0.0, 1e-3):
+            f1, f2 = split._refit(Xa, y, s1, s2, t1, t2, alpha, 2)
+            assert np.array_equal(f1, split._fit_subset(Xa, y, s1, alpha, 2, t1))
+            assert np.array_equal(f2, split._fit_subset(Xa, y, s2, alpha, 2, t2))
+
+    def test_undersized_side_keeps_its_parameters(self):
+        gen = np.random.default_rng(6)
+        Xa = augment(gen.normal(size=(10, 2)))
+        y = gen.normal(size=10)
+        t1, t2 = gen.normal(size=3), gen.normal(size=3)
+        f1, f2 = split._refit(Xa, y, np.arange(1), np.arange(1, 10), t1, t2, 1e-3, 2)
+        assert f1 is t1
+        assert np.array_equal(f2, ridge_solve(Xa[1:], y[1:], 1e-3))
 
 
 class TestNewtonStep:
