@@ -5,13 +5,15 @@ save/load cycle reproduces every binary64 value exactly and predictions
 are bit-identical.  Documents are written with sorted keys so identical
 models serialize to identical bytes.  A document's structure is checked
 before any of it is built: text that is not JSON, a missing key or child,
-a coefficient vector that is not d+1 finite numbers, or an unknown config
-field raises :class:`CorruptModel`.
+a coefficient vector that is not d+1 finite numbers, or a config field
+that is unknown or holds a value the config rejects raises
+:class:`CorruptModel`.
 """
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -126,14 +128,21 @@ def _node_from_dict(doc: dict) -> TreeNode:
                     right=_node_from_dict(body["right"]))
 
 
-def _tree_config_from_dict(doc: dict) -> TreeConfig:
+@contextmanager
+def _reading(where: str):
+    """Report a value the document cannot hold (TypeError, ValueError) as CorruptModel."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise CorruptModel(f"{where}: {exc}") from None
+
+
+def _tree_config_from_dict(doc: dict, where: str = "config") -> TreeConfig:
     # Earlier format-1 files also store ``fallback_on_nonconvergence``; the
     # median fallback is now unconditional, so that key is ignored.
     rest = {k: v for k, v in doc.items() if k not in ("split", "fallback_on_nonconvergence")}
-    try:
+    with _reading(where):  # an unknown field, a split block that is not an object, a bad value
         return TreeConfig(split=SplitConfig(**doc["split"]), **rest)
-    except TypeError as exc:  # an unknown field, or a split block that is not an object
-        raise CorruptModel(f"config: {exc}") from None
 
 
 def model_to_dict(model) -> dict:
@@ -172,7 +181,7 @@ def model_from_dict(doc: dict):
 
     An unsupported ``format_version`` or model kind raises ``ValueError``;
     a malformed structure raises :class:`CorruptModel` before anything is
-    built.
+    built, and so does a config value that the config rejects.
     """
     if not isinstance(doc, dict):
         raise CorruptModel("model: expected a JSON object")
@@ -193,13 +202,14 @@ def model_from_dict(doc: dict):
             stats=train_stats(root),
             preprocess=doc.get("preprocess"),
         )
-    tree_config = _tree_config_from_dict(doc["config"]["tree"])
-    config = BoostConfig(
-        m_stages=int(doc["config"]["m_stages"]),
-        eta=float(doc["config"]["eta"]),
-        tree=tree_config,
-        record_gamma=bool(doc["config"]["record_gamma"]),
-    )
+    tree_config = _tree_config_from_dict(doc["config"]["tree"], "config.tree")
+    with _reading("config"):
+        config = BoostConfig(
+            m_stages=int(doc["config"]["m_stages"]),
+            eta=float(doc["config"]["eta"]),
+            tree=tree_config,
+            record_gamma=bool(doc["config"]["record_gamma"]),
+        )
     learners = []
     for node_doc in doc["learners"]:
         root = _node_from_dict(node_doc)

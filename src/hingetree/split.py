@@ -170,7 +170,10 @@ def _refit(Xa, y, s1, s2, theta1, theta2, alpha, min_subset):
 
     When both sides are large enough the two systems share one stacked
     factorization; if that fails, each side is fitted on its own, with the
-    jitter retry and the keep-current rule of a single fit.
+    jitter retry and the keep-current rule of a single fit.  A side that
+    keeps its parameters returns the very array passed in, so a target
+    that is not ``theta1`` or ``theta2`` itself depends on the partition
+    alone.
     """
     if s1.size >= min_subset and s2.size >= min_subset:
         pair = ridge_solve_pair(Xa[s1], y[s1], Xa[s2], y[s2], alpha)
@@ -296,17 +299,33 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0):
     return theta1, theta2
 
 
-def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutcome:
+def _check_size(n: int, config: SplitConfig) -> None:
+    if n < 2 * config.min_subset:
+        raise TooFewSamples(
+            f"need at least {2 * config.min_subset} samples, got {n}"
+        )
+
+
+def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
+                       start: tuple[np.ndarray, np.ndarray] | None = None) -> SplitOutcome:
     """Optimize one hinge split of the given kind.
 
-    Alternates refitting and repartitioning for at most ``t_max``
-    iterations.  Each iteration refits and steps as :func:`newton_step`
-    (fixed step) or :func:`backtracking_step` (auto) do, through the same
-    private refit and line search, on an augmented design formed once per
-    call.  Each iteration factorizes both sides' normal equations as one
-    stacked Cholesky (:func:`hingetree.linear.ridge_solve_pair`), and the
-    side values ``Xa @ theta`` of the accepted parameters serve both the
-    objective and the next partition, so each pair is evaluated once.
+    Starts from ``start``, a ``(theta1, theta2)`` pair, or from
+    :func:`initialize_params` when it is None; the start is read, never
+    modified, so both variants may share one.  Alternates refitting and
+    repartitioning for at most ``t_max`` iterations.  Each iteration
+    refits and steps as :func:`newton_step` (fixed step) or
+    :func:`backtracking_step` (auto) do, through the same private refit
+    and line search, on an augmented design formed once per call.  A
+    refit factorizes both sides' normal equations as one stacked Cholesky
+    (:func:`hingetree.linear.ridge_solve_pair`), and the side values
+    ``Xa @ theta`` of the accepted parameters serve both the objective and
+    the next partition, so each pair is evaluated once.  When an
+    iteration's partition is the same row set as the previous one's, the
+    previous ridge targets are reused without a refit, provided they
+    depended on the partition alone: both sides had ``min_subset`` rows
+    and neither kept its current parameters.  The reused targets are the
+    bits a refit would return.
     Convergence means the summed parameter change fell below
     ``epsilon``, or (auto step only) no backtracking candidate decreased
     the objective.  Under the auto step the recorded objective trace is
@@ -315,13 +334,12 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutco
     """
     X, y = _as_xy(X, y)
     n = y.shape[0]
-    if n < 2 * config.min_subset:
-        raise TooFewSamples(
-            f"need at least {2 * config.min_subset} samples, got {n}"
-        )
+    _check_size(n, config)
     Xa = augment(X)
     idx = np.arange(n)
-    theta1, theta2 = initialize_params(X, y, config.ridge_alpha, config.seed)
+    if start is None:
+        start = initialize_params(X, y, config.ridge_alpha, config.seed)
+    theta1, theta2 = start
 
     v, a, b = _evaluate(Xa, y, theta1, theta2, kind)
     trace = [v]
@@ -329,9 +347,17 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutco
     sizes = [(int(s1.size), int(s2.size))]
     mu_trace: list[float] = []
     converged = False
+    # (s1, f1, f2) of the last refit if its targets depend on the partition
+    # alone; S2 is the complement of S1, so S1 identifies the partition.
+    held = None
 
     for _ in range(config.t_max):
-        f1, f2 = _refit(Xa, y, s1, s2, theta1, theta2, config.ridge_alpha, config.min_subset)
+        if held is not None and held[0].size == s1.size and np.array_equal(held[0], s1):
+            _, f1, f2 = held
+        else:
+            f1, f2 = _refit(Xa, y, s1, s2, theta1, theta2, config.ridge_alpha,
+                            config.min_subset)
+            held = (s1, f1, f2) if f1 is not theta1 and f2 is not theta2 else None
         if config.auto_step:
             mu, new1, new2, v, a, b = _line_search(Xa, y, kind, theta1, theta2, f1, f2,
                                                    trace[-1], config)
@@ -373,13 +399,17 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig) -> SplitOutco
 def select_split(X, y, config: SplitConfig) -> SplitOutcome:
     """Run both hinge variants and keep the one with lower training RMSE.
 
-    The max variant runs first and wins ties.  The returned outcome's
-    ``variant_iterations`` holds the raw (max, min) iteration counts.
+    :func:`initialize_params` runs once, after the sample-count check, and
+    both variants start from its pair.  The max variant runs first and
+    wins ties.  The returned outcome's ``variant_iterations`` holds the
+    raw (max, min) iteration counts.
     """
     X, y = _as_xy(X, y)
     n = y.shape[0]
-    out_max = find_optimal_split(X, y, HingeKind.MAX, config)
-    out_min = find_optimal_split(X, y, HingeKind.MIN, config)
+    _check_size(n, config)
+    start = initialize_params(X, y, config.ridge_alpha, config.seed)
+    out_max = find_optimal_split(X, y, HingeKind.MAX, config, start)
+    out_min = find_optimal_split(X, y, HingeKind.MIN, config, start)
     rmse_max = float(np.sqrt(2.0 * out_max.objective_trace[-1] / n))
     rmse_min = float(np.sqrt(2.0 * out_min.objective_trace[-1] / n))
     winner = out_min if rmse_min < rmse_max else out_max

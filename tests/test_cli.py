@@ -175,6 +175,28 @@ class TestCorruptModelFile:
         assert code == 3
         assert err.startswith("error: root.internal: missing 'left'")
 
+    def test_out_of_range_config_value_is_data_error(self, tmp_path, capsys):
+        def bad_step(doc):
+            doc["config"]["split"]["step"] = 5
+        code, _, err = self.corrupt(tmp_path, capsys, bad_step)
+        assert code == 3
+        assert err.startswith("error: config: fixed step must lie in (0, 1]")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("eta", 5, "error: config: eta must lie in (0, 1]"),
+        ("m_stages", "many", "error: config: invalid literal for int()"),
+    ])
+    def test_bad_boost_config_value_is_data_error(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "m.json"
+        run(capsys, "train", SINC, "boost", "--stages", "2", "--max-depth", "2",
+            "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["config"][key] = value
+        out.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "eval", str(out), SINC)
+        assert code == 3
+        assert err.startswith(message)
+
     def test_truncated_file_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         run(capsys, "train", SINC, "hrt", "--out", str(out), "--max-depth", "2")

@@ -1,10 +1,23 @@
-"""Property tests of the split layer's invariants (Hypothesis)."""
+"""Property tests of the split layer's and the fitted models' invariants (Hypothesis)."""
 import hypothesis.extra.numpy as hnp
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hingetree import HingeKind, SplitConfig, augment, find_optimal_split, partition, ridge_solve
+from hingetree import (
+    HingeKind,
+    SplitConfig,
+    TreeConfig,
+    augment,
+    build_tree,
+    dumps_model,
+    find_optimal_split,
+    loads_model,
+    partition,
+    predict,
+    predict_batch,
+    ridge_solve,
+)
 from hingetree import linear
 from conftest import hinge_regression
 
@@ -76,3 +89,33 @@ def test_pair_solve_matches_two_ridge_solves(sides, alpha):
         return
     assert np.array_equal(pair[0], ridge_solve(X1, y1, alpha))
     assert np.array_equal(pair[1], ridge_solve(X2, y2, alpha))
+
+
+# Whole-tree fits are slower than single splits, so they get fewer examples.
+TREES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+tree_fits = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**16), "n": st.integers(20, 80), "d": st.integers(1, 3),
+    "step": st.sampled_from([0.01, 0.2, "auto"]),
+})
+
+
+def fit(seed, n, d, step):
+    X, y = hinge_regression(seed, n, d, noise=0.1)
+    return X, build_tree(X, y, TreeConfig(d_max=3, split=SplitConfig(step=step, seed=seed)))
+
+
+@TREES
+@given(tree_fits)
+def test_same_seed_fits_the_same_tree(args):
+    assert dumps_model(fit(**args)[1]) == dumps_model(fit(**args)[1])
+
+
+@TREES
+@given(tree_fits)
+def test_save_load_round_trips_exactly(args):
+    X, model = fit(**args)
+    batch = predict_batch(model, X)
+    loaded = loads_model(dumps_model(model))
+    assert predict_batch(loaded, X).tobytes() == batch.tobytes()
+    assert np.array([predict(loaded, row) for row in X]).tobytes() == batch.tobytes()

@@ -225,6 +225,30 @@ class TestCorruptModel:
         with pytest.raises(CorruptModel, match="momentum"):
             model_from_dict(doc)
 
+    def test_out_of_range_tree_step(self):
+        doc = self.tree_doc()
+        doc["config"]["split"]["step"] = 5
+        with pytest.raises(CorruptModel, match=r"config: fixed step must lie in \(0, 1\]"):
+            model_from_dict(doc)
+
+    def test_out_of_range_boost_eta(self):
+        doc = model_to_dict(trained_boost()[1])
+        doc["config"]["eta"] = 5
+        with pytest.raises(CorruptModel, match=r"config: eta must lie in \(0, 1\]"):
+            model_from_dict(doc)
+
+    def test_non_numeric_boost_stage_count(self):
+        doc = model_to_dict(trained_boost()[1])
+        doc["config"]["m_stages"] = "many"
+        with pytest.raises(CorruptModel, match="config: invalid literal"):
+            model_from_dict(doc)
+
+    def test_out_of_range_boost_tree_step(self):
+        doc = model_to_dict(trained_boost()[1])
+        doc["config"]["tree"]["split"]["step"] = -1
+        with pytest.raises(CorruptModel, match="config.tree: fixed step"):
+            model_from_dict(doc)
+
     def test_boost_learner_with_short_theta(self):
         _, model = trained_boost()
         doc = model_to_dict(model)

@@ -265,9 +265,9 @@ class TestFindOptimalSplit:
             find_optimal_split(X, np.zeros(3), HingeKind.MAX, SplitConfig(min_subset=2))
 
 
-def replay_public_steps(X, y, kind, config):
+def replay_public_steps(X, y, kind, config, start=None):
     """find_optimal_split's loop rebuilt from the public primitives only."""
-    t1, t2 = initialize_params(X, y, config.ridge_alpha, config.seed)
+    t1, t2 = start or initialize_params(X, y, config.ridge_alpha, config.seed)
     trace = [objective(X, y, t1, t2, kind)]
     mus = []
     converged = False
@@ -311,6 +311,70 @@ class TestPublicStepReplay:
                     assert out.converged == converged
 
 
+def record_calls(monkeypatch, name):
+    """Wrap ``split.<name>``; the returned list gets each call's result."""
+    results = []
+    real = getattr(split, name)
+
+    def recorded(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(split, name, recorded)
+    return results
+
+
+class TestRefitReuse:
+    def test_one_pair_solve_per_distinct_consecutive_partition(self, monkeypatch):
+        X, y = hinge_regression(5, 200, 2, noise=0.1)
+        config = SplitConfig(step=0.01, epsilon=1e-4, seed=5)
+        kind = HingeKind.MAX
+        # The partition each iteration refits, replayed with the public steps.
+        t1, t2 = initialize_params(X, y, config.ridge_alpha, config.seed)
+        firsts = []
+        for _ in range(config.t_max):
+            s1, s2 = partition(X, t1, t2, kind)
+            assert min(s1.size, s2.size) >= config.min_subset
+            firsts.append(s1)
+            n1, n2 = newton_step(X, y, t1, t2, kind, config.step, config.ridge_alpha)
+            done = np.linalg.norm(n1 - t1) + np.linalg.norm(n2 - t2) < config.epsilon
+            t1, t2 = n1, n2
+            if done:
+                break
+
+        calls = record_calls(monkeypatch, "ridge_solve_pair")
+        out = find_optimal_split(X, y, kind, config)
+        assert out.iterations == len(firsts)
+        distinct = 1 + sum(not np.array_equal(a, b) for a, b in zip(firsts, firsts[1:]))
+        assert distinct < len(firsts) // 2  # most refits reuse the previous targets
+        assert len(calls) == distinct
+        monkeypatch.undo()
+        u1, u2, trace, mus, converged = replay_public_steps(X, y, kind, config)
+        assert np.array_equal(out.theta1, u1) and np.array_equal(out.theta2, u2)
+        assert out.objective_trace == trace and out.mu_trace == mus
+        assert out.converged == converged
+
+    def test_partition_held_with_an_undersized_side_refits_every_iteration(self, monkeypatch):
+        # Only the last row lies on the first side, and the small fixed step
+        # keeps it there: that side keeps its parameters at every iteration.
+        X = np.linspace(-1.0, 1.0, 40)[:, None]
+        y = 0.1 * X[:, 0] - 1.0
+        start = (np.array([50.0, -49.9]), np.array([0.0, 0.0]))
+        config = SplitConfig(step=0.01, t_max=20, epsilon=1e-9, min_subset=2, seed=0)
+        pair_calls = record_calls(monkeypatch, "ridge_solve_pair")
+        side_calls = record_calls(monkeypatch, "ridge_solve")
+        out = find_optimal_split(X, y, HingeKind.MAX, config, start)
+        assert set(out.partition_sizes) == {(1, 39)}
+        assert out.iterations == config.t_max
+        assert np.array_equal(out.theta1, start[0])
+        assert pair_calls == [] and len(side_calls) == config.t_max
+        monkeypatch.undo()
+        t1, t2, trace, mus, converged = replay_public_steps(X, y, HingeKind.MAX, config, start)
+        assert np.array_equal(out.theta1, t1) and np.array_equal(out.theta2, t2)
+        assert out.objective_trace == trace and out.mu_trace == mus
+        assert out.converged == converged
+
+
 class TestSelectSplit:
     def test_vee_selects_max(self):
         X, y = vee_data()
@@ -343,8 +407,8 @@ class TestSelectSplit:
         outcomes = {}
         real = split_mod.find_optimal_split
 
-        def record(Xd, yd, kind, config):
-            out = real(Xd, yd, kind, config)
+        def record(Xd, yd, kind, config, start=None):
+            out = real(Xd, yd, kind, config, start)
             out.objective_trace[-1] = 1.0  # force an exact tie
             outcomes[kind] = out
             return out
@@ -352,6 +416,39 @@ class TestSelectSplit:
         monkeypatch.setattr(split_mod, "find_optimal_split", record)
         chosen = split_mod.select_split(X, y, SplitConfig(step=1.0, seed=0))
         assert chosen is outcomes[HingeKind.MAX]
+
+    def test_both_variants_start_from_one_initialization(self, monkeypatch):
+        X, y = random_regression(8, 60, 2, noise=0.3)
+        config = SplitConfig(step="auto", seed=8)
+        expected = {kind: find_optimal_split(X, y, kind, config) for kind in HingeKind}
+        inits = record_calls(monkeypatch, "initialize_params")
+        starts, outcomes = {}, {}
+        real = split.find_optimal_split
+
+        def record(Xd, yd, kind, config, start=None):
+            starts[kind] = start
+            outcomes[kind] = real(Xd, yd, kind, config, start)
+            return outcomes[kind]
+
+        monkeypatch.setattr(split, "find_optimal_split", record)
+        split.select_split(X, y, config)
+        assert len(inits) == 1
+        assert starts[HingeKind.MAX] is inits[0] and starts[HingeKind.MIN] is inits[0]
+        # The max variant leaves the shared start as it found it, so each
+        # variant ends where it ends from its own initialization.
+        for kind in HingeKind:
+            assert np.array_equal(outcomes[kind].theta1, expected[kind].theta1)
+            assert np.array_equal(outcomes[kind].theta2, expected[kind].theta2)
+            assert outcomes[kind].objective_trace == expected[kind].objective_trace
+
+    def test_too_few_samples_raised_before_initialization(self, monkeypatch):
+        inits = record_calls(monkeypatch, "initialize_params")
+        with pytest.raises(TooFewSamples, match="^need at least 4 samples, got 3$"):
+            split.select_split(np.zeros((3, 1)), np.zeros(3), SplitConfig(min_subset=2))
+        # One row is too few for initialization as well; the split's message wins.
+        with pytest.raises(TooFewSamples, match="^need at least 2 samples, got 1$"):
+            split.select_split(np.zeros((1, 1)), np.zeros(1), SplitConfig(min_subset=1))
+        assert inits == []
 
     def test_never_worse_than_either_variant(self):
         for seed in range(10):
