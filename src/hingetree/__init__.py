@@ -38,7 +38,7 @@ from .errors import (
     ParseError,
     TooFewSamples,
 )
-from .linear import affine, augment, fit_or_mean, predict_linear, ridge_solve
+from .linear import affine, augment, fit_or_mean, ridge_solve
 from .metrics import (
     EvalReport,
     FlopsReport,

@@ -13,13 +13,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch
+from .linear import check_training
 from .split import SplitConfig
 from .tree import (  # noqa: F401 -- perfbench/tracer.py patches hingetree.boost.predict
     HrtModel,
     TreeConfig,
     build_tree,
     check_features,
-    check_training,
     derive_seed,
     predict,
     predict_batch,
@@ -52,7 +52,6 @@ class BoostConfig:
     m_stages: int = 50
     eta: float = 0.1
     tree: TreeConfig | None = None
-    record_gamma: bool = True
 
     def __post_init__(self):
         if self.m_stages < 0:
@@ -151,7 +150,7 @@ def fit_boost(X, y, config: BoostConfig | None = None) -> BoostModel:
         f0=f0,
         eta=config.eta,
         learners=learners,
-        gamma_trace=gammas if config.record_gamma else [],
+        gamma_trace=gammas,
         loss_trace=losses,
         stage_retained=retained,
         d=X.shape[1],
@@ -173,47 +172,55 @@ def predict_boost(model: BoostModel, x) -> float:
     return total
 
 
+def _staged(model: BoostModel, X: np.ndarray):
+    """Yield the ensemble's values on checked ``X`` from ``f0`` and after every recorded stage.
+
+    Each retained stage adds ``eta * predict_batch(learner, X)`` in place,
+    so use each yielded array before drawing the next.
+    """
+    total = np.full(X.shape[0], model.f0)
+    yield total
+    learners = iter(model.learners)
+    for kept in model.stage_retained:
+        if kept:
+            total += model.eta * predict_batch(next(learners), X)
+        yield total
+
+
 def predict_boost_batch(model: BoostModel, X) -> np.ndarray:
     """Vectorized :func:`predict_boost`, bit-identical to it per row.
 
-    Starts from ``f0`` and adds ``eta * predict_batch(learner, X)`` learner
-    by learner in stage order, the same rounded operations as the scalar
-    loop.
+    The last values of the stage loop, the same rounded operations as the
+    scalar loop.
     """
-    X = check_features(X, model.d)
-    total = np.full(X.shape[0], model.f0)
-    for learner in model.learners:
-        total += model.eta * predict_batch(learner, X)
+    for total in _staged(model, check_features(X, model.d)):
+        pass
     return total
 
 
 def staged_losses(model: BoostModel, X, y) -> np.ndarray:
     """Recompute the empirical risk after every recorded stage from scratch.
 
-    On the training data this matches ``loss_trace`` to rounding.
-    Discarded stages repeat the previous value.
+    On the training data this equals ``loss_trace`` bit for bit, since
+    :func:`fit_boost` performs the same rounded operations.  Discarded
+    stages repeat the previous value.
     """
     X = check_features(X, model.d)
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
         raise DimensionMismatch("X and y row counts differ")
-    fx = np.full(y.shape[0], model.f0)
-    losses = [_loss(y, fx)]
-    next_learner = iter(model.learners)
-    for kept in model.stage_retained:
-        if kept:
-            fx = fx + model.eta * predict_batch(next(next_learner), X)
-        losses.append(_loss(y, fx))
-    return np.array(losses)
+    return np.array([_loss(y, fx) for fx in _staged(model, X)])
 
 
 def gamma_bound_check(model: BoostModel) -> list[StageCheck]:
     """Verify the per-stage risk bound from the recorded traces.
 
     Stage m passes when ``L_m <= (1 - eta * max(gamma_m, 0)) * L_{m-1}``
-    plus a rounding allowance of ``1e-9 * L_0``.
+    plus a rounding allowance of ``1e-9 * L_0``.  A model whose gamma
+    trace is not one entry per stage (a legacy file saved without it)
+    raises ``ValueError``.
     """
-    if not model.config.record_gamma:
+    if len(model.gamma_trace) != len(model.stage_retained):
         raise ValueError("gamma trace was not recorded for this model")
     checks = []
     slack = 1e-9 * model.loss_trace[0]

@@ -1,7 +1,10 @@
 """Command-line front end: train, eval, predict, ablate-step, boost-diagnose, trace-node, synth.
 
-Every command honors --seed for bit-level reproducibility.  Exit codes:
-0 success, 2 configuration error, 3 data error, 4 model/data dimension
+The fitting commands (train, ablate-step, trace-node) take --seed and
+--config, and fit the same bits for the same inputs, flags and seed; an
+unset hyperparameter takes its config dataclass default.  Exit codes:
+0 success, 2 configuration error, 3 data error or corrupt model file
+(including boost traces whose lengths disagree), 4 model/data dimension
 mismatch, 5 per-stage bound violation (boost-diagnose only).  The HRT_LOG
 environment variable ({error|info|debug}, default error) controls
 verbosity; debug additionally prints tracebacks.
@@ -18,7 +21,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .boost import BoostConfig, BoostModel, fit_boost, gamma_bound_check, predict_boost_batch
+from .boost import (BoostConfig, BoostModel, default_boost_tree_config, fit_boost,
+                    gamma_bound_check, predict_boost_batch)
 from .datasets import (
     Dataset,
     StandardizeTransform,
@@ -41,26 +45,6 @@ log = logging.getLogger("hingetree")
 class CliConfigError(Exception):
     """Bad flag or configuration-file value; the message names the offender."""
 
-
-# Command defaults; single-tree values follow the 1-D benchmark settings.
-HRT_DEFAULTS = {
-    "max_depth": 6,
-    "ridge": 0.001,
-    "step": 0.01,
-    "tau": 0.03,
-    "n_min": 5,
-    "t_max": 100,
-    "epsilon": 0.03,
-    "min_subset": 2,
-}
-BOOST_DEFAULTS = {
-    **HRT_DEFAULTS,
-    "max_depth": 3,
-    "step": "auto",
-    "tau": 0.0,
-    "stages": 50,
-    "eta": 0.1,
-}
 
 _NUM = {"type": "number"}
 _INT = {"type": "integer"}
@@ -204,14 +188,12 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _resolve(args, file_cfg: dict, key: str, defaults: dict):
-    """Flag value if given, else config-file value, else command default."""
+def _resolve(args, file_cfg: dict, key: str, default):
+    """Flag value if given, else config-file value, else ``default``."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return defaults[key]
+    return file_cfg.get(key, default)
 
 
 def _parse_step(raw, flag: str = "--step"):
@@ -230,27 +212,31 @@ def _parse_step(raw, flag: str = "--step"):
     return value
 
 
-def _split_config(args, file_cfg, defaults, seed: int) -> SplitConfig:
+def _split_config(args, file_cfg, base: SplitConfig, seed: int) -> SplitConfig:
+    """``base`` with the flag or config-file values and ``seed``."""
     try:
-        return SplitConfig(
-            t_max=int(_resolve(args, file_cfg, "t_max", defaults)),
-            step=_parse_step(_resolve(args, file_cfg, "step", defaults)),
-            epsilon=float(_resolve(args, file_cfg, "epsilon", defaults)),
-            ridge_alpha=float(_resolve(args, file_cfg, "ridge", defaults)),
-            min_subset=int(_resolve(args, file_cfg, "min_subset", defaults)),
+        return replace(
+            base,
+            t_max=int(_resolve(args, file_cfg, "t_max", base.t_max)),
+            step=_parse_step(_resolve(args, file_cfg, "step", base.step)),
+            epsilon=float(_resolve(args, file_cfg, "epsilon", base.epsilon)),
+            ridge_alpha=float(_resolve(args, file_cfg, "ridge", base.ridge_alpha)),
+            min_subset=int(_resolve(args, file_cfg, "min_subset", base.min_subset)),
             seed=seed,
         )
     except ValueError as exc:
         raise CliConfigError(f"split configuration: {exc}") from None
 
 
-def _tree_config(args, file_cfg, defaults, seed: int, diagnostics: bool) -> TreeConfig:
+def _tree_config(args, file_cfg, base: TreeConfig, seed: int, diagnostics: bool) -> TreeConfig:
+    """``base`` with the flag or config-file values, ``seed`` and ``diagnostics``."""
     try:
-        return TreeConfig(
-            d_max=int(_resolve(args, file_cfg, "max_depth", defaults)),
-            n_min=int(_resolve(args, file_cfg, "n_min", defaults)),
-            tau_rmse=float(_resolve(args, file_cfg, "tau", defaults)),
-            split=_split_config(args, file_cfg, defaults, seed),
+        return replace(
+            base,
+            d_max=int(_resolve(args, file_cfg, "max_depth", base.d_max)),
+            n_min=int(_resolve(args, file_cfg, "n_min", base.n_min)),
+            tau_rmse=float(_resolve(args, file_cfg, "tau", base.tau_rmse)),
+            split=_split_config(args, file_cfg, base.split, seed),
             collect_traces=diagnostics,
         )
     except ValueError as exc:
@@ -335,15 +321,17 @@ def cmd_train(args) -> int:
 
     started = time.perf_counter()
     if kind == "hrt":
-        config = _tree_config(args, file_cfg, HRT_DEFAULTS, seed, args.diagnostics)
+        config = _tree_config(args, file_cfg, TreeConfig(), seed, args.diagnostics)
         model = build_tree(ds.X, ds.y, config)
         config_doc = asdict(config)
     else:
-        tree_cfg = _tree_config(args, file_cfg, BOOST_DEFAULTS, seed, args.diagnostics)
+        tree_cfg = _tree_config(args, file_cfg, default_boost_tree_config(), seed,
+                                args.diagnostics)
+        base = BoostConfig()
         try:
             config = BoostConfig(
-                m_stages=int(_resolve(args, file_cfg, "stages", BOOST_DEFAULTS)),
-                eta=float(_resolve(args, file_cfg, "eta", BOOST_DEFAULTS)),
+                m_stages=int(_resolve(args, file_cfg, "stages", base.m_stages)),
+                eta=float(_resolve(args, file_cfg, "eta", base.eta)),
                 tree=tree_cfg,
             )
         except ValueError as exc:
@@ -523,10 +511,10 @@ def cmd_ablate_step(args) -> int:
     if not mu_values:
         raise CliConfigError("--mu-list: no step sizes given")
 
+    base = _tree_config(args, file_cfg, TreeConfig(), args.seed, False)
+
     def make_config(mu, run_seed):
-        holder = argparse.Namespace(**{**vars(args), "step": None})
-        config = _tree_config(holder, file_cfg, HRT_DEFAULTS, run_seed, False)
-        return replace(config, split=replace(config.split, step=mu))
+        return replace(base, split=replace(base.split, step=mu, seed=run_seed))
 
     rows = ablate_step_rows(
         args.dataset, mu_values, args.repeats, make_config,
@@ -579,7 +567,7 @@ def cmd_boost_diagnose(args) -> int:
 def cmd_trace_node(args) -> int:
     file_cfg = _load_config_file(args.config)
     ds = _dataset(args)
-    config = _split_config(args, file_cfg, HRT_DEFAULTS, args.seed)
+    config = _split_config(args, file_cfg, SplitConfig(), args.seed)
     outcome = select_split(ds.X, ds.y, config)
     print("iteration,objective,mu,s1_size,s2_size")
     rows = []
@@ -618,36 +606,39 @@ def _add_dataset_arg(sub):
                      help="CSV file has no header row")
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+def _add_json(sub):
     sub.add_argument("--json", metavar="PATH", default=None,
                      help="also write a machine-readable report to PATH")
+
+
+def _add_fit_common(sub):
+    sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     sub.add_argument("--config", metavar="PATH", default=None,
                      help="JSON file with default hyperparameters "
                           "(flags override file values)")
+    _add_json(sub)
 
 
-def _add_hyper(sub, boost: bool):
-    sub.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    sub.add_argument("--ridge", dest="ridge", type=float, default=None,
-                     help="ridge penalty on weights (bias excluded)")
-    sub.add_argument("--step", dest="step", default=None,
-                     help="damping factor in (0,1] or 'auto'")
-    sub.add_argument("--tau", dest="tau", type=float, default=None,
-                     help="leaf RMSE threshold")
-    sub.add_argument("--n-min", dest="n_min", type=int, default=None,
-                     help="minimum samples to split a node")
-    sub.add_argument("--t-max", dest="t_max", type=int, default=None,
-                     help="maximum split iterations")
-    sub.add_argument("--epsilon", dest="epsilon", type=float, default=None,
-                     help="convergence tolerance on parameter change")
-    sub.add_argument("--min-subset", dest="min_subset", type=int, default=None,
-                     help="minimum side size refit during a split step")
-    if boost:
-        sub.add_argument("--stages", dest="stages", type=int, default=None,
-                         help="number of boosting stages")
-        sub.add_argument("--eta", dest="eta", type=float, default=None,
-                         help="learning rate in (0,1]")
+# Hyperparameter flags: dest -> (flag, type, help).  Unset flags read None
+# and fall back to the config file, then to the config dataclass.
+_HYPER = {
+    "max_depth": ("--max-depth", int, "maximum tree depth"),
+    "ridge": ("--ridge", float, "ridge penalty on weights (bias excluded)"),
+    "step": ("--step", str, "damping factor in (0,1] or 'auto'"),
+    "tau": ("--tau", float, "leaf RMSE threshold"),
+    "n_min": ("--n-min", int, "minimum samples to split a node"),
+    "t_max": ("--t-max", int, "maximum split iterations"),
+    "epsilon": ("--epsilon", float, "convergence tolerance on parameter change"),
+    "min_subset": ("--min-subset", int, "minimum side size refit during a split step"),
+    "stages": ("--stages", int, "number of boosting stages"),
+    "eta": ("--eta", float, "learning rate in (0,1]"),
+}
+
+
+def _add_hyper(sub, *dests):
+    for dest in dests:
+        flag, kind, text = _HYPER[dest]
+        sub.add_argument(flag, dest=dest, type=kind, default=None, help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -661,21 +652,21 @@ def _build_parser() -> argparse.ArgumentParser:
     train = subs.add_parser("train", help="fit a model and write it to disk")
     _add_dataset_arg(train)
     train.add_argument("kind", choices=["hrt", "boost"], help="model kind")
-    _add_hyper(train, boost=True)
+    _add_hyper(train, *_HYPER)
     train.add_argument("--out", required=True, help="model file to write")
     train.add_argument("--diagnostics", action="store_true",
                        help="retain per-node objective traces")
     train.add_argument("--standardize", action="store_true",
                        help="standardize features (transform stored in the model)")
     train.add_argument("--flops-mode", choices=["two", "diff"], default="two")
-    _add_common(train)
+    _add_fit_common(train)
     train.set_defaults(func=cmd_train)
 
     ev = subs.add_parser("eval", help="evaluate a saved model on a dataset")
     ev.add_argument("model", help="model file")
     _add_dataset_arg(ev)
     ev.add_argument("--flops-mode", choices=["two", "diff"], default="two")
-    _add_common(ev)
+    _add_json(ev)
     ev.set_defaults(func=cmd_eval)
 
     pred = subs.add_parser("predict", help="emit predictions for a CSV file")
@@ -685,7 +676,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="target column to drop from the CSV, if present")
     pred.add_argument("--no-header", action="store_true")
     pred.add_argument("--out", default=None, help="output CSV (default stdout)")
-    _add_common(pred)
+    _add_json(pred)
     pred.set_defaults(func=cmd_predict)
 
     ab = subs.add_parser("ablate-step",
@@ -696,28 +687,28 @@ def _build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--repeats", type=int, default=10)
     ab.add_argument("--train-fraction", dest="train_fraction", type=float,
                     default=0.7)
-    _add_hyper(ab, boost=False)
+    _add_hyper(ab, "max_depth", "ridge", "tau", "n_min", "t_max", "epsilon", "min_subset")
     ab.add_argument("--standardize", action="store_true")
-    _add_common(ab)
+    _add_fit_common(ab)
     ab.set_defaults(func=cmd_ablate_step)
 
     diag = subs.add_parser("boost-diagnose",
                            help="verify the per-stage risk bound of a saved ensemble")
     diag.add_argument("model", help="boost model file")
-    _add_common(diag)
+    _add_json(diag)
     diag.set_defaults(func=cmd_boost_diagnose)
 
     tr = subs.add_parser("trace-node",
                          help="optimize one node split and emit its objective trace")
     _add_dataset_arg(tr)
-    _add_hyper(tr, boost=False)
-    _add_common(tr)
+    _add_hyper(tr, "ridge", "step", "t_max", "epsilon", "min_subset")
+    _add_fit_common(tr)
     tr.set_defaults(func=cmd_trace_node)
 
     synth = subs.add_parser("synth", help="write a generated dataset to CSV")
     synth.add_argument("dataset", help="synthetic spec name:n=<N>:sigma=<s>:seed=<k>")
     synth.add_argument("--out", required=True, help="CSV file to write")
-    _add_common(synth)
+    _add_json(synth)
     synth.set_defaults(func=cmd_synth)
 
     return parser
@@ -732,21 +723,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliConfigError, ValueError) as exc:
+    except (CliConfigError, ValueError, HingeTreeError, OSError) as exc:
+        if isinstance(exc, (CliConfigError, ValueError)):
+            code, what = 2, "configuration error"
+        elif isinstance(exc, DimensionMismatch):
+            code, what = 4, "dimension mismatch"
+        else:
+            code, what = 3, "data error"
         if _debug_mode():
-            log.exception("configuration error")
+            log.exception(what)
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionMismatch as exc:
-        if _debug_mode():
-            log.exception("dimension mismatch")
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (HingeTreeError, OSError) as exc:
-        if _debug_mode():
-            log.exception("data error")
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return code
 
 
 def entry() -> None:

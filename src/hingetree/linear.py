@@ -9,7 +9,8 @@ One builder forms the normal equations for :func:`ridge_solve` and for
 systems as one stacked Cholesky with the same bits as two single solves.
 Every routing decision and leaf value is evaluated by :func:`affine` or
 its one-row form :func:`affine_row`, which perform the same floating-point
-operations in the same order.
+operations in the same order.  :func:`check_training` is the one check of
+training inputs, shared by the split, tree and boost layers.
 """
 from __future__ import annotations
 
@@ -17,10 +18,28 @@ import functools
 
 import numpy as np
 
-from .errors import DegenerateSystem
+from .errors import DegenerateSystem, DimensionMismatch, EmptyDataset, NonFiniteInput
 
 # Relative diagonal jitter used for the single retry on a failed factorization.
 JITTER_SCALE = 1e-10
+
+
+def check_training(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` as a float matrix and target vector to train on, or a typed error.
+
+    Raises :class:`EmptyDataset` without a sample or a feature,
+    :class:`DimensionMismatch` when the row counts differ, and
+    :class:`NonFiniteInput` when any value is NaN or infinite.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
+        raise EmptyDataset("training data must have at least one sample and one feature")
+    if X.shape[0] != y.shape[0]:
+        raise DimensionMismatch("X and y row counts differ")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise NonFiniteInput("training data contains a NaN or infinite value")
+    return X, y
 
 
 def augment(X: np.ndarray) -> np.ndarray:
@@ -164,12 +183,3 @@ def affine_row(x: list[float], theta: list[float]) -> float:
     for j in range(1, d):
         acc += x[j] * theta[j]
     return acc + theta[-1]
-
-
-def predict_linear(theta: np.ndarray, x: np.ndarray) -> float:
-    """Evaluate the affine model on one sample through :func:`affine_row`."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] + 1 != theta.shape[0]:
-        raise ValueError(f"expected {theta.shape[0] - 1} features, got {x.shape[0]}")
-    return affine_row(x.tolist(), theta.tolist())

@@ -5,9 +5,10 @@ save/load cycle reproduces every binary64 value exactly and predictions
 are bit-identical.  Documents are written with sorted keys so identical
 models serialize to identical bytes.  A document's structure is checked
 before any of it is built: text that is not JSON, a missing key or child,
-a coefficient vector that is not d+1 finite numbers, or a config field
-that is unknown or holds a value the config rejects raises
-:class:`CorruptModel`.
+a coefficient vector that is not d+1 finite numbers, boost traces whose
+lengths disagree with each other or with the learners, a config field
+that is unknown or holds a value the config rejects, or a count, scalar
+or trace entry that is not a number raises :class:`CorruptModel`.
 """
 from __future__ import annotations
 
@@ -98,19 +99,33 @@ def _check_model(doc: dict, kind: str) -> None:
         _require(doc["config"], ("split",), "config")
         _check_node(doc["root"], d, "root")
         return
-    _require(doc["config"], ("m_stages", "eta", "tree", "record_gamma"), "config")
+    _require(doc["config"], ("m_stages", "eta", "tree"), "config")
     _require(doc["config"]["tree"], ("split",), "config.tree")
-    if not isinstance(doc["learners"], list):
-        raise CorruptModel("learners: expected a list")
+    for key in ("learners", "gamma_trace", "loss_trace", "stage_retained"):
+        if not isinstance(doc[key], list):
+            raise CorruptModel(f"{key}: expected a list")
     for i, node in enumerate(doc["learners"]):
         _check_node(node, d, f"learners[{i}]")
+    # The stage loop reads one learner per retained stage and one loss per stage.
+    stages = len(doc["stage_retained"])
+    if len(doc["loss_trace"]) != stages + 1:
+        raise CorruptModel(f"loss_trace: expected {stages + 1} entries for {stages} stages, "
+                           f"got {len(doc['loss_trace'])}")
+    retained = sum(map(bool, doc["stage_retained"]))
+    if retained != len(doc["learners"]):
+        raise CorruptModel(f"stage_retained: {retained} retained stages for "
+                           f"{len(doc['learners'])} learners")
+    if len(doc["gamma_trace"]) not in (0, stages):
+        raise CorruptModel(f"gamma_trace: expected {stages} entries or none, "
+                           f"got {len(doc['gamma_trace'])}")
 
 
-def _node_from_dict(doc: dict) -> TreeNode:
+def _node_from_dict(doc: dict, where: str) -> TreeNode:
     if "leaf" in doc:
         leaf = doc["leaf"]
-        return Leaf(theta=np.asarray(leaf["theta"], dtype=float),
-                    n_train=int(leaf["n_train"]))
+        with _reading(f"{where}.leaf.n_train"):
+            n_train = int(leaf["n_train"])
+        return Leaf(theta=np.asarray(leaf["theta"], dtype=float), n_train=n_train)
     body = doc["internal"]
     outcome = SplitOutcome(
         theta1=np.asarray(body["theta1"], dtype=float),
@@ -124,16 +139,16 @@ def _node_from_dict(doc: dict) -> TreeNode:
         fallback_threshold=body.get("fallback_threshold"),
     )
     return Internal(split=outcome,
-                    left=_node_from_dict(body["left"]),
-                    right=_node_from_dict(body["right"]))
+                    left=_node_from_dict(body["left"], f"{where}.internal.left"),
+                    right=_node_from_dict(body["right"], f"{where}.internal.right"))
 
 
 @contextmanager
 def _reading(where: str):
-    """Report a value the document cannot hold (TypeError, ValueError) as CorruptModel."""
+    """Report a document value that fails to convert as CorruptModel."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"{where}: {exc}") from None
 
 
@@ -181,7 +196,8 @@ def model_from_dict(doc: dict):
 
     An unsupported ``format_version`` or model kind raises ``ValueError``;
     a malformed structure raises :class:`CorruptModel` before anything is
-    built, and so does a config value that the config rejects.
+    built.  A config value that the config rejects, and a count, scalar or
+    trace entry that is not a number, raise it too.
     """
     if not isinstance(doc, dict):
         raise CorruptModel("model: expected a JSON object")
@@ -193,7 +209,7 @@ def model_from_dict(doc: dict):
         raise ValueError(f"unknown model kind {kind!r}")
     _check_model(doc, kind)
     if kind == "hrt":
-        root = _node_from_dict(doc["root"])
+        root = _node_from_dict(doc["root"], "root")
         return HrtModel(
             root=root,
             d=int(doc["d"]),
@@ -203,25 +219,33 @@ def model_from_dict(doc: dict):
             preprocess=doc.get("preprocess"),
         )
     tree_config = _tree_config_from_dict(doc["config"]["tree"], "config.tree")
+    # Earlier format-1 files also store ``record_gamma``; it is ignored.
     with _reading("config"):
         config = BoostConfig(
             m_stages=int(doc["config"]["m_stages"]),
             eta=float(doc["config"]["eta"]),
             tree=tree_config,
-            record_gamma=bool(doc["config"]["record_gamma"]),
         )
+    with _reading("f0"):
+        f0 = float(doc["f0"])
+    with _reading("eta"):
+        eta = float(doc["eta"])
+    with _reading("gamma_trace"):
+        gamma_trace = [float(g) for g in doc["gamma_trace"]]
+    with _reading("loss_trace"):
+        loss_trace = [float(v) for v in doc["loss_trace"]]
     learners = []
-    for node_doc in doc["learners"]:
-        root = _node_from_dict(node_doc)
+    for i, node_doc in enumerate(doc["learners"]):
+        root = _node_from_dict(node_doc, f"learners[{i}]")
         learners.append(HrtModel(root=root, d=int(doc["d"]),
                                  config=tree_config,
                                  stats=train_stats(root)))
     return BoostModel(
-        f0=float(doc["f0"]),
-        eta=float(doc["eta"]),
+        f0=f0,
+        eta=eta,
         learners=learners,
-        gamma_trace=[float(g) for g in doc["gamma_trace"]],
-        loss_trace=[float(v) for v in doc["loss_trace"]],
+        gamma_trace=gamma_trace,
+        loss_trace=loss_trace,
         stage_retained=[bool(b) for b in doc["stage_retained"]],
         d=int(doc["d"]),
         config=config,

@@ -7,6 +7,8 @@ a damped Newton step on the node objective, because the Gauss-Newton
 Hessian is exact for a piecewise-linear model.  ``mu`` may be a fixed
 damping factor in (0, 1] or ``"auto"``, a backtracking search that starts
 at ``mu0`` and shrinks geometrically until the objective strictly drops.
+Every function that takes samples and targets checks them with
+:func:`~hingetree.linear.check_training` first.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AllFeaturesConstant, DegenerateSystem, TooFewSamples
-from .linear import augment, fit_or_mean, ridge_solve, ridge_solve_pair
+from .linear import augment, check_training, fit_or_mean, ridge_solve, ridge_solve_pair
 
 # Two parameter vectors closer than this (max-norm) count as identical
 # during initialization and trigger a symmetry-breaking perturbation.
@@ -103,14 +105,6 @@ class SplitOutcome:
     variant_iterations: tuple[int, int] | None = None
 
 
-def _as_xy(X, y):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be 2-D with one target per row")
-    return X, y
-
-
 def _envelope(a, b, kind):
     return np.maximum(a, b) if kind is HingeKind.MAX else np.minimum(a, b)
 
@@ -133,15 +127,9 @@ def _evaluate(Xa, y, theta1, theta2, kind):
     return 0.5 * float(r @ r), a, b
 
 
-def hinge_values(Xa: np.ndarray, theta1: np.ndarray, theta2: np.ndarray,
-                 kind: HingeKind) -> np.ndarray:
-    """Hinge prediction max/min(Xa @ theta1, Xa @ theta2) per row of an augmented design."""
-    return _envelope(Xa @ theta1, Xa @ theta2, kind)
-
-
 def objective(X, y, theta1, theta2, kind: HingeKind) -> float:
     """Node objective: half the summed squared error of the hinge prediction."""
-    X, y = _as_xy(X, y)
+    X, y = check_training(X, y)
     return _evaluate(augment(X), y, theta1, theta2, kind)[0]
 
 
@@ -212,7 +200,7 @@ def _line_search(Xa, y, kind, theta1, theta2, f1, f2, v0, config):
 def damped_update(X, y, s1, s2, theta1, theta2, mu: float,
                   alpha: float = 0.0, min_subset: int = 2):
     """One damped Newton step with the partition (s1, s2) held fixed."""
-    X, y = _as_xy(X, y)
+    X, y = check_training(X, y)
     f1, f2 = _refit(augment(X), y, np.asarray(s1, dtype=int), np.asarray(s2, dtype=int),
                     theta1, theta2, alpha, min_subset)
     return _step_toward(theta1, f1, mu), _step_toward(theta2, f2, mu)
@@ -237,7 +225,7 @@ def backtracking_step(X, y, theta1, theta2, kind: HingeKind,
     Returns ``(0.0, theta1, theta2)`` if no candidate decreases it, which
     callers treat as a local stop.
     """
-    X, y = _as_xy(X, y)
+    X, y = check_training(X, y)
     Xa = augment(X)
     v0, a, b = _evaluate(Xa, y, theta1, theta2, kind)
     s1, s2 = _sides(a, b, kind, np.arange(Xa.shape[0]))
@@ -255,7 +243,7 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0):
     independent perturbations.  A final diversity check keeps theta1 and
     theta2 from being numerically identical.  Deterministic given seed.
     """
-    X, y = _as_xy(X, y)
+    X, y = check_training(X, y)
     n, d = X.shape
     if n < 2:
         raise TooFewSamples("initialization needs at least 2 samples")
@@ -332,7 +320,7 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     strictly decreasing by construction.  The fallback split is not taken
     here; the tree layer decides that.
     """
-    X, y = _as_xy(X, y)
+    X, y = check_training(X, y)
     n = y.shape[0]
     _check_size(n, config)
     Xa = augment(X)
@@ -404,7 +392,7 @@ def select_split(X, y, config: SplitConfig) -> SplitOutcome:
     wins ties.  The returned outcome's ``variant_iterations`` holds the
     raw (max, min) iteration counts.
     """
-    X, y = _as_xy(X, y)
+    X, y = check_training(X, y)
     n = y.shape[0]
     _check_size(n, config)
     start = initialize_params(X, y, config.ridge_alpha, config.seed)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AllFeaturesConstant, DimensionMismatch, EmptyDataset, NonFiniteInput
-from .linear import affine, affine_row, augment, fit_or_mean
+from .errors import AllFeaturesConstant, DimensionMismatch
+from .linear import affine, affine_row, augment, check_training, fit_or_mean
 from .split import HingeKind, SplitConfig, SplitOutcome, median_fallback, select_split
 
 _MASK64 = (1 << 64) - 1
@@ -213,24 +213,6 @@ def build_tree(X, y, config: TreeConfig | None = None) -> HrtModel:
     root = _grow(X, y, 0, config.split.seed & _MASK64, config, acc)
     stats = train_stats(root, acc.winner_iters, acc.variant_iters, acc.traces)
     return HrtModel(root=root, d=X.shape[1], config=config, stats=stats)
-
-
-def check_training(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """``(X, y)`` as a float matrix and target vector to train on, or a typed error.
-
-    Raises :class:`EmptyDataset` without a sample or a feature,
-    :class:`DimensionMismatch` when the row counts differ, and
-    :class:`NonFiniteInput` when any value is NaN or infinite.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-        raise EmptyDataset("training data must have at least one sample and one feature")
-    if X.shape[0] != y.shape[0]:
-        raise DimensionMismatch("X and y row counts differ")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise NonFiniteInput("training data contains a NaN or infinite value")
-    return X, y
 
 
 def check_features(X, d: int) -> np.ndarray:

@@ -13,6 +13,8 @@ from hingetree import (
     fit_boost,
     gamma_bound_check,
     gen_synthetic,
+    model_from_dict,
+    model_to_dict,
     predict,
     predict_batch,
     predict_boost,
@@ -198,7 +200,17 @@ class TestStagedLosses:
     def test_matches_recorded_trace_on_training_data(self):
         ds, model = sinc_boost(m_stages=20)
         losses = staged_losses(model, ds.X, ds.y)
-        np.testing.assert_allclose(losses, model.loss_trace, rtol=1e-9)
+        np.testing.assert_array_equal(losses, model.loss_trace)
+
+    def test_discarded_stage_repeats_the_previous_loss(self):
+        ds, model = sinc_boost(m_stages=3)
+        # Stages are discarded only through rounding; mark one by hand.
+        model.stage_retained.insert(1, False)
+        model.gamma_trace.insert(1, 0.0)
+        model.loss_trace.insert(2, model.loss_trace[1])
+        losses = staged_losses(model, ds.X, ds.y)
+        np.testing.assert_array_equal(losses, model.loss_trace)
+        assert losses[2] == losses[1]
 
 
 class TestGammaBoundCheck:
@@ -231,7 +243,12 @@ class TestGammaBoundCheck:
         assert model.loss_trace[-1] <= bound + 1e-9 * model.loss_trace[0]
 
     def test_requires_recorded_gammas(self):
+        # Earlier format-1 files saved with record_gamma=False hold no gammas.
         X, y = random_regression(10, 30, 2)
-        model = fit_boost(X, y, BoostConfig(m_stages=2, record_gamma=False))
+        doc = model_to_dict(fit_boost(X, y, BoostConfig(m_stages=2)))
+        doc["config"]["record_gamma"] = False
+        doc["gamma_trace"] = []
+        model = model_from_dict(doc)
+        assert model.gamma_trace == [] and len(model.stage_retained) == 2
         with pytest.raises(ValueError):
             gamma_bound_check(model)

@@ -7,8 +7,18 @@ import jsonschema
 import numpy as np
 import pytest
 
+from dataclasses import asdict
+
 import hingetree
-from hingetree import gen_synthetic, load_model, write_csv
+from hingetree import (
+    BoostConfig,
+    SplitConfig,
+    TreeConfig,
+    default_boost_tree_config,
+    gen_synthetic,
+    load_model,
+    write_csv,
+)
 from hingetree.cli import SCHEMAS, ablate_step_rows, main
 
 
@@ -108,6 +118,18 @@ class TestTrain:
         assert model.preprocess is not None
         assert "standardize" in model.preprocess
 
+    @pytest.mark.parametrize("kind, expected", [
+        ("hrt", lambda seed: TreeConfig(split=SplitConfig(seed=seed))),
+        ("boost", lambda seed: BoostConfig(tree=default_boost_tree_config(seed))),
+    ], ids=["hrt", "boost"])
+    def test_defaults_are_the_config_dataclasses(self, tmp_path, capsys, kind, expected):
+        report = tmp_path / "r.json"
+        code, _, _ = run(capsys, "train", "sinc:n=60:sigma=0.025:seed=7", kind,
+                         "--out", str(tmp_path / "m.json"), "--json", str(report),
+                         "--seed", "9")
+        assert code == 0
+        assert json.loads(report.read_text())["config"] == asdict(expected(9))
+
     def test_config_file_defaults_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max_depth": 0, "tau": 0.03}))
@@ -196,6 +218,17 @@ class TestCorruptModelFile:
         code, _, err = run(capsys, "eval", str(out), SINC)
         assert code == 3
         assert err.startswith(message)
+
+    def test_non_numeric_boost_f0_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        run(capsys, "train", SINC, "boost", "--stages", "2", "--max-depth", "2",
+            "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["f0"] = "zero"
+        out.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "eval", str(out), SINC)
+        assert code == 3
+        assert err.startswith("error: f0: could not convert string to float")
 
     def test_truncated_file_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -315,6 +348,28 @@ class TestBoostDiagnose:
         code, _, _ = run(capsys, "boost-diagnose", str(out))
         assert code == 5
 
+    def test_short_loss_trace_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        run(capsys, "train", SINC, "boost", "--stages", "4", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["loss_trace"].pop()
+        out.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "boost-diagnose", str(out))
+        assert code == 3
+        assert err.startswith("error: loss_trace: expected 5 entries for 4 stages")
+        assert "Traceback" not in err
+
+    def test_legacy_file_without_gammas_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        run(capsys, "train", SINC, "boost", "--stages", "3", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["config"]["record_gamma"] = False
+        doc["gamma_trace"] = []
+        out.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "boost-diagnose", str(out))
+        assert code == 2
+        assert "gamma trace was not recorded" in err
+
     def test_tree_model_rejected(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         run(capsys, "train", SINC, "hrt", "--out", str(out))
@@ -350,6 +405,27 @@ class TestParsing:
 
     def test_missing_required_out(self, capsys):
         assert run(capsys, "train", SINC, "hrt")[0] == 2
+
+    # Flags these commands never read are not registered.
+    UNREAD_FLAGS = [(command, flag) for command in ("eval", "predict", "boost-diagnose", "synth")
+                    for flag in ("--seed", "--config")]
+    UNREAD_FLAGS += [("trace-node", flag) for flag in ("--max-depth", "--tau", "--n-min")]
+    UNREAD_FLAGS += [("ablate-step", "--step")]
+    BASE_ARGV = {
+        "eval": ["eval", "m.json", SINC],
+        "predict": ["predict", "m.json", "d.csv"],
+        "boost-diagnose": ["boost-diagnose", "b.json"],
+        "synth": ["synth", SINC, "--out", "s.csv"],
+        "trace-node": ["trace-node", SINC],
+        "ablate-step": ["ablate-step", SINC, "--mu-list", "0.05"],
+    }
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_unread_flag_is_rejected(self, tmp_path, monkeypatch, capsys, command, flag):
+        monkeypatch.chdir(tmp_path)  # where a wrongly accepted command writes its output
+        code, _, err = run(capsys, *self.BASE_ARGV[command], flag, "1")
+        assert code == 2
+        assert f"unrecognized arguments: {flag} 1" in err
 
 
 def run_python(*args):

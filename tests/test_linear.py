@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hingetree.linear as linear
-from hingetree import DegenerateSystem, augment, fit_or_mean, predict_linear, ridge_solve
+from hingetree import DegenerateSystem, augment, fit_or_mean, ridge_solve
 from hingetree.linear import affine, affine_row, ridge_solve_pair
 from conftest import random_regression
 
@@ -118,7 +118,7 @@ class TestRidgeSolve:
         y = np.array([2.0, 2.0, 2.0])
         theta = ridge_solve(Xa, y, 0.0)
         assert np.all(np.isfinite(theta))
-        assert abs(predict_linear(theta, [1.0]) - 2.0) < 1e-6
+        assert abs(affine_row([1.0], theta.tolist()) - 2.0) < 1e-6
 
     def test_degenerate_system_raised_when_factorization_fails(self, monkeypatch):
         def always_fail(a, b):
@@ -172,18 +172,15 @@ class TestRidgeSolvePair:
             ridge_solve_pair(X, np.ones(2), X, np.ones(2), -1.0)
 
 
-class TestPredictLinear:
+class TestAffineRow:
     def test_constant_model(self):
-        theta = np.array([0.0, 0.0, 4.5])
-        assert predict_linear(theta, [12.0, -3.0]) == 4.5
+        assert affine_row([12.0, -3.0], [0.0, 0.0, 4.5]) == 4.5
 
     def test_coordinate_projection(self):
-        theta = np.array([1.0, 0.0, 0.0, 0.0])
-        assert predict_linear(theta, [7.0, 1.0, -2.0]) == 7.0
+        assert affine_row([7.0, 1.0, -2.0], [1.0, 0.0, 0.0, 0.0]) == 7.0
 
     def test_hand_arithmetic(self):
-        theta = np.array([2.0, -1.0, 3.0])
-        assert predict_linear(theta, [1.0, 4.0]) == 1.0
+        assert affine_row([1.0, 4.0], [2.0, -1.0, 3.0]) == 1.0
 
 
 class TestAffine:
@@ -200,12 +197,7 @@ class TestAffine:
             acc = acc + float(theta[-1])
             assert value == acc
             assert affine_row(row.tolist(), theta.tolist()) == value
-            assert predict_linear(theta, row) == value
 
     def test_no_features_is_the_bias(self):
         assert affine(np.empty((3, 0)), np.array([2.5])).tolist() == [2.5] * 3
-        assert predict_linear(np.array([2.5]), []) == 2.5
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            predict_linear(np.array([1.0, 2.0, 3.0]), [1.0])
+        assert affine_row([], [2.5]) == 2.5

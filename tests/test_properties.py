@@ -5,13 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hingetree import (
+    BoostConfig,
     HingeKind,
     SplitConfig,
     TreeConfig,
     augment,
     build_tree,
+    default_boost_tree_config,
     dumps_model,
     find_optimal_split,
+    fit_boost,
+    gamma_bound_check,
     loads_model,
     partition,
     predict,
@@ -19,6 +23,7 @@ from hingetree import (
     ridge_solve,
 )
 from hingetree import linear
+from hingetree.tree import Leaf
 from conftest import hinge_regression
 
 # Few derandomized examples keep the suite fast and its outcome fixed.
@@ -119,3 +124,36 @@ def test_save_load_round_trips_exactly(args):
     loaded = loads_model(dumps_model(model))
     assert predict_batch(loaded, X).tobytes() == batch.tobytes()
     assert np.array([predict(loaded, row) for row in X]).tobytes() == batch.tobytes()
+
+
+def leaves(node):
+    if isinstance(node, Leaf):
+        return [node]
+    return leaves(node.left) + leaves(node.right)
+
+
+@FAST
+@given(tree_fits)
+def test_leaf_counts_are_the_training_rows_routed_to_them(args):
+    X, model = fit(**args)
+    found = leaves(model.root)
+    counts = [leaf.n_train for leaf in found]
+    # A leaf that predicts its own index turns predict_batch into a leaf lookup;
+    # routing reads only the internal nodes.
+    for i, leaf in enumerate(found):
+        leaf.theta = np.zeros(model.d + 1)
+        leaf.theta[-1] = i
+    reached = predict_batch(model, X).astype(int)
+    assert np.bincount(reached, minlength=len(found)).tolist() == counts
+
+
+@FAST
+@given(seed=st.integers(0, 2**16), n=st.integers(20, 60), d=st.integers(1, 3),
+       m_stages=st.integers(1, 4), eta=st.sampled_from([0.1, 0.5, 1.0]))
+def test_every_boost_stage_keeps_the_risk_bound(seed, n, d, m_stages, eta):
+    X, y = hinge_regression(seed, n, d, noise=0.1)
+    model = fit_boost(X, y, BoostConfig(m_stages=m_stages, eta=eta,
+                                        tree=default_boost_tree_config(seed)))
+    checks = gamma_bound_check(model)
+    assert len(checks) == len(model.stage_retained)
+    assert all(check.ok for check in checks)

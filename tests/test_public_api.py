@@ -1,0 +1,38 @@
+"""The package's public names, pinned so that adding or removing one is a visible test edit."""
+import inspect
+
+import hingetree
+
+PUBLIC_NAMES = {
+    # errors
+    "AllFeaturesConstant", "CorruptModel", "DegenerateSplit", "DegenerateSystem",
+    "DimensionMismatch", "EmptyDataset", "EmptyInput", "HingeTreeError", "LengthMismatch",
+    "MissingTarget", "NonFiniteInput", "NonNumericCell", "ParseError", "TooFewSamples",
+    # linear
+    "affine", "augment", "fit_or_mean", "ridge_solve",
+    # split
+    "HingeKind", "SplitConfig", "SplitOutcome", "backtracking_step", "damped_update",
+    "find_optimal_split", "initialize_params", "median_fallback", "newton_step", "objective",
+    "partition", "select_split",
+    # tree
+    "HrtModel", "Internal", "Leaf", "TrainStats", "TreeConfig", "build_tree", "derive_seed",
+    "predict", "predict_batch", "tree_stats",
+    # boost
+    "BoostConfig", "BoostModel", "StageCheck", "default_boost_tree_config", "fit_boost",
+    "gamma_bound_check", "predict_boost", "predict_boost_batch", "staged_losses",
+    # datasets
+    "Dataset", "StandardizeTransform", "gen_synthetic", "load_csv", "load_features",
+    "parse_dataset_spec", "split_train_test", "standardize", "write_csv",
+    # metrics
+    "EvalReport", "FlopsReport", "boost_inference_flops", "complexity_report", "evaluate",
+    "hrt_inference_flops",
+    # serialize
+    "dumps_model", "load_model", "loads_model", "model_from_dict", "model_to_dict",
+    "save_model",
+}
+
+
+def test_public_names_are_pinned():
+    public = {name for name, value in vars(hingetree).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == PUBLIC_NAMES

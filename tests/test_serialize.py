@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ class TestBoostRoundTrip:
         assert np.array_equal(predict_boost_batch(back, points),
                               predict_boost_batch(model, points))
 
+    def test_legacy_record_gamma_key_loads(self):
+        # Earlier format-1 files store BoostConfig.record_gamma.
+        _, model = trained_boost(seed=7)
+        doc = model_to_dict(model)
+        assert "record_gamma" not in doc["config"]
+        doc["config"]["record_gamma"] = True
+        back = loads_model(json.dumps(doc))
+        assert back.config == model.config
+        assert back.gamma_trace == model.gamma_trace
+        points = np.random.default_rng(8).uniform(-3, 3, size=(500, 2))
+        assert predict_boost_batch(back, points).tobytes() == \
+            predict_boost_batch(model, points).tobytes()
+
     def test_envelope_fields(self):
         _, model = trained_boost(seed=5)
         doc = model_to_dict(model)
@@ -261,6 +275,53 @@ class TestCorruptModel:
         doc = model_to_dict(model)
         del doc["learners"]
         with pytest.raises(CorruptModel, match="'learners'"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("f0", "zero"), ("f0", None), ("eta", "fast"), ("eta", [0.2]),
+    ])
+    def test_non_numeric_boost_scalar(self, key, value):
+        doc = model_to_dict(trained_boost()[1])
+        doc[key] = value
+        with pytest.raises(CorruptModel, match=f"^{key}: "):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["loss_trace", "gamma_trace"])
+    def test_non_numeric_trace_entry(self, key):
+        doc = model_to_dict(trained_boost()[1])
+        doc[key][1] = "low"
+        with pytest.raises(CorruptModel, match=f"^{key}: "):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("value", ["many", None, float("inf")])
+    def test_non_numeric_leaf_count(self, value):
+        doc = self.tree_doc()
+        first_leaf(doc["root"])["n_train"] = value
+        with pytest.raises(CorruptModel, match=r"^root(\.internal\.left)+\.leaf\.n_train: "):
+            model_from_dict(doc)
+
+    def test_non_numeric_boost_leaf_count(self):
+        doc = model_to_dict(trained_boost()[1])
+        first_leaf(doc["learners"][2])["n_train"] = "many"
+        with pytest.raises(CorruptModel, match=r"^learners\[2\].*\.leaf\.n_train: "):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda doc: doc["loss_trace"].pop(), "loss_trace: expected 7 entries for 6 stages"),
+        (lambda doc: doc["loss_trace"].append(0.0), "loss_trace: expected 7 entries"),
+        (lambda doc: doc["stage_retained"].pop(), "loss_trace: expected 6 entries for 5 stages"),
+        (lambda doc: doc["stage_retained"].__setitem__(0, False),
+         "stage_retained: 5 retained stages for 6 learners"),
+        (lambda doc: doc["learners"].pop(), "stage_retained: 6 retained stages for 5 learners"),
+        (lambda doc: doc["gamma_trace"].pop(), "gamma_trace: expected 6 entries or none"),
+        (lambda doc: doc.__setitem__("loss_trace", 0.5), "loss_trace: expected a list"),
+    ], ids=["short-loss", "long-loss", "short-retained", "unretained", "short-learners",
+            "short-gamma", "loss-not-list"])
+    def test_boost_traces_that_disagree_in_length(self, damage, message):
+        doc = model_to_dict(trained_boost()[1])
+        assert len(doc["stage_retained"]) == len(doc["learners"]) == 6
+        damage(doc)
+        with pytest.raises(CorruptModel, match="^" + re.escape(message)):
             model_from_dict(doc)
 
     def test_document_that_is_not_an_object(self):

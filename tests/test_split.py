@@ -3,7 +3,9 @@ import pytest
 
 from hingetree import (
     AllFeaturesConstant,
+    DimensionMismatch,
     HingeKind,
+    NonFiniteInput,
     SplitConfig,
     TooFewSamples,
     augment,
@@ -16,13 +18,11 @@ from hingetree import (
     newton_step,
     objective,
     partition,
-    predict_linear,
     ridge_solve,
     select_split,
 )
 from hingetree import split
-from hingetree.linear import ridge_solve_pair
-from hingetree.split import hinge_values
+from hingetree.linear import affine_row, ridge_solve_pair
 from conftest import hinge_regression, random_regression
 
 
@@ -30,6 +30,34 @@ def vee_data():
     # y = |x| on a symmetric grid; exactly max(x, -x).
     x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
     return x, np.abs(x[:, 0])
+
+
+CHECKED_ENTRY_POINTS = {
+    "select_split": lambda X, y: select_split(X, y, SplitConfig()),
+    "find_optimal_split": lambda X, y: find_optimal_split(X, y, HingeKind.MAX, SplitConfig()),
+    "initialize_params": lambda X, y: initialize_params(X, y),
+    "objective": lambda X, y: objective(X, y, np.zeros(3), np.ones(3), HingeKind.MAX),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("entry", sorted(CHECKED_ENTRY_POINTS))
+    @pytest.mark.parametrize("target, value", [("X", np.nan), ("X", -np.inf),
+                                               ("y", np.nan), ("y", np.inf)])
+    def test_non_finite_input_rejected(self, entry, target, value):
+        X, y = random_regression(21, 30, 2)
+        if target == "X":
+            X[7, 1] = value
+        else:
+            y[11] = value
+        with pytest.raises(NonFiniteInput):
+            CHECKED_ENTRY_POINTS[entry](X, y)
+
+    @pytest.mark.parametrize("entry", sorted(CHECKED_ENTRY_POINTS))
+    def test_row_count_mismatch_rejected(self, entry):
+        X, y = random_regression(22, 30, 2)
+        with pytest.raises(DimensionMismatch):
+            CHECKED_ENTRY_POINTS[entry](X, y[:-1])
 
 
 class TestObjective:
@@ -395,8 +423,8 @@ class TestSelectSplit:
         out_max = find_optimal_split(X, y, HingeKind.MAX, config)
         out_min = find_optimal_split(X, y, HingeKind.MIN, config)
         Xa = augment(X)
-        pred_max = hinge_values(Xa, out_max.theta1, out_max.theta2, HingeKind.MAX)
-        pred_min = hinge_values(Xa, out_min.theta1, out_min.theta2, HingeKind.MIN)
+        pred_max = np.maximum(Xa @ out_max.theta1, Xa @ out_max.theta2)
+        pred_min = np.minimum(Xa @ out_min.theta1, Xa @ out_min.theta2)
         np.testing.assert_allclose(pred_max, y, atol=1e-8)
         np.testing.assert_allclose(pred_max, pred_min, atol=1e-8)
 
@@ -626,9 +654,9 @@ class TestDescentProperties:
         X, y = random_regression(14, 30, 3)
         Xa = augment(X)
         theta = ridge_solve(Xa, y, 0.1)
-        single = Xa @ theta
-        np.testing.assert_array_equal(hinge_values(Xa, theta, theta, HingeKind.MAX), single)
-        np.testing.assert_array_equal(hinge_values(Xa, theta, theta, HingeKind.MIN), single)
+        r = y - Xa @ theta
+        for kind in HingeKind:
+            assert objective(X, y, theta, theta, kind) == 0.5 * float(r @ r)
         for row in X:
-            lin = predict_linear(theta, row)
+            lin = affine_row(row.tolist(), theta.tolist())
             assert max(lin, lin) == lin == min(lin, lin)
