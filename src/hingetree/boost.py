@@ -18,6 +18,7 @@ from .split import SplitConfig
 from .tree import (  # noqa: F401 -- perfbench/tracer.py patches hingetree.boost.predict
     HrtModel,
     TreeConfig,
+    _route,
     build_tree,
     check_features,
     derive_seed,
@@ -175,23 +176,28 @@ def predict_boost(model: BoostModel, x) -> float:
 def _staged(model: BoostModel, X: np.ndarray):
     """Yield the ensemble's values on checked ``X`` from ``f0`` and after every recorded stage.
 
-    Each retained stage adds ``eta * predict_batch(learner, X)`` in place,
-    so use each yielded array before drawing the next.
+    All retained learners go through the tree layer's batch router
+    (:func:`~hingetree.tree._route`) together, which moves every (row,
+    learner) pair down one level per step.  Each retained stage then adds
+    ``eta`` times its learner's values in place, in stage order, so use
+    each yielded array before drawing the next.
     """
     total = np.full(X.shape[0], model.f0)
     yield total
-    learners = iter(model.learners)
+    values = _route([learner.root for learner in model.learners], X)
     for kept in model.stage_retained:
         if kept:
-            total += model.eta * predict_batch(next(learners), X)
+            total += model.eta * next(values)
         yield total
 
 
 def predict_boost_batch(model: BoostModel, X) -> np.ndarray:
     """Vectorized :func:`predict_boost`, bit-identical to it per row.
 
-    The last values of the stage loop, the same rounded operations as the
-    scalar loop.
+    The last values of the staged loop (:func:`_staged`): every learner's
+    values come from one routing pass over all learners, and they are
+    added in stage order with the same rounded operations as the scalar
+    loop.
     """
     for total in _staged(model, check_features(X, model.d)):
         pass

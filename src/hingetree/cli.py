@@ -2,7 +2,10 @@
 
 The fitting commands (train, ablate-step, trace-node) take --seed and
 --config, and fit the same bits for the same inputs, flags and seed; an
-unset hyperparameter takes its config dataclass default.  Exit codes:
+unset hyperparameter takes its config dataclass default.  A --config file
+holds hyperparameters under their flag destinations (``max_depth``,
+``step``, ...), and a key the command does not read is a configuration
+error.  Exit codes:
 0 success, 2 configuration error, 3 data error or corrupt model file
 (including boost traces whose lengths disagree), 4 model/data dimension
 mismatch, 5 per-stage bound violation (boost-diagnose only).  The HRT_LOG
@@ -175,7 +178,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, keys: tuple[str, ...]) -> dict:
+    """The ``--config`` file's object, whose keys must all be among ``keys``."""
     if path is None:
         return {}
     try:
@@ -185,6 +189,10 @@ def _load_config_file(path: str | None) -> dict:
         raise CliConfigError(f"--config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise CliConfigError(f"--config {path}: expected a JSON object")
+    unread = [k for k in doc if k not in keys]
+    if unread:
+        raise CliConfigError(f"--config {path}: this command does not read "
+                             f"{', '.join(map(repr, unread))}; it reads {', '.join(keys)}")
     return doc
 
 
@@ -309,7 +317,7 @@ def _print_flops(flops: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args.config, _BOOST_KEYS if args.kind == "boost" else _TREE_KEYS)
     ds = _dataset(args)
     kind = args.kind
     seed = args.seed
@@ -499,7 +507,7 @@ def ablate_step_rows(dataset_spec: str, mu_values, repeats: int,
 
 
 def cmd_ablate_step(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args.config, _ABLATE_KEYS)
     if args.repeats < 1:
         raise CliConfigError("--repeats: must be at least 1")
     mu_values = []
@@ -565,7 +573,7 @@ def cmd_boost_diagnose(args) -> int:
 
 
 def cmd_trace_node(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args.config, _SPLIT_KEYS)
     ds = _dataset(args)
     config = _split_config(args, file_cfg, SplitConfig(), args.seed)
     outcome = select_split(ds.X, ds.y, config)
@@ -633,6 +641,12 @@ _HYPER = {
     "stages": ("--stages", int, "number of boosting stages"),
     "eta": ("--eta", float, "learning rate in (0,1]"),
 }
+# The hyperparameters each fitting command reads, as flags and as --config
+# keys.  ablate-step sets the step of each run itself.
+_SPLIT_KEYS = ("ridge", "step", "t_max", "epsilon", "min_subset")
+_TREE_KEYS = ("max_depth", "ridge", "step", "tau", "n_min", "t_max", "epsilon", "min_subset")
+_BOOST_KEYS = (*_TREE_KEYS, "stages", "eta")
+_ABLATE_KEYS = tuple(k for k in _TREE_KEYS if k != "step")
 
 
 def _add_hyper(sub, *dests):
@@ -652,7 +666,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train = subs.add_parser("train", help="fit a model and write it to disk")
     _add_dataset_arg(train)
     train.add_argument("kind", choices=["hrt", "boost"], help="model kind")
-    _add_hyper(train, *_HYPER)
+    _add_hyper(train, *_BOOST_KEYS)
     train.add_argument("--out", required=True, help="model file to write")
     train.add_argument("--diagnostics", action="store_true",
                        help="retain per-node objective traces")
@@ -687,7 +701,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--repeats", type=int, default=10)
     ab.add_argument("--train-fraction", dest="train_fraction", type=float,
                     default=0.7)
-    _add_hyper(ab, "max_depth", "ridge", "tau", "n_min", "t_max", "epsilon", "min_subset")
+    _add_hyper(ab, *_ABLATE_KEYS)
     ab.add_argument("--standardize", action="store_true")
     _add_fit_common(ab)
     ab.set_defaults(func=cmd_ablate_step)
@@ -701,7 +715,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr = subs.add_parser("trace-node",
                          help="optimize one node split and emit its objective trace")
     _add_dataset_arg(tr)
-    _add_hyper(tr, "ridge", "step", "t_max", "epsilon", "min_subset")
+    _add_hyper(tr, *_SPLIT_KEYS)
     _add_fit_common(tr)
     tr.set_defaults(func=cmd_trace_node)
 

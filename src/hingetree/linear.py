@@ -147,20 +147,29 @@ def fit_or_mean(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
 
 
 def affine(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Evaluate the affine model on every row of a (non-augmented) feature matrix.
+    """Evaluate affine models on every row of a (non-augmented) feature matrix.
+
+    ``theta`` is either one coefficient vector ``(w, b)`` of length d+1 for
+    every row, or coefficients gathered per row: an array of shape
+    ``(d+1, n, *rest)`` whose ``theta[:, i, ...]`` apply to row i, giving a
+    result of shape ``(n, *rest)``; a row axis of length 1 applies the same
+    coefficients to every row.
 
     The arithmetic is fixed: ``acc = X[:, 0] * w[0]``, then
     ``acc += X[:, j] * w[j]`` for j = 1 .. d-1 in order, then ``acc += b``;
-    every step is one rounded IEEE multiply or add per row.  A row's result
-    therefore depends only on that row, never on the batch size or on the
-    BLAS, and equals :func:`affine_row` on the same row bit for bit.  With
-    no features the result is the bias.
+    every step is one rounded IEEE multiply or add per value.  A value
+    therefore depends only on its row and coefficients, never on the batch
+    size, the other coefficients or the BLAS, and equals :func:`affine_row`
+    on the same row bit for bit.  With no features the result is the bias.
     """
     X = np.asarray(X, dtype=float)
     theta = np.asarray(theta, dtype=float)
     d = X.shape[1]
+    if theta.ndim > 1:
+        # Each feature column broadcasts over the trailing coefficient axes.
+        X = X.reshape(X.shape + (1,) * (theta.ndim - 2))
     if d == 0:
-        return np.full(X.shape[0], theta[-1])
+        return np.full(X.shape[:1] + theta.shape[2:], theta[-1])
     acc = X[:, 0] * theta[0]
     for j in range(1, d):
         acc += X[:, j] * theta[j]

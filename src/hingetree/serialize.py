@@ -5,7 +5,8 @@ save/load cycle reproduces every binary64 value exactly and predictions
 are bit-identical.  Documents are written with sorted keys so identical
 models serialize to identical bytes.  A document's structure is checked
 before any of it is built: text that is not JSON, a missing key or child,
-a coefficient vector that is not d+1 finite numbers, boost traces whose
+a coefficient vector that is not d+1 finite numbers, a fallback split
+without a feature index in [0, d) and a finite threshold, boost traces whose
 lengths disagree with each other or with the learners, a config field
 that is unknown or holds a value the config rejects, or a count, scalar
 or trace entry that is not a number raises :class:`CorruptModel`.
@@ -86,6 +87,17 @@ def _check_node(doc, d: int, where: str) -> None:
         raise CorruptModel(f"{where}.kind: unknown hinge kind {body['kind']!r}")
     _check_theta(body["theta1"], d, f"{where}.theta1")
     _check_theta(body["theta2"], d, f"{where}.theta2")
+    if type(body["used_fallback"]) is not bool:
+        raise CorruptModel(f"{where}.used_fallback: expected true or false")
+    if body["used_fallback"]:
+        _require(body, ("fallback_feature", "fallback_threshold"), where)
+        feature, threshold = body["fallback_feature"], body["fallback_threshold"]
+        if type(feature) is not int or not 0 <= feature < d:
+            raise CorruptModel(f"{where}.fallback_feature: expected a feature index in "
+                               f"[0, {d}), got {feature!r}")
+        if type(threshold) not in (int, float) or not math.isfinite(threshold):
+            raise CorruptModel(f"{where}.fallback_threshold: expected a finite number, "
+                               f"got {threshold!r}")
     _check_node(body["left"], d, f"{where}.left")
     _check_node(body["right"], d, f"{where}.right")
 
@@ -127,6 +139,7 @@ def _node_from_dict(doc: dict, where: str) -> TreeNode:
             n_train = int(leaf["n_train"])
         return Leaf(theta=np.asarray(leaf["theta"], dtype=float), n_train=n_train)
     body = doc["internal"]
+    used = body["used_fallback"]
     outcome = SplitOutcome(
         theta1=np.asarray(body["theta1"], dtype=float),
         theta2=np.asarray(body["theta2"], dtype=float),
@@ -134,9 +147,9 @@ def _node_from_dict(doc: dict, where: str) -> TreeNode:
         converged=True,
         iterations=0,
         objective_trace=[],
-        used_fallback=bool(body["used_fallback"]),
-        fallback_feature=body.get("fallback_feature"),
-        fallback_threshold=body.get("fallback_threshold"),
+        used_fallback=used,
+        fallback_feature=body["fallback_feature"] if used else None,
+        fallback_threshold=body["fallback_threshold"] if used else None,
     )
     return Internal(split=outcome,
                     left=_node_from_dict(body["left"], f"{where}.internal.left"),

@@ -109,9 +109,21 @@ def _envelope(a, b, kind):
     return np.maximum(a, b) if kind is HingeKind.MAX else np.minimum(a, b)
 
 
+def _first_pair(kind, a, b):
+    """The tie rule: ``(p, q)`` such that a row takes the first branch iff ``p >= q``.
+
+    ``a`` and ``b`` belong to the first and second side (their values, or
+    their coefficient vectors).  The max variant sends ``a >= b`` first and
+    the min variant ``a <= b``, which is ``b >= a``, so a min pair comes
+    back swapped.  Ties go to the first branch for both variants, and a
+    NaN value sends a row to the second.
+    """
+    return (a, b) if kind is HingeKind.MAX else (b, a)
+
+
 def _sides(a, b, kind, idx):
-    # Ties go to the first branch for both variants.
-    first = a >= b if kind is HingeKind.MAX else a <= b
+    p, q = _first_pair(kind, a, b)
+    first = p >= q
     return idx[first], idx[~first]
 
 

@@ -5,9 +5,17 @@ sample count, or the RMSE threshold fires.  Otherwise both hinge variants
 are optimized and the better one routes the samples; if optimization
 stalls, a random-feature median split keeps growth going.
 
-Training and prediction route rows with one comparison of two
-:func:`~hingetree.linear.affine` evaluations, so a training row reaches
-the leaf that was fitted on it.
+Every routing test is one rule, :func:`~hingetree.split._first_pair`: a
+row takes the first branch iff ``p >= q`` for the node's ordered pair of
+hinge sides, each evaluated by :func:`~hingetree.linear.affine`.  Training
+applies it node by node to the rows that reach each node, and
+:func:`predict_row` walks one row down one tree.  Batch prediction, for one
+tree or for a whole boosted ensemble, goes through one level-wise router:
+the trees are flattened into per-node coefficient and child-index tables,
+every (row, tree) pair moves down one level per step, and the leaves are
+evaluated at the end.  All of these perform the same rounded operations,
+so a training row reaches the leaf that was fitted on it, and scalar and
+batch predictions agree bit for bit.
 """
 from __future__ import annotations
 
@@ -17,9 +25,13 @@ import numpy as np
 
 from .errors import AllFeaturesConstant, DimensionMismatch
 from .linear import affine, affine_row, augment, check_training, fit_or_mean
-from .split import HingeKind, SplitConfig, SplitOutcome, median_fallback, select_split
+from .split import SplitConfig, SplitOutcome, _first_pair, median_fallback, select_split
 
 _MASK64 = (1 << 64) - 1
+
+# The most (row, tree) pairs the batch router moves down the trees at once;
+# its temporaries grow with this times d+1, never with the batch.
+_BLOCK = 1 << 16
 
 
 def derive_seed(seed: int, level: int, slot: int) -> int:
@@ -120,17 +132,10 @@ class _Counters:
         self.traces: list[list[float]] | None = [] if collect_traces else None
 
 
-def _goes_first(split: SplitOutcome, a, b):
-    """The routing test on hinge values ``a`` and ``b`` (floats or arrays).
-
-    Ties go to the first branch for both variants.
-    """
-    return a >= b if split.kind is HingeKind.MAX else a <= b
-
-
 def _first_mask(split: SplitOutcome, X: np.ndarray) -> np.ndarray:
     """Which rows of ``X`` the split sends to its first branch."""
-    return _goes_first(split, affine(X, split.theta1), affine(X, split.theta2))
+    p, q = _first_pair(split.kind, split.theta1, split.theta2)
+    return affine(X, p) >= affine(X, q)
 
 
 def _grow(X, y, depth, seed, config: TreeConfig, acc: _Counters) -> TreeNode:
@@ -237,9 +242,8 @@ def predict_row(node: TreeNode, x: list[float]) -> float:
     """
     while isinstance(node, Internal):
         o = node.split
-        a = affine_row(x, o.theta1.tolist())
-        b = affine_row(x, o.theta2.tolist())
-        node = node.left if _goes_first(o, a, b) else node.right
+        p, q = _first_pair(o.kind, o.theta1, o.theta2)
+        node = node.left if affine_row(x, p.tolist()) >= affine_row(x, q.tolist()) else node.right
     return affine_row(x, node.theta.tolist())
 
 
@@ -256,32 +260,82 @@ def predict(model: HrtModel, x) -> float:
     return predict_row(model.root, row)
 
 
-def _fill(node: TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    if rows.size == 0:
-        return
-    if isinstance(node, Leaf):
-        out[rows] = affine(X, node.theta)
-        return
-    first = _first_mask(node.split, X)
-    second = ~first
-    _fill(node.left, X[first], rows[first], out)
-    _fill(node.right, X[second], rows[second], out)
+def _flatten(roots: list[TreeNode]):
+    """The trees under ``roots`` as preorder node tables for :func:`_route`.
+
+    Returns ``(coef_p, coef_q, left, right, starts, levels)``.  Column i of
+    ``coef_p`` and ``coef_q``, both of shape ``(d+1, nodes)``, holds node
+    i's ordered hinge pair (:func:`~hingetree.split._first_pair`), or for a
+    leaf its model twice.  ``left[i]`` and ``right[i]`` are node i's first
+    and second child; a leaf routes to itself.  ``starts`` holds each
+    tree's root index and ``levels`` the deepest leaf's depth.
+    """
+    coef_p, coef_q, left, right = [], [], [], []
+    levels = 0
+
+    def visit(node: TreeNode, depth: int) -> int:
+        nonlocal levels
+        i = len(left)
+        left.append(i)
+        right.append(i)
+        if isinstance(node, Leaf):
+            coef_p.append(node.theta)
+            coef_q.append(node.theta)
+            levels = max(levels, depth)
+        else:
+            p, q = _first_pair(node.split.kind, node.split.theta1, node.split.theta2)
+            coef_p.append(p)
+            coef_q.append(q)
+            left[i] = visit(node.left, depth + 1)
+            right[i] = visit(node.right, depth + 1)
+        return i
+
+    starts = np.array([visit(root, 0) for root in roots], dtype=np.intp)
+    return (np.array(coef_p).T.copy(), np.array(coef_q).T.copy(),
+            np.array(left, dtype=np.intp), np.array(right, dtype=np.intp), starts, levels)
+
+
+def _route(roots: list[TreeNode], X: np.ndarray):
+    """Yield each tree's predictions on checked ``X``, in the order of ``roots``.
+
+    Level-wise routing: the trees of a group are flattened (:func:`_flatten`)
+    and every (row, tree) pair starts at its tree's root.  Each step gathers
+    the pair's node coefficients, evaluates both hinge sides with
+    :func:`~hingetree.linear.affine` and moves the pair to the chosen child;
+    after as many steps as the deepest leaf's depth every pair sits on its
+    leaf, whose model gives the value.  Pairs are processed in blocks of at
+    most ``_BLOCK`` (a group holds one tree when the batch alone exceeds
+    it), so the temporaries stay bounded whatever the batch and ensemble
+    sizes.  Each value is computed with :func:`predict_row`'s operations.
+    """
+    n = X.shape[0]
+    group = max(1, _BLOCK // max(n, 1))
+    for g in range(0, len(roots), group):
+        coef_p, coef_q, left, right, starts, levels = _flatten(roots[g:g + group])
+        values = np.empty((n, starts.size))
+        rows = max(1, _BLOCK // starts.size)
+        for r in range(0, n, rows):
+            block = X[r:r + rows]
+            node = starts[None, :]  # every row at its trees' roots; broadcasts in affine
+            for _ in range(levels):
+                # take() gathers several times faster than fancy indexing.
+                p = affine(block, coef_p.take(node, axis=1))
+                q = affine(block, coef_q.take(node, axis=1))
+                node = np.where(p >= q, left.take(node), right.take(node))
+            values[r:r + rows] = affine(block, coef_p.take(node, axis=1))
+        yield from values.T
 
 
 def predict_batch(model: HrtModel, X) -> np.ndarray:
     """Predict every row of ``X``; bit-identical to :func:`predict` per row.
 
-    Rows are routed a node at a time: each internal node evaluates both
-    hinge sides with :func:`~hingetree.linear.affine` on the rows that
-    reached it and passes the two subsets down, and each leaf writes its
-    rows' values into the output.  The kernel's fixed column order makes
-    every value independent of the batch size and of which other rows
+    The rows go through the batch router (:func:`_route`) with this one
+    tree: all rows move down the tree together, one level per step, and
+    the leaves are evaluated at the end.  The kernel's fixed column order
+    makes every value independent of the batch size and of which other rows
     share the batch.
     """
-    X = check_features(X, model.d)
-    out = np.empty(X.shape[0])
-    _fill(model.root, X, np.arange(X.shape[0]), out)
-    return out
+    return next(_route([model.root], check_features(X, model.d)))
 
 
 def tree_stats(model: HrtModel) -> TrainStats:

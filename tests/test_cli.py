@@ -146,6 +146,42 @@ class TestTrain:
         assert json.loads(report.read_text())["config"]["d_max"] == 2
 
 
+    def test_boost_reads_stages_and_eta_from_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stages": 2, "eta": 0.5, "max_depth": 1}))
+        report = tmp_path / "r.json"
+        code, _, _ = run(capsys, "train", SINC, "boost", "--config", str(cfg),
+                         "--out", str(tmp_path / "m.json"), "--json", str(report))
+        assert code == 0
+        config = json.loads(report.read_text())["config"]
+        assert (config["m_stages"], config["eta"], config["tree"]["d_max"]) == (2, 0.5, 1)
+
+
+class TestUnreadConfigKeys:
+    # Each fitting command with a --config key it does not read, named in the error.
+    CASES = {
+        "train": (["train", SINC, "hrt", "--out", "m.json"],
+                  {"max-depth": 0, "stepsize": 5}, ["'max-depth'", "'stepsize'"]),
+        "train-hrt-stages": (["train", SINC, "hrt", "--out", "m.json"],
+                             {"max_depth": 1, "stages": 3}, ["'stages'"]),
+        "ablate-step": (["ablate-step", SINC, "--mu-list", "0.05", "--repeats", "1"],
+                        {"step": 0.5}, ["'step'"]),
+        "trace-node": (["trace-node", SINC], {"max_depth": 2}, ["'max_depth'"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_unread_key_is_a_config_error(self, tmp_path, monkeypatch, capsys, case):
+        argv, doc, named = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, "--config", "cfg.json")
+        assert code == 2
+        assert err.startswith("error: --config cfg.json: this command does not read")
+        assert all(key in err for key in named)
+        assert out == ""
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestEval:
     def test_eval_matches_train_echo(self, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -229,6 +265,19 @@ class TestCorruptModelFile:
         code, _, err = run(capsys, "eval", str(out), SINC)
         assert code == 3
         assert err.startswith("error: f0: could not convert string to float")
+
+    @pytest.mark.parametrize("key, value", [("fallback_feature", [1]),
+                                            ("fallback_threshold", "x")])
+    def test_bad_fallback_field_is_data_error(self, tmp_path, capsys, key, value):
+        def damage(doc):
+            body = doc["root"]["internal"]
+            body.update(used_fallback=True, fallback_feature=0, fallback_threshold=0.5)
+            body[key] = value
+
+        code, _, err = self.corrupt(tmp_path, capsys, damage)
+        assert code == 3
+        assert err.startswith(f"error: root.internal.{key}: expected")
+        assert "Traceback" not in err
 
     def test_truncated_file_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "m.json"

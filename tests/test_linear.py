@@ -201,3 +201,20 @@ class TestAffine:
     def test_no_features_is_the_bias(self):
         assert affine(np.empty((3, 0)), np.array([2.5])).tolist() == [2.5] * 3
         assert affine_row([], [2.5]) == 2.5
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 17])
+    def test_coefficients_gathered_per_row_match_the_row_form(self, d):
+        gen = np.random.default_rng(d)
+        X = gen.normal(size=(12, d))
+        table = gen.normal(size=(d + 1, 5))
+        index = gen.integers(0, 5, size=(12, 3))
+        out = affine(X, table.take(index, axis=1))
+        assert out.shape == (12, 3)
+        for i, row in enumerate(X.tolist()):
+            for k in range(3):
+                assert out[i, k] == affine_row(row, table[:, index[i, k]].tolist())
+        # A row axis of length 1 applies the same coefficients to every row.
+        shared = affine(X, table[:, None, :])
+        assert shared.shape == (12, 5)
+        for k in range(5):
+            assert shared[:, k].tobytes() == affine(X, table[:, k]).tobytes()

@@ -1,6 +1,11 @@
 """Property tests of the split layer's and the fitted models' invariants (Hypothesis)."""
+from contextlib import nullcontext
+from dataclasses import asdict
+from unittest import mock
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,12 +22,15 @@ from hingetree import (
     fit_boost,
     gamma_bound_check,
     loads_model,
+    model_from_dict,
     partition,
     predict,
     predict_batch,
+    predict_boost,
+    predict_boost_batch,
     ridge_solve,
 )
-from hingetree import linear
+from hingetree import linear, tree
 from hingetree.tree import Leaf
 from conftest import hinge_regression
 
@@ -157,3 +165,85 @@ def test_every_boost_stage_keeps_the_risk_bound(seed, n, d, m_stages, eta):
     checks = gamma_bound_check(model)
     assert len(checks) == len(model.stage_retained)
     assert all(check.ok for check in checks)
+
+
+# ---- the batch router against the scalar walk, on model documents built by hand ----
+
+MAX_DEPTH = 4
+
+
+def node_doc(shapes, gen, d, depth=0):
+    """One tree as a document, its node shapes drawn in preorder from ``shapes``.
+
+    "L" is a leaf (also once the shapes run out or at ``MAX_DEPTH``), "X" and
+    "N" a max and a min hinge, "T" a min hinge whose sides tie on every row,
+    and "F" a median-style axis split with its fallback fields.
+    """
+    shape = next(shapes, "L") if depth < MAX_DEPTH else "L"
+    if shape == "L" or (shape == "F" and d == 0):
+        return {"leaf": {"theta": gen.normal(size=d + 1).tolist(), "n_train": 1}}
+    if shape == "F":
+        k = int(gen.integers(d))
+        threshold = float(gen.normal())
+        theta1 = np.zeros(d + 1)
+        theta1[k], theta1[-1] = 1.0, -threshold
+        body = {"kind": "max", "theta1": theta1.tolist(), "theta2": (-theta1).tolist(),
+                "used_fallback": True, "fallback_feature": k, "fallback_threshold": threshold}
+    else:
+        theta1 = gen.normal(size=d + 1)
+        theta2 = theta1 if shape == "T" else gen.normal(size=d + 1)
+        body = {"kind": "max" if shape == "X" else "min", "theta1": theta1.tolist(),
+                "theta2": theta2.tolist(), "used_fallback": False}
+    body["left"] = node_doc(shapes, gen, d, depth + 1)
+    body["right"] = node_doc(shapes, gen, d, depth + 1)
+    return {"internal": body}
+
+
+tree_shapes = st.lists(st.sampled_from("LXNTF"), max_size=2 ** MAX_DEPTH)
+special_values = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def routed_models(draw, d):
+    """``(hrt, boost, X)``: a hand-built tree, an ensemble and rows to route through them."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    retained = draw(st.lists(st.booleans(), max_size=5))
+    learners = [node_doc(iter(draw(tree_shapes)), gen, d) for _ in range(sum(retained))]
+    hrt = {"format_version": 1, "kind": "hrt", "d": d, "config": asdict(TreeConfig()),
+           "root": node_doc(iter(draw(tree_shapes)), gen, d)}
+    boost = {"format_version": 1, "kind": "boost", "d": d, "f0": float(gen.normal()),
+             "eta": draw(st.sampled_from([0.1, 0.5, 1.0])),
+             "gamma_trace": [0.0] * len(retained), "loss_trace": [1.0] * (len(retained) + 1),
+             "stage_retained": retained, "config": asdict(BoostConfig(tree=TreeConfig())),
+             "learners": learners}
+    X = 2.0 * gen.normal(size=(draw(st.integers(0, 12)), d))
+    if X.size:
+        for _ in range(draw(st.integers(0, 3))):
+            X[gen.integers(X.shape[0]), gen.integers(d)] = draw(special_values)
+    return model_from_dict(hrt), model_from_dict(boost), X
+
+
+def assert_same_values(batch, scalar):
+    scalar = np.array(scalar, dtype=float)
+    assert batch.shape == scalar.shape
+    assert np.array_equal(batch, scalar, equal_nan=True)
+    not_nan = ~np.isnan(scalar)
+    assert batch[not_nan].tobytes() == scalar[not_nan].tobytes()
+
+
+# Router blocks of 1 and 7 (row, tree) pairs split one batch into many blocks.
+@pytest.mark.parametrize("block", [1, 7, "default"])
+@pytest.mark.parametrize("d", [0, 1, 2, 16])
+def test_batch_routing_equals_the_scalar_walk(d, block):
+    @FAST
+    @given(routed_models(d))
+    def check(models):
+        hrt, boost, X = models
+        blocks = mock.patch.object(tree, "_BLOCK", block) if block != "default" else nullcontext()
+        # inf * 0 in a hinge side is NaN on both paths alike.
+        with blocks, np.errstate(invalid="ignore"):
+            assert_same_values(predict_batch(hrt, X), [predict(hrt, row) for row in X])
+            assert_same_values(predict_boost_batch(boost, X),
+                               [predict_boost(boost, row) for row in X])
+
+    check()

@@ -233,6 +233,55 @@ class TestCorruptModel:
         with pytest.raises(CorruptModel, match="root.internal.kind"):
             model_from_dict(doc)
 
+    def fallback_doc(self):
+        """A tree document whose root is a well-formed fallback split."""
+        doc = self.tree_doc()
+        doc["root"]["internal"].update(used_fallback=True, fallback_feature=0,
+                                       fallback_threshold=0.25)
+        return doc
+
+    def test_well_formed_fallback_split_loads(self):
+        root = loads_model(json.dumps(self.fallback_doc())).root
+        assert (root.split.used_fallback, root.split.fallback_feature,
+                root.split.fallback_threshold) == (True, 0, 0.25)
+
+    @pytest.mark.parametrize("value", [[1], 1.0, True, "0", None, -1, 1])
+    def test_bad_fallback_feature(self, value):
+        doc = self.fallback_doc()
+        doc["root"]["internal"]["fallback_feature"] = value  # d is 1
+        with pytest.raises(CorruptModel, match=r"root.internal.fallback_feature: expected "
+                                               r"a feature index in \[0, 1\)"):
+            loads_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", ["x", None, [0.5], True, float("nan"), float("inf")])
+    def test_bad_fallback_threshold(self, value):
+        doc = self.fallback_doc()
+        doc["root"]["internal"]["fallback_threshold"] = value
+        with pytest.raises(CorruptModel, match="root.internal.fallback_threshold: expected "
+                                               "a finite number"):
+            loads_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["fallback_feature", "fallback_threshold"])
+    def test_fallback_split_without_its_field(self, key):
+        doc = self.fallback_doc()
+        del doc["root"]["internal"][key]
+        with pytest.raises(CorruptModel, match=f"root.internal: missing '{key}'"):
+            loads_model(json.dumps(doc))
+
+    def test_used_fallback_that_is_not_a_boolean(self):
+        doc = self.tree_doc()
+        doc["root"]["internal"]["used_fallback"] = "no"
+        with pytest.raises(CorruptModel, match="root.internal.used_fallback"):
+            loads_model(json.dumps(doc))
+
+    def test_fallback_fields_of_an_optimized_split_are_ignored(self):
+        doc = self.tree_doc()
+        doc["root"]["internal"].update(used_fallback=False, fallback_feature=[1],
+                                       fallback_threshold="x")
+        model = loads_model(json.dumps(doc))
+        assert model.root.split.fallback_feature is None
+        assert dumps_model(model) == dumps_model(loads_model(json.dumps(self.tree_doc())))
+
     def test_unknown_config_field(self):
         doc = self.tree_doc()
         doc["config"]["split"]["momentum"] = 0.9
