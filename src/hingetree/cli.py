@@ -4,13 +4,14 @@ The fitting commands (train, ablate-step, trace-node) take --seed and
 --config, and fit the same bits for the same inputs, flags and seed; an
 unset hyperparameter takes its config dataclass default.  A --config file
 holds hyperparameters under their flag destinations (``max_depth``,
-``step``, ...), and a key the command does not read is a configuration
-error.  Exit codes:
-0 success, 2 configuration error, 3 data error or corrupt model file
-(including boost traces whose lengths disagree), 4 model/data dimension
-mismatch, 5 per-stage bound violation (boost-diagnose only).  The HRT_LOG
-environment variable ({error|info|debug}, default error) controls
-verbosity; debug additionally prints tracebacks.
+``step``, ...).  A key the command does not read is a configuration
+error, and so is ``--stages`` or ``--eta`` given to ``train ... hrt``.
+Exit codes: 0 success, 2 configuration error, 3 data error or corrupt
+model file (any value that :mod:`hingetree.serialize` rejects on load,
+``preprocess`` included), 4 model/data dimension mismatch, 5 per-stage
+bound violation (boost-diagnose only).  The HRT_LOG environment variable
+({error|info|debug}, default error) controls verbosity; debug
+additionally prints tracebacks.
 """
 from __future__ import annotations
 
@@ -261,15 +262,9 @@ def _dataset(args) -> Dataset:
     return parse_dataset_spec(args.dataset, target=target, header=header)
 
 
-def _apply_preprocess(model, X: np.ndarray) -> np.ndarray:
-    if model.preprocess is None:
-        return X
-    transform = StandardizeTransform.from_dict(model.preprocess["standardize"])
-    return transform.apply(X)
-
-
 def _predictions(model, X: np.ndarray) -> np.ndarray:
-    X = _apply_preprocess(model, X)
+    if model.preprocess is not None:
+        X = StandardizeTransform.from_dict(model.preprocess["standardize"]).apply(X)
     if isinstance(model, BoostModel):
         return predict_boost_batch(model, X)
     return predict_batch(model, X)
@@ -317,7 +312,11 @@ def _print_flops(flops: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config, _BOOST_KEYS if args.kind == "boost" else _TREE_KEYS)
+    keys = _BOOST_KEYS if args.kind == "boost" else _TREE_KEYS
+    unread = [_HYPER[k][0] for k in _BOOST_KEYS if k not in keys and getattr(args, k) is not None]
+    if unread:
+        raise CliConfigError(f"train {args.kind} does not read {', '.join(unread)}")
+    file_cfg = _load_config_file(args.config, keys)
     ds = _dataset(args)
     kind = args.kind
     seed = args.seed

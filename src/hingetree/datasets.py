@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -239,6 +240,11 @@ def split_train_test(ds: Dataset, train_fraction: float, seed: int = 0):
     return parts[0], parts[1]
 
 
+def _finite(value) -> bool:
+    """Whether a decoded JSON value is a number, not a boolean, with a finite float value."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 @dataclass
 class StandardizeTransform:
     """Per-feature affine transform fitted on training data."""
@@ -258,12 +264,22 @@ class StandardizeTransform:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "StandardizeTransform":
-        return cls(
-            shift=np.asarray(doc["shift"], dtype=float),
-            scale=np.asarray(doc["scale"], dtype=float),
-            constant_mask=np.asarray(doc["constant_mask"], dtype=bool),
-        )
+    def from_dict(cls, doc) -> "StandardizeTransform":
+        """The transform that :meth:`to_dict` wrote.
+
+        Raises ``ValueError`` unless ``doc`` holds three lists of one length:
+        finite ``shift`` values, finite non-zero ``scale`` values and boolean
+        ``constant_mask`` flags.
+        """
+        shift, scale, mask = (doc.get(k) if isinstance(doc, dict) else None
+                              for k in ("shift", "scale", "constant_mask"))
+        if not (all(isinstance(v, list) and len(v) == len(shift) for v in (shift, scale, mask))
+                and all(map(_finite, shift + scale)) and 0 not in scale
+                and all(type(v) is bool for v in mask)):
+            raise ValueError("expected lists shift, scale and constant_mask of one length, "
+                             "with finite shifts, finite non-zero scales and boolean flags")
+        return cls(shift=np.asarray(shift, dtype=float), scale=np.asarray(scale, dtype=float),
+                   constant_mask=np.asarray(mask, dtype=bool))
 
 
 def standardize(train: Dataset, test: Dataset | None = None):

@@ -3,13 +3,16 @@
 Floats are emitted in Python's shortest round-trip decimal form, so a
 save/load cycle reproduces every binary64 value exactly and predictions
 are bit-identical.  Documents are written with sorted keys so identical
-models serialize to identical bytes.  A document's structure is checked
-before any of it is built: text that is not JSON, a missing key or child,
-a coefficient vector that is not d+1 finite numbers, a fallback split
-without a feature index in [0, d) and a finite threshold, boost traces whose
-lengths disagree with each other or with the learners, a config field
-that is unknown or holds a value the config rejects, or a count, scalar
-or trace entry that is not a number raises :class:`CorruptModel`.
+models serialize to identical bytes.  Loading checks each value where it
+reads it, in one walk over the document.  Text that is not JSON, a missing
+key or child, a coefficient vector that is not d+1 finite numbers, a
+fallback split without a feature index in [0, d) and a finite threshold,
+boost traces whose lengths disagree with each other or with the learners,
+a config field that is unknown or holds a value the config rejects, a
+count or trace entry that is not a number, an ``f0`` that is not finite,
+an ``eta`` outside (0, 1], or a ``preprocess`` block that
+:meth:`~hingetree.datasets.StandardizeTransform.from_dict` rejects or
+whose width is not d raises :class:`CorruptModel`.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .boost import BoostConfig, BoostModel
+from .datasets import StandardizeTransform, _finite
 from .errors import CorruptModel
 from .split import HingeKind, SplitConfig, SplitOutcome
 from .tree import HrtModel, Internal, Leaf, TreeConfig, TreeNode, train_stats
@@ -67,95 +71,6 @@ def _require(doc, keys, where: str) -> None:
         raise CorruptModel(f"{where}: missing {', '.join(map(repr, missing))}")
 
 
-def _check_theta(theta, d: int, where: str) -> None:
-    if not (isinstance(theta, list) and len(theta) == d + 1
-            and all(type(v) in (int, float) and math.isfinite(v) for v in theta)):
-        raise CorruptModel(f"{where}: expected a list of {d + 1} finite coefficients")
-
-
-def _check_node(doc, d: int, where: str) -> None:
-    """Raise CorruptModel unless this node and every node below it are well formed."""
-    if not isinstance(doc, dict) or len(doc) != 1 or next(iter(doc)) not in _NODE_KEYS:
-        raise CorruptModel(f"{where}: expected a 'leaf' or an 'internal' node")
-    ((tag, body),) = doc.items()
-    where = f"{where}.{tag}"
-    _require(body, _NODE_KEYS[tag], where)
-    if tag == "leaf":
-        _check_theta(body["theta"], d, f"{where}.theta")
-        return
-    if body["kind"] not in [k.value for k in HingeKind]:
-        raise CorruptModel(f"{where}.kind: unknown hinge kind {body['kind']!r}")
-    _check_theta(body["theta1"], d, f"{where}.theta1")
-    _check_theta(body["theta2"], d, f"{where}.theta2")
-    if type(body["used_fallback"]) is not bool:
-        raise CorruptModel(f"{where}.used_fallback: expected true or false")
-    if body["used_fallback"]:
-        _require(body, ("fallback_feature", "fallback_threshold"), where)
-        feature, threshold = body["fallback_feature"], body["fallback_threshold"]
-        if type(feature) is not int or not 0 <= feature < d:
-            raise CorruptModel(f"{where}.fallback_feature: expected a feature index in "
-                               f"[0, {d}), got {feature!r}")
-        if type(threshold) not in (int, float) or not math.isfinite(threshold):
-            raise CorruptModel(f"{where}.fallback_threshold: expected a finite number, "
-                               f"got {threshold!r}")
-    _check_node(body["left"], d, f"{where}.left")
-    _check_node(body["right"], d, f"{where}.right")
-
-
-def _check_model(doc: dict, kind: str) -> None:
-    _require(doc, _MODEL_KEYS[kind], "model")
-    d = doc["d"]
-    if type(d) is not int or d < 0:
-        raise CorruptModel(f"model: 'd' must be a non-negative integer, got {d!r}")
-    if kind == "hrt":
-        _require(doc["config"], ("split",), "config")
-        _check_node(doc["root"], d, "root")
-        return
-    _require(doc["config"], ("m_stages", "eta", "tree"), "config")
-    _require(doc["config"]["tree"], ("split",), "config.tree")
-    for key in ("learners", "gamma_trace", "loss_trace", "stage_retained"):
-        if not isinstance(doc[key], list):
-            raise CorruptModel(f"{key}: expected a list")
-    for i, node in enumerate(doc["learners"]):
-        _check_node(node, d, f"learners[{i}]")
-    # The stage loop reads one learner per retained stage and one loss per stage.
-    stages = len(doc["stage_retained"])
-    if len(doc["loss_trace"]) != stages + 1:
-        raise CorruptModel(f"loss_trace: expected {stages + 1} entries for {stages} stages, "
-                           f"got {len(doc['loss_trace'])}")
-    retained = sum(map(bool, doc["stage_retained"]))
-    if retained != len(doc["learners"]):
-        raise CorruptModel(f"stage_retained: {retained} retained stages for "
-                           f"{len(doc['learners'])} learners")
-    if len(doc["gamma_trace"]) not in (0, stages):
-        raise CorruptModel(f"gamma_trace: expected {stages} entries or none, "
-                           f"got {len(doc['gamma_trace'])}")
-
-
-def _node_from_dict(doc: dict, where: str) -> TreeNode:
-    if "leaf" in doc:
-        leaf = doc["leaf"]
-        with _reading(f"{where}.leaf.n_train"):
-            n_train = int(leaf["n_train"])
-        return Leaf(theta=np.asarray(leaf["theta"], dtype=float), n_train=n_train)
-    body = doc["internal"]
-    used = body["used_fallback"]
-    outcome = SplitOutcome(
-        theta1=np.asarray(body["theta1"], dtype=float),
-        theta2=np.asarray(body["theta2"], dtype=float),
-        kind=HingeKind(body["kind"]),
-        converged=True,
-        iterations=0,
-        objective_trace=[],
-        used_fallback=used,
-        fallback_feature=body["fallback_feature"] if used else None,
-        fallback_threshold=body["fallback_threshold"] if used else None,
-    )
-    return Internal(split=outcome,
-                    left=_node_from_dict(body["left"], f"{where}.internal.left"),
-                    right=_node_from_dict(body["right"], f"{where}.internal.right"))
-
-
 @contextmanager
 def _reading(where: str):
     """Report a document value that fails to convert as CorruptModel."""
@@ -165,7 +80,51 @@ def _reading(where: str):
         raise CorruptModel(f"{where}: {exc}") from None
 
 
-def _tree_config_from_dict(doc: dict, where: str = "config") -> TreeConfig:
+def _theta(values, d: int, where: str) -> np.ndarray:
+    if not (isinstance(values, list) and len(values) == d + 1 and all(map(_finite, values))):
+        raise CorruptModel(f"{where}: expected a list of {d + 1} finite coefficients")
+    return np.asarray(values, dtype=float)
+
+
+def _node_from_dict(doc, d: int, where: str) -> TreeNode:
+    """The node ``doc`` and every node below it, each checked as it is built."""
+    if not isinstance(doc, dict) or len(doc) != 1 or next(iter(doc)) not in _NODE_KEYS:
+        raise CorruptModel(f"{where}: expected a 'leaf' or an 'internal' node")
+    ((tag, body),) = doc.items()
+    where = f"{where}.{tag}"
+    _require(body, _NODE_KEYS[tag], where)
+    if tag == "leaf":
+        with _reading(f"{where}.n_train"):
+            n_train = int(body["n_train"])
+        return Leaf(theta=_theta(body["theta"], d, f"{where}.theta"), n_train=n_train)
+    if body["kind"] not in [k.value for k in HingeKind]:
+        raise CorruptModel(f"{where}.kind: unknown hinge kind {body['kind']!r}")
+    theta1 = _theta(body["theta1"], d, f"{where}.theta1")
+    theta2 = _theta(body["theta2"], d, f"{where}.theta2")
+    used = body["used_fallback"]
+    if type(used) is not bool:
+        raise CorruptModel(f"{where}.used_fallback: expected true or false")
+    feature = threshold = None
+    if used:
+        _require(body, ("fallback_feature", "fallback_threshold"), where)
+        feature, threshold = body["fallback_feature"], body["fallback_threshold"]
+        if type(feature) is not int or not 0 <= feature < d:
+            raise CorruptModel(f"{where}.fallback_feature: expected a feature index in "
+                               f"[0, {d}), got {feature!r}")
+        if not _finite(threshold):
+            raise CorruptModel(f"{where}.fallback_threshold: expected a finite number, "
+                               f"got {threshold!r}")
+    outcome = SplitOutcome(theta1=theta1, theta2=theta2, kind=HingeKind(body["kind"]),
+                           converged=True, iterations=0, objective_trace=[],
+                           used_fallback=used, fallback_feature=feature,
+                           fallback_threshold=threshold)
+    return Internal(split=outcome,
+                    left=_node_from_dict(body["left"], d, f"{where}.left"),
+                    right=_node_from_dict(body["right"], d, f"{where}.right"))
+
+
+def _tree_config_from_dict(doc, where: str) -> TreeConfig:
+    _require(doc, ("split",), where)
     # Earlier format-1 files also store ``fallback_on_nonconvergence``; the
     # median fallback is now unconditional, so that key is ignored.
     rest = {k: v for k, v in doc.items() if k not in ("split", "fallback_on_nonconvergence")}
@@ -175,42 +134,31 @@ def _tree_config_from_dict(doc: dict, where: str = "config") -> TreeConfig:
 
 def model_to_dict(model) -> dict:
     if isinstance(model, HrtModel):
+        doc = {"kind": "hrt", "root": _node_to_dict(model.root)}
+    elif isinstance(model, BoostModel):
         doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "hrt",
-            "d": int(model.d),
-            "config": asdict(model.config),
-            "root": _node_to_dict(model.root),
-        }
-        if model.preprocess is not None:
-            doc["preprocess"] = model.preprocess
-        return doc
-    if isinstance(model, BoostModel):
-        doc = {
-            "format_version": FORMAT_VERSION,
             "kind": "boost",
-            "d": int(model.d),
             "f0": float(model.f0),
             "eta": float(model.eta),
             "gamma_trace": [float(g) for g in model.gamma_trace],
             "loss_trace": [float(v) for v in model.loss_trace],
             "stage_retained": [bool(b) for b in model.stage_retained],
-            "config": asdict(model.config),
             "learners": [_node_to_dict(t.root) for t in model.learners],
         }
-        if model.preprocess is not None:
-            doc["preprocess"] = model.preprocess
-        return doc
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    doc.update(format_version=FORMAT_VERSION, d=int(model.d), config=asdict(model.config))
+    if model.preprocess is not None:
+        doc["preprocess"] = model.preprocess
+    return doc
 
 
 def model_from_dict(doc: dict):
-    """Build a model from its document.
+    """Build a model from its document, checking each value as it is read.
 
     An unsupported ``format_version`` or model kind raises ``ValueError``;
-    a malformed structure raises :class:`CorruptModel` before anything is
-    built.  A config value that the config rejects, and a count, scalar or
-    trace entry that is not a number, raise it too.
+    every other malformed value listed in the module docstring raises
+    :class:`CorruptModel`.
     """
     if not isinstance(doc, dict):
         raise CorruptModel("model: expected a JSON object")
@@ -218,51 +166,72 @@ def model_from_dict(doc: dict):
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     kind = doc.get("kind")
-    if kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
         raise ValueError(f"unknown model kind {kind!r}")
-    _check_model(doc, kind)
+    _require(doc, _MODEL_KEYS[kind], "model")
+    d = doc["d"]
+    if type(d) is not int or d < 0:
+        raise CorruptModel(f"model: 'd' must be a non-negative integer, got {d!r}")
+    preprocess = doc.get("preprocess")
+    if preprocess is not None:
+        _require(preprocess, ("standardize",), "preprocess")
+        with _reading("preprocess.standardize"):
+            width = StandardizeTransform.from_dict(preprocess["standardize"]).shift.size
+        if width != d:
+            raise CorruptModel(f"preprocess.standardize: {width} features for a model of {d}")
     if kind == "hrt":
-        root = _node_from_dict(doc["root"], "root")
-        return HrtModel(
-            root=root,
-            d=int(doc["d"]),
-            config=_tree_config_from_dict(doc["config"]),
-            # Optimizer effort counters are not serialized; they read 0 on load.
-            stats=train_stats(root),
-            preprocess=doc.get("preprocess"),
-        )
+        root = _node_from_dict(doc["root"], d, "root")
+        # Optimizer effort counters are not serialized; they read 0 on load.
+        return HrtModel(root=root, d=d, config=_tree_config_from_dict(doc["config"], "config"),
+                        stats=train_stats(root), preprocess=preprocess)
+
+    _require(doc["config"], ("m_stages", "eta", "tree"), "config")
     tree_config = _tree_config_from_dict(doc["config"]["tree"], "config.tree")
     # Earlier format-1 files also store ``record_gamma``; it is ignored.
     with _reading("config"):
-        config = BoostConfig(
-            m_stages=int(doc["config"]["m_stages"]),
-            eta=float(doc["config"]["eta"]),
-            tree=tree_config,
-        )
+        config = BoostConfig(m_stages=int(doc["config"]["m_stages"]),
+                             eta=float(doc["config"]["eta"]), tree=tree_config)
     with _reading("f0"):
         f0 = float(doc["f0"])
+    if not math.isfinite(f0):
+        raise CorruptModel(f"f0: expected a finite number, got {f0!r}")
     with _reading("eta"):
         eta = float(doc["eta"])
+    # Not required to equal config.eta: only this one scales the learners.
+    if not 0.0 < eta <= 1.0:
+        raise CorruptModel(f"eta: must lie in (0, 1], got {eta!r}")
+    for key in ("learners", "gamma_trace", "loss_trace", "stage_retained"):
+        if not isinstance(doc[key], list):
+            raise CorruptModel(f"{key}: expected a list")
     with _reading("gamma_trace"):
         gamma_trace = [float(g) for g in doc["gamma_trace"]]
     with _reading("loss_trace"):
         loss_trace = [float(v) for v in doc["loss_trace"]]
-    learners = []
-    for i, node_doc in enumerate(doc["learners"]):
-        root = _node_from_dict(node_doc, f"learners[{i}]")
-        learners.append(HrtModel(root=root, d=int(doc["d"]),
-                                 config=tree_config,
-                                 stats=train_stats(root)))
+    stage_retained = [bool(b) for b in doc["stage_retained"]]
+    # The stage loop reads one learner per retained stage and one loss per stage.
+    stages = len(stage_retained)
+    if len(loss_trace) != stages + 1:
+        raise CorruptModel(f"loss_trace: expected {stages + 1} entries for {stages} stages, "
+                           f"got {len(loss_trace)}")
+    retained = sum(stage_retained)
+    if retained != len(doc["learners"]):
+        raise CorruptModel(f"stage_retained: {retained} retained stages for "
+                           f"{len(doc['learners'])} learners")
+    if len(gamma_trace) not in (0, stages):
+        raise CorruptModel(f"gamma_trace: expected {stages} entries or none, "
+                           f"got {len(gamma_trace)}")
+    roots = [_node_from_dict(node, d, f"learners[{i}]") for i, node in enumerate(doc["learners"])]
     return BoostModel(
         f0=f0,
         eta=eta,
-        learners=learners,
+        learners=[HrtModel(root=root, d=d, config=tree_config, stats=train_stats(root))
+                  for root in roots],
         gamma_trace=gamma_trace,
         loss_trace=loss_trace,
-        stage_retained=[bool(b) for b in doc["stage_retained"]],
-        d=int(doc["d"]),
+        stage_retained=stage_retained,
+        d=d,
         config=config,
-        preprocess=doc.get("preprocess"),
+        preprocess=preprocess,
     )
 
 

@@ -146,6 +146,30 @@ class TestTrain:
         assert json.loads(report.read_text())["config"]["d_max"] == 2
 
 
+    @pytest.mark.parametrize("flag, value", [("--stages", "7"), ("--eta", "0.9")])
+    def test_boost_only_flag_with_hrt_is_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.json"
+        code, text, err = run(capsys, "train", "sinc:n=100:sigma=0.02:seed=1", "hrt",
+                              flag, value, "--out", str(out))
+        assert code == 2
+        assert err == f"error: train hrt does not read {flag}\n"
+        assert text == ""
+        assert not out.exists()
+
+    def test_diagnostics_adds_per_node_traces_to_the_report(self, tmp_path, capsys):
+        reports = {}
+        for extra in ([], ["--diagnostics"]):
+            report = tmp_path / "r.json"
+            code, _, _ = run(capsys, "train", "sinc:n=100:sigma=0.02:seed=1", "hrt",
+                             "--out", str(tmp_path / "m.json"), "--json", str(report), *extra)
+            assert code == 0
+            reports[bool(extra)] = json.loads(report.read_text())
+        assert "per_node_traces" not in reports[False]
+        traces = reports[True]["per_node_traces"]
+        # Fallback nodes keep their trace too, so there may be more traces than splits.
+        assert traces and all(len(trace) >= 1 for trace in traces)
+        assert all(isinstance(v, float) for trace in traces for v in trace)
+
     def test_boost_reads_stages_and_eta_from_the_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"stages": 2, "eta": 0.5, "max_depth": 1}))
@@ -278,6 +302,18 @@ class TestCorruptModelFile:
         assert code == 3
         assert err.startswith(f"error: root.internal.{key}: expected")
         assert "Traceback" not in err
+
+    def test_bad_preprocess_block_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        run(capsys, "train", "f2:n=100:sigma=0.05:seed=4", "hrt", "--max-depth", "2",
+            "--standardize", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["preprocess"]["standardize"]["scale"][0] = 0.0
+        out.write_text(json.dumps(doc))
+        code, text, err = run(capsys, "eval", str(out), "f2:n=50:sigma=0.05:seed=5")
+        assert code == 3
+        assert err.startswith("error: preprocess.standardize: expected")
+        assert text == ""
 
     def test_truncated_file_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "m.json"

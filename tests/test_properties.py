@@ -1,6 +1,8 @@
 """Property tests of the split layer's and the fitted models' invariants (Hypothesis)."""
+import functools
+import json
 from contextlib import nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from hingetree import (
     BoostConfig,
+    CorruptModel,
     HingeKind,
     SplitConfig,
     TreeConfig,
@@ -30,7 +33,7 @@ from hingetree import (
     predict_boost_batch,
     ridge_solve,
 )
-from hingetree import linear, tree
+from hingetree import cli, linear, tree
 from hingetree.tree import Leaf
 from conftest import hinge_regression
 
@@ -247,3 +250,74 @@ def test_batch_routing_equals_the_scalar_walk(d, block):
                                [predict_boost(boost, row) for row in X])
 
     check()
+
+
+# ---- the auto step ----
+
+@FAST
+@given(seed=st.integers(0, 2**16), n=st.integers(8, 60), d=st.integers(1, 3),
+       noise=st.sampled_from([0.0, 0.1, 1.0]))
+def test_auto_step_objective_trace_strictly_decreases(seed, n, d, noise):
+    X, y = hinge_regression(seed, n, d, noise)
+    for kind in HingeKind:
+        trace = find_optimal_split(X, y, kind, SplitConfig(step="auto", seed=seed)).objective_trace
+        assert all(b < a for a, b in zip(trace, trace[1:]))
+
+
+# ---- loading edited model documents ----
+
+@functools.cache
+def saved_documents():
+    """The text of a saved tree, with a fallback split, and of a saved ensemble,
+    both with a preprocess block."""
+    X, y = hinge_regression(6, 80, 2, noise=0.1)
+    hrt = build_tree(X, y, TreeConfig(d_max=3, split=SplitConfig(seed=6)))
+    boost = fit_boost(X, y, BoostConfig(m_stages=3, eta=0.5,
+                                        tree=replace(default_boost_tree_config(6), d_max=2)))
+    texts = []
+    for model in (hrt, boost):
+        model.preprocess = {"standardize": {"shift": [1.0, 0.5], "scale": [3.0, 2.0],
+                                            "constant_mask": [False, False]}}
+        texts.append(dumps_model(model))
+    assert '"used_fallback": true' in texts[0]
+    return tuple(texts)
+
+
+DELETE = object()
+replacements = st.sampled_from([None, "x", [], [0.5], {}, {"a": 1}, True, False, -3, 2**64,
+                                10**400, float("nan"), float("inf"), float("-inf"), DELETE])
+
+
+@st.composite
+def edited_documents(draw):
+    """A saved document with the value at one drawn path replaced or deleted."""
+    doc = json.loads(draw(st.sampled_from(saved_documents())))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        # Stop here, or walk one level further into a non-empty object or list.
+        if not (isinstance(child, (dict, list)) and child) or draw(st.integers(0, 3)) == 0:
+            break
+        node = child
+    value = draw(replacements)
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    return json.dumps(doc)
+
+
+@settings(FAST, max_examples=600)
+@given(edited_documents())
+def test_an_edited_document_loads_whole_or_raises_corrupt_model(text):
+    try:
+        model = loads_model(text)
+    except CorruptModel:
+        return
+    except ValueError as exc:
+        assert str(exc).startswith(("unsupported format_version", "unknown model kind"))
+        return
+    dumps_model(model)
+    X = np.random.default_rng(0).uniform(-3.0, 5.0, size=(7, model.d))
+    assert np.isfinite(cli._predictions(model, X)).all()

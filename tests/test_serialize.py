@@ -381,3 +381,63 @@ class TestCorruptModel:
         text = dumps_model(trained_tree()[1])
         with pytest.raises(CorruptModel, match="not valid JSON"):
             loads_model(text[: len(text) // 2])
+
+    def test_kind_that_is_not_a_string(self):
+        doc = self.tree_doc()
+        doc["kind"] = ["hrt"]
+        with pytest.raises(ValueError, match=r"unknown model kind \['hrt'\]"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [3, 0, -0.5, float("nan"), float("inf")])
+    def test_boost_eta_out_of_range(self, value):
+        # Checked against its range, not against config.eta.
+        doc = model_to_dict(trained_boost()[1])
+        doc["eta"] = value
+        with pytest.raises(CorruptModel, match=r"^eta: must lie in \(0, 1\]"):
+            loads_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_boost_f0(self, value):
+        doc = model_to_dict(trained_boost()[1])
+        doc["f0"] = value
+        with pytest.raises(CorruptModel, match="^f0: expected a finite number"):
+            loads_model(json.dumps(doc))
+
+    def test_integer_beyond_the_float_range(self):
+        doc = self.tree_doc()
+        first_leaf(doc["root"])["theta"][0] = 10 ** 400
+        with pytest.raises(CorruptModel, match="leaf.theta: expected a list of 2 finite"):
+            loads_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("damage", [
+        lambda pre: pre["standardize"]["shift"].pop(),
+        lambda pre: pre["standardize"]["scale"].__setitem__(1, 0.0),
+        lambda pre: pre["standardize"]["shift"].__setitem__(0, float("nan")),
+        lambda pre: pre["standardize"]["shift"].__setitem__(0, "0.5"),
+        lambda pre: pre["standardize"]["constant_mask"].__setitem__(0, 0),
+        lambda pre: pre["standardize"].pop("scale"),
+        lambda pre: pre.__setitem__("standardize", [1.0, 2.0]),
+    ], ids=["short-shift", "zero-scale", "nan-shift", "string-shift", "int-flag",
+            "no-scale", "not-an-object"])
+    def test_bad_preprocess_block(self, damage):
+        _, model = trained_boost(seed=6)
+        model.preprocess = {"standardize": {"shift": [0.5, -1.0], "scale": [2.0, 1.0],
+                                            "constant_mask": [False, False]}}
+        doc = model_to_dict(model)
+        damage(doc["preprocess"])
+        with pytest.raises(CorruptModel, match=r"^preprocess\.standardize: expected lists"):
+            loads_model(json.dumps(doc))
+
+    def test_preprocess_of_another_width(self):
+        doc = self.tree_doc()  # d is 1
+        doc["preprocess"] = {"standardize": {"shift": [0.0, 0.0], "scale": [1.0, 1.0],
+                                             "constant_mask": [False, False]}}
+        with pytest.raises(CorruptModel, match="^preprocess.standardize: 2 features for a "
+                                               "model of 1"):
+            loads_model(json.dumps(doc))
+
+    def test_preprocess_without_its_transform(self):
+        doc = self.tree_doc()
+        doc["preprocess"] = {}
+        with pytest.raises(CorruptModel, match="^preprocess: missing 'standardize'"):
+            loads_model(json.dumps(doc))
