@@ -50,20 +50,24 @@ def augment(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-@functools.lru_cache(maxsize=None)
-def _penalty(p: int) -> np.ndarray:
-    # Identity with the bias entry zeroed: the bias is not regularized.
-    penalty = np.eye(p)
+@functools.lru_cache(maxsize=256)
+def _penalty(p: int, alpha: float) -> np.ndarray:
+    # alpha times the identity with the bias entry zeroed: the bias is not regularized.
+    penalty = alpha * np.eye(p)
     penalty[-1, -1] = 0.0
     penalty.flags.writeable = False
     return penalty
 
 
 def _normal_equations(X: np.ndarray, y: np.ndarray, alpha: float):
-    """``(gram, rhs, system)`` of the ridge problem; ``system`` is ``gram`` when alpha is 0."""
+    """``(gram, rhs, system)`` of the ridge problem; ``system`` is ``gram`` when alpha is 0.
+
+    The penalty matrix is formed once per (p, alpha) and cached read-only,
+    so a system is one addition to the Gram matrix.
+    """
     gram = X.T @ X
     rhs = X.T @ y
-    system = gram + alpha * _penalty(X.shape[1]) if alpha > 0 else gram
+    system = gram + _penalty(X.shape[1], alpha) if alpha > 0 else gram
     return gram, rhs, system
 
 

@@ -9,8 +9,9 @@ key or child, a coefficient vector that is not d+1 finite numbers, a
 fallback split without a feature index in [0, d) and a finite threshold,
 boost traces whose lengths disagree with each other or with the learners,
 a config field that is unknown or holds a value the config rejects, a
-count or trace entry that is not a number, an ``f0`` that is not finite,
-an ``eta`` outside (0, 1], or a ``preprocess`` block that
+count that is not a number, a trace entry that is not a finite number, a
+``stage_retained`` entry that is not a boolean, an ``f0`` that is not
+finite, an ``eta`` outside (0, 1], or a ``preprocess`` block that
 :meth:`~hingetree.datasets.StandardizeTransform.from_dict` rejects or
 whose width is not d raises :class:`CorruptModel`.
 """
@@ -86,6 +87,15 @@ def _theta(values, d: int, where: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _finite_trace(values: list, where: str) -> list[float]:
+    with _reading(where):
+        trace = [float(v) for v in values]
+    for i, v in enumerate(trace):
+        if not math.isfinite(v):
+            raise CorruptModel(f"{where}[{i}]: expected a finite number, got {v!r}")
+    return trace
+
+
 def _node_from_dict(doc, d: int, where: str) -> TreeNode:
     """The node ``doc`` and every node below it, each checked as it is built."""
     if not isinstance(doc, dict) or len(doc) != 1 or next(iter(doc)) not in _NODE_KEYS:
@@ -156,14 +166,16 @@ def model_to_dict(model) -> dict:
 def model_from_dict(doc: dict):
     """Build a model from its document, checking each value as it is read.
 
-    An unsupported ``format_version`` or model kind raises ``ValueError``;
+    A ``format_version`` that is not the integer ``FORMAT_VERSION`` (a
+    boolean is not an integer here) or an unknown model kind raises
+    ``ValueError``;
     every other malformed value listed in the module docstring raises
     :class:`CorruptModel`.
     """
     if not isinstance(doc, dict):
         raise CorruptModel("model: expected a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _MODEL_KEYS:
@@ -203,11 +215,12 @@ def model_from_dict(doc: dict):
     for key in ("learners", "gamma_trace", "loss_trace", "stage_retained"):
         if not isinstance(doc[key], list):
             raise CorruptModel(f"{key}: expected a list")
-    with _reading("gamma_trace"):
-        gamma_trace = [float(g) for g in doc["gamma_trace"]]
-    with _reading("loss_trace"):
-        loss_trace = [float(v) for v in doc["loss_trace"]]
-    stage_retained = [bool(b) for b in doc["stage_retained"]]
+    gamma_trace = _finite_trace(doc["gamma_trace"], "gamma_trace")
+    loss_trace = _finite_trace(doc["loss_trace"], "loss_trace")
+    stage_retained = doc["stage_retained"]
+    for i, b in enumerate(stage_retained):
+        if type(b) is not bool:
+            raise CorruptModel(f"stage_retained[{i}]: expected true or false, got {b!r}")
     # The stage loop reads one learner per retained stage and one loss per stage.
     stages = len(stage_retained)
     if len(loss_trace) != stages + 1:

@@ -7,6 +7,11 @@ a damped Newton step on the node objective, because the Gauss-Newton
 Hessian is exact for a piecewise-linear model.  ``mu`` may be a fixed
 damping factor in (0, 1] or ``"auto"``, a backtracking search that starts
 at ``mu0`` and shrinks geometrically until the objective strictly drops.
+The optimizer and the public steps hold both sides' parameters as one
+``(2, d+1)`` array, so a step, a line-search candidate and a parameter
+change are one set of elementwise operations; every value keeps the bits
+of the per-side arithmetic, because the side values stay two matvecs and
+the objective and change norms stay dot products.
 Every function that takes samples and targets checks them with
 :func:`~hingetree.linear.check_training` first.
 """
@@ -121,20 +126,22 @@ def _first_pair(kind, a, b):
     return (a, b) if kind is HingeKind.MAX else (b, a)
 
 
-def _sides(a, b, kind, idx):
+def _first_side(a, b, kind):
+    # Boolean mask of the rows on the first side of the hinge.
     p, q = _first_pair(kind, a, b)
-    first = p >= q
-    return idx[first], idx[~first]
+    return p >= q
 
 
-def _evaluate(Xa, y, theta1, theta2, kind):
-    """Objective at (theta1, theta2) on the augmented design, with the side values a and b.
+def _evaluate(Xa, y, th, kind):
+    """Objective at the stacked parameters ``th`` = (theta1, theta2), with the side values a and b.
 
-    ``a = Xa @ theta1`` and ``b = Xa @ theta2`` are returned so that the
-    caller can partition by them without recomputing either matvec.
+    ``a = Xa @ th[0]`` and ``b = Xa @ th[1]`` are two matvecs, not one
+    product with ``th.T``, which would round differently; they are
+    returned so that the caller can partition by them without recomputing
+    either.
     """
-    a = Xa @ theta1
-    b = Xa @ theta2
+    a = Xa @ th[0]
+    b = Xa @ th[1]
     r = y - _envelope(a, b, kind)
     return 0.5 * float(r @ r), a, b
 
@@ -142,7 +149,7 @@ def _evaluate(Xa, y, theta1, theta2, kind):
 def objective(X, y, theta1, theta2, kind: HingeKind) -> float:
     """Node objective: half the summed squared error of the hinge prediction."""
     X, y = check_training(X, y)
-    return _evaluate(augment(X), y, theta1, theta2, kind)[0]
+    return _evaluate(augment(X), y, np.array((theta1, theta2), dtype=float), kind)[0]
 
 
 def partition(X, theta1, theta2, kind: HingeKind):
@@ -152,7 +159,8 @@ def partition(X, theta1, theta2, kind: HingeKind):
     <=.  The two sets are disjoint and exhaustive.
     """
     Xa = augment(X)
-    return _sides(Xa @ theta1, Xa @ theta2, kind, np.arange(Xa.shape[0]))
+    first = _first_side(Xa @ theta1, Xa @ theta2, kind)
+    return np.flatnonzero(first), np.flatnonzero(~first)
 
 
 def _fit_subset(Xa, y, idx, alpha, min_subset, current):
@@ -160,7 +168,7 @@ def _fit_subset(Xa, y, idx, alpha, min_subset, current):
     if idx.size < min_subset:
         return current
     try:
-        return ridge_solve(Xa[idx], y[idx], alpha)
+        return ridge_solve(Xa.take(idx, axis=0), y.take(idx), alpha)
     except DegenerateSystem:
         return current
 
@@ -176,37 +184,51 @@ def _refit(Xa, y, s1, s2, theta1, theta2, alpha, min_subset):
     alone.
     """
     if s1.size >= min_subset and s2.size >= min_subset:
-        pair = ridge_solve_pair(Xa[s1], y[s1], Xa[s2], y[s2], alpha)
+        pair = ridge_solve_pair(Xa.take(s1, axis=0), y.take(s1),
+                                Xa.take(s2, axis=0), y.take(s2), alpha)
         if pair is not None:
             return pair
     return (_fit_subset(Xa, y, s1, alpha, min_subset, theta1),
             _fit_subset(Xa, y, s2, alpha, min_subset, theta2))
 
 
-def _step_toward(theta, target, mu):
-    # mu == 1 lands exactly on the refit solution (unit Newton step).
+def _targets(Xa, y, first, th, alpha, min_subset):
+    """:func:`_refit` on the partition ``first`` (a row mask), stacked like ``th``.
+
+    Returns the ``(2, d+1)`` targets and whether they depend on the
+    partition alone, that is, neither side kept its row of ``th``.
+    """
+    theta1, theta2 = th  # the very views _refit sees, for the identity test
+    f1, f2 = _refit(Xa, y, np.flatnonzero(first), np.flatnonzero(~first), theta1, theta2,
+                    alpha, min_subset)
+    return np.array((f1, f2)), f1 is not theta1 and f2 is not theta2
+
+
+def _step(th, target, delta, mu):
+    # ``delta`` is ``target - th``, formed once per direction; mu == 1
+    # lands exactly on the refit solution (unit Newton step).
     if mu == 1.0:
         return target.copy()
-    return theta + mu * (target - theta)
+    return th + mu * delta
 
 
-def _line_search(Xa, y, kind, theta1, theta2, f1, f2, v0, config):
-    """Backtrack from ``mu0`` until a step toward (f1, f2) lowers the objective below v0.
+def _line_search(Xa, y, kind, th, target, v0, config):
+    """Backtrack from ``mu0`` until a step from ``th`` toward ``target`` lowers the objective below v0.
 
-    Returns ``(mu, theta1', theta2', v, a, b)`` with the accepted pair's
-    side values ``a`` and ``b`` (see :func:`_evaluate`); ``mu`` is 0, the
-    parameters and ``v0`` come back unchanged and ``a``, ``b`` are None
-    when no candidate lowers the objective.
+    Both are stacked ``(2, d+1)`` parameters.  Returns ``(mu, th', v, a,
+    b)`` with the accepted pair's side values ``a`` and ``b`` (see
+    :func:`_evaluate`); ``mu`` is 0, ``th`` and ``v0`` come back unchanged
+    and ``a``, ``b`` are None when no candidate lowers the objective.
     """
+    delta = target - th
     mu = config.mu0
     for _ in range(config.max_backtracks):
-        c1 = _step_toward(theta1, f1, mu)
-        c2 = _step_toward(theta2, f2, mu)
-        v, a, b = _evaluate(Xa, y, c1, c2, kind)
+        candidate = _step(th, target, delta, mu)
+        v, a, b = _evaluate(Xa, y, candidate, kind)
         if v < v0:
-            return mu, c1, c2, v, a, b
+            return mu, candidate, v, a, b
         mu *= config.beta
-    return 0.0, theta1, theta2, v0, None, None
+    return 0.0, th, v0, None, None
 
 
 def damped_update(X, y, s1, s2, theta1, theta2, mu: float,
@@ -215,7 +237,10 @@ def damped_update(X, y, s1, s2, theta1, theta2, mu: float,
     X, y = check_training(X, y)
     f1, f2 = _refit(augment(X), y, np.asarray(s1, dtype=int), np.asarray(s2, dtype=int),
                     theta1, theta2, alpha, min_subset)
-    return _step_toward(theta1, f1, mu), _step_toward(theta2, f2, mu)
+    th = np.array((theta1, theta2), dtype=float)
+    target = np.array((f1, f2))
+    new1, new2 = _step(th, target, target - th, mu)
+    return new1, new2
 
 
 def newton_step(X, y, theta1, theta2, kind: HingeKind, mu: float,
@@ -239,11 +264,12 @@ def backtracking_step(X, y, theta1, theta2, kind: HingeKind,
     """
     X, y = check_training(X, y)
     Xa = augment(X)
-    v0, a, b = _evaluate(Xa, y, theta1, theta2, kind)
-    s1, s2 = _sides(a, b, kind, np.arange(Xa.shape[0]))
-    f1, f2 = _refit(Xa, y, s1, s2, theta1, theta2, config.ridge_alpha, config.min_subset)
-    mu, theta1, theta2, *_ = _line_search(Xa, y, kind, theta1, theta2, f1, f2, v0, config)
-    return mu, theta1, theta2
+    th = np.array((theta1, theta2), dtype=float)
+    v0, a, b = _evaluate(Xa, y, th, kind)
+    target, _ = _targets(Xa, y, _first_side(a, b, kind), th, config.ridge_alpha,
+                         config.min_subset)
+    mu, (new1, new2), *_ = _line_search(Xa, y, kind, th, target, v0, config)
+    return mu, new1, new2
 
 
 def initialize_params(X, y, alpha: float = 0.0, seed: int = 0):
@@ -260,7 +286,7 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0):
     if n < 2:
         raise TooFewSamples("initialization needs at least 2 samples")
     Xa = augment(X)
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    rng = None  # made on the first perturbation that draws from it
 
     ranges = X.max(axis=0) - X.min(axis=0)
     k = int(np.argmax(ranges))
@@ -277,11 +303,14 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0):
     if theta1 is None:
         theta_global = fit_or_mean(Xa, y, alpha)
         scale = 1e-3 * (1.0 + float(np.max(np.abs(theta_global))))
+        rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
         theta1 = theta_global + rng.normal(0.0, scale, size=d + 1)
         theta2 = theta_global + rng.normal(0.0, scale, size=d + 1)
 
     if float(np.max(np.abs(theta1 - theta2))) < DIVERSITY_TOL:
         scale = 1e-3 * (1.0 + float(np.max(np.abs(theta1))))
+        if rng is None:
+            rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
         theta2 = theta2 + rng.normal(0.0, scale, size=d + 1)
         if float(np.max(np.abs(theta1 - theta2))) < DIVERSITY_TOL:
             theta2 = theta2.copy()
@@ -316,16 +345,22 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     repartitioning for at most ``t_max`` iterations.  Each iteration
     refits and steps as :func:`newton_step` (fixed step) or
     :func:`backtracking_step` (auto) do, through the same private refit
-    and line search, on an augmented design formed once per call.  A
-    refit factorizes both sides' normal equations as one stacked Cholesky
-    (:func:`hingetree.linear.ridge_solve_pair`), and the side values
-    ``Xa @ theta`` of the accepted parameters serve both the objective and
-    the next partition, so each pair is evaluated once.  When an
-    iteration's partition is the same row set as the previous one's, the
-    previous ridge targets are reused without a refit, provided they
-    depended on the partition alone: both sides had ``min_subset`` rows
-    and neither kept its current parameters.  The reused targets are the
-    bits a refit would return.
+    and line search, on an augmented design formed once per call.  Both
+    sides' parameters are held as one ``(2, d+1)`` array, so a step or a
+    line-search candidate is one set of elementwise operations, while the
+    side values stay the two matvecs ``Xa @ theta`` and the objective and
+    change norms stay dot products: every value has the bits of the
+    per-side arithmetic.  A refit gathers each side's rows with ``take``
+    and factorizes both sides' normal equations as one stacked Cholesky
+    (:func:`hingetree.linear.ridge_solve_pair`), and the side values of
+    the accepted parameters serve both the objective and the next
+    partition, so each pair is evaluated once.  The partition is the
+    boolean mask of the first side; the row indices are formed only when a
+    refit runs.  When an iteration's mask has the same bytes as that of
+    the last refit, those ridge targets are reused without a refit,
+    provided they depended on the partition alone: both sides had
+    ``min_subset`` rows and neither kept its current parameters.  The
+    reused targets are the bits a refit would return.
     Convergence means the summed parameter change fell below
     ``epsilon``, or (auto step only) no backtracking candidate decreased
     the objective.  Under the auto step the recorded objective trace is
@@ -336,54 +371,57 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     n = y.shape[0]
     _check_size(n, config)
     Xa = augment(X)
-    idx = np.arange(n)
+    # A CSV-loaded X is column-major and its y strided.  Refits gather rows
+    # from C-ordered copies, where take is fastest and gives the same
+    # arrays; Xa keeps its layout for the matvecs, whose bits depend on it.
+    rows, y = np.ascontiguousarray(Xa), np.ascontiguousarray(y)
     if start is None:
         start = initialize_params(X, y, config.ridge_alpha, config.seed)
-    theta1, theta2 = start
+    th = np.array(start, dtype=float)
+    alpha, min_subset, auto = config.ridge_alpha, config.min_subset, config.auto_step
+    fixed = None if auto else float(config.step)
 
-    v, a, b = _evaluate(Xa, y, theta1, theta2, kind)
+    v, a, b = _evaluate(Xa, y, th, kind)
     trace = [v]
-    s1, s2 = _sides(a, b, kind, idx)
-    sizes = [(int(s1.size), int(s2.size))]
+    first = _first_side(a, b, kind)
+    n1 = int(np.count_nonzero(first))
+    sizes = [(n1, n - n1)]
     mu_trace: list[float] = []
     converged = False
-    # (s1, f1, f2) of the last refit if its targets depend on the partition
-    # alone; S2 is the complement of S1, so S1 identifies the partition.
+    # The bytes of the partition mask whose targets were last refitted, if
+    # those targets depend on the partition alone.
     held = None
 
     for _ in range(config.t_max):
-        if held is not None and held[0].size == s1.size and np.array_equal(held[0], s1):
-            _, f1, f2 = held
-        else:
-            f1, f2 = _refit(Xa, y, s1, s2, theta1, theta2, config.ridge_alpha,
-                            config.min_subset)
-            held = (s1, f1, f2) if f1 is not theta1 and f2 is not theta2 else None
-        if config.auto_step:
-            mu, new1, new2, v, a, b = _line_search(Xa, y, kind, theta1, theta2, f1, f2,
-                                                   trace[-1], config)
+        key = first.tobytes()
+        if key != held:
+            target, alone = _targets(rows, y, first, th, alpha, min_subset)
+            held = key if alone else None
+        if auto:
+            mu, new, v, a, b = _line_search(Xa, y, kind, th, target, trace[-1], config)
             if mu == 0.0:
                 # No decreasing step exists along this direction; stop.
                 converged = True
                 break
         else:
-            mu = float(config.step)
-            new1 = _step_toward(theta1, f1, mu)
-            new2 = _step_toward(theta2, f2, mu)
-            v, a, b = _evaluate(Xa, y, new1, new2, kind)
+            mu = fixed
+            new = _step(th, target, target - th, mu)
+            v, a, b = _evaluate(Xa, y, new, kind)
 
         # Euclidean norms; math.sqrt of the dot gives np.linalg.norm's bits.
-        d1 = new1 - theta1
-        d2 = new2 - theta2
-        change = math.sqrt(float(d1 @ d1)) + math.sqrt(float(d2 @ d2))
-        theta1, theta2 = new1, new2
-        s1, s2 = _sides(a, b, kind, idx)
+        moved = new - th
+        change = math.sqrt(float(moved[0] @ moved[0])) + math.sqrt(float(moved[1] @ moved[1]))
+        th = new
+        first = _first_side(a, b, kind)
+        n1 = int(np.count_nonzero(first))
         trace.append(v)
         mu_trace.append(mu)
-        sizes.append((int(s1.size), int(s2.size)))
+        sizes.append((n1, n - n1))
         if change < config.epsilon:
             converged = True
             break
 
+    theta1, theta2 = th
     return SplitOutcome(
         theta1=theta1,
         theta2=theta2,

@@ -444,6 +444,17 @@ class TestBoostDiagnose:
         assert err.startswith("error: loss_trace: expected 5 entries for 4 stages")
         assert "Traceback" not in err
 
+    def test_non_finite_loss_is_data_error(self, tmp_path, capsys):
+        # A NaN loss must not reach the bound check, where it reads as a violation.
+        out = tmp_path / "b.json"
+        run(capsys, "train", SINC, "boost", "--stages", "3", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["loss_trace"][2] = float("nan")
+        out.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "boost-diagnose", str(out))
+        assert code == 3
+        assert err.startswith("error: loss_trace[2]: expected a finite number")
+
     def test_legacy_file_without_gammas_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "b.json"
         run(capsys, "train", SINC, "boost", "--stages", "3", "--out", str(out))

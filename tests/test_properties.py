@@ -8,7 +8,7 @@ from unittest import mock
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hingetree import (
@@ -18,14 +18,17 @@ from hingetree import (
     SplitConfig,
     TreeConfig,
     augment,
+    backtracking_step,
     build_tree,
     default_boost_tree_config,
     dumps_model,
     find_optimal_split,
     fit_boost,
     gamma_bound_check,
+    initialize_params,
     loads_model,
     model_from_dict,
+    newton_step,
     partition,
     predict,
     predict_batch,
@@ -33,7 +36,7 @@ from hingetree import (
     predict_boost_batch,
     ridge_solve,
 )
-from hingetree import cli, linear, tree
+from hingetree import cli, linear, split, tree
 from hingetree.tree import Leaf
 from conftest import hinge_regression
 
@@ -262,6 +265,54 @@ def test_auto_step_objective_trace_strictly_decreases(seed, n, d, noise):
     for kind in HingeKind:
         trace = find_optimal_split(X, y, kind, SplitConfig(step="auto", seed=seed)).objective_trace
         assert all(b < a for a, b in zip(trace, trace[1:]))
+
+
+# ---- reuse of the ridge targets while the partition holds ----
+
+def replayed_partitions(X, y, kind, config):
+    """The first side each iteration refits, and the iteration count, from the public steps."""
+    t1, t2 = initialize_params(X, y, config.ridge_alpha, config.seed)
+    firsts = []
+    for iterations in range(config.t_max):
+        s1, s2 = partition(X, t1, t2, kind)
+        # A side below min_subset keeps its parameters, and such targets are never reused.
+        assume(min(s1.size, s2.size) >= config.min_subset)
+        firsts.append(s1)
+        if config.auto_step:
+            mu, n1, n2 = backtracking_step(X, y, t1, t2, kind, config)
+            if mu == 0.0:
+                return firsts, iterations
+        else:
+            n1, n2 = newton_step(X, y, t1, t2, kind, config.step, config.ridge_alpha,
+                                 config.min_subset)
+        done = np.linalg.norm(n1 - t1) + np.linalg.norm(n2 - t2) < config.epsilon
+        t1, t2 = n1, n2
+        if done:
+            return firsts, iterations + 1
+    return firsts, config.t_max
+
+
+@FAST
+@given(seed=st.integers(0, 2**16), n=st.integers(12, 80), d=st.integers(1, 3),
+       step=st.sampled_from([0.01, 0.1, "auto"]), kind=st.sampled_from(HingeKind))
+def test_one_pair_solve_per_distinct_consecutive_partition(seed, n, d, step, kind):
+    X, y = hinge_regression(seed, n, d, noise=0.1)
+    config = SplitConfig(step=step, t_max=40, epsilon=1e-4, seed=seed)
+    firsts, iterations = replayed_partitions(X, y, kind, config)
+    pairs = []
+    solve_pair = split.ridge_solve_pair
+
+    def recorded(*args):
+        pairs.append(solve_pair(*args))
+        return pairs[-1]
+
+    with mock.patch.object(split, "ridge_solve_pair", recorded):
+        out = find_optimal_split(X, y, kind, config)
+    # A failed stacked factorization falls back to single fits, which may keep parameters.
+    assume(all(pair is not None for pair in pairs))
+    assert out.iterations == iterations
+    distinct = 1 + sum(not np.array_equal(a, b) for a, b in zip(firsts, firsts[1:]))
+    assert len(pairs) == distinct
 
 
 # ---- loading edited model documents ----

@@ -96,6 +96,14 @@ class TestTreeRoundTrip:
         with pytest.raises(ValueError):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_format_version_that_is_not_the_integer(self, value):
+        # True == 1 and 1.0 == 1 in Python; neither is the format's integer.
+        doc = model_to_dict(trained_tree()[1])
+        doc["format_version"] = value
+        with pytest.raises(ValueError, match=f"^unsupported format_version {value!r}$"):
+            loads_model(json.dumps(doc))
+
     def test_unknown_kind_rejected(self):
         _, model = trained_tree()
         doc = model_to_dict(model)
@@ -401,6 +409,27 @@ class TestCorruptModel:
         doc = model_to_dict(trained_boost()[1])
         doc["f0"] = value
         with pytest.raises(CorruptModel, match="^f0: expected a finite number"):
+            loads_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_loss_trace_entry(self, value):
+        doc = model_to_dict(trained_boost()[1])
+        doc["loss_trace"][2] = value
+        with pytest.raises(CorruptModel, match=r"^loss_trace\[2\]: expected a finite number"):
+            loads_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gamma_trace_entry(self, value):
+        doc = model_to_dict(trained_boost()[1])
+        doc["gamma_trace"][3] = value
+        with pytest.raises(CorruptModel, match=r"^gamma_trace\[3\]: expected a finite number"):
+            loads_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", ["no", "yes", 1, 0, None])
+    def test_stage_retained_entry_that_is_not_a_boolean(self, value):
+        doc = model_to_dict(trained_boost()[1])
+        doc["stage_retained"][1] = value
+        with pytest.raises(CorruptModel, match=r"^stage_retained\[1\]: expected true or false"):
             loads_model(json.dumps(doc))
 
     def test_integer_beyond_the_float_range(self):

@@ -168,8 +168,9 @@ class TestNewtonStep:
         n1, n2 = newton_step(X, y, t1, t2, HingeKind.MAX, mu=1.0, alpha=0.05)
         Xa = augment(X)
         s1, s2 = partition(X, t1, t2, HingeKind.MAX)
-        np.testing.assert_allclose(n1, ridge_solve(Xa[s1], y[s1], 0.05), atol=1e-10)
-        np.testing.assert_allclose(n2, ridge_solve(Xa[s2], y[s2], 0.05), atol=1e-10)
+        # The oracle gathers rows by fancy indexing, outside the refit.
+        assert np.array_equal(n1, ridge_solve(Xa[s1], y[s1], 0.05))
+        assert np.array_equal(n2, ridge_solve(Xa[s2], y[s2], 0.05))
 
     def test_vanishing_step_limit(self):
         X, y = random_regression(8, 30, 2)
@@ -604,7 +605,8 @@ class TestMedianFallback:
 class TestDescentProperties:
     def test_unit_step_matches_per_subset_fits_under_frozen_partition(self):
         # One damped step at mu=1 with the partition held fixed must equal
-        # the per-subset solver outputs exactly.
+        # the per-subset solver outputs bit for bit, with the rows gathered
+        # by fancy indexing outside the refit.
         for seed in range(30):
             gen = np.random.default_rng(seed)
             n = int(gen.integers(8, 61))
@@ -618,8 +620,8 @@ class TestDescentProperties:
             alpha = float(gen.choice([0.0, 0.01, 1.0]))
             n1, n2 = damped_update(X, y, s1, s2, t1, t2, mu=1.0, alpha=alpha)
             Xa = augment(X)
-            np.testing.assert_allclose(n1, ridge_solve(Xa[s1], y[s1], alpha), atol=1e-10)
-            np.testing.assert_allclose(n2, ridge_solve(Xa[s2], y[s2], alpha), atol=1e-10)
+            assert np.array_equal(n1, ridge_solve(Xa[s1], y[s1], alpha))
+            assert np.array_equal(n2, ridge_solve(Xa[s2], y[s2], alpha))
 
     def test_fixed_partition_iteration_contracts_geometrically(self):
         X, y = random_regression(31, 60, 3, noise=0.5)
