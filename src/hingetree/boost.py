@@ -21,6 +21,7 @@ from .tree import (  # noqa: F401 -- perfbench/tracer.py patches hingetree.boost
     _route,
     build_tree,
     check_features,
+    check_row,
     derive_seed,
     predict,
     predict_batch,
@@ -162,11 +163,13 @@ def fit_boost(X, y, config: BoostConfig | None = None) -> BoostModel:
 def predict_boost(model: BoostModel, x) -> float:
     """f0 plus eta times the sum of learner predictions, in stage order.
 
-    ``x`` is checked and converted once; each learner then routes it with
+    ``x`` is checked and converted once (:func:`~hingetree.tree.check_row`,
+    which raises :class:`NonFiniteInput` for NaN or an infinity); each
+    learner then routes it with
     :func:`~hingetree.tree.predict_row`.  The float operations are those
     of :func:`predict_boost_batch` on the same row.
     """
-    row = check_features(np.asarray(x, dtype=float).reshape(1, -1), model.d)[0].tolist()
+    row = check_row(x, model.d)
     total = model.f0
     for learner in model.learners:
         total += model.eta * predict_row(learner.root, row)

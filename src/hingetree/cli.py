@@ -6,9 +6,10 @@ unset hyperparameter takes its config dataclass default.  A --config file
 holds hyperparameters under their flag destinations (``max_depth``,
 ``step``, ...).  A key the command does not read is a configuration
 error, and so is ``--stages`` or ``--eta`` given to ``train ... hrt``.
-Exit codes: 0 success, 2 configuration error, 3 data error or corrupt
-model file (any value that :mod:`hingetree.serialize` rejects on load,
-``preprocess`` included), 4 model/data dimension mismatch, 5 per-stage
+Exit codes: 0 success, 2 configuration error, 3 data error (a NaN or
+infinite value included, also one that standardizing a row to predict
+produces) or corrupt model file (any value that :mod:`hingetree.serialize`
+rejects on load, ``preprocess`` included), 4 model/data dimension mismatch, 5 per-stage
 bound violation (boost-diagnose only).  The HRT_LOG environment variable
 ({error|info|debug}, default error) controls verbosity; debug
 additionally prints tracebacks.

@@ -26,7 +26,7 @@ class DimensionMismatch(HingeTreeError):
 
 
 class NonFiniteInput(HingeTreeError):
-    """Training data holds a NaN or infinite value."""
+    """Training data, or a sample or matrix to predict, holds a NaN or infinite value."""
 
 
 class CorruptModel(HingeTreeError):

@@ -4,9 +4,15 @@ Every predictor in this package is affine and stored as one coefficient
 vector of length d+1: feature weights first, bias last.  The solver works
 on the augmented design (features plus a trailing column of ones) so the
 bias lives inside the coefficient vector but stays outside the penalty.
-One builder forms the normal equations for :func:`ridge_solve` and for
-:func:`ridge_solve_pair`, which factorizes a hinge split's two side
-systems as one stacked Cholesky with the same bits as two single solves.
+One builder forms the normal equations, as a stack of systems, for
+:func:`ridge_solve` (a stack of one) and for :func:`ridge_solve_pair`
+(a hinge split's two sides).  One solver, :func:`_spd_solve`, factorizes a
+stack by Cholesky and solves on the factors through the LAPACK gufuncs
+that ``np.linalg.cholesky`` and ``np.linalg.solve`` wrap, imported from
+``numpy.linalg._umath_linalg``: the wrappers' per-call Python overhead
+was most of a small solve's time, and skipping it keeps their bits
+(``tests/test_linear.py::TestSpdSolve`` checks this against the public
+functions).  A stacked solve has the bits of single solves.
 Every routing decision and leaf value is evaluated by :func:`affine` or
 its one-row form :func:`affine_row`, which perform the same floating-point
 operations in the same order.  :func:`check_training` is the one check of
@@ -17,6 +23,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateSystem, DimensionMismatch, EmptyDataset, NonFiniteInput
 
@@ -25,8 +32,11 @@ JITTER_SCALE = 1e-10
 
 
 def check_training(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """``(X, y)`` as a float matrix and target vector to train on, or a typed error.
+    """``(X, y)`` as a C-ordered float matrix and target vector to train on, or a typed error.
 
+    Both come back C-contiguous (a no-op for C-ordered input), so a
+    training matrix read from CSV, or passed column-major, has the memory
+    layout, and therefore the matrix-product bits, of its C-ordered copy.
     Raises :class:`EmptyDataset` without a sample or a feature,
     :class:`DimensionMismatch` when the row counts differ, and
     :class:`NonFiniteInput` when any value is NaN or infinite.
@@ -39,7 +49,7 @@ def check_training(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch("X and y row counts differ")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NonFiniteInput("training data contains a NaN or infinite value")
-    return X, y
+    return np.ascontiguousarray(X), np.ascontiguousarray(y)
 
 
 def augment(X: np.ndarray) -> np.ndarray:
@@ -59,23 +69,46 @@ def _penalty(p: int, alpha: float) -> np.ndarray:
     return penalty
 
 
-def _normal_equations(X: np.ndarray, y: np.ndarray, alpha: float):
-    """``(gram, rhs, system)`` of the ridge problem; ``system`` is ``gram`` when alpha is 0.
+def _normal_equations(designs, targets, alpha: float):
+    """``(gram, rhs, system)`` of one ridge problem per (design, target), stacked.
 
-    The penalty matrix is formed once per (p, alpha) and cached read-only,
-    so a system is one addition to the Gram matrix.
+    ``designs`` are augmented float designs of one width p and ``targets``
+    their 1-D targets.  Each Gram matrix and right-hand side is one
+    ``matmul`` written into its slot of a ``(k, p, p)`` and a ``(k, p)``
+    stack, with the bits of ``X.T @ X`` and ``X.T @ y``.  ``system`` is
+    ``gram`` when alpha is 0; otherwise the penalty matrix, formed once per
+    (p, alpha) and cached read-only, is added to the whole stack at once.
     """
-    gram = X.T @ X
-    rhs = X.T @ y
-    system = gram + _penalty(X.shape[1], alpha) if alpha > 0 else gram
+    p = designs[0].shape[1]
+    gram = np.empty((len(designs), p, p))
+    rhs = np.empty((len(designs), p))
+    for i, (X, y) in enumerate(zip(designs, targets)):
+        np.matmul(X.T, X, out=gram[i])
+        np.matmul(X.T, y, out=rhs[i])
+    system = gram + _penalty(p, alpha) if alpha > 0 else gram
     return gram, rhs, system
 
 
+def _not_positive_definite(err, flag):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # L L^T x = b by two solves, on one system or a stack of them;
-    # cholesky raises LinAlgError unless every a is positive definite.
-    low = np.linalg.cholesky(a)
-    return np.linalg.solve(np.swapaxes(low, -1, -2), np.linalg.solve(low, b[..., None]))[..., 0]
+    """Solve ``a @ x = b`` for one float64 system or a stack of them, ``a`` symmetric positive definite.
+
+    ``L L^T x = b`` by the three LAPACK gufuncs behind NumPy's public
+    wrappers, ``_umath_linalg.cholesky_lo`` (``np.linalg.cholesky``) and
+    ``_umath_linalg.solve`` twice (``np.linalg.solve`` with a matrix
+    right-hand side), with the wrappers' signatures and floating-point
+    error state but without their per-call conversions and checks, so the
+    result has the wrappers' bits.  Raises ``LinAlgError`` unless every
+    ``a`` is positive definite.
+    """
+    with np.errstate(call=_not_positive_definite, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        low = _umath_linalg.cholesky_lo(a, signature="d->d")
+        half = _umath_linalg.solve(low, b[..., None], signature="dd->d")
+        return _umath_linalg.solve(np.swapaxes(low, -1, -2), half, signature="dd->d")[..., 0]
 
 
 def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
@@ -83,9 +116,12 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
 
     ``X`` is an augmented design whose last column is identically 1; the
     bias coefficient is excluded from the penalty.  The normal equations
-    come from the builder that :func:`ridge_solve_pair` shares, and are
-    solved with NumPy's Cholesky factorization (``np.linalg.cholesky``)
-    and two ``np.linalg.solve`` calls on the factors.  If the
+    come from the builder that :func:`ridge_solve_pair` shares, as a stack
+    of one system, and are solved by :func:`_spd_solve`: a Cholesky
+    factorization and two triangular solves through LAPACK gufuncs that
+    NumPy keeps internal (``numpy.linalg._umath_linalg``), with the bits of
+    ``np.linalg.cholesky`` followed by two ``np.linalg.solve`` calls
+    (pinned by ``tests/test_linear.py::TestSpdSolve``).  If the
     factorization fails, one retry is made with a small jitter
     (``1e-10 * trace(X.T @ X) / (d+1)``) added to every diagonal entry;
     a second failure raises :class:`DegenerateSystem`.
@@ -98,15 +134,15 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         raise ValueError("design and target row counts differ")
     if alpha < 0:
         raise ValueError("ridge penalty must be non-negative")
-    gram, rhs, system = _normal_equations(X, y, alpha)
+    gram, rhs, system = _normal_equations((X,), (y,), alpha)
     try:
-        return _spd_solve(system, rhs)
+        return _spd_solve(system, rhs)[0]
     except np.linalg.LinAlgError:
         pass
     p = X.shape[1]
-    jitter = JITTER_SCALE * float(np.trace(gram)) / p
+    jitter = JITTER_SCALE * float(np.trace(gram[0])) / p
     try:
-        return _spd_solve(system + jitter * np.eye(p), rhs)
+        return _spd_solve(system + jitter * np.eye(p), rhs)[0]
     except np.linalg.LinAlgError:
         raise DegenerateSystem(
             "normal equations are singular even after the jitter retry"
@@ -119,21 +155,23 @@ def ridge_solve_pair(X1: np.ndarray, y1: np.ndarray, X2: np.ndarray, y2: np.ndar
 
     ``X1`` and ``X2`` are augmented float designs with at least one row
     each and the same number of columns, ``y1`` and ``y2`` 1-D float
-    targets; only the sign of ``alpha`` is checked.  The two systems are
-    factorized as one ``(2, p, p)`` stack, which gives the same bits as two
-    separate :func:`ridge_solve` calls.  Returns ``(theta1, theta2)``, or
-    ``None`` when either system is not positive definite: the jitter retry
-    is left to :func:`ridge_solve`.
+    targets; only the sign of ``alpha`` is checked.  The builder writes
+    both systems into one ``(2, p, p)`` stack and adds the penalty to it
+    once, and :func:`_spd_solve` factorizes the stack with the same
+    LAPACK gufunc calls as a single system, so each row of the result has
+    the bits of a separate :func:`ridge_solve` call
+    (``tests/test_linear.py::TestSpdSolve`` pins the solver against
+    NumPy's public wrappers).  Returns the ``(2, p)`` solution, whose rows
+    are ``theta1`` and ``theta2``, or ``None`` when either system is not
+    positive definite: the jitter retry is left to :func:`ridge_solve`.
     """
     if alpha < 0:
         raise ValueError("ridge penalty must be non-negative")
-    _, rhs1, system1 = _normal_equations(X1, y1, alpha)
-    _, rhs2, system2 = _normal_equations(X2, y2, alpha)
+    _, rhs, system = _normal_equations((X1, X2), (y1, y2), alpha)
     try:
-        theta = _spd_solve(np.array((system1, system2)), np.array((rhs1, rhs2)))
+        return _spd_solve(system, rhs)
     except np.linalg.LinAlgError:
         return None
-    return theta[0], theta[1]
 
 
 def fit_or_mean(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:

@@ -173,35 +173,31 @@ def _fit_subset(Xa, y, idx, alpha, min_subset, current):
         return current
 
 
-def _refit(Xa, y, s1, s2, theta1, theta2, alpha, min_subset):
+def _refit(Xa, y, s1, s2, th, alpha, min_subset):
     """Both sides' ridge targets for the partition (s1, s2) of the augmented design.
 
-    When both sides are large enough the two systems share one stacked
-    factorization; if that fails, each side is fitted on its own, with the
-    jitter retry and the keep-current rule of a single fit.  A side that
-    keeps its parameters returns the very array passed in, so a target
-    that is not ``theta1`` or ``theta2`` itself depends on the partition
+    Returns the ``(2, d+1)`` targets, stacked like ``th``, and whether
+    they depend on the partition alone.  When both sides are large enough
+    the two systems share one stacked factorization, whose solution comes
+    back as is.  If that fails, each side is fitted on its own, with the
+    jitter retry and the keep-current rule of a single fit; targets in
+    which a side kept its row of ``th`` do not depend on the partition
     alone.
     """
     if s1.size >= min_subset and s2.size >= min_subset:
         pair = ridge_solve_pair(Xa.take(s1, axis=0), y.take(s1),
                                 Xa.take(s2, axis=0), y.take(s2), alpha)
         if pair is not None:
-            return pair
-    return (_fit_subset(Xa, y, s1, alpha, min_subset, theta1),
-            _fit_subset(Xa, y, s2, alpha, min_subset, theta2))
+            return pair, True
+    theta1, theta2 = th  # the views _fit_subset returns to keep a side
+    f1 = _fit_subset(Xa, y, s1, alpha, min_subset, theta1)
+    f2 = _fit_subset(Xa, y, s2, alpha, min_subset, theta2)
+    return np.array((f1, f2)), f1 is not theta1 and f2 is not theta2
 
 
 def _targets(Xa, y, first, th, alpha, min_subset):
-    """:func:`_refit` on the partition ``first`` (a row mask), stacked like ``th``.
-
-    Returns the ``(2, d+1)`` targets and whether they depend on the
-    partition alone, that is, neither side kept its row of ``th``.
-    """
-    theta1, theta2 = th  # the very views _refit sees, for the identity test
-    f1, f2 = _refit(Xa, y, np.flatnonzero(first), np.flatnonzero(~first), theta1, theta2,
-                    alpha, min_subset)
-    return np.array((f1, f2)), f1 is not theta1 and f2 is not theta2
+    """:func:`_refit` on the partition ``first``, a mask of the rows on the first side."""
+    return _refit(Xa, y, np.flatnonzero(first), np.flatnonzero(~first), th, alpha, min_subset)
 
 
 def _step(th, target, delta, mu):
@@ -235,10 +231,9 @@ def damped_update(X, y, s1, s2, theta1, theta2, mu: float,
                   alpha: float = 0.0, min_subset: int = 2):
     """One damped Newton step with the partition (s1, s2) held fixed."""
     X, y = check_training(X, y)
-    f1, f2 = _refit(augment(X), y, np.asarray(s1, dtype=int), np.asarray(s2, dtype=int),
-                    theta1, theta2, alpha, min_subset)
     th = np.array((theta1, theta2), dtype=float)
-    target = np.array((f1, f2))
+    target, _ = _refit(augment(X), y, np.asarray(s1, dtype=int), np.asarray(s2, dtype=int),
+                       th, alpha, min_subset)
     new1, new2 = _step(th, target, target - th, mu)
     return new1, new2
 
@@ -352,7 +347,8 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     change norms stay dot products: every value has the bits of the
     per-side arithmetic.  A refit gathers each side's rows with ``take``
     and factorizes both sides' normal equations as one stacked Cholesky
-    (:func:`hingetree.linear.ridge_solve_pair`), and the side values of
+    (:func:`hingetree.linear.ridge_solve_pair`), whose ``(2, d+1)``
+    solution serves as the targets as it is, and the side values of
     the accepted parameters serve both the objective and the next
     partition, so each pair is evaluated once.  The partition is the
     boolean mask of the first side; the row indices are formed only when a
@@ -371,10 +367,6 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     n = y.shape[0]
     _check_size(n, config)
     Xa = augment(X)
-    # A CSV-loaded X is column-major and its y strided.  Refits gather rows
-    # from C-ordered copies, where take is fastest and gives the same
-    # arrays; Xa keeps its layout for the matvecs, whose bits depend on it.
-    rows, y = np.ascontiguousarray(Xa), np.ascontiguousarray(y)
     if start is None:
         start = initialize_params(X, y, config.ridge_alpha, config.seed)
     th = np.array(start, dtype=float)
@@ -395,7 +387,7 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     for _ in range(config.t_max):
         key = first.tobytes()
         if key != held:
-            target, alone = _targets(rows, y, first, th, alpha, min_subset)
+            target, alone = _targets(Xa, y, first, th, alpha, min_subset)
             held = key if alone else None
         if auto:
             mu, new, v, a, b = _line_search(Xa, y, kind, th, target, trace[-1], config)

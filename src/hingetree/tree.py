@@ -20,10 +20,11 @@ batch predictions agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import isfinite
 
 import numpy as np
 
-from .errors import AllFeaturesConstant, DimensionMismatch
+from .errors import AllFeaturesConstant, DimensionMismatch, NonFiniteInput
 from .linear import affine, affine_row, augment, check_training, fit_or_mean
 from .split import SplitConfig, SplitOutcome, _first_pair, median_fallback, select_split
 
@@ -220,17 +221,38 @@ def build_tree(X, y, config: TreeConfig | None = None) -> HrtModel:
     return HrtModel(root=root, d=X.shape[1], config=config, stats=stats)
 
 
-def check_features(X, d: int) -> np.ndarray:
-    """``X`` as a float matrix of ``d`` columns, or :class:`DimensionMismatch`.
-
-    A matrix with no rows is accepted at any width.
-    """
-    X = np.asarray(X, dtype=float)
+def _check_width(X: np.ndarray, d: int) -> np.ndarray:
     if X.ndim != 2:
         raise DimensionMismatch("expected a 2-D feature matrix")
     if X.shape[0] and X.shape[1] != d:
         raise DimensionMismatch(f"expected {d} features, got {X.shape[1]}")
     return X
+
+
+def check_features(X, d: int) -> np.ndarray:
+    """``X`` as a finite float matrix of ``d`` columns, or a typed error.
+
+    Raises :class:`DimensionMismatch` for another shape (a matrix with no
+    rows is accepted at any width) and :class:`NonFiniteInput` when a value
+    is NaN or infinite.
+    """
+    X = _check_width(np.asarray(X, dtype=float), d)
+    if not np.isfinite(X).all():
+        raise NonFiniteInput("feature matrix contains a NaN or infinite value")
+    return X
+
+
+def check_row(x, d: int) -> list[float]:
+    """One sample as ``d`` finite Python floats, or the errors of :func:`check_features`.
+
+    The finiteness test runs on the floats of the list, which is several
+    times cheaper than ``np.isfinite`` on a one-row array.
+    """
+    row = _check_width(np.asarray(x, dtype=float).reshape(1, -1), d)[0].tolist()
+    for value in row:
+        if not isfinite(value):
+            raise NonFiniteInput("sample contains a NaN or infinite value")
+    return row
 
 
 def predict_row(node: TreeNode, x: list[float]) -> float:
@@ -254,10 +276,10 @@ def predict(model: HrtModel, x) -> float:
     The affine arithmetic is :func:`~hingetree.linear.affine_row`: a
     left-to-right float accumulation of ``x[j] * w[j]`` followed by the
     bias, so the result equals :func:`predict_batch` on the same row bit
-    for bit.
+    for bit.  A sample holding NaN or an infinity raises
+    :class:`NonFiniteInput` (:func:`check_row`).
     """
-    row = check_features(np.asarray(x, dtype=float).reshape(1, -1), model.d)[0].tolist()
-    return predict_row(model.root, row)
+    return predict_row(model.root, check_row(x, model.d))
 
 
 def _flatten(roots: list[TreeNode]):
@@ -333,7 +355,8 @@ def predict_batch(model: HrtModel, X) -> np.ndarray:
     tree: all rows move down the tree together, one level per step, and
     the leaves are evaluated at the end.  The kernel's fixed column order
     makes every value independent of the batch size and of which other rows
-    share the batch.
+    share the batch.  A batch holding NaN or an infinity raises
+    :class:`NonFiniteInput` (:func:`check_features`).
     """
     return next(_route([model.root], check_features(X, model.d)))
 

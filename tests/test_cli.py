@@ -354,6 +354,21 @@ class TestPredict:
         assert len(text.strip().splitlines()) == 3
 
 
+    def test_row_standardized_to_infinity_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        run(capsys, "train", SINC, "hrt", "--standardize", "--max-depth", "2", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["preprocess"]["standardize"]["scale"][0] = 1e-300
+        out.write_text(json.dumps(doc))
+        data = tmp_path / "d.csv"
+        data.write_text("x\n0.5\n1e300\n")
+        with np.errstate(over="ignore"):  # 1e300 / 1e-300 overflows to inf
+            code, text, err = run(capsys, "predict", str(out), str(data))
+        assert code == 3
+        assert err.startswith("error: feature matrix contains a NaN or infinite value")
+        assert text == ""
+
+
 class TestSynth:
     def test_synth_round_trip(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"

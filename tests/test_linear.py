@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,44 @@ def augmented(gen, n, p):
     return augment(gen.normal(size=(n, p - 1)))
 
 
+def public_spd_solve(a, b):
+    """The oracle: NumPy's public Cholesky, then two public solves on the factors."""
+    low = np.linalg.cholesky(a)
+    return np.linalg.solve(np.swapaxes(low, -1, -2), np.linalg.solve(low, b[..., None]))[..., 0]
+
+
+def spd_system(gen, p):
+    X = gen.normal(size=(int(gen.integers(p, 4 * p + 1)), p))
+    return X.T @ X + 1e-3 * np.eye(p), X.T @ gen.normal(size=X.shape[0])
+
+
+class TestSpdSolve:
+    """``_spd_solve`` calls LAPACK gufuncs that NumPy keeps internal; its bits are pinned here."""
+
+    @pytest.mark.parametrize("p", range(1, 18))
+    def test_matches_the_public_wrappers_bit_for_bit(self, p):
+        gen = np.random.default_rng(100 + p)
+        for _ in range(20):
+            a, b = spd_system(gen, p)
+            assert linear._spd_solve(a, b).tobytes() == public_spd_solve(a, b).tobytes()
+            a2, b2 = spd_system(gen, p)
+            A, B = np.array((a, a2)), np.array((b, b2))
+            out = linear._spd_solve(A, B)
+            assert out.shape == (2, p)
+            assert out.tobytes() == public_spd_solve(A, B).tobytes()
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
+        np.array([[[4.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]]),  # second one singular
+        np.zeros((2, 3, 3)),
+    ])
+    def test_not_positive_definite_raises_without_a_warning(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                linear._spd_solve(a, np.ones(a.shape[:-1]))
+
+
 class TestRidgeSolvePair:
     @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.1])
     def test_matches_two_single_solves_bit_for_bit(self, alpha):
@@ -153,9 +192,11 @@ class TestRidgeSolvePair:
             X2 = augmented(gen, int(gen.integers(p, 6 * p)), p)
             y1 = gen.normal(size=X1.shape[0])
             y2 = gen.normal(size=X2.shape[0])
-            theta1, theta2 = ridge_solve_pair(X1, y1, X2, y2, alpha)
-            assert np.array_equal(theta1, ridge_solve(X1, y1, alpha))
-            assert np.array_equal(theta2, ridge_solve(X2, y2, alpha))
+            pair = ridge_solve_pair(X1, y1, X2, y2, alpha)
+            assert pair.shape == (2, p)
+            theta1, theta2 = pair
+            assert theta1.tobytes() == ridge_solve(X1, y1, alpha).tobytes()
+            assert theta2.tobytes() == ridge_solve(X2, y2, alpha).tobytes()
 
     def test_singular_side_returns_none(self):
         # Identical rows make the unpenalized system singular; the jitter

@@ -15,6 +15,7 @@ from hingetree import (
     BoostConfig,
     CorruptModel,
     HingeKind,
+    NonFiniteInput,
     SplitConfig,
     TreeConfig,
     augment,
@@ -35,6 +36,7 @@ from hingetree import (
     predict_boost,
     predict_boost_batch,
     ridge_solve,
+    staged_losses,
 )
 from hingetree import cli, linear, split, tree
 from hingetree.tree import Leaf
@@ -80,7 +82,7 @@ def test_last_partition_size_is_that_of_the_returned_split(seed, n, d, step, alp
 
 def factorizes(X, y, alpha):
     try:
-        np.linalg.cholesky(linear._normal_equations(X, y, alpha)[2])
+        np.linalg.cholesky(linear._normal_equations((X,), (y,), alpha)[2])
     except np.linalg.LinAlgError:
         return False
     return True
@@ -232,9 +234,7 @@ def routed_models(draw, d):
 def assert_same_values(batch, scalar):
     scalar = np.array(scalar, dtype=float)
     assert batch.shape == scalar.shape
-    assert np.array_equal(batch, scalar, equal_nan=True)
-    not_nan = ~np.isnan(scalar)
-    assert batch[not_nan].tobytes() == scalar[not_nan].tobytes()
+    assert batch.tobytes() == scalar.tobytes()
 
 
 # Router blocks of 1 and 7 (row, tree) pairs split one batch into many blocks.
@@ -246,11 +246,24 @@ def test_batch_routing_equals_the_scalar_walk(d, block):
     def check(models):
         hrt, boost, X = models
         blocks = mock.patch.object(tree, "_BLOCK", block) if block != "default" else nullcontext()
-        # inf * 0 in a hinge side is NaN on both paths alike.
-        with blocks, np.errstate(invalid="ignore"):
-            assert_same_values(predict_batch(hrt, X), [predict(hrt, row) for row in X])
-            assert_same_values(predict_boost_batch(boost, X),
-                               [predict_boost(boost, row) for row in X])
+        finite = np.isfinite(X).all(axis=1)
+        with blocks:
+            F = X[finite]
+            assert_same_values(predict_batch(hrt, F), [predict(hrt, row) for row in F])
+            assert_same_values(predict_boost_batch(boost, F),
+                               [predict_boost(boost, row) for row in F])
+            if finite.all():
+                return
+            # A row holding inf or NaN is rejected, alone or in a batch.
+            for bad in X[~finite]:
+                for predict_one, model in ((predict, hrt), (predict_boost, boost)):
+                    with pytest.raises(NonFiniteInput):
+                        predict_one(model, bad)
+            for predict_many, model in ((predict_batch, hrt), (predict_boost_batch, boost)):
+                with pytest.raises(NonFiniteInput):
+                    predict_many(model, X)
+            with pytest.raises(NonFiniteInput):
+                staged_losses(boost, X, np.zeros(X.shape[0]))
 
     check()
 

@@ -145,18 +145,21 @@ class TestRefit:
         t1, t2 = gen.normal(size=3), gen.normal(size=3)
         assert ridge_solve_pair(Xa[s1], y[s1], Xa[s2], y[s2], 0.0) is None
         for alpha in (0.0, 1e-3):
-            f1, f2 = split._refit(Xa, y, s1, s2, t1, t2, alpha, 2)
-            assert np.array_equal(f1, split._fit_subset(Xa, y, s1, alpha, 2, t1))
-            assert np.array_equal(f2, split._fit_subset(Xa, y, s2, alpha, 2, t2))
+            target, alone = split._refit(Xa, y, s1, s2, np.array((t1, t2)), alpha, 2)
+            assert np.array_equal(target[0], split._fit_subset(Xa, y, s1, alpha, 2, t1))
+            assert np.array_equal(target[1], split._fit_subset(Xa, y, s2, alpha, 2, t2))
+            assert alone  # the jitter retry fits S1, so neither side keeps its parameters
 
     def test_undersized_side_keeps_its_parameters(self):
         gen = np.random.default_rng(6)
         Xa = augment(gen.normal(size=(10, 2)))
         y = gen.normal(size=10)
         t1, t2 = gen.normal(size=3), gen.normal(size=3)
-        f1, f2 = split._refit(Xa, y, np.arange(1), np.arange(1, 10), t1, t2, 1e-3, 2)
-        assert f1 is t1
-        assert np.array_equal(f2, ridge_solve(Xa[1:], y[1:], 1e-3))
+        target, alone = split._refit(Xa, y, np.arange(1), np.arange(1, 10), np.array((t1, t2)),
+                                     1e-3, 2)
+        assert not alone
+        assert np.array_equal(target[0], t1)
+        assert np.array_equal(target[1], ridge_solve(Xa[1:], y[1:], 1e-3))
 
 
 class TestNewtonStep:

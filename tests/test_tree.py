@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hingetree import (
+    Dataset,
     DimensionMismatch,
     EmptyDataset,
     HingeKind,
@@ -13,11 +14,15 @@ from hingetree import (
     TreeConfig,
     augment,
     build_tree,
+    dumps_model,
+    find_optimal_split,
     gen_synthetic,
+    load_csv,
     predict,
     predict_batch,
     ridge_solve,
     tree_stats,
+    write_csv,
 )
 from hingetree.linear import affine_row
 from hingetree.tree import Internal, Leaf, derive_seed
@@ -106,6 +111,23 @@ class TestBuildTree:
             y[5] = value
         with pytest.raises(NonFiniteInput):
             build_tree(X, y)
+
+    @pytest.mark.parametrize("step", [0.01, "auto"])
+    def test_csv_and_column_major_inputs_train_the_in_memory_bits(self, tmp_path, step):
+        X, y = hinge_regression(1, 400, 16, noise=0.1)
+        path = tmp_path / "train.csv"
+        write_csv(Dataset(X=X, y=y, feature_names=[f"x{j}" for j in range(16)], provenance={}),
+                  path)
+        read = load_csv(path, "y")
+        layouts = [(X, y), (read.X, read.y), (np.asfortranarray(X), y)]
+        config = TreeConfig(split=SplitConfig(step=step, seed=1))
+        texts = [dumps_model(build_tree(Xl, yl, config)) for Xl, yl in layouts]
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        # The root split's objective values come from matvecs on the whole
+        # design, whose bits depend on its memory layout.
+        traces = [find_optimal_split(Xl, yl, HingeKind.MAX, config.split).objective_trace
+                  for Xl, yl in layouts]
+        assert traces[1] == traces[0] and traces[2] == traces[0]
 
     def test_deterministic_given_seed(self):
         ds = gen_synthetic("sinc", 400, 0.025, seed=9)
