@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput
 from .linear import check_training
 from .split import SplitConfig
 from .tree import (  # noqa: F401 -- perfbench/tracer.py patches hingetree.boost.predict
@@ -212,12 +212,15 @@ def staged_losses(model: BoostModel, X, y) -> np.ndarray:
 
     On the training data this equals ``loss_trace`` bit for bit, since
     :func:`fit_boost` performs the same rounded operations.  Discarded
-    stages repeat the previous value.
+    stages repeat the previous value.  A NaN or infinite value in ``X`` or
+    ``y`` raises :class:`NonFiniteInput`.
     """
     X = check_features(X, model.d)
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
         raise DimensionMismatch("X and y row counts differ")
+    if not np.isfinite(y).all():
+        raise NonFiniteInput("target vector contains a NaN or infinite value")
     return np.array([_loss(y, fx) for fx in _staged(model, X)])
 
 

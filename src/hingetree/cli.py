@@ -1,28 +1,32 @@
 """Command-line front end: train, eval, predict, ablate-step, boost-diagnose, trace-node, synth.
 
 The fitting commands (train, ablate-step, trace-node) take --seed and
---config, and fit the same bits for the same inputs, flags and seed; an
-unset hyperparameter takes its config dataclass default.  A --config file
-holds hyperparameters under their flag destinations (``max_depth``,
-``step``, ...).  A key the command does not read is a configuration
-error, and so is ``--stages`` or ``--eta`` given to ``train ... hrt``.
+--config, and fit the same bits for the same inputs, flags and seed.  One
+table, ``_HYPER``, maps each hyperparameter flag to its config field; a
+flag's value wins over its --config key (the flag's destination:
+``max_depth``, ``step``, ...), which wins over the config dataclass
+default.  A --config key the command does not read is a configuration
+error, and so is a value of the wrong JSON type (a boolean, null, list or
+object, or a non-integral number for an integer field), or ``--stages`` or
+``--eta`` given to ``train ... hrt``.
 Exit codes: 0 success, 2 configuration error, 3 data error (a NaN or
 infinite value included, also one that standardizing a row to predict
 produces) or corrupt model file (any value that :mod:`hingetree.serialize`
-rejects on load, ``preprocess`` included), 4 model/data dimension mismatch, 5 per-stage
-bound violation (boost-diagnose only).  The HRT_LOG environment variable
-({error|info|debug}, default error) controls verbosity; debug
-additionally prints tracebacks.
+rejects on load, ``preprocess`` included), 4 model/data dimension
+mismatch, 5 per-stage bound violation (boost-diagnose only).  The HRT_LOG
+environment variable ({error|info|debug}, default error) controls
+verbosity; debug additionally prints tracebacks.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -51,127 +55,12 @@ class CliConfigError(Exception):
     """Bad flag or configuration-file value; the message names the offender."""
 
 
-_NUM = {"type": "number"}
-_INT = {"type": "integer"}
-_EVAL = {
-    "type": "object",
-    "required": ["rmse", "mae", "r2", "n", "r2_defined"],
-    "properties": {
-        "rmse": _NUM,
-        "mae": _NUM,
-        "r2": {"type": ["number", "null"]},
-        "n": _INT,
-        "r2_defined": {"type": "boolean"},
-    },
-}
-_FLOPS = {
-    "type": "object",
-    "required": ["mode", "inference_flops_per_sample", "total_parameters"],
-    "properties": {
-        "mode": {"enum": ["two", "diff"]},
-        "inference_flops_per_sample": _NUM,
-        "total_parameters": _INT,
-    },
-}
-
-# Published shapes for the --json artifacts, keyed by command name.
-SCHEMAS = {
-    "train": {
-        "type": "object",
-        "required": ["command", "dataset", "model_kind", "config", "seed",
-                     "train_eval", "complexity", "flops", "fit_time_s", "model_path"],
-        "properties": {
-            "command": {"const": "train"},
-            "model_kind": {"enum": ["hrt", "boost"]},
-            "train_eval": _EVAL,
-            "flops": _FLOPS,
-            "fit_time_s": _NUM,
-        },
-    },
-    "eval": {
-        "type": "object",
-        "required": ["command", "model_path", "dataset", "eval", "complexity", "flops"],
-        "properties": {
-            "command": {"const": "eval"},
-            "eval": _EVAL,
-            "flops": _FLOPS,
-        },
-    },
-    "ablate-step": {
-        "type": "object",
-        "required": ["command", "dataset", "repeats", "train_fraction", "rows"],
-        "properties": {
-            "command": {"const": "ablate-step"},
-            "repeats": _INT,
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["mu", "rmse", "leaves", "avg_iters", "fit_time_s",
-                                 "fallbacks", "splits", "fallback_rate_pct"],
-                    "properties": {
-                        "mu": {"type": ["number", "string"]},
-                        "rmse": _NUM,
-                        "leaves": _NUM,
-                        "avg_iters": _NUM,
-                        "fit_time_s": _NUM,
-                        "fallbacks": _NUM,
-                        "splits": _NUM,
-                        "fallback_rate_pct": _NUM,
-                    },
-                },
-            },
-        },
-    },
-    "boost-diagnose": {
-        "type": "object",
-        "required": ["command", "model_path", "stages", "all_ok"],
-        "properties": {
-            "command": {"const": "boost-diagnose"},
-            "all_ok": {"type": "boolean"},
-            "stages": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["stage", "gamma", "loss", "bound_rhs", "ok"],
-                    "properties": {
-                        "stage": _INT,
-                        "gamma": _NUM,
-                        "loss": _NUM,
-                        "bound_rhs": _NUM,
-                        "ok": {"type": "boolean"},
-                    },
-                },
-            },
-        },
-    },
-    "trace-node": {
-        "type": "object",
-        "required": ["command", "rows"],
-        "properties": {
-            "command": {"const": "trace-node"},
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["iteration", "objective", "s1_size", "s2_size"],
-                },
-            },
-        },
-    },
-}
-
-
 def _setup_logging() -> None:
     level = os.environ.get("HRT_LOG", "error").lower()
     chosen = {"error": logging.ERROR, "info": logging.INFO,
               "debug": logging.DEBUG}.get(level, logging.ERROR)
     logging.basicConfig(level=chosen, format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(chosen)
-
-
-def _debug_mode() -> bool:
-    return os.environ.get("HRT_LOG", "").lower() == "debug"
 
 
 def _fmt(value) -> str:
@@ -198,15 +87,48 @@ def _load_config_file(path: str | None, keys: tuple[str, ...]) -> dict:
     return doc
 
 
-def _resolve(args, file_cfg: dict, key: str, default):
-    """Flag value if given, else config-file value, else ``default``."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return file_cfg.get(key, default)
+# Hyperparameter flags: dest -> (flag, config field, type, help).  The dest is
+# also the flag's --config key.  A str flag is a step: 'auto' or a number.
+_HYPER = {
+    "max_depth": ("--max-depth", "d_max", int, "maximum tree depth"),
+    "ridge": ("--ridge", "ridge_alpha", float, "ridge penalty on weights (bias excluded)"),
+    "step": ("--step", "step", str, "damping factor in (0,1] or 'auto'"),
+    "tau": ("--tau", "tau_rmse", float, "leaf RMSE threshold"),
+    "n_min": ("--n-min", "n_min", int, "minimum samples to split a node"),
+    "t_max": ("--t-max", "t_max", int, "maximum split iterations"),
+    "epsilon": ("--epsilon", "epsilon", float, "convergence tolerance on parameter change"),
+    "min_subset": ("--min-subset", "min_subset", int, "minimum side size refit during a split step"),
+    "stages": ("--stages", "m_stages", int, "number of boosting stages"),
+    "eta": ("--eta", "eta", float, "learning rate in (0,1]"),
+}
+# The hyperparameters each fitting command reads, as flags and as --config
+# keys.  ablate-step sets the step of each run itself.
+_SPLIT_KEYS = ("ridge", "step", "t_max", "epsilon", "min_subset")
+_TREE_KEYS = ("max_depth", "ridge", "step", "tau", "n_min", "t_max", "epsilon", "min_subset")
+_BOOST_KEYS = (*_TREE_KEYS, "stages", "eta")
+_ABLATE_KEYS = tuple(k for k in _TREE_KEYS if k != "step")
 
 
-def _parse_step(raw, flag: str = "--step"):
+def _typed(kind, value, where: str):
+    """``value`` as ``kind``: an int or finite float from a number, or a step for ``str``.
+
+    A boolean, null, list, object or string (outside a step), or a
+    non-integral number for an int, is a configuration error naming ``where``.
+    """
+    if kind is str:
+        return _parse_step(value, where)
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, float))
+              and (float(value).is_integer() if kind is int else math.isfinite(value)))
+    except OverflowError:  # an integer beyond the float range
+        ok = kind is int
+    if not ok:
+        expected = "an integer" if kind is int else "a finite number"
+        raise CliConfigError(f"{where}: expected {expected}, got {json.dumps(value)}")
+    return kind(value)
+
+
+def _parse_step(raw, where: str = "--step"):
     if isinstance(raw, str):
         token = raw.strip().lower()
         if token == "auto":
@@ -214,43 +136,35 @@ def _parse_step(raw, flag: str = "--step"):
         try:
             raw = float(token)
         except ValueError:
-            raise CliConfigError(f"{flag}: expected a number in (0, 1] or 'auto', "
+            raise CliConfigError(f"{where}: expected a number in (0, 1] or 'auto', "
                                  f"got {raw!r}") from None
-    value = float(raw)
+    value = _typed(float, raw, where)
     if not 0.0 < value <= 1.0:
-        raise CliConfigError(f"{flag}: damping factor {value} outside (0, 1]")
+        raise CliConfigError(f"{where}: damping factor {value} outside (0, 1]")
     return value
 
 
-def _split_config(args, file_cfg, base: SplitConfig, seed: int) -> SplitConfig:
-    """``base`` with the flag or config-file values and ``seed``."""
-    try:
-        return replace(
-            base,
-            t_max=int(_resolve(args, file_cfg, "t_max", base.t_max)),
-            step=_parse_step(_resolve(args, file_cfg, "step", base.step)),
-            epsilon=float(_resolve(args, file_cfg, "epsilon", base.epsilon)),
-            ridge_alpha=float(_resolve(args, file_cfg, "ridge", base.ridge_alpha)),
-            min_subset=int(_resolve(args, file_cfg, "min_subset", base.min_subset)),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise CliConfigError(f"split configuration: {exc}") from None
+def _configure(config, args, file_cfg: dict, **fixed):
+    """``config`` with each flag's value, else its ``--config`` value, and ``fixed``.
 
-
-def _tree_config(args, file_cfg, base: TreeConfig, seed: int, diagnostics: bool) -> TreeConfig:
-    """``base`` with the flag or config-file values, ``seed`` and ``diagnostics``."""
-    try:
-        return replace(
-            base,
-            d_max=int(_resolve(args, file_cfg, "max_depth", base.d_max)),
-            n_min=int(_resolve(args, file_cfg, "n_min", base.n_min)),
-            tau_rmse=float(_resolve(args, file_cfg, "tau", base.tau_rmse)),
-            split=_split_config(args, file_cfg, base.split, seed),
-            collect_traces=diagnostics,
-        )
-    except ValueError as exc:
-        raise CliConfigError(f"tree configuration: {exc}") from None
+    Values go to the config field that :data:`_HYPER` names, and each
+    ``fixed`` item to the field of its name, at whichever level holds it.
+    Nested configs are rebuilt first, each once, so that ``__post_init__``
+    checks fields that depend on each other (``n_min`` and the split's
+    ``min_subset``) together; it raises ``ValueError`` naming the field.
+    """
+    names = {f.name for f in fields(config)}
+    changes = {name: _configure(getattr(config, name), args, file_cfg, **fixed)
+               for name in names if is_dataclass(getattr(config, name))}
+    for dest, (flag, name, kind, _) in _HYPER.items():
+        if name not in names:
+            continue
+        if getattr(args, dest, None) is not None:
+            changes[name] = _typed(kind, getattr(args, dest), flag)
+        elif dest in file_cfg:
+            changes[name] = _typed(kind, file_cfg[dest], f"--config {args.config}: {dest!r}")
+    changes.update((name, value) for name, value in fixed.items() if name in names)
+    return replace(config, **changes)
 
 
 def _dataset(args) -> Dataset:
@@ -313,39 +227,24 @@ def _print_flops(flops: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    keys = _BOOST_KEYS if args.kind == "boost" else _TREE_KEYS
+    hrt = args.kind == "hrt"
+    keys = _TREE_KEYS if hrt else _BOOST_KEYS
     unread = [_HYPER[k][0] for k in _BOOST_KEYS if k not in keys and getattr(args, k) is not None]
     if unread:
         raise CliConfigError(f"train {args.kind} does not read {', '.join(unread)}")
     file_cfg = _load_config_file(args.config, keys)
     ds = _dataset(args)
-    kind = args.kind
-    seed = args.seed
 
     preprocess = None
     if args.standardize:
         ds, _, transform = standardize(ds)
         preprocess = {"standardize": transform.to_dict()}
 
+    base = TreeConfig() if hrt else BoostConfig(tree=default_boost_tree_config())
+    config = _configure(base, args, file_cfg, seed=args.seed, collect_traces=args.diagnostics)
+    config_doc = asdict(config)
     started = time.perf_counter()
-    if kind == "hrt":
-        config = _tree_config(args, file_cfg, TreeConfig(), seed, args.diagnostics)
-        model = build_tree(ds.X, ds.y, config)
-        config_doc = asdict(config)
-    else:
-        tree_cfg = _tree_config(args, file_cfg, default_boost_tree_config(), seed,
-                                args.diagnostics)
-        base = BoostConfig()
-        try:
-            config = BoostConfig(
-                m_stages=int(_resolve(args, file_cfg, "stages", base.m_stages)),
-                eta=float(_resolve(args, file_cfg, "eta", base.eta)),
-                tree=tree_cfg,
-            )
-        except ValueError as exc:
-            raise CliConfigError(f"boost configuration: {exc}") from None
-        model = fit_boost(ds.X, ds.y, config)
-        config_doc = asdict(config)
+    model = build_tree(ds.X, ds.y, config) if hrt else fit_boost(ds.X, ds.y, config)
     fit_time = time.perf_counter() - started
     model.preprocess = preprocess
 
@@ -357,9 +256,9 @@ def cmd_train(args) -> int:
     payload = {
         "command": "train",
         "dataset": {"spec": args.dataset, "n": ds.n, "d": ds.d},
-        "model_kind": kind,
+        "model_kind": args.kind,
         "config": config_doc,
-        "seed": seed,
+        "seed": args.seed,
         "standardized": bool(args.standardize),
         "train_eval": _eval_dict(report),
         "complexity": complexity,
@@ -367,37 +266,36 @@ def cmd_train(args) -> int:
         "fit_time_s": fit_time,
         "model_path": args.out,
     }
-    if kind == "hrt":
+    if hrt:
+        s = model.stats
         payload["stats"] = {
-            "n_leaves": model.stats.n_leaves,
-            "depth": model.stats.depth,
-            "n_splits": model.stats.n_splits,
-            "n_fallbacks": model.stats.n_fallbacks,
-            "total_split_iterations": model.stats.total_split_iterations,
-            "total_variant_iterations": model.stats.total_variant_iterations,
-            "fallback_rate": model.stats.fallback_rate,
+            "n_leaves": s.n_leaves,
+            "depth": s.depth,
+            "n_splits": s.n_splits,
+            "n_fallbacks": s.n_fallbacks,
+            "total_split_iterations": s.total_split_iterations,
+            "total_variant_iterations": s.total_variant_iterations,
+            "fallback_rate": s.fallback_rate,
         }
-        if args.diagnostics and model.stats.per_node_traces is not None:
-            payload["per_node_traces"] = model.stats.per_node_traces
+        if args.diagnostics and s.per_node_traces is not None:
+            payload["per_node_traces"] = s.per_node_traces
+        summary = (f"tree: depth={s.depth} leaves={s.n_leaves} splits={s.n_splits} "
+                   f"fallbacks={s.n_fallbacks} fallback_rate={_fmt(100 * s.fallback_rate)}%")
     else:
         payload["stats"] = {
             "stages_retained": len(model.learners),
             "stages_recorded": len(model.stage_retained),
             "final_loss": model.loss_trace[-1],
         }
+        summary = (f"boost: stages={len(model.learners)} "
+                   f"total_leaves={complexity['total_leaves']} "
+                   f"final_loss={_fmt(model.loss_trace[-1])}")
 
     print(f"dataset: {args.dataset} (n={ds.n}, d={ds.d})")
-    print(f"model: {kind}  seed={seed}")
+    print(f"model: {args.kind}  seed={args.seed}")
     print(f"config: {json.dumps(config_doc, sort_keys=True)}")
     _print_eval("train", report)
-    if kind == "hrt":
-        s = model.stats
-        print(f"tree: depth={s.depth} leaves={s.n_leaves} splits={s.n_splits} "
-              f"fallbacks={s.n_fallbacks} fallback_rate={_fmt(100 * s.fallback_rate)}%")
-    else:
-        print(f"boost: stages={len(model.learners)} "
-              f"total_leaves={complexity['total_leaves']} "
-              f"final_loss={_fmt(model.loss_trace[-1])}")
+    print(summary)
     _print_flops(flops)
     print(f"fit_time_s={_fmt(fit_time)} (training only)")
     print(f"wrote model to {args.out}")
@@ -454,16 +352,17 @@ def cmd_predict(args) -> int:
 
 
 def ablate_step_rows(dataset_spec: str, mu_values, repeats: int,
-                     make_config, train_fraction: float = 0.7,
+                     config: TreeConfig, train_fraction: float = 0.7,
                      seed: int = 0, use_standardize: bool = False,
                      target="y", header: bool = True):
     """Train `repeats` models per step-size value and average the metrics.
 
-    ``make_config(mu, seed) -> TreeConfig`` builds the per-run settings.
-    Synthetic datasets are regenerated per repeat with a derived seed so
-    every step size sees the same sequence of datasets and splits; file
-    datasets are re-split only.  The fallback rate is the ratio of mean
-    fallbacks to mean splits, as a percentage.
+    Each run fits ``config`` with the step under test.  Synthetic datasets
+    are regenerated per repeat with a derived seed so every step size sees
+    the same sequence of datasets, train/test splits and split seeds
+    (:func:`~hingetree.tree.derive_seed` slots 4, 5 and 6); file datasets
+    are re-split only.  The fallback rate is the ratio of mean fallbacks to
+    mean splits, as a percentage.
     """
     ds0 = parse_dataset_spec(dataset_spec, target=target, header=header)
     synthetic = ds0.provenance.get("kind") == "synthetic"
@@ -480,9 +379,10 @@ def ablate_step_rows(dataset_spec: str, mu_values, repeats: int,
         if use_standardize:
             train, test, _ = standardize(train, test)
         for i, mu in enumerate(mu_values):
-            config = make_config(mu, derive_seed(rep_seed, 0, 6))
+            run_config = replace(config, split=replace(config.split, step=mu,
+                                                       seed=derive_seed(rep_seed, 0, 6)))
             started = time.perf_counter()
-            model = build_tree(train.X, train.y, config)
+            model = build_tree(train.X, train.y, run_config)
             fit_time = time.perf_counter() - started
             report = evaluate(predict_batch(model, test.X), test.y)
             s = model.stats
@@ -515,17 +415,12 @@ def cmd_ablate_step(args) -> int:
         token = token.strip()
         if not token:
             continue
-        mu_values.append(_parse_step(token, flag="--mu-list"))
+        mu_values.append(_parse_step(token, "--mu-list"))
     if not mu_values:
         raise CliConfigError("--mu-list: no step sizes given")
 
-    base = _tree_config(args, file_cfg, TreeConfig(), args.seed, False)
-
-    def make_config(mu, run_seed):
-        return replace(base, split=replace(base.split, step=mu, seed=run_seed))
-
     rows = ablate_step_rows(
-        args.dataset, mu_values, args.repeats, make_config,
+        args.dataset, mu_values, args.repeats, _configure(TreeConfig(), args, file_cfg),
         train_fraction=args.train_fraction, seed=args.seed,
         use_standardize=args.standardize,
         target=(args.target if args.target is not None else "y"),
@@ -537,9 +432,7 @@ def cmd_ablate_step(args) -> int:
     print("# fit_time_s covers training only (data generation excluded).")
     print("  ".join(f"{c:>17}" for c in header_cols))
     for row in rows:
-        cells = [str(row["mu"]) if isinstance(row["mu"], str) else _fmt(row["mu"])]
-        cells += [_fmt(row[c]) for c in header_cols[1:]]
-        print("  ".join(f"{c:>17}" for c in cells))
+        print("  ".join(f"{_fmt(row[c]):>17}" for c in header_cols))
     _write_json(args, {
         "command": "ablate-step",
         "dataset": args.dataset,
@@ -575,7 +468,7 @@ def cmd_boost_diagnose(args) -> int:
 def cmd_trace_node(args) -> int:
     file_cfg = _load_config_file(args.config, _SPLIT_KEYS)
     ds = _dataset(args)
-    config = _split_config(args, file_cfg, SplitConfig(), args.seed)
+    config = _configure(SplitConfig(), args, file_cfg, seed=args.seed)
     outcome = select_split(ds.X, ds.y, config)
     print("iteration,objective,mu,s1_size,s2_size")
     rows = []
@@ -627,31 +520,9 @@ def _add_fit_common(sub):
     _add_json(sub)
 
 
-# Hyperparameter flags: dest -> (flag, type, help).  Unset flags read None
-# and fall back to the config file, then to the config dataclass.
-_HYPER = {
-    "max_depth": ("--max-depth", int, "maximum tree depth"),
-    "ridge": ("--ridge", float, "ridge penalty on weights (bias excluded)"),
-    "step": ("--step", str, "damping factor in (0,1] or 'auto'"),
-    "tau": ("--tau", float, "leaf RMSE threshold"),
-    "n_min": ("--n-min", int, "minimum samples to split a node"),
-    "t_max": ("--t-max", int, "maximum split iterations"),
-    "epsilon": ("--epsilon", float, "convergence tolerance on parameter change"),
-    "min_subset": ("--min-subset", int, "minimum side size refit during a split step"),
-    "stages": ("--stages", int, "number of boosting stages"),
-    "eta": ("--eta", float, "learning rate in (0,1]"),
-}
-# The hyperparameters each fitting command reads, as flags and as --config
-# keys.  ablate-step sets the step of each run itself.
-_SPLIT_KEYS = ("ridge", "step", "t_max", "epsilon", "min_subset")
-_TREE_KEYS = ("max_depth", "ridge", "step", "tau", "n_min", "t_max", "epsilon", "min_subset")
-_BOOST_KEYS = (*_TREE_KEYS, "stages", "eta")
-_ABLATE_KEYS = tuple(k for k in _TREE_KEYS if k != "step")
-
-
 def _add_hyper(sub, *dests):
     for dest in dests:
-        flag, kind, text = _HYPER[dest]
+        flag, _, kind, text = _HYPER[dest]
         sub.add_argument(flag, dest=dest, type=kind, default=None, help=text)
 
 
@@ -744,7 +615,7 @@ def main(argv=None) -> int:
             code, what = 4, "dimension mismatch"
         else:
             code, what = 3, "data error"
-        if _debug_mode():
+        if log.isEnabledFor(logging.DEBUG):
             log.exception(what)
         print(f"error: {exc}", file=sys.stderr)
         return code

@@ -98,8 +98,8 @@ def gen_synthetic(name: str, n: int, sigma: float = 0.0, seed: int = 0) -> Datas
                          f"choices: {sorted(SYNTHETIC_FUNCTIONS)}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and non-negative")
     fn, d, low, high = SYNTHETIC_FUNCTIONS[name]
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     X = rng.uniform(low, high, size=(n, d))
@@ -254,7 +254,9 @@ class StandardizeTransform:
     constant_mask: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.shift) / self.scale
+        """``(X - shift) / scale``; an overflow gives an infinity for the caller's check."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return (np.asarray(X, dtype=float) - self.shift) / self.scale
 
     def to_dict(self) -> dict:
         return {

@@ -41,7 +41,10 @@ def derive_seed(seed: int, level: int, slot: int) -> int:
     Children use slot 0 (left) and 1 (right) with their parent's seed and
     depth, the node's fallback draw uses slot 2, and boosting stages use
     slot 3 with the stage index as ``level``.  Tree shape is therefore
-    reproducible independent of traversal order.
+    reproducible independent of traversal order.  The step-size ablation
+    (:func:`hingetree.cli.ablate_step_rows`) uses slot 4 for each repeat's
+    seed (the repeat index as ``level``), and slots 5 and 6, at level 0 of
+    that seed, for the repeat's train/test split and its split seed.
     """
     z = (
         (seed & _MASK64) * 0x9E3779B97F4A7C15

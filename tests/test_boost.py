@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hingetree.boost
 from hingetree import (
     BoostConfig,
     DimensionMismatch,
@@ -132,6 +133,32 @@ class TestFitBoost:
         with pytest.raises(NonFiniteInput):
             fit_boost(X, y, BoostConfig(m_stages=3))
 
+    def test_stage_worse_than_zero_is_discarded(self, monkeypatch):
+        # Least-squares leaves never fit worse than zero, so flip stage 2's
+        # predictions to drive fit_boost through its discard branch.
+        real = hingetree.boost.predict_batch
+        calls = []
+
+        def flip_second_stage(learner, X):
+            calls.append(learner)
+            values = real(learner, X)
+            return -values if len(calls) == 2 else values
+
+        monkeypatch.setattr(hingetree.boost, "predict_batch", flip_second_stage)
+        ds, model = sinc_boost(m_stages=4)
+        assert len(calls) == 4
+        assert model.gamma_trace[1] == 0.0
+        assert model.stage_retained == [True, False, True, True]
+        assert model.loss_trace[2] == model.loss_trace[1]
+        assert model.learners == [calls[0], calls[2], calls[3]]
+        assert all(check.ok for check in gamma_bound_check(model))
+        np.testing.assert_array_equal(staged_losses(model, ds.X, ds.y), model.loss_trace)
+        loaded = model_from_dict(model_to_dict(model))
+        assert loaded.stage_retained == model.stage_retained
+        assert dumps_model(loaded) == dumps_model(model)
+        assert predict_boost_batch(loaded, ds.X).tobytes() == \
+            predict_boost_batch(model, ds.X).tobytes()
+
 
 class TestPredictBoost:
     def test_one_learner_unit_eta(self):
@@ -201,6 +228,14 @@ class TestStagedLosses:
         ds, model = sinc_boost(m_stages=20)
         losses = staged_losses(model, ds.X, ds.y)
         np.testing.assert_array_equal(losses, model.loss_trace)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, value):
+        ds, model = sinc_boost(m_stages=2)
+        y = ds.y.copy()
+        y[3] = value
+        with pytest.raises(NonFiniteInput):
+            staged_losses(model, ds.X, y)
 
     def test_discarded_stage_repeats_the_previous_loss(self):
         ds, model = sinc_boost(m_stages=3)

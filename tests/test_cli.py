@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -19,7 +18,28 @@ from hingetree import (
     load_model,
     write_csv,
 )
-from hingetree.cli import SCHEMAS, ablate_step_rows, main
+from hingetree.cli import ablate_step_rows, main
+
+NUMBER = (int, float)
+EVAL = {"rmse": NUMBER, "mae": NUMBER, "r2": (int, float, type(None)), "n": int,
+        "r2_defined": bool}
+FLOPS = {"mode": str, "inference_flops_per_sample": NUMBER, "total_parameters": int}
+
+
+def assert_shape(doc, shape):
+    """``doc`` holds each key of ``shape`` with a value of its JSON type(s); a bool is no number."""
+    assert isinstance(doc, dict)
+    for key, kind in shape.items():
+        assert key in doc, key
+        value = doc[key]
+        if kind is not None:
+            assert isinstance(value, kind) and (kind is bool or not isinstance(value, bool)), key
+
+
+def assert_eval_and_flops(report, eval_key):
+    assert_shape(report[eval_key], EVAL)
+    assert_shape(report["flops"], FLOPS)
+    assert report["flops"]["mode"] in ("two", "diff")
 
 
 def run(capsys, *argv):
@@ -59,7 +79,12 @@ class TestTrain:
                             "--json", str(report), "--seed", "1")
         assert code == 0
         payload = json.loads(report.read_text())
-        jsonschema.validate(payload, SCHEMAS["train"])
+        assert_shape(payload, dict.fromkeys(["dataset", "config", "seed", "complexity",
+                                             "model_path"]) | {
+            "command": str, "model_kind": str, "train_eval": dict, "flops": dict,
+            "fit_time_s": NUMBER})
+        assert payload["command"] == "train" and payload["model_kind"] in ("hrt", "boost")
+        assert_eval_and_flops(payload, "train_eval")
         rmse = payload["train_eval"]["rmse"]
         assert f"rmse={rmse:.6g}" in text
 
@@ -205,6 +230,32 @@ class TestUnreadConfigKeys:
         assert out == ""
         assert not (tmp_path / "m.json").exists()
 
+    # Each fitting command with a --config value of the wrong JSON type for its field.
+    ARGV = {command: argv for command, (argv, _, _) in CASES.items()}
+    ARGV["train-boost"] = ["train", SINC, "boost", "--out", "m.json"]
+    MISTYPED = [
+        ("train", "t_max", 2.7), ("train", "max_depth", True), ("train", "t_max", [1]),
+        ("train", "max_depth", None), ("train", "step", {"a": 1}), ("train", "tau", "0.1"),
+        ("train-boost", "stages", 2.5), ("train-boost", "eta", False),
+        ("ablate-step", "t_max", 2.7), ("ablate-step", "n_min", None),
+        ("ablate-step", "ridge", float("inf")),
+        pytest.param("ablate-step", "tau", 10**400, id="ablate-step-tau-beyond-float"),
+        ("trace-node", "t_max", [1]), ("trace-node", "step", {"a": 1}),
+        ("trace-node", "min_subset", True), ("trace-node", "epsilon", float("nan")),
+    ]
+
+    @pytest.mark.parametrize("command, key, value", MISTYPED)
+    def test_mistyped_value_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                              command, key, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, *self.ARGV[command], "--config", "cfg.json")
+        assert code == 2
+        assert err.startswith(f"error: --config cfg.json: '{key}': expected a")
+        assert f"got {json.dumps(value)}" in err
+        assert out == ""
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestEval:
     def test_eval_matches_train_echo(self, tmp_path, capsys):
@@ -218,7 +269,10 @@ class TestEval:
         assert code == 0
         trained = json.loads(train_report.read_text())
         evaluated = json.loads(eval_report.read_text())
-        jsonschema.validate(evaluated, SCHEMAS["eval"])
+        assert_shape(evaluated, dict.fromkeys(["model_path", "dataset", "complexity"]) | {
+            "command": str, "eval": dict, "flops": dict})
+        assert evaluated["command"] == "eval"
+        assert_eval_and_flops(evaluated, "eval")
         assert evaluated["eval"] == trained["train_eval"]
 
     def test_dimension_mismatch_exit_code(self, tmp_path, capsys):
@@ -362,8 +416,7 @@ class TestPredict:
         out.write_text(json.dumps(doc))
         data = tmp_path / "d.csv"
         data.write_text("x\n0.5\n1e300\n")
-        with np.errstate(over="ignore"):  # 1e300 / 1e-300 overflows to inf
-            code, text, err = run(capsys, "predict", str(out), str(data))
+        code, text, err = run(capsys, "predict", str(out), str(data))  # overflows to inf
         assert code == 3
         assert err.startswith("error: feature matrix contains a NaN or infinite value")
         assert text == ""
@@ -380,6 +433,14 @@ class TestSynth:
                          "--max-depth", "1", "--out", str(out))
         assert code == 0
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_is_config_error(self, tmp_path, capsys, sigma):
+        csv = tmp_path / "s.csv"
+        code, _, err = run(capsys, "synth", f"f1:n=20:sigma={sigma}", "--out", str(csv))
+        assert code == 2
+        assert err == "error: sigma must be finite and non-negative\n"
+        assert not csv.exists()
+
 
 class TestAblateStep:
     def test_single_cell_matches_manual_replication(self, tmp_path, capsys):
@@ -388,16 +449,17 @@ class TestAblateStep:
                          "--repeats", "1", "--seed", "13", "--json", str(report))
         assert code == 0
         payload = json.loads(report.read_text())
-        jsonschema.validate(payload, SCHEMAS["ablate-step"])
+        assert_shape(payload, dict.fromkeys(["dataset", "train_fraction"]) | {
+            "command": str, "repeats": int, "rows": list})
+        assert payload["command"] == "ablate-step"
+        for row in payload["rows"]:
+            assert_shape(row, {"mu": (*NUMBER, str)} | dict.fromkeys(
+                ["rmse", "leaves", "avg_iters", "fit_time_s", "fallbacks", "splits",
+                 "fallback_rate_pct"], NUMBER))
 
-        from hingetree import SplitConfig, TreeConfig
-
-        def make_config(mu, run_seed):
-            return TreeConfig(d_max=6, n_min=5, tau_rmse=0.03,
-                              split=SplitConfig(step=mu, ridge_alpha=0.001,
-                                                epsilon=0.03, seed=run_seed))
-
-        manual = ablate_step_rows(SINC, [0.05], 1, make_config, seed=13)
+        config = TreeConfig(d_max=6, n_min=5, tau_rmse=0.03,
+                            split=SplitConfig(ridge_alpha=0.001, epsilon=0.03))
+        manual = ablate_step_rows(SINC, [0.05], 1, config, seed=13)
         row = payload["rows"][0]
         assert row["rmse"] == manual[0]["rmse"]
         assert row["leaves"] == manual[0]["leaves"]
@@ -430,7 +492,12 @@ class TestBoostDiagnose:
                             "--json", str(report))
         assert code == 0
         payload = json.loads(report.read_text())
-        jsonschema.validate(payload, SCHEMAS["boost-diagnose"])
+        assert_shape(payload, {"command": str, "model_path": None, "stages": list,
+                               "all_ok": bool})
+        assert payload["command"] == "boost-diagnose"
+        for stage in payload["stages"]:
+            assert_shape(stage, {"stage": int, "gamma": NUMBER, "loss": NUMBER,
+                                 "bound_rhs": NUMBER, "ok": bool})
         assert payload["all_ok"] and len(payload["stages"]) == 6
 
     def test_zero_stage_model(self, tmp_path, capsys):

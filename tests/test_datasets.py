@@ -71,6 +71,11 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_synthetic("nope", 10)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and non-negative"):
+            gen_synthetic("f1", 20, sigma)
+
 
 class TestCsv:
     def test_header_fixture(self, tmp_path):
