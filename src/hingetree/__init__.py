@@ -72,7 +72,6 @@ from .tree import (
     derive_seed,
     predict,
     predict_batch,
-    tree_stats,
 )
 
 __version__ = "0.1.0"

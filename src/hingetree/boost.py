@@ -71,7 +71,9 @@ class BoostModel:
     residual-fit coefficient, clipped to 0 for a discarded stage.
     ``stage_retained`` marks which stages contributed a learner; discarded
     stages leave the ensemble unchanged, so ``learners`` holds retained
-    trees only, in stage order.
+    trees only, in stage order.  ``preprocess`` records a transform fitted
+    with the model (the CLI's ``train --standardize``); only the CLI
+    applies it, and the predict functions take rows as given.
     """
 
     f0: float

@@ -186,25 +186,12 @@ def _predictions(model, X: np.ndarray) -> np.ndarray:
 
 
 def _flops_report(model, mode: str) -> dict:
-    if isinstance(model, BoostModel):
-        report = boost_inference_flops(model, mode)
-    else:
-        report = hrt_inference_flops(model, mode)
-    return {
-        "mode": mode,
-        "inference_flops_per_sample": report.inference_flops_per_sample,
-        "total_parameters": report.total_parameters,
-    }
+    flops = boost_inference_flops if isinstance(model, BoostModel) else hrt_inference_flops
+    return {"mode": mode, **asdict(flops(model, mode))}
 
 
 def _eval_dict(report) -> dict:
-    return {
-        "rmse": report.rmse,
-        "mae": report.mae,
-        "r2": report.r2 if report.r2_defined else None,
-        "n": report.n,
-        "r2_defined": report.r2_defined,
-    }
+    return asdict(report) | {"r2": report.r2 if report.r2_defined else None}
 
 
 def _write_json(args, payload: dict) -> None:
@@ -241,7 +228,7 @@ def cmd_train(args) -> int:
         preprocess = {"standardize": transform.to_dict()}
 
     base = TreeConfig() if hrt else BoostConfig(tree=default_boost_tree_config())
-    config = _configure(base, args, file_cfg, seed=args.seed, collect_traces=args.diagnostics)
+    config = _configure(base, args, file_cfg, seed=args.seed)
     config_doc = asdict(config)
     started = time.perf_counter()
     model = build_tree(ds.X, ds.y, config) if hrt else fit_boost(ds.X, ds.y, config)
@@ -268,17 +255,10 @@ def cmd_train(args) -> int:
     }
     if hrt:
         s = model.stats
-        payload["stats"] = {
-            "n_leaves": s.n_leaves,
-            "depth": s.depth,
-            "n_splits": s.n_splits,
-            "n_fallbacks": s.n_fallbacks,
-            "total_split_iterations": s.total_split_iterations,
-            "total_variant_iterations": s.total_variant_iterations,
-            "fallback_rate": s.fallback_rate,
-        }
-        if args.diagnostics and s.per_node_traces is not None:
-            payload["per_node_traces"] = s.per_node_traces
+        payload["stats"] = asdict(s) | {"fallback_rate": s.fallback_rate}
+        traces = payload["stats"].pop("per_node_traces")
+        if args.diagnostics:
+            payload["per_node_traces"] = traces
         summary = (f"tree: depth={s.depth} leaves={s.n_leaves} splits={s.n_splits} "
                    f"fallbacks={s.n_fallbacks} fallback_rate={_fmt(100 * s.fallback_rate)}%")
     else:
@@ -351,6 +331,10 @@ def cmd_predict(args) -> int:
     return 0
 
 
+# Each ablation run's metrics, averaged over the repeats of a step size.
+_ABLATE_COLUMNS = ("rmse", "leaves", "avg_iters", "fit_time_s", "fallbacks", "splits")
+
+
 def ablate_step_rows(dataset_spec: str, mu_values, repeats: int,
                      config: TreeConfig, train_fraction: float = 0.7,
                      seed: int = 0, use_standardize: bool = False,
@@ -384,23 +368,15 @@ def ablate_step_rows(dataset_spec: str, mu_values, repeats: int,
             started = time.perf_counter()
             model = build_tree(train.X, train.y, run_config)
             fit_time = time.perf_counter() - started
-            report = evaluate(predict_batch(model, test.X), test.y)
+            rmse = evaluate(predict_batch(model, test.X), test.y).rmse
             s = model.stats
             iters = (s.total_variant_iterations / s.n_splits) if s.n_splits else 0.0
-            per_mu[i].append({
-                "rmse": report.rmse,
-                "leaves": s.n_leaves,
-                "avg_iters": iters,
-                "fit_time_s": fit_time,
-                "fallbacks": s.n_fallbacks,
-                "splits": s.n_splits,
-            })
+            per_mu[i].append({"rmse": rmse, "leaves": s.n_leaves, "avg_iters": iters,
+                              "fit_time_s": fit_time, "fallbacks": s.n_fallbacks,
+                              "splits": s.n_splits})
     rows = []
     for i, mu in enumerate(mu_values):
-        runs = per_mu[i]
-        mean = {k: float(np.mean([run[k] for run in runs]))
-                for k in ("rmse", "leaves", "avg_iters", "fit_time_s",
-                          "fallbacks", "splits")}
+        mean = {k: float(np.mean([run[k] for run in per_mu[i]])) for k in _ABLATE_COLUMNS}
         rate = 100.0 * mean["fallbacks"] / mean["splits"] if mean["splits"] else 0.0
         rows.append({"mu": mu, **mean, "fallback_rate_pct": rate})
     return rows
@@ -426,8 +402,7 @@ def cmd_ablate_step(args) -> int:
         target=(args.target if args.target is not None else "y"),
         header=not args.no_header,
     )
-    header_cols = ("mu", "rmse", "leaves", "avg_iters", "fit_time_s",
-                   "fallbacks", "splits", "fallback_rate_pct")
+    header_cols = ("mu", *_ABLATE_COLUMNS, "fallback_rate_pct")
     print("# avg_iters sums both hinge variants per materialized split;")
     print("# fit_time_s covers training only (data generation excluded).")
     print("  ".join(f"{c:>17}" for c in header_cols))
@@ -540,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_hyper(train, *_BOOST_KEYS)
     train.add_argument("--out", required=True, help="model file to write")
     train.add_argument("--diagnostics", action="store_true",
-                       help="retain per-node objective traces")
+                       help="also report per-node objective traces")
     train.add_argument("--standardize", action="store_true",
                        help="standardize features (transform stored in the model)")
     train.add_argument("--flops-mode", choices=["two", "diff"], default="two")

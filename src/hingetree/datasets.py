@@ -116,6 +116,11 @@ def gen_synthetic(name: str, n: int, sigma: float = 0.0, seed: int = 0) -> Datas
     )
 
 
+def _lines(text: str) -> list[str]:
+    # Lines end at "\n", "\r" or "\r\n", as text-mode reading splits them.
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _read_csv(path: str, header: bool, target=None):
     """Parse a numeric CSV into ``(values, names, target_index)``.
 
@@ -123,11 +128,18 @@ def _read_csv(path: str, header: bool, target=None):
     file checked to hold a target plus at least one feature, before any
     cell is parsed; with ``target=None`` every column is a feature and the
     index is None.  A cell that is not a finite number raises
-    :class:`NonNumericCell` at its 1-based file row and column.
+    :class:`NonNumericCell` at its 1-based file row and column, and a byte
+    that is not UTF-8 text a :class:`ParseError` at its row and column.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [(i + 1, line.rstrip("\n").rstrip("\r")) for i, line in enumerate(fh)]
-    rows = [(lineno, line.split(",")) for lineno, line in raw if line.strip()]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _lines(data[:exc.start].decode("utf-8"))
+        raise ParseError(len(before), before[-1].count(",") + 1,
+                         f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
+    rows = [(i + 1, line.split(",")) for i, line in enumerate(_lines(text)) if line.strip()]
     if not rows:
         raise EmptyInput(f"{path} contains no rows")
 

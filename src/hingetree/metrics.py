@@ -8,7 +8,7 @@ import numpy as np
 
 from .boost import BoostModel
 from .errors import EmptyInput, LengthMismatch
-from .tree import HrtModel, Leaf
+from .tree import HrtModel, Leaf, _preorder
 
 # FLOPs conventions: a length-p dot product costs p multiplies plus p-1
 # adds; "two" charges both branch predictors per split, "diff" charges a
@@ -55,25 +55,6 @@ def evaluate(predictions, targets) -> EvalReport:
     return EvalReport(rmse=rmse, mae=mae, r2=1.0 - ss_res / ss_tot, n=p.shape[0])
 
 
-def _dot_cost(p: int) -> int:
-    return 2 * p - 1
-
-
-def _split_cost(p: int, mode: str) -> int:
-    if mode == "two":
-        return 2 * _dot_cost(p) + 1
-    return _dot_cost(p) + 1
-
-
-def _leaf_path_costs(node, p: int, mode: str, prefix: int, out: list[int]):
-    if isinstance(node, Leaf):
-        out.append(prefix + _dot_cost(p))
-        return
-    cost = prefix + _split_cost(p, mode)
-    _leaf_path_costs(node.left, p, mode, cost, out)
-    _leaf_path_costs(node.right, p, mode, cost, out)
-
-
 def hrt_inference_flops(model: HrtModel, mode: str = "two") -> FlopsReport:
     """Single-sample inference FLOPs, averaged over all root-to-leaf paths.
 
@@ -85,13 +66,13 @@ def hrt_inference_flops(model: HrtModel, mode: str = "two") -> FlopsReport:
     if mode not in FLOPS_MODES:
         raise ValueError(f"mode must be one of {FLOPS_MODES}")
     p = model.d + 1
-    costs: list[int] = []
-    _leaf_path_costs(model.root, p, mode, 0, costs)
-    n_leaves = len(costs)
-    n_internal = n_leaves - 1
+    dot_cost = 2 * p - 1
+    split_cost = (2 * dot_cost if mode == "two" else dot_cost) + 1
+    costs = [depth * split_cost + dot_cost
+             for node, depth in _preorder(model.root) if isinstance(node, Leaf)]
     return FlopsReport(
         inference_flops_per_sample=float(np.mean(costs)),
-        total_parameters=p * (2 * n_internal + n_leaves),
+        total_parameters=p * (2 * (len(costs) - 1) + len(costs)),
     )
 
 
@@ -110,18 +91,10 @@ def boost_inference_flops(model: BoostModel, mode: str = "two") -> FlopsReport:
 def complexity_report(model) -> dict:
     """Structural summary: depth and leaves for a tree; totals for an ensemble."""
     if isinstance(model, HrtModel):
-        return {
-            "kind": "hrt",
-            "depth": model.stats.depth,
-            "leaves": model.stats.n_leaves,
-        }
+        return {"kind": "hrt", "depth": model.stats.depth, "leaves": model.stats.n_leaves}
     if isinstance(model, BoostModel):
-        leaves = [t.stats.n_leaves for t in model.learners]
-        depths = [t.stats.depth for t in model.learners]
-        return {
-            "kind": "boost",
-            "stages": len(model.learners),
-            "total_leaves": int(sum(leaves)),
-            "max_depth": int(max(depths)) if depths else 0,
-        }
+        stats = [t.stats for t in model.learners]
+        return {"kind": "boost", "stages": len(stats),
+                "total_leaves": sum(s.n_leaves for s in stats),
+                "max_depth": max((s.depth for s in stats), default=0)}
     raise TypeError(f"unsupported model type {type(model).__name__}")

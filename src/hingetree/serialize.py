@@ -135,9 +135,10 @@ def _node_from_dict(doc, d: int, where: str) -> TreeNode:
 
 def _tree_config_from_dict(doc, where: str) -> TreeConfig:
     _require(doc, ("split",), where)
-    # Earlier format-1 files also store ``fallback_on_nonconvergence``; the
-    # median fallback is now unconditional, so that key is ignored.
-    rest = {k: v for k, v in doc.items() if k not in ("split", "fallback_on_nonconvergence")}
+    # Earlier format-1 files also store ``fallback_on_nonconvergence`` and
+    # ``collect_traces``; fallbacks and traces are now unconditional.
+    rest = {k: v for k, v in doc.items()
+            if k not in ("split", "fallback_on_nonconvergence", "collect_traces")}
     with _reading(where):  # an unknown field, a split block that is not an object, a bad value
         return TreeConfig(split=SplitConfig(**doc["split"]), **rest)
 
@@ -257,6 +258,8 @@ def loads_model(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorruptModel(f"model: not valid JSON ({exc})") from None
+    except RecursionError:  # nodes nest in the document as deep as the tree
+        raise CorruptModel("model: nested too deeply") from None
     return model_from_dict(doc)
 
 
@@ -267,4 +270,8 @@ def save_model(model, path: str) -> None:
 
 def load_model(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CorruptModel(f"model: not UTF-8 text ({exc})") from None
+    return loads_model(text)

@@ -76,7 +76,6 @@ class TreeConfig:
     n_min: int = 5
     tau_rmse: float = 0.03
     split: SplitConfig = field(default_factory=SplitConfig)
-    collect_traces: bool = False
 
     def __post_init__(self):
         if self.d_max < 0:
@@ -105,6 +104,20 @@ TreeNode = Leaf | Internal
 
 @dataclass
 class TrainStats:
+    """What a tree is and what growing it took; built only by :func:`train_stats`.
+
+    ``n_leaves`` counts the leaves, ``depth`` is the deepest leaf's depth
+    (the root is at 0), ``n_splits`` counts the internal nodes (always
+    ``n_leaves - 1``) and ``n_fallbacks`` those whose split is a median
+    fallback.  ``per_node_traces`` holds the objective trace of every
+    :func:`~hingetree.split.select_split` call in growth order, splits that
+    a fallback replaced included, so it can be longer than ``n_splits``.
+    ``total_split_iterations`` and ``total_variant_iterations`` sum the
+    winning variant's and both variants' iterations over the same calls.
+    A loaded tree has no record of its growth: its counters read 0 and its
+    traces ``None``.
+    """
+
     n_leaves: int
     depth: int
     n_splits: int
@@ -120,20 +133,18 @@ class TrainStats:
 
 @dataclass
 class HrtModel:
+    """A fitted tree over ``d`` features.
+
+    ``preprocess`` records a transform fitted with the model (the CLI's
+    ``train --standardize``).  Only the CLI applies it; :func:`predict`
+    and :func:`predict_batch` take rows already in the model's input space.
+    """
+
     root: TreeNode
     d: int
     config: TreeConfig
     stats: TrainStats
     preprocess: dict | None = None
-
-
-class _Counters:
-    __slots__ = ("winner_iters", "variant_iters", "traces")
-
-    def __init__(self, collect_traces: bool):
-        self.winner_iters = 0
-        self.variant_iters = 0
-        self.traces: list[list[float]] | None = [] if collect_traces else None
 
 
 def _first_mask(split: SplitOutcome, X: np.ndarray) -> np.ndarray:
@@ -142,20 +153,15 @@ def _first_mask(split: SplitOutcome, X: np.ndarray) -> np.ndarray:
     return affine(X, p) >= affine(X, q)
 
 
-def _grow(X, y, depth, seed, config: TreeConfig, acc: _Counters) -> TreeNode:
+def _grow(X, y, depth, seed, config: TreeConfig, fits: list[SplitOutcome]) -> TreeNode:
     n = X.shape[0]
     theta_leaf = fit_or_mean(augment(X), y, config.split.ridge_alpha)
     rmse = float(np.sqrt(np.mean((y - affine(X, theta_leaf)) ** 2)))
     if depth >= config.d_max or n < config.n_min or rmse < config.tau_rmse:
         return Leaf(theta=theta_leaf, n_train=n)
 
-    node_cfg = replace(config.split, seed=seed)
-    outcome = select_split(X, y, node_cfg)
-    acc.winner_iters += outcome.iterations
-    if outcome.variant_iterations is not None:
-        acc.variant_iters += sum(outcome.variant_iterations)
-    if acc.traces is not None:
-        acc.traces.append(list(outcome.objective_trace))
+    outcome = select_split(X, y, replace(config.split, seed=seed))
+    fits.append(outcome)
 
     first = _first_mask(outcome, X)
     n_first = int(np.count_nonzero(first))
@@ -175,37 +181,45 @@ def _grow(X, y, depth, seed, config: TreeConfig, acc: _Counters) -> TreeNode:
         return Leaf(theta=theta_leaf, n_train=n)
 
     second = ~first
-    left = _grow(X[first], y[first], depth + 1, derive_seed(seed, depth, 0), config, acc)
-    right = _grow(X[second], y[second], depth + 1, derive_seed(seed, depth, 1), config, acc)
+    left = _grow(X[first], y[first], depth + 1, derive_seed(seed, depth, 0), config, fits)
+    right = _grow(X[second], y[second], depth + 1, derive_seed(seed, depth, 1), config, fits)
     return Internal(split=outcome, left=left, right=right)
 
 
-def _structure(node: TreeNode, depth: int = 0):
-    if isinstance(node, Leaf):
-        return 1, depth, 0, 0
-    l_leaves, l_depth, l_splits, l_fb = _structure(node.left, depth + 1)
-    r_leaves, r_depth, r_splits, r_fb = _structure(node.right, depth + 1)
-    fb = 1 if node.split.used_fallback else 0
-    return (
-        l_leaves + r_leaves,
-        max(l_depth, r_depth),
-        l_splits + r_splits + 1,
-        l_fb + r_fb + fb,
-    )
+def _preorder(root: TreeNode):
+    """Yield ``(node, depth)`` for every node under ``root``, parents first, left before right."""
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if isinstance(node, Internal):
+            stack.append((node.right, depth + 1))
+            stack.append((node.left, depth + 1))
 
 
-def train_stats(root: TreeNode, split_iterations: int = 0, variant_iterations: int = 0,
-                per_node_traces: list[list[float]] | None = None) -> TrainStats:
-    """The tree's structural counts plus the optimizer counters from its training."""
-    n_leaves, depth, n_splits, n_fallbacks = _structure(root)
+def train_stats(root: TreeNode, fits: list[SplitOutcome] | None = None) -> TrainStats:
+    """Build :class:`TrainStats` from one walk of the tree under ``root`` and its growth.
+
+    ``fits`` lists the growth's :func:`~hingetree.split.select_split`
+    outcomes in order; a loaded tree has none to pass.
+    """
+    n_leaves = depth = n_fallbacks = 0
+    for node, at in _preorder(root):
+        if isinstance(node, Leaf):
+            n_leaves += 1
+            depth = max(depth, at)
+        elif node.split.used_fallback:
+            n_fallbacks += 1
+    traces = None if fits is None else [o.objective_trace for o in fits]
+    fits = fits or ()
     return TrainStats(
         n_leaves=n_leaves,
         depth=depth,
-        n_splits=n_splits,
+        n_splits=n_leaves - 1,
         n_fallbacks=n_fallbacks,
-        total_split_iterations=split_iterations,
-        total_variant_iterations=variant_iterations,
-        per_node_traces=per_node_traces,
+        total_split_iterations=sum(o.iterations for o in fits),
+        total_variant_iterations=sum(sum(o.variant_iterations or ()) for o in fits),
+        per_node_traces=traces,
     )
 
 
@@ -218,10 +232,9 @@ def build_tree(X, y, config: TreeConfig | None = None) -> HrtModel:
     if config is None:
         config = TreeConfig()
     X, y = check_training(X, y)
-    acc = _Counters(config.collect_traces)
-    root = _grow(X, y, 0, config.split.seed & _MASK64, config, acc)
-    stats = train_stats(root, acc.winner_iters, acc.variant_iters, acc.traces)
-    return HrtModel(root=root, d=X.shape[1], config=config, stats=stats)
+    fits: list[SplitOutcome] = []
+    root = _grow(X, y, 0, config.split.seed & _MASK64, config, fits)
+    return HrtModel(root=root, d=X.shape[1], config=config, stats=train_stats(root, fits))
 
 
 def _check_width(X: np.ndarray, d: int) -> np.ndarray:
@@ -280,7 +293,8 @@ def predict(model: HrtModel, x) -> float:
     left-to-right float accumulation of ``x[j] * w[j]`` followed by the
     bias, so the result equals :func:`predict_batch` on the same row bit
     for bit.  A sample holding NaN or an infinity raises
-    :class:`NonFiniteInput` (:func:`check_row`).
+    :class:`NonFiniteInput` (:func:`check_row`).  ``x`` is used as given:
+    ``model.preprocess`` is applied only by the CLI.
     """
     return predict_row(model.root, check_row(x, model.d))
 
@@ -359,13 +373,8 @@ def predict_batch(model: HrtModel, X) -> np.ndarray:
     the leaves are evaluated at the end.  The kernel's fixed column order
     makes every value independent of the batch size and of which other rows
     share the batch.  A batch holding NaN or an infinity raises
-    :class:`NonFiniteInput` (:func:`check_features`).
+    :class:`NonFiniteInput` (:func:`check_features`).  ``X`` is used as
+    given: ``model.preprocess`` is applied only by the CLI.
     """
     return next(_route([model.root], check_features(X, model.d)))
 
-
-def tree_stats(model: HrtModel) -> TrainStats:
-    """Structural statistics recomputed from the stored tree."""
-    s = model.stats
-    return train_stats(model.root, s.total_split_iterations, s.total_variant_iterations,
-                       s.per_node_traces)

@@ -26,3 +26,14 @@ def hinge_regression(seed, n, d, noise=0.05):
     b = gen.normal(size=d + 1)
     y = np.maximum(Xa @ a, Xa @ b) + noise * gen.normal(size=n)
     return X, y
+
+
+def nested_document(depth):
+    """A tree document whose root heads a chain of ``depth`` internal nodes."""
+    leaf = '{"leaf": {"theta": [0.0, 0.0], "n_train": 1}}'
+    node = leaf
+    for _ in range(depth):
+        node = (f'{{"internal": {{"kind": "max", "theta1": [1.0, 0.0], "theta2": [0.0, 0.0], '
+                f'"used_fallback": false, "left": {node}, "right": {leaf}}}}}')
+    return (f'{{"format_version": 1, "kind": "hrt", "d": 1, "config": {{"split": {{}}}}, '
+            f'"root": {node}}}')

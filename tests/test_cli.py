@@ -13,12 +13,20 @@ from hingetree import (
     BoostConfig,
     SplitConfig,
     TreeConfig,
+    build_tree,
     default_boost_tree_config,
+    derive_seed,
+    evaluate,
     gen_synthetic,
+    load_csv,
     load_model,
+    predict_batch,
+    split_train_test,
+    standardize,
     write_csv,
 )
 from hingetree.cli import ablate_step_rows, main
+from conftest import nested_document
 
 NUMBER = (int, float)
 EVAL = {"rmse": NUMBER, "mae": NUMBER, "r2": (int, float, type(None)), "n": int,
@@ -124,6 +132,17 @@ class TestTrain:
                            "--out", str(tmp_path / "m.json"))
         assert code == 3
         assert "row 5, col 2" in err
+
+    def test_csv_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "d.csv"
+        write_csv(gen_synthetic("twisted_sigmoid", 50, 0.025, seed=2), csv)
+        lines = csv.read_bytes().splitlines()
+        lines[4] = lines[4].split(b",")[0] + b",\xff"
+        csv.write_bytes(b"\n".join(lines) + b"\n")
+        code, _, err = run(capsys, "train", str(csv), "hrt",
+                           "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert err == "error: row 5, col 2: byte 0xff is not UTF-8 text\n"
 
     def test_boost_training(self, tmp_path, capsys):
         out = tmp_path / "b.json"
@@ -377,6 +396,20 @@ class TestCorruptModelFile:
         assert code == 3
         assert err.startswith("error: model: not valid JSON")
 
+    def test_file_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        out.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(capsys, "eval", str(out), SINC)
+        assert code == 3
+        assert err.startswith("error: model: not UTF-8 text")
+
+    def test_deeply_nested_file_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        out.write_text(nested_document(1000))
+        code, _, err = run(capsys, "eval", str(out), "sinc:n=50:sigma=0.02:seed=1")
+        assert code == 3
+        assert err == "error: model: nested too deeply\n"
+
     def test_truncated_theta_is_data_error(self, tmp_path, capsys):
         code, _, err = self.corrupt(tmp_path, capsys,
                                     lambda doc: doc["root"]["internal"]["theta1"].pop())
@@ -465,6 +498,28 @@ class TestAblateStep:
         assert row["leaves"] == manual[0]["leaves"]
         assert row["splits"] == manual[0]["splits"]
         assert row["fallbacks"] == manual[0]["fallbacks"]
+
+        # A CSV file is re-split per repeat, and --standardize fits the
+        # transform on each training part.
+        csv = tmp_path / "d.csv"
+        write_csv(gen_synthetic("f1", 300, 0.1, seed=5), csv)
+        code, _, _ = run(capsys, "ablate-step", str(csv), "--mu-list", "0.05",
+                         "--repeats", "2", "--seed", "13", "--max-depth", "3",
+                         "--standardize", "--json", str(report))
+        assert code == 0
+        fits = []
+        for r in range(2):
+            rep_seed = derive_seed(13, r, 4)
+            train, test = split_train_test(load_csv(csv, "y"), 0.7, derive_seed(rep_seed, 0, 5))
+            train, test, _ = standardize(train, test)
+            model = build_tree(train.X, train.y, TreeConfig(d_max=3, split=SplitConfig(
+                step=0.05, seed=derive_seed(rep_seed, 0, 6))))
+            s = model.stats
+            fits.append({"rmse": evaluate(predict_batch(model, test.X), test.y).rmse,
+                         "leaves": s.n_leaves, "splits": s.n_splits, "fallbacks": s.n_fallbacks})
+        row = json.loads(report.read_text())["rows"][0]
+        for key in ("rmse", "leaves", "splits", "fallbacks"):
+            assert row[key] == float(np.mean([fit[key] for fit in fits])), key
 
     def test_fallback_rate_is_ratio_of_means(self, capsys, tmp_path):
         report = tmp_path / "a.json"

@@ -130,6 +130,32 @@ class TestCsv:
                 load()
             assert err.value.row == row and err.value.col == col
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("body, row, col", [
+        (b"\xff,2,3", 2, 1),
+        (b"1,2,3{nl}{nl}4,5\xe9,6", 4, 2),
+        (b"1,2,3{nl}4,5,\xc3", 3, 3),
+    ], ids=["first-cell", "after-blank-line", "truncated-last-cell"])
+    def test_byte_that_is_not_utf8_has_location(self, tmp_path, newline, body, row, col):
+        nl = newline.encode()
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b,y" + nl + body.replace(b"{nl}", nl) + nl)
+        for load in (lambda: load_csv(path, target="y"), lambda: load_features(path)):
+            with pytest.raises(ParseError, match="is not UTF-8 text") as err:
+                load()
+            assert (err.value.row, err.value.col) == (row, col)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_endings_and_blank_lines(self, tmp_path, newline):
+        path = tmp_path / "endings.csv"
+        path.write_bytes(newline.join(["a,y", "1,2", "", "3,4", "5,x"]).encode())
+        with pytest.raises(NonNumericCell) as err:
+            load_csv(path, target="y")
+        assert (err.value.row, err.value.col) == (5, 2)
+        path.write_bytes(newline.join(["a,y", "1,2", "", "3,4", ""]).encode())
+        ds = load_csv(path, target="y")
+        assert ds.X.tolist() == [[1.0], [3.0]] and ds.y.tolist() == [2.0, 4.0]
+
     def test_ragged_row_is_parse_error(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b,y\n1,2,3\n4,5\n")

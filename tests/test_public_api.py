@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
     "partition", "select_split",
     # tree
     "HrtModel", "Internal", "Leaf", "TrainStats", "TreeConfig", "build_tree", "derive_seed",
-    "predict", "predict_batch", "tree_stats",
+    "predict", "predict_batch",
     # boost
     "BoostConfig", "BoostModel", "StageCheck", "default_boost_tree_config", "fit_boost",
     "gamma_bound_check", "predict_boost", "predict_boost_batch", "staged_losses",

@@ -22,6 +22,7 @@ from hingetree import (
     save_model,
 )
 from hingetree.tree import Internal
+from conftest import nested_document
 
 
 def trained_tree(seed=0):
@@ -34,6 +35,28 @@ def trained_tree(seed=0):
 def trained_boost(seed=0):
     ds = gen_synthetic("f2", 400, 0.05, seed=seed)
     return ds, fit_boost(ds.X, ds.y, BoostConfig(m_stages=6, eta=0.2))
+
+
+# A depth-2 tree (one median fallback split) as an earlier release saved it,
+# with the since-dropped TreeConfig.collect_traces: build_tree on
+# gen_synthetic("sinc", 60, 0.025, seed=1) with TreeConfig(d_max=2, collect_traces=True).
+EARLIER_DOCUMENT = (
+    '{"config": {"collect_traces": true, "d_max": 2, "n_min": 5, "split": {"beta": 0.5, '
+    '"epsilon": 0.03, "max_backtracks": 30, "min_subset": 2, "mu0": 1.0, "ridge_alpha": '
+    '0.001, "seed": 0, "step": 0.01, "t_max": 100}, "tau_rmse": 0.03}, "d": 1, '
+    '"format_version": 1, "kind": "hrt", "root": {"internal": {"kind": "max", "left": '
+    '{"internal": {"fallback_feature": 0, "fallback_threshold": -0.9260282218283992, '
+    '"kind": "max", "left": {"leaf": {"n_train": 10, "theta": [0.04357943248565613, '
+    '0.021851497774438268]}}, "right": {"leaf": {"n_train": 9, "theta": '
+    '[0.29707166311780486, 0.35568913527126633]}}, "theta1": [1.0, 0.9260282218283992], '
+    '"theta2": [-1.0, -0.9260282218283992], "used_fallback": true}}, "right": {"internal": '
+    '{"kind": "min", "left": {"leaf": {"n_train": 28, "theta": [0.4324500618668737, '
+    '-0.38468869835415553]}}, "right": {"leaf": {"n_train": 13, "theta": '
+    '[-0.11103188154250812, 0.13662024428141595]}}, "theta1": [0.41887594604536127, '
+    '-0.3867082535001866], "theta2": [-0.022796179278454332, 0.020167630594159252], '
+    '"used_fallback": false}}, "theta1": [-0.5367643172796281, -0.5305976947879574], '
+    '"theta2": [0.22332324671752876, -0.23590229551928368], "used_fallback": false}}}'
+)
 
 
 class TestTreeRoundTrip:
@@ -71,6 +94,15 @@ class TestTreeRoundTrip:
         assert back.config == model.config
         points = np.random.default_rng(4).uniform(-1.5, 1.5, size=(500, 1))
         assert np.array_equal(predict_batch(back, points), predict_batch(model, points))
+
+    def test_earlier_document_with_collect_traces_loads_the_same_bits(self):
+        back = loads_model(EARLIER_DOCUMENT)
+        ds = gen_synthetic("sinc", 60, 0.025, seed=1)
+        refit = build_tree(ds.X, ds.y, TreeConfig(d_max=2))
+        assert back.config == refit.config
+        assert dumps_model(back) == dumps_model(refit)
+        points = np.random.default_rng(6).uniform(-1.5, 1.5, size=(500, 1))
+        assert predict_batch(back, points).tobytes() == predict_batch(refit, points).tobytes()
 
     def test_fallback_fields_only_when_used(self):
         _, model = trained_tree(seed=7)
@@ -389,6 +421,17 @@ class TestCorruptModel:
         text = dumps_model(trained_tree()[1])
         with pytest.raises(CorruptModel, match="not valid JSON"):
             loads_model(text[: len(text) // 2])
+
+    def test_deeply_nested_document(self):
+        assert loads_model(nested_document(50)).stats.depth == 50
+        with pytest.raises(CorruptModel, match="^model: nested too deeply$"):
+            loads_model(nested_document(1000))
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(CorruptModel, match="^model: not UTF-8 text"):
+            load_model(str(path))
 
     def test_kind_that_is_not_a_string(self):
         doc = self.tree_doc()

@@ -3,11 +3,13 @@ import pytest
 
 from hingetree import (
     AllFeaturesConstant,
+    BoostConfig,
     DimensionMismatch,
     HingeKind,
     NonFiniteInput,
     SplitConfig,
     TooFewSamples,
+    TreeConfig,
     augment,
     backtracking_step,
     damped_update,
@@ -58,6 +60,31 @@ class TestInputChecks:
         X, y = random_regression(22, 30, 2)
         with pytest.raises(DimensionMismatch):
             CHECKED_ENTRY_POINTS[entry](X, y[:-1])
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("config, field, value", [
+        (SplitConfig, "t_max", 0),
+        (SplitConfig, "step", "fast"),
+        (SplitConfig, "step", 0.0),
+        (SplitConfig, "step", 1.5),
+        (SplitConfig, "mu0", 0.0),
+        (SplitConfig, "beta", 1.0),
+        (SplitConfig, "beta", 0.0),
+        (SplitConfig, "max_backtracks", 0),
+        (SplitConfig, "epsilon", 0.0),
+        (SplitConfig, "ridge_alpha", -1e-3),
+        (SplitConfig, "min_subset", 0),
+        (TreeConfig, "d_max", -1),
+        (TreeConfig, "n_min", 3),
+        (TreeConfig, "tau_rmse", -0.1),
+        (BoostConfig, "m_stages", -1),
+        (BoostConfig, "eta", 0.0),
+        (BoostConfig, "eta", 1.5),
+    ])
+    def test_bad_value_names_its_field(self, config, field, value):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            config(**{field: value})
 
 
 class TestObjective:

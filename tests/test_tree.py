@@ -18,14 +18,14 @@ from hingetree import (
     find_optimal_split,
     gen_synthetic,
     load_csv,
+    loads_model,
     predict,
     predict_batch,
     ridge_solve,
-    tree_stats,
     write_csv,
 )
 from hingetree.linear import affine_row
-from hingetree.tree import Internal, Leaf, derive_seed
+from hingetree.tree import Internal, Leaf, derive_seed, train_stats
 from conftest import hinge_regression, random_regression
 
 
@@ -346,28 +346,41 @@ class TestRoutingContract:
 class TestTreeStats:
     def test_single_leaf(self):
         X, y = random_regression(1, 30, 2)
-        model = build_tree(X, y, TreeConfig(d_max=0))
-        s = tree_stats(model)
+        s = build_tree(X, y, TreeConfig(d_max=0)).stats
         assert (s.depth, s.n_leaves, s.n_splits, s.n_fallbacks) == (0, 1, 0, 0)
+        assert s.per_node_traces == []
 
     def test_perfect_depth_two(self):
         model = manual_model(depth=2, d=2)
-        s = tree_stats(model)
+        s = train_stats(model.root)
         assert (s.depth, s.n_leaves, s.n_splits) == (2, 4, 3)
 
     def test_abs_model_counts(self):
         _, _, model = abs_model()
-        s = tree_stats(model)
+        s = model.stats
         assert (s.depth, s.n_leaves, s.n_splits, s.n_fallbacks) == (1, 2, 1, 0)
         assert s.fallback_rate == 0.0
 
     def test_matches_stored_stats(self):
         ds = gen_synthetic("sinc", 500, 0.025, seed=3)
         model = build_tree(ds.X, ds.y, TreeConfig(d_max=5))
-        s = tree_stats(model)
+        s = model.stats
+        walked = train_stats(model.root)
         assert (s.depth, s.n_leaves, s.n_splits, s.n_fallbacks) == (
-            model.stats.depth, model.stats.n_leaves,
-            model.stats.n_splits, model.stats.n_fallbacks)
+            walked.depth, walked.n_leaves, walked.n_splits, walked.n_fallbacks)
+        # A winning variant's trace holds one value per iteration plus the start.
+        assert s.total_split_iterations == sum(len(t) - 1 for t in s.per_node_traces)
+        assert s.total_variant_iterations >= s.total_split_iterations
+        assert (walked.total_split_iterations, walked.total_variant_iterations,
+                walked.per_node_traces) == (0, 0, None)
+        assert loads_model(dumps_model(model)).stats == walked
+
+    def test_traces_always_collected(self):
+        ds = gen_synthetic("sinc", 300, 0.025, seed=1)
+        s = build_tree(ds.X, ds.y, TreeConfig(d_max=3)).stats
+        # One trace per optimized split, those a fallback replaced included.
+        assert len(s.per_node_traces) >= s.n_splits > 0
+        assert all(len(t) >= 1 for t in s.per_node_traces)
 
 
 class TestSeeds:
@@ -377,11 +390,3 @@ class TestSeeds:
         assert len(seeds) == 64
         assert derive_seed(1234, 3, 1) == derive_seed(1234, 3, 1)
         assert derive_seed(1234, 3, 1) != derive_seed(1235, 3, 1)
-
-    def test_traces_collected_only_on_request(self):
-        ds = gen_synthetic("sinc", 300, 0.025, seed=1)
-        bare = build_tree(ds.X, ds.y, TreeConfig(d_max=3))
-        assert bare.stats.per_node_traces is None
-        traced = build_tree(ds.X, ds.y, TreeConfig(d_max=3, collect_traces=True))
-        assert traced.stats.per_node_traces
-        assert all(len(t) >= 1 for t in traced.stats.per_node_traces)
