@@ -7,8 +7,14 @@ flag's value wins over its --config key (the flag's destination:
 ``max_depth``, ``step``, ...), which wins over the config dataclass
 default.  A --config key the command does not read is a configuration
 error, and so is a value of the wrong JSON type (a boolean, null, list or
-object, or a non-integral number for an integer field), or ``--stages`` or
-``--eta`` given to ``train ... hrt``.
+object, or a non-integral number for an integer field), ``--stages`` or
+``--eta`` given to ``train ... hrt``, or ``--diagnostics`` given to
+``train ... boost``.
+Each command builds one report dict: ``--json`` writes it and
+:func:`_report` prints it as text, except that ``predict`` without ``--out``
+and ``trace-node`` print data (the predictions, the per-iteration CSV).  The
+``flops`` block of ``train`` and ``eval`` counts both conventions of
+:mod:`hingetree.metrics`, as ``{"two": {...}, "diff": {...}}``.
 Exit codes: 0 success, 2 configuration error, 3 data error (a NaN or
 infinite value included, also one that standardizing a row to predict
 produces) or corrupt model file (any value that :mod:`hingetree.serialize`
@@ -43,7 +49,8 @@ from .datasets import (
     write_csv,
 )
 from .errors import DimensionMismatch, HingeTreeError
-from .metrics import boost_inference_flops, complexity_report, evaluate, hrt_inference_flops
+from .metrics import (FLOPS_MODES, boost_inference_flops, complexity_report, evaluate,
+                      hrt_inference_flops)
 from .serialize import load_model, save_model
 from .split import SplitConfig, select_split
 from .tree import TreeConfig, build_tree, derive_seed, predict_batch
@@ -66,6 +73,8 @@ def _setup_logging() -> None:
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
+    if isinstance(value, list):
+        return json.dumps(value, separators=(",", ":"))
     return str(value)
 
 
@@ -76,7 +85,7 @@ def _load_config_file(path: str | None, keys: tuple[str, ...]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliConfigError(f"--config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise CliConfigError(f"--config {path}: expected a JSON object")
@@ -178,6 +187,8 @@ def _dataset(args) -> Dataset:
 
 
 def _predictions(model, X: np.ndarray) -> np.ndarray:
+    if X.shape[1] != model.d:
+        raise DimensionMismatch(f"model expects {model.d} features, data has {X.shape[1]}")
     if model.preprocess is not None:
         X = StandardizeTransform.from_dict(model.preprocess["standardize"]).apply(X)
     if isinstance(model, BoostModel):
@@ -185,38 +196,60 @@ def _predictions(model, X: np.ndarray) -> np.ndarray:
     return predict_batch(model, X)
 
 
-def _flops_report(model, mode: str) -> dict:
+def _assess(model, ds: Dataset, key: str) -> dict:
+    """The report blocks on how ``model`` fits ``ds``: ``key`` (its scores), complexity, FLOPs."""
+    report = evaluate(_predictions(model, ds.X), ds.y)
     flops = boost_inference_flops if isinstance(model, BoostModel) else hrt_inference_flops
-    return {"mode": mode, **asdict(flops(model, mode))}
-
-
-def _eval_dict(report) -> dict:
-    return asdict(report) | {"r2": report.r2 if report.r2_defined else None}
+    return {key: asdict(report) | {"r2": report.r2 if report.r2_defined else None},
+            "complexity": complexity_report(model),
+            "flops": {mode: asdict(flops(model, mode)) for mode in FLOPS_MODES}}
 
 
 def _write_json(args, payload: dict) -> None:
-    path = getattr(args, "json", None)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def _print_eval(label: str, report) -> None:
-    r2 = _fmt(report.r2) if report.r2_defined else "undefined"
-    print(f"{label}: rmse={_fmt(report.rmse)} mae={_fmt(report.mae)} "
-          f"r2={r2} n={report.n}")
+def _leaves(doc: dict, prefix: str = ""):
+    """Each ``(dotted path, value)`` below the nested dict ``doc``, in insertion order."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
 
 
-def _print_flops(flops: dict) -> None:
-    print(f"flops/sample={_fmt(flops['inference_flops_per_sample'])} "
-          f"parameters={flops['total_parameters']} (mode={flops['mode']})")
+def _report(args, payload: dict) -> None:
+    """Print ``payload`` as text, one entry per key but ``command``, and write it to --json.
+
+    A scalar prints as ``key: value``, a dict as ``key: path=value ...`` over
+    its leaves, a list of row dicts as an aligned table under ``key:``, and
+    any other list as compact JSON.
+    """
+    for key, value in payload.items():
+        if key == "command":
+            continue
+        if isinstance(value, dict):
+            print(f"{key}: " + " ".join(f"{path}={_fmt(v)}" for path, v in _leaves(value)))
+        elif isinstance(value, list) and value and all(isinstance(row, dict) for row in value):
+            table = [list(value[0])] + [[_fmt(row[c]) for c in value[0]] for row in value]
+            widths = [max(map(len, column)) for column in zip(*table)]
+            print(f"{key}:")
+            for line in table:
+                print("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
+        else:
+            print(f"{key}: {_fmt(value)}")
+    _write_json(args, payload)
 
 
 def cmd_train(args) -> int:
     hrt = args.kind == "hrt"
     keys = _TREE_KEYS if hrt else _BOOST_KEYS
     unread = [_HYPER[k][0] for k in _BOOST_KEYS if k not in keys and getattr(args, k) is not None]
+    if args.diagnostics and not hrt:
+        unread.append("--diagnostics")
     if unread:
         raise CliConfigError(f"train {args.kind} does not read {', '.join(unread)}")
     file_cfg = _load_config_file(args.config, keys)
@@ -229,27 +262,22 @@ def cmd_train(args) -> int:
 
     base = TreeConfig() if hrt else BoostConfig(tree=default_boost_tree_config())
     config = _configure(base, args, file_cfg, seed=args.seed)
-    config_doc = asdict(config)
     started = time.perf_counter()
     model = build_tree(ds.X, ds.y, config) if hrt else fit_boost(ds.X, ds.y, config)
     fit_time = time.perf_counter() - started
     model.preprocess = preprocess
 
-    report = evaluate(_predictions(model, ds.X), ds.y)
-    flops = _flops_report(model, args.flops_mode)
-    complexity = complexity_report(model)
+    scores = _assess(model, ds, "train_eval")
     save_model(model, args.out)
 
     payload = {
         "command": "train",
         "dataset": {"spec": args.dataset, "n": ds.n, "d": ds.d},
         "model_kind": args.kind,
-        "config": config_doc,
+        "config": asdict(config),
         "seed": args.seed,
         "standardized": bool(args.standardize),
-        "train_eval": _eval_dict(report),
-        "complexity": complexity,
-        "flops": flops,
+        **scores,
         "fit_time_s": fit_time,
         "model_path": args.out,
     }
@@ -259,51 +287,22 @@ def cmd_train(args) -> int:
         traces = payload["stats"].pop("per_node_traces")
         if args.diagnostics:
             payload["per_node_traces"] = traces
-        summary = (f"tree: depth={s.depth} leaves={s.n_leaves} splits={s.n_splits} "
-                   f"fallbacks={s.n_fallbacks} fallback_rate={_fmt(100 * s.fallback_rate)}%")
     else:
-        payload["stats"] = {
-            "stages_retained": len(model.learners),
-            "stages_recorded": len(model.stage_retained),
-            "final_loss": model.loss_trace[-1],
-        }
-        summary = (f"boost: stages={len(model.learners)} "
-                   f"total_leaves={complexity['total_leaves']} "
-                   f"final_loss={_fmt(model.loss_trace[-1])}")
-
-    print(f"dataset: {args.dataset} (n={ds.n}, d={ds.d})")
-    print(f"model: {args.kind}  seed={args.seed}")
-    print(f"config: {json.dumps(config_doc, sort_keys=True)}")
-    _print_eval("train", report)
-    print(summary)
-    _print_flops(flops)
-    print(f"fit_time_s={_fmt(fit_time)} (training only)")
-    print(f"wrote model to {args.out}")
-    _write_json(args, payload)
+        payload["stats"] = {"stages_retained": len(model.learners),
+                            "stages_recorded": len(model.stage_retained),
+                            "final_loss": model.loss_trace[-1]}
+    _report(args, payload)
     return 0
 
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     ds = _dataset(args)
-    if ds.d != model.d:
-        raise DimensionMismatch(f"model expects {model.d} features, data has {ds.d}")
-    report = evaluate(_predictions(model, ds.X), ds.y)
-    flops = _flops_report(model, args.flops_mode)
-    complexity = complexity_report(model)
-
-    print(f"model: {args.model}")
-    print(f"dataset: {args.dataset} (n={ds.n}, d={ds.d})")
-    _print_eval("eval", report)
-    print(f"complexity: {json.dumps(complexity, sort_keys=True)}")
-    _print_flops(flops)
-    _write_json(args, {
+    _report(args, {
         "command": "eval",
         "model_path": args.model,
         "dataset": {"spec": args.dataset, "n": ds.n, "d": ds.d},
-        "eval": _eval_dict(report),
-        "complexity": complexity,
-        "flops": flops,
+        **_assess(model, ds, "eval"),
     })
     return 0
 
@@ -311,23 +310,19 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     if args.target is not None:
-        ds = _dataset(args)
-        X, names = ds.X, ds.feature_names
+        X = _dataset(args).X
     else:
-        X, names = load_features(args.dataset, header=not args.no_header)
-    if X.shape[1] != model.d:
-        raise DimensionMismatch(f"model expects {model.d} features, data has {X.shape[1]}")
+        X, _ = load_features(args.dataset, header=not args.no_header)
     preds = _predictions(model, X)
-    lines = ["prediction"] + [f"{v:.17g}" for v in preds]
-    text = "\n".join(lines) + "\n"
+    text = "prediction\n" + "".join(f"{v:.17g}\n" for v in preds)
+    payload = {"command": "predict", "n": int(preds.shape[0]), "out": args.out}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {preds.shape[0]} predictions to {args.out}")
+        _report(args, payload)
     else:
         sys.stdout.write(text)
-    _write_json(args, {"command": "predict", "n": int(preds.shape[0]),
-                       "out": args.out})
+        _write_json(args, payload)
     return 0
 
 
@@ -386,12 +381,8 @@ def cmd_ablate_step(args) -> int:
     file_cfg = _load_config_file(args.config, _ABLATE_KEYS)
     if args.repeats < 1:
         raise CliConfigError("--repeats: must be at least 1")
-    mu_values = []
-    for token in args.mu_list.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        mu_values.append(_parse_step(token, "--mu-list"))
+    tokens = [token.strip() for token in args.mu_list.split(",")]
+    mu_values = [_parse_step(token, "--mu-list") for token in tokens if token]
     if not mu_values:
         raise CliConfigError("--mu-list: no step sizes given")
 
@@ -402,13 +393,7 @@ def cmd_ablate_step(args) -> int:
         target=(args.target if args.target is not None else "y"),
         header=not args.no_header,
     )
-    header_cols = ("mu", *_ABLATE_COLUMNS, "fallback_rate_pct")
-    print("# avg_iters sums both hinge variants per materialized split;")
-    print("# fit_time_s covers training only (data generation excluded).")
-    print("  ".join(f"{c:>17}" for c in header_cols))
-    for row in rows:
-        print("  ".join(f"{_fmt(row[c]):>17}" for c in header_cols))
-    _write_json(args, {
+    _report(args, {
         "command": "ablate-step",
         "dataset": args.dataset,
         "repeats": args.repeats,
@@ -424,12 +409,8 @@ def cmd_boost_diagnose(args) -> int:
     if not isinstance(model, BoostModel):
         raise CliConfigError(f"model-path: {args.model} does not hold a boost model")
     checks = gamma_bound_check(model)
-    print(f"{'stage':>6} {'gamma':>14} {'loss':>14} {'bound_rhs':>14} {'ok':>4}")
-    for c in checks:
-        print(f"{c.stage:>6} {_fmt(model.gamma_trace[c.stage - 1]):>14} "
-              f"{_fmt(c.lhs):>14} {_fmt(c.rhs):>14} {str(c.ok):>4}")
     all_ok = all(c.ok for c in checks)
-    _write_json(args, {
+    _report(args, {
         "command": "boost-diagnose",
         "model_path": args.model,
         "stages": [{"stage": c.stage, "gamma": model.gamma_trace[c.stage - 1],
@@ -447,13 +428,10 @@ def cmd_trace_node(args) -> int:
     outcome = select_split(ds.X, ds.y, config)
     print("iteration,objective,mu,s1_size,s2_size")
     rows = []
-    for i, value in enumerate(outcome.objective_trace):
-        mu = "" if i == 0 else _fmt(outcome.mu_trace[i - 1])
-        n1, n2 = outcome.partition_sizes[i]
-        print(f"{i},{value:.17g},{mu},{n1},{n2}")
-        rows.append({"iteration": i, "objective": value,
-                     "mu": None if i == 0 else outcome.mu_trace[i - 1],
-                     "s1_size": n1, "s2_size": n2})
+    for i, (value, (n1, n2)) in enumerate(zip(outcome.objective_trace, outcome.partition_sizes)):
+        mu = None if i == 0 else outcome.mu_trace[i - 1]
+        print(f"{i},{value:.17g},{'' if mu is None else _fmt(mu)},{n1},{n2}")
+        rows.append({"iteration": i, "objective": value, "mu": mu, "s1_size": n1, "s2_size": n2})
     _write_json(args, {
         "command": "trace-node",
         "dataset": args.dataset,
@@ -467,9 +445,8 @@ def cmd_trace_node(args) -> int:
 def cmd_synth(args) -> int:
     ds = parse_dataset_spec(args.dataset)
     write_csv(ds, args.out)
-    print(f"wrote {ds.n} rows (d={ds.d}) to {args.out}")
-    _write_json(args, {"command": "synth", "dataset": args.dataset,
-                       "n": ds.n, "d": ds.d, "out": args.out})
+    _report(args, {"command": "synth", "dataset": args.dataset,
+                   "n": ds.n, "d": ds.d, "out": args.out})
     return 0
 
 
@@ -509,7 +486,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    train = subs.add_parser("train", help="fit a model and write it to disk")
+    train = subs.add_parser("train", help="fit a model and write it to disk",
+                            description="Fit a model and write it to disk.  fit_time_s "
+                                        "covers training only.")
     _add_dataset_arg(train)
     train.add_argument("kind", choices=["hrt", "boost"], help="model kind")
     _add_hyper(train, *_BOOST_KEYS)
@@ -518,14 +497,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also report per-node objective traces")
     train.add_argument("--standardize", action="store_true",
                        help="standardize features (transform stored in the model)")
-    train.add_argument("--flops-mode", choices=["two", "diff"], default="two")
     _add_fit_common(train)
     train.set_defaults(func=cmd_train)
 
     ev = subs.add_parser("eval", help="evaluate a saved model on a dataset")
     ev.add_argument("model", help="model file")
     _add_dataset_arg(ev)
-    ev.add_argument("--flops-mode", choices=["two", "diff"], default="two")
     _add_json(ev)
     ev.set_defaults(func=cmd_eval)
 
@@ -540,13 +517,16 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.set_defaults(func=cmd_predict)
 
     ab = subs.add_parser("ablate-step",
-                         help="sweep step sizes and tabulate averaged metrics")
+                         help="sweep step sizes and tabulate averaged metrics",
+                         description="Sweep step sizes and tabulate averaged metrics.  "
+                                     "avg_iters sums both hinge variants per materialized "
+                                     "split; fit_time_s covers training only (data "
+                                     "generation excluded).")
     _add_dataset_arg(ab)
     ab.add_argument("--mu-list", required=True,
                     help="comma-separated step sizes, e.g. 0.01,0.05,auto")
     ab.add_argument("--repeats", type=int, default=10)
-    ab.add_argument("--train-fraction", dest="train_fraction", type=float,
-                    default=0.7)
+    ab.add_argument("--train-fraction", type=float, default=0.7)
     _add_hyper(ab, *_ABLATE_KEYS)
     ab.add_argument("--standardize", action="store_true")
     _add_fit_common(ab)

@@ -12,8 +12,9 @@ a config field that is unknown or holds a value the config rejects, a
 count that is not a number, a trace entry that is not a finite number, a
 ``stage_retained`` entry that is not a boolean, an ``f0`` that is not
 finite, an ``eta`` outside (0, 1], or a ``preprocess`` block that
-:meth:`~hingetree.datasets.StandardizeTransform.from_dict` rejects or
-whose width is not d raises :class:`CorruptModel`.
+:meth:`~hingetree.datasets.StandardizeTransform.from_dict` rejects, that
+holds a key it does not read or whose width is not d raises
+:class:`CorruptModel`.
 """
 from __future__ import annotations
 
@@ -70,6 +71,12 @@ def _require(doc, keys, where: str) -> None:
     missing = [k for k in keys if k not in doc]
     if missing:
         raise CorruptModel(f"{where}: missing {', '.join(map(repr, missing))}")
+
+
+def _only(doc: dict, keys, where: str) -> None:
+    unknown = [k for k in doc if k not in keys]
+    if unknown:
+        raise CorruptModel(f"{where}: unknown {', '.join(map(repr, unknown))}")
 
 
 @contextmanager
@@ -188,8 +195,11 @@ def model_from_dict(doc: dict):
     preprocess = doc.get("preprocess")
     if preprocess is not None:
         _require(preprocess, ("standardize",), "preprocess")
+        _only(preprocess, ("standardize",), "preprocess")
         with _reading("preprocess.standardize"):
             width = StandardizeTransform.from_dict(preprocess["standardize"]).shift.size
+        _only(preprocess["standardize"], ("shift", "scale", "constant_mask"),
+              "preprocess.standardize")
         if width != d:
             raise CorruptModel(f"preprocess.standardize: {width} features for a model of {d}")
     if kind == "hrt":

@@ -25,13 +25,14 @@ from hingetree import (
     standardize,
     write_csv,
 )
-from hingetree.cli import ablate_step_rows, main
+from hingetree.cli import _fmt, ablate_step_rows, main
+from hingetree.metrics import FLOPS_MODES
 from conftest import nested_document
 
 NUMBER = (int, float)
 EVAL = {"rmse": NUMBER, "mae": NUMBER, "r2": (int, float, type(None)), "n": int,
         "r2_defined": bool}
-FLOPS = {"mode": str, "inference_flops_per_sample": NUMBER, "total_parameters": int}
+FLOPS = {"inference_flops_per_sample": NUMBER, "total_parameters": int}
 
 
 def assert_shape(doc, shape):
@@ -46,8 +47,9 @@ def assert_shape(doc, shape):
 
 def assert_eval_and_flops(report, eval_key):
     assert_shape(report[eval_key], EVAL)
-    assert_shape(report["flops"], FLOPS)
-    assert report["flops"]["mode"] in ("two", "diff")
+    assert set(report["flops"]) == set(FLOPS_MODES)
+    for mode in FLOPS_MODES:
+        assert_shape(report["flops"][mode], FLOPS)
 
 
 def run(capsys, *argv):
@@ -68,7 +70,7 @@ class TestTrain:
                             "--out", str(out), "--seed", "3")
         assert code == 0
         assert out.exists()
-        assert "train: rmse=" in text
+        assert "train_eval: rmse=" in text
         model = load_model(out)
         assert model.d == 1
 
@@ -149,7 +151,7 @@ class TestTrain:
         code, text, _ = run(capsys, "train", SINC, "boost",
                             "--stages", "8", "--eta", "0.2", "--out", str(out))
         assert code == 0
-        assert "boost: stages=8" in text
+        assert "stages_retained=8" in text
         model = load_model(out)
         assert len(model.learners) == 8
 
@@ -199,6 +201,37 @@ class TestTrain:
         assert err == f"error: train hrt does not read {flag}\n"
         assert text == ""
         assert not out.exists()
+
+    def test_diagnostics_with_boost_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code, text, err = run(capsys, "train", "sinc:n=100:sigma=0.02:seed=1", "boost",
+                              "--stages", "2", "--diagnostics", "--out", str(out))
+        assert code == 2
+        assert err == "error: train boost does not read --diagnostics\n"
+        assert text == ""
+        assert not out.exists()
+
+    def test_config_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff{}")
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", SINC, "hrt", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: --config {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_depth", ["3", "0"])
+    def test_flops_are_reported_in_both_modes(self, tmp_path, capsys, max_depth):
+        report = tmp_path / "r.json"
+        code, _, _ = run(capsys, "train", SINC, "hrt", "--max-depth", max_depth,
+                         "--out", str(tmp_path / "m.json"), "--json", str(report))
+        assert code == 0
+        flops = json.loads(report.read_text())["flops"]
+        assert flops["two"]["total_parameters"] == flops["diff"]["total_parameters"]
+        two = flops["two"]["inference_flops_per_sample"]
+        diff = flops["diff"]["inference_flops_per_sample"]
+        # "diff" charges one dot product per split where "two" charges two.
+        assert diff < two if max_depth != "0" else diff == two
 
     def test_diagnostics_adds_per_node_traces_to_the_report(self, tmp_path, capsys):
         reports = {}
@@ -386,6 +419,22 @@ class TestCorruptModelFile:
         code, text, err = run(capsys, "eval", str(out), "f2:n=50:sigma=0.05:seed=5")
         assert code == 3
         assert err.startswith("error: preprocess.standardize: expected")
+        assert text == ""
+
+    @pytest.mark.parametrize("damage", [
+        lambda pre: pre.__setitem__("extra", {"a": 1}),
+        lambda pre: pre["standardize"].__setitem__("junk", [1.0]),
+    ], ids=["beside-standardize", "inside-standardize"])
+    def test_unknown_preprocess_key_is_data_error(self, tmp_path, capsys, damage):
+        out = tmp_path / "m.json"
+        run(capsys, "train", "f2:n=100:sigma=0.05:seed=4", "hrt", "--max-depth", "2",
+            "--standardize", "--out", str(out))
+        doc = json.loads(out.read_text())
+        damage(doc["preprocess"])
+        out.write_text(json.dumps(doc))
+        code, text, err = run(capsys, "eval", str(out), "f2:n=50:sigma=0.05:seed=5")
+        assert code == 3
+        assert err.startswith("error: preprocess") and "unknown" in err
         assert text == ""
 
     def test_truncated_file_is_data_error(self, tmp_path, capsys):
@@ -610,6 +659,58 @@ class TestBoostDiagnose:
         assert code == 2
 
 
+def leaves(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+class TestReportText:
+    # Each report command, after the commands that make its input files.
+    TRAIN_HRT = ["train", SINC, "hrt", "--max-depth", "3", "--out", "m.json"]
+    TRAIN_BOOST = ["train", SINC, "boost", "--stages", "3", "--out", "b.json"]
+    CASES = {
+        "train-hrt": [TRAIN_HRT + ["--diagnostics"]],
+        "train-boost": [TRAIN_BOOST],
+        "eval": [TRAIN_HRT, ["eval", "m.json", SINC]],
+        "synth": [["synth", "f1:n=50:sigma=0.1:seed=1", "--out", "s.csv"]],
+        "boost-diagnose": [TRAIN_BOOST, ["boost-diagnose", "b.json"]],
+        "ablate-step": [["ablate-step", SINC, "--mu-list", "0.05,auto", "--repeats", "1"]],
+        "predict-out": [["synth", "f1:n=50:sigma=0.1:seed=1", "--out", "s.csv"],
+                        ["train", "s.csv", "hrt", "--max-depth", "2", "--out", "f.json"],
+                        ["predict", "f.json", "s.csv", "--target", "y", "--out", "p.csv"]],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_text_shows_every_value_of_the_json_report(self, tmp_path, monkeypatch,
+                                                       capsys, case):
+        monkeypatch.chdir(tmp_path)
+        *setup, argv = self.CASES[case]
+        for command in setup:
+            assert run(capsys, *command)[0] == 0
+        code, text, _ = run(capsys, *argv, "--json", "r.json")
+        assert code == 0
+        # The JSON file sorts its keys, so the text is compared key by key.
+        payload = json.loads((tmp_path / "r.json").read_text())
+        lines = text.splitlines()
+        for key, value in payload.items():
+            if key == "command":
+                continue
+            if isinstance(value, dict):
+                (line,) = [line for line in lines if line.startswith(f"{key}: ")]
+                shown = sorted(line[len(key) + 2:].split(" "))
+                assert shown == sorted(f"{path}={_fmt(v)}" for path, v in leaves(value)), key
+            elif isinstance(value, list) and value and isinstance(value[0], dict):
+                start = lines.index(f"{key}:")
+                header = lines[start + 1].split()
+                table = [dict(zip(header, line.split())) for line in lines[start + 2:][:len(value)]]
+                assert table == [{c: _fmt(v) for c, v in row.items()} for row in value], key
+            else:
+                assert f"{key}: {_fmt(value)}" in lines, key
+
+
 class TestTraceNode:
     def test_abs_data_reaches_zero_objective(self, tmp_path, capsys):
         gen = np.random.default_rng(3)
@@ -643,8 +744,9 @@ class TestParsing:
     UNREAD_FLAGS = [(command, flag) for command in ("eval", "predict", "boost-diagnose", "synth")
                     for flag in ("--seed", "--config")]
     UNREAD_FLAGS += [("trace-node", flag) for flag in ("--max-depth", "--tau", "--n-min")]
-    UNREAD_FLAGS += [("ablate-step", "--step")]
+    UNREAD_FLAGS += [("ablate-step", "--step"), ("train", "--flops-mode"), ("eval", "--flops-mode")]
     BASE_ARGV = {
+        "train": ["train", SINC, "hrt", "--out", "m.json"],
         "eval": ["eval", "m.json", SINC],
         "predict": ["predict", "m.json", "d.csv"],
         "boost-diagnose": ["boost-diagnose", "b.json"],

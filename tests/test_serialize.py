@@ -513,3 +513,17 @@ class TestCorruptModel:
         doc["preprocess"] = {}
         with pytest.raises(CorruptModel, match="^preprocess: missing 'standardize'"):
             loads_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("damage, where", [
+        (lambda pre: pre.__setitem__("extra", {"a": 1}), r"preprocess: unknown 'extra'"),
+        (lambda pre: pre["standardize"].__setitem__("junk", [1.0]),
+         r"preprocess\.standardize: unknown 'junk'"),
+    ], ids=["beside-standardize", "inside-standardize"])
+    def test_unknown_preprocess_key(self, damage, where):
+        # Loading would otherwise keep a key it never reads and write it back.
+        doc = self.tree_doc()
+        doc["preprocess"] = {"standardize": {"shift": [0.5], "scale": [2.0],
+                                             "constant_mask": [False]}}
+        damage(doc["preprocess"])
+        with pytest.raises(CorruptModel, match=f"^{where}$"):
+            loads_model(json.dumps(doc))
