@@ -8,7 +8,7 @@ the empirical risk by at least the factor ``1 - eta * gamma_m``, where
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,14 +18,15 @@ from .split import SplitConfig
 from .tree import (  # noqa: F401 -- perfbench/tracer.py patches hingetree.boost.predict
     HrtModel,
     TreeConfig,
+    _join,
     _route,
+    _Table,
     build_tree,
     check_features,
     check_row,
     derive_seed,
     predict,
     predict_batch,
-    predict_row,
 )
 
 # Relative residual-energy floor below which training stops early.
@@ -74,6 +75,12 @@ class BoostModel:
     trees only, in stage order.  ``preprocess`` records a transform fitted
     with the model (the CLI's ``train --standardize``); only the CLI
     applies it, and the predict functions take rows as given.
+
+    Building the model joins its learners' router tables, derived when
+    each learner was built, into one table for the whole ensemble; no tree
+    is flattened again.  Neither ``learners`` nor their trees may be
+    changed in place afterwards; build a new model instead (for example
+    with :func:`dataclasses.replace`).
     """
 
     f0: float
@@ -85,6 +92,10 @@ class BoostModel:
     d: int
     config: BoostConfig
     preprocess: dict | None = None
+    _table: _Table = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._table = _join([learner._table for learner in self.learners], self.d)
 
 
 @dataclass
@@ -166,15 +177,15 @@ def predict_boost(model: BoostModel, x) -> float:
     """f0 plus eta times the sum of learner predictions, in stage order.
 
     ``x`` is checked and converted once (:func:`~hingetree.tree.check_row`,
-    which raises :class:`NonFiniteInput` for NaN or an infinity); each
-    learner then routes it with
-    :func:`~hingetree.tree.predict_row`.  The float operations are those
-    of :func:`predict_boost_batch` on the same row.
+    which raises :class:`NonFiniteInput` for NaN or an infinity) and routed
+    as a one-row batch through the ensemble's table, built with the model
+    (:func:`~hingetree.tree._route`).  Each learner's value is then added
+    with the float operations of :func:`predict_boost_batch` on the same
+    row.
     """
-    row = check_row(x, model.d)
     total = model.f0
-    for learner in model.learners:
-        total += model.eta * predict_row(learner.root, row)
+    for value in _route(model._table, np.array([check_row(x, model.d)])):
+        total += model.eta * value.item()
     return total
 
 
@@ -182,14 +193,15 @@ def _staged(model: BoostModel, X: np.ndarray):
     """Yield the ensemble's values on checked ``X`` from ``f0`` and after every recorded stage.
 
     All retained learners go through the tree layer's batch router
-    (:func:`~hingetree.tree._route`) together, which moves every (row,
-    learner) pair down one level per step.  Each retained stage then adds
-    ``eta`` times its learner's values in place, in stage order, so use
-    each yielded array before drawing the next.
+    (:func:`~hingetree.tree._route`) together, on the ensemble's table
+    built with the model, which moves every (row, learner) pair down one
+    level per step.  Each retained stage then adds ``eta`` times its
+    learner's values in place, in stage order, so use each yielded array
+    before drawing the next.
     """
     total = np.full(X.shape[0], model.f0)
     yield total
-    values = _route([learner.root for learner in model.learners], X)
+    values = _route(model._table, X)
     for kept in model.stage_retained:
         if kept:
             total += model.eta * next(values)

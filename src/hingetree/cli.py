@@ -176,14 +176,19 @@ def _configure(config, args, file_cfg: dict, **fixed):
     return replace(config, **changes)
 
 
-def _dataset(args) -> Dataset:
+def _target(args) -> str | int:
+    """``--target`` as a column name, or as an index when it is an integer (default ``"y"``)."""
     target = getattr(args, "target", None)
-    header = not getattr(args, "no_header", False)
     if target is None:
-        target = "y"
-    elif target.isdigit() or (target.startswith("-") and target[1:].isdigit()):
-        target = int(target)
-    return parse_dataset_spec(args.dataset, target=target, header=header)
+        return "y"
+    if target.isdigit() or (target.startswith("-") and target[1:].isdigit()):
+        return int(target)
+    return target
+
+
+def _dataset(args) -> Dataset:
+    header = not getattr(args, "no_header", False)
+    return parse_dataset_spec(args.dataset, target=_target(args), header=header)
 
 
 def _predictions(model, X: np.ndarray) -> np.ndarray:
@@ -390,7 +395,7 @@ def cmd_ablate_step(args) -> int:
         args.dataset, mu_values, args.repeats, _configure(TreeConfig(), args, file_cfg),
         train_fraction=args.train_fraction, seed=args.seed,
         use_standardize=args.standardize,
-        target=(args.target if args.target is not None else "y"),
+        target=_target(args),
         header=not args.no_header,
     )
     _report(args, {

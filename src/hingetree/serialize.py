@@ -5,15 +5,17 @@ save/load cycle reproduces every binary64 value exactly and predictions
 are bit-identical.  Documents are written with sorted keys so identical
 models serialize to identical bytes.  Loading checks each value where it
 reads it, in one walk over the document.  Text that is not JSON, a missing
-key or child, a coefficient vector that is not d+1 finite numbers, a
-fallback split without a feature index in [0, d) and a finite threshold,
-boost traces whose lengths disagree with each other or with the learners,
-a config field that is unknown or holds a value the config rejects, a
-count that is not a number, a trace entry that is not a finite number, a
-``stage_retained`` entry that is not a boolean, an ``f0`` that is not
-finite, an ``eta`` outside (0, 1], or a ``preprocess`` block that
-:meth:`~hingetree.datasets.StandardizeTransform.from_dict` rejects, that
-holds a key it does not read or whose width is not d raises
+key or child, a key that no document of its kind or node of its tag
+holds (an internal node may hold the fallback fields even when its split
+is not a fallback; they are then ignored), a coefficient vector that is
+not d+1 finite numbers, a fallback split without a feature index in
+[0, d) and a finite threshold, boost traces whose lengths disagree with
+each other or with the learners, a config field that is unknown or holds
+a value the config rejects, a count that is not a number, a trace entry
+that is not a finite number, a ``stage_retained`` entry that is not a
+boolean, an ``f0`` that is not finite, an ``eta`` outside (0, 1], or a
+``preprocess`` block that :meth:`~hingetree.datasets.StandardizeTransform.from_dict`
+rejects, that holds a key it does not read or whose width is not d raises
 :class:`CorruptModel`.
 """
 from __future__ import annotations
@@ -63,6 +65,9 @@ _NODE_KEYS = {
     "leaf": ("theta", "n_train"),
     "internal": ("kind", "theta1", "theta2", "used_fallback", "left", "right"),
 }
+# Keys a document may carry besides those, at the top level and in an internal node.
+_ENVELOPE_KEYS = ("format_version", "kind", "preprocess")
+_FALLBACK_KEYS = ("fallback_feature", "fallback_threshold")
 
 
 def _require(doc, keys, where: str) -> None:
@@ -110,6 +115,7 @@ def _node_from_dict(doc, d: int, where: str) -> TreeNode:
     ((tag, body),) = doc.items()
     where = f"{where}.{tag}"
     _require(body, _NODE_KEYS[tag], where)
+    _only(body, _NODE_KEYS[tag] + (_FALLBACK_KEYS if tag == "internal" else ()), where)
     if tag == "leaf":
         with _reading(f"{where}.n_train"):
             n_train = int(body["n_train"])
@@ -123,7 +129,7 @@ def _node_from_dict(doc, d: int, where: str) -> TreeNode:
         raise CorruptModel(f"{where}.used_fallback: expected true or false")
     feature = threshold = None
     if used:
-        _require(body, ("fallback_feature", "fallback_threshold"), where)
+        _require(body, _FALLBACK_KEYS, where)
         feature, threshold = body["fallback_feature"], body["fallback_threshold"]
         if type(feature) is not int or not 0 <= feature < d:
             raise CorruptModel(f"{where}.fallback_feature: expected a feature index in "
@@ -189,6 +195,7 @@ def model_from_dict(doc: dict):
     if not isinstance(kind, str) or kind not in _MODEL_KEYS:
         raise ValueError(f"unknown model kind {kind!r}")
     _require(doc, _MODEL_KEYS[kind], "model")
+    _only(doc, _MODEL_KEYS[kind] + _ENVELOPE_KEYS, "model")
     d = doc["d"]
     if type(d) is not int or d < 0:
         raise CorruptModel(f"model: 'd' must be a non-negative integer, got {d!r}")
@@ -209,8 +216,9 @@ def model_from_dict(doc: dict):
                         stats=train_stats(root), preprocess=preprocess)
 
     _require(doc["config"], ("m_stages", "eta", "tree"), "config")
-    tree_config = _tree_config_from_dict(doc["config"]["tree"], "config.tree")
     # Earlier format-1 files also store ``record_gamma``; it is ignored.
+    _only(doc["config"], ("m_stages", "eta", "tree", "record_gamma"), "config")
+    tree_config = _tree_config_from_dict(doc["config"]["tree"], "config.tree")
     with _reading("config"):
         config = BoostConfig(m_stages=int(doc["config"]["m_stages"]),
                              eta=float(doc["config"]["eta"]), tree=tree_config)

@@ -10,17 +10,24 @@ row takes the first branch iff ``p >= q`` for the node's ordered pair of
 hinge sides, each evaluated by :func:`~hingetree.linear.affine`.  Training
 applies it node by node to the rows that reach each node, and
 :func:`predict_row` walks one row down one tree.  Batch prediction, for one
-tree or for a whole boosted ensemble, goes through one level-wise router:
-the trees are flattened into per-node coefficient and child-index tables,
-every (row, tree) pair moves down one level per step, and the leaves are
-evaluated at the end.  All of these perform the same rounded operations,
-so a training row reaches the leaf that was fitted on it, and scalar and
-batch predictions agree bit for bit.
+tree or for a whole boosted ensemble, goes through one level-wise router
+over per-node coefficient and child-index tables: every (row, tree) pair
+moves down one level per step, and the leaves are evaluated at the end.
+All of these perform the same rounded operations, so a training row
+reaches the leaf that was fitted on it, and scalar and batch predictions
+agree bit for bit.
+
+The router's tables are derived once, when a model is built
+(:class:`HrtModel` flattens its tree, and a boosted ensemble joins its
+learners' tables).  A tree must therefore not be changed in place after
+its model is built: the tables would still describe the old tree.  Build a
+changed model instead, for example with :func:`dataclasses.replace`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,6 +145,12 @@ class HrtModel:
     ``preprocess`` records a transform fitted with the model (the CLI's
     ``train --standardize``).  Only the CLI applies it; :func:`predict`
     and :func:`predict_batch` take rows already in the model's input space.
+
+    Building the model flattens the tree once into the batch router's
+    tables (:func:`_flatten`), whether :func:`build_tree`, the loader or a
+    caller builds it.  The tree under ``root`` must not be changed in place
+    afterwards; build a new model for a changed tree (for example
+    ``dataclasses.replace(model)``, which flattens it again).
     """
 
     root: TreeNode
@@ -145,6 +158,10 @@ class HrtModel:
     config: TreeConfig
     stats: TrainStats
     preprocess: dict | None = None
+    _table: _Table = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._table = _flatten(self.root)
 
 
 def _first_mask(split: SplitOutcome, X: np.ndarray) -> np.ndarray:
@@ -299,15 +316,29 @@ def predict(model: HrtModel, x) -> float:
     return predict_row(model.root, check_row(x, model.d))
 
 
-def _flatten(roots: list[TreeNode]):
-    """The trees under ``roots`` as preorder node tables for :func:`_route`.
+class _Table(NamedTuple):
+    """Trees as preorder node tables for :func:`_route`.
 
-    Returns ``(coef_p, coef_q, left, right, starts, levels)``.  Column i of
-    ``coef_p`` and ``coef_q``, both of shape ``(d+1, nodes)``, holds node
-    i's ordered hinge pair (:func:`~hingetree.split._first_pair`), or for a
-    leaf its model twice.  ``left[i]`` and ``right[i]`` are node i's first
-    and second child; a leaf routes to itself.  ``starts`` holds each
-    tree's root index and ``levels`` the deepest leaf's depth.
+    Column i of ``coef_p`` and ``coef_q``, both of shape ``(d+1, nodes)``,
+    holds node i's ordered hinge pair (:func:`~hingetree.split._first_pair`),
+    or for a leaf its model twice.  ``left[i]`` and ``right[i]`` are node
+    i's first and second child; a leaf routes to itself.  ``starts`` holds
+    each tree's root index and ``depths`` its deepest leaf's depth.
+    """
+
+    coef_p: np.ndarray
+    coef_q: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    starts: np.ndarray
+    depths: np.ndarray
+
+
+def _flatten(root: TreeNode) -> _Table:
+    """The tree under ``root`` as a one-tree :class:`_Table`, in one preorder walk.
+
+    :class:`HrtModel` calls it once, when the model is built; the tables
+    are not derived again for any prediction.
     """
     coef_p, coef_q, left, right = [], [], [], []
     levels = 0
@@ -329,33 +360,54 @@ def _flatten(roots: list[TreeNode]):
             right[i] = visit(node.right, depth + 1)
         return i
 
-    starts = np.array([visit(root, 0) for root in roots], dtype=np.intp)
-    return (np.array(coef_p).T.copy(), np.array(coef_q).T.copy(),
-            np.array(left, dtype=np.intp), np.array(right, dtype=np.intp), starts, levels)
+    visit(root, 0)
+    return _Table(np.array(coef_p).T.copy(), np.array(coef_q).T.copy(),
+                  np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                  np.zeros(1, dtype=np.intp), np.array([levels], dtype=np.intp))
 
 
-def _route(roots: list[TreeNode], X: np.ndarray):
-    """Yield each tree's predictions on checked ``X``, in the order of ``roots``.
+def _join(tables: list[_Table], d: int) -> _Table:
+    """One :class:`_Table` holding the trees of ``tables`` in order, without walking any tree.
 
-    Level-wise routing: the trees of a group are flattened (:func:`_flatten`)
-    and every (row, tree) pair starts at its tree's root.  Each step gathers
-    the pair's node coefficients, evaluates both hinge sides with
-    :func:`~hingetree.linear.affine` and moves the pair to the chosen child;
-    after as many steps as the deepest leaf's depth every pair sits on its
-    leaf, whose model gives the value.  Pairs are processed in blocks of at
-    most ``_BLOCK`` (a group holds one tree when the batch alone exceeds
-    it), so the temporaries stay bounded whatever the batch and ensemble
-    sizes.  Each value is computed with :func:`predict_row`'s operations.
+    Each table's node, child and root indices are shifted by the number of
+    nodes before it.  With no tables the result holds no tree.
     """
+    ints = [np.empty(0, dtype=np.intp)]
+    coefs = [np.empty((d + 1, 0))]
+    offsets = np.cumsum([0] + [t.left.size for t in tables], dtype=np.intp)
+    return _Table(np.concatenate(coefs + [t.coef_p for t in tables], axis=1),
+                  np.concatenate(coefs + [t.coef_q for t in tables], axis=1),
+                  np.concatenate(ints + [t.left + k for t, k in zip(tables, offsets)]),
+                  np.concatenate(ints + [t.right + k for t, k in zip(tables, offsets)]),
+                  np.concatenate(ints + [t.starts + k for t, k in zip(tables, offsets)]),
+                  np.concatenate(ints + [t.depths for t in tables]))
+
+
+def _route(table: _Table, X: np.ndarray):
+    """Yield each tree's predictions on checked ``X``, in the order of ``table``'s trees.
+
+    Level-wise routing over tables derived when the model was built
+    (:func:`_flatten`, :func:`_join`): every (row, tree) pair starts at its
+    tree's root.  Each step gathers the pair's node coefficients, evaluates
+    both hinge sides with :func:`~hingetree.linear.affine` and moves the
+    pair to the chosen child; after as many steps as the group's deepest
+    leaf's depth every pair sits on its leaf, whose model gives the value.
+    Pairs are processed in blocks of at most ``_BLOCK`` (a group holds one
+    tree when the batch alone exceeds it), so the temporaries stay bounded
+    whatever the batch and ensemble sizes.  Each value is computed with
+    :func:`predict_row`'s operations.
+    """
+    coef_p, coef_q, left, right, starts, depths = table
     n = X.shape[0]
     group = max(1, _BLOCK // max(n, 1))
-    for g in range(0, len(roots), group):
-        coef_p, coef_q, left, right, starts, levels = _flatten(roots[g:g + group])
-        values = np.empty((n, starts.size))
-        rows = max(1, _BLOCK // starts.size)
+    for g in range(0, starts.size, group):
+        roots = starts[g:g + group]
+        levels = int(depths[g:g + group].max())
+        values = np.empty((n, roots.size))
+        rows = max(1, _BLOCK // roots.size)
         for r in range(0, n, rows):
             block = X[r:r + rows]
-            node = starts[None, :]  # every row at its trees' roots; broadcasts in affine
+            node = roots[None, :]  # every row at its trees' roots; broadcasts in affine
             for _ in range(levels):
                 # take() gathers several times faster than fancy indexing.
                 p = affine(block, coef_p.take(node, axis=1))
@@ -369,12 +421,13 @@ def predict_batch(model: HrtModel, X) -> np.ndarray:
     """Predict every row of ``X``; bit-identical to :func:`predict` per row.
 
     The rows go through the batch router (:func:`_route`) with this one
-    tree: all rows move down the tree together, one level per step, and
-    the leaves are evaluated at the end.  The kernel's fixed column order
-    makes every value independent of the batch size and of which other rows
-    share the batch.  A batch holding NaN or an infinity raises
-    :class:`NonFiniteInput` (:func:`check_features`).  ``X`` is used as
-    given: ``model.preprocess`` is applied only by the CLI.
+    tree's tables, flattened when the model was built: all rows move down
+    the tree together, one level per step, and the leaves are evaluated at
+    the end.  The kernel's fixed column order makes every value
+    independent of the batch size and of which other rows share the batch.
+    A batch holding NaN or an infinity raises :class:`NonFiniteInput`
+    (:func:`check_features`).  ``X`` is used as given: ``model.preprocess``
+    is applied only by the CLI.
     """
-    return next(_route([model.root], check_features(X, model.d)))
+    return next(_route(model._table, check_features(X, model.d)))
 

@@ -1,19 +1,25 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hingetree.boost
+import hingetree.tree
 from hingetree import (
     BoostConfig,
+    BoostModel,
     DimensionMismatch,
     NonFiniteInput,
     SplitConfig,
     TreeConfig,
+    build_tree,
     dumps_model,
     fit_boost,
     gamma_bound_check,
     gen_synthetic,
+    loads_model,
     model_from_dict,
     model_to_dict,
     predict,
@@ -287,3 +293,40 @@ class TestGammaBoundCheck:
         assert model.gamma_trace == [] and len(model.stage_retained) == 2
         with pytest.raises(ValueError):
             gamma_bound_check(model)
+
+
+class TestRouterTables:
+    """Every tree is flattened once, when its model is built or loaded, and never to predict."""
+
+    def test_one_flatten_per_tree_model_and_none_per_prediction(self):
+        ds = gen_synthetic("f2", 200, 0.05, seed=3)
+        X, y = ds.X, ds.y
+        with mock.patch.object(hingetree.tree, "_flatten",
+                               wraps=hingetree.tree._flatten) as flatten:
+            tree_model = build_tree(X, y, TreeConfig(d_max=3))
+            assert flatten.call_count == 1
+            model = fit_boost(X, y, BoostConfig(m_stages=5, eta=0.3))
+            # Each stage builds one learner, a discarded one included.
+            assert flatten.call_count == 1 + len(model.stage_retained) == 6
+            flatten.reset_mock()
+            loads_model(dumps_model(tree_model))
+            loaded = loads_model(dumps_model(model))
+            assert flatten.call_count == 1 + len(model.learners)
+            flatten.reset_mock()
+            rebuilt = replace(model)  # an ensemble built from its learners joins their tables
+            for m in (model, loaded, rebuilt):
+                batch = predict_boost_batch(m, X)
+                assert predict_boost(m, X[0]) == batch[0]
+                staged_losses(m, X, y)
+            predict_batch(tree_model, X)
+            assert flatten.call_count == 0
+        assert predict_boost_batch(rebuilt, X).tobytes() == batch.tobytes()
+
+    @pytest.mark.parametrize("retained", [[], [False, False]], ids=["no-stages", "all-discarded"])
+    def test_ensemble_without_learners_predicts_f0(self, retained):
+        model = BoostModel(f0=1.25, eta=0.1, learners=[], gamma_trace=[0.0] * len(retained),
+                           loss_trace=[1.0] * (len(retained) + 1), stage_retained=retained,
+                           d=2, config=BoostConfig())
+        X = np.random.default_rng(0).normal(size=(5, 2))
+        assert predict_boost(model, X[0]) == 1.25
+        assert predict_boost_batch(model, X).tolist() == [1.25] * 5

@@ -437,6 +437,13 @@ class TestCorruptModelFile:
         assert err.startswith("error: preprocess") and "unknown" in err
         assert text == ""
 
+    def test_unknown_node_key_is_data_error(self, tmp_path, capsys):
+        code, text, err = self.corrupt(
+            tmp_path, capsys, lambda doc: doc["root"]["internal"].update(gain=0.5))
+        assert code == 3
+        assert err == "error: root.internal: unknown 'gain'\n"
+        assert text == ""
+
     def test_truncated_file_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         run(capsys, "train", SINC, "hrt", "--out", str(out), "--max-depth", "2")
@@ -579,6 +586,21 @@ class TestAblateStep:
             expected = (100.0 * row["fallbacks"] / row["splits"]
                         if row["splits"] else 0.0)
             assert row["fallback_rate_pct"] == pytest.approx(expected, rel=1e-12)
+
+    def test_target_by_index_or_by_name(self, tmp_path, capsys):
+        # Column 2 of a synthesized f1 file (x1, x2, y) is the target y.
+        csv = tmp_path / "f1.csv"
+        assert run(capsys, "synth", "f1:n=120:sigma=0.1:seed=1", "--out", str(csv))[0] == 0
+        rows = {}
+        for target in ("2", "y"):
+            report = tmp_path / f"a-{target}.json"
+            code, _, err = run(capsys, "ablate-step", str(csv), "--target", target,
+                               "--mu-list", "0.05", "--repeats", "1", "--max-depth", "2",
+                               "--json", str(report))
+            assert (code, err) == (0, "")
+            rows[target] = [{k: v for k, v in row.items() if k != "fit_time_s"}
+                            for row in json.loads(report.read_text())["rows"]]
+        assert rows["2"] == rows["y"]
 
     def test_bad_mu_rejected(self, capsys):
         code, _, err = run(capsys, "ablate-step", SINC, "--mu-list", "0.05,nope",

@@ -159,7 +159,9 @@ def test_leaf_counts_are_the_training_rows_routed_to_them(args):
     for i, leaf in enumerate(found):
         leaf.theta = np.zeros(model.d + 1)
         leaf.theta[-1] = i
-    reached = predict_batch(model, X).astype(int)
+    # The router's tables are derived when a model is built, so the changed
+    # tree is read through a model built from it.
+    reached = predict_batch(replace(model), X).astype(int)
     assert np.bincount(reached, minlength=len(found)).tolist() == counts
 
 
@@ -237,6 +239,14 @@ def assert_same_values(batch, scalar):
     assert batch.tobytes() == scalar.tobytes()
 
 
+def walked_boost(model, x):
+    """The ensemble's value from each learner's scalar walk, added in stage order."""
+    total = model.f0
+    for learner in model.learners:
+        total += model.eta * predict(learner, x)
+    return total
+
+
 # Router blocks of 1 and 7 (row, tree) pairs split one batch into many blocks.
 @pytest.mark.parametrize("block", [1, 7, "default"])
 @pytest.mark.parametrize("d", [0, 1, 2, 16])
@@ -250,8 +260,11 @@ def test_batch_routing_equals_the_scalar_walk(d, block):
         with blocks:
             F = X[finite]
             assert_same_values(predict_batch(hrt, F), [predict(hrt, row) for row in F])
-            assert_same_values(predict_boost_batch(boost, F),
-                               [predict_boost(boost, row) for row in F])
+            # Both boost entry points share the router, so each is held to the
+            # learners' scalar walks instead of to the other.
+            walked = [walked_boost(boost, row) for row in F]
+            assert_same_values(predict_boost_batch(boost, F), walked)
+            assert_same_values(np.array([predict_boost(boost, row) for row in F]), walked)
             if finite.all():
                 return
             # A row holding inf or NaN is rejected, alone or in a batch.

@@ -527,3 +527,23 @@ class TestCorruptModel:
         damage(doc["preprocess"])
         with pytest.raises(CorruptModel, match=f"^{where}$"):
             loads_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind, damage, where", [
+        ("hrt", lambda doc: doc.__setitem__("notes", "x"), r"model: unknown 'notes'"),
+        ("hrt", lambda doc: doc["root"]["internal"].__setitem__("gain", 0.5),
+         r"root\.internal: unknown 'gain'"),
+        ("hrt", lambda doc: first_leaf(doc["root"]).__setitem__("depth", 3),
+         r"root(\.internal\.left)+\.leaf: unknown 'depth'"),
+        ("boost", lambda doc: doc.__setitem__("notes", "x"), r"model: unknown 'notes'"),
+        ("boost", lambda doc: doc["config"].__setitem__("shrinkage", 0.1),
+         r"config: unknown 'shrinkage'"),
+        ("boost", lambda doc: doc["learners"][0]["internal"].__setitem__("gain", 0.5),
+         r"learners\[0\]\.internal: unknown 'gain'"),
+    ], ids=["top-level", "internal", "leaf", "boost-top-level", "boost-config",
+            "boost-learner"])
+    def test_unknown_key(self, kind, damage, where):
+        # Loading would otherwise drop a key that a dump of the model no longer holds.
+        doc = self.tree_doc() if kind == "hrt" else model_to_dict(trained_boost()[1])
+        damage(doc)
+        with pytest.raises(CorruptModel, match=f"^{where}$"):
+            loads_model(json.dumps(doc))
