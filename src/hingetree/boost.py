@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput
 from .linear import check_training
-from .split import SplitConfig
+from .split import SplitConfig, _check_numbers
 from .tree import (  # noqa: F401 -- perfbench/tracer.py patches hingetree.boost.predict
     HrtModel,
     TreeConfig,
-    _join,
+    _flatten,
     _route,
     _Table,
     build_tree,
@@ -57,7 +57,10 @@ class BoostConfig:
     tree: TreeConfig | None = None
 
     def __post_init__(self):
-        if self.m_stages < 0:
+        _check_numbers(self, ("m_stages",), ("eta",))
+        if not (self.tree is None or isinstance(self.tree, TreeConfig)):
+            raise ValueError(f"tree must be None or a TreeConfig, got {self.tree!r}")
+        if not self.m_stages >= 0:
             raise ValueError("m_stages must be non-negative")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
@@ -76,11 +79,10 @@ class BoostModel:
     with the model (the CLI's ``train --standardize``); only the CLI
     applies it, and the predict functions take rows as given.
 
-    Building the model joins its learners' router tables, derived when
-    each learner was built, into one table for the whole ensemble; no tree
-    is flattened again.  Neither ``learners`` nor their trees may be
-    changed in place afterwards; build a new model instead (for example
-    with :func:`dataclasses.replace`).
+    Building the model flattens its learners' trees, in order, into one
+    router table for the ensemble (:func:`~hingetree.tree._flatten`).  Their
+    nodes cannot change; do not change ``learners`` in place either, but
+    build a new model (for example with :func:`dataclasses.replace`).
     """
 
     f0: float
@@ -95,7 +97,7 @@ class BoostModel:
     _table: _Table = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._table = _join([learner._table for learner in self.learners], self.d)
+        self._table = _flatten([learner.root for learner in self.learners], self.d)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Synthetic benchmark generation, CSV ingestion, splitting, standardization."""
 from __future__ import annotations
 
+import codecs
 import math
 import os
 import sys
@@ -129,10 +130,12 @@ def _read_csv(path: str, header: bool, target=None):
     cell is parsed; with ``target=None`` every column is a feature and the
     index is None.  A cell that is not a finite number raises
     :class:`NonNumericCell` at its 1-based file row and column, and a byte
-    that is not UTF-8 text a :class:`ParseError` at its row and column.
+    that is not UTF-8 text a :class:`ParseError` at its row and column.  A
+    leading UTF-8 byte-order mark (spreadsheets write one) is dropped.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        # Not decoded as "utf-8-sig", whose error offsets skip the mark.
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -220,8 +220,8 @@ def model_from_dict(doc: dict):
     _only(doc["config"], ("m_stages", "eta", "tree", "record_gamma"), "config")
     tree_config = _tree_config_from_dict(doc["config"]["tree"], "config.tree")
     with _reading("config"):
-        config = BoostConfig(m_stages=int(doc["config"]["m_stages"]),
-                             eta=float(doc["config"]["eta"]), tree=tree_config)
+        config = BoostConfig(m_stages=doc["config"]["m_stages"], eta=doc["config"]["eta"],
+                             tree=tree_config)
     with _reading("f0"):
         f0 = float(doc["f0"])
     if not math.isfinite(f0):

@@ -18,6 +18,7 @@ Every function that takes samples and targets checks them with
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,6 +30,28 @@ from .linear import augment, check_training, fit_or_mean, ridge_solve, ridge_sol
 # Two parameter vectors closer than this (max-norm) count as identical
 # during initialization and trigger a symmetry-breaking perturbation.
 DIVERSITY_TOL = 1e-9
+
+
+def _check_numbers(config, integers, reals) -> None:
+    """Raise ``ValueError`` naming the first field of ``config`` that is not a number of its kind.
+
+    ``integers`` take a ``numbers.Integral`` and ``reals`` a finite ``numbers.Real``; a bool is
+    neither.  Exact ints and floats skip the ABC checks: the tree rebuilds a config per node.
+    """
+    for name in (*integers, *reals):
+        value = getattr(config, name)
+        kind, abc = (int, numbers.Integral) if name in integers else (float, numbers.Real)
+        if (type(value) is not kind and (isinstance(value, bool) or not isinstance(value, abc))
+                or not -math.inf < value < math.inf):
+            raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}"
+                             f", got {value!r}")
+
+
+def _read_only(theta) -> np.ndarray:
+    """A read-only float copy of the coefficient vector ``theta``."""
+    theta = np.array(theta, dtype=float)
+    theta.flags.writeable = False
+    return theta
 
 
 class HingeKind(Enum):
@@ -59,24 +82,27 @@ class SplitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t_max < 1:
+        fixed = () if isinstance(self.step, str) else ("step",)
+        _check_numbers(self, ("t_max", "max_backtracks", "min_subset", "seed"),
+                       ("mu0", "beta", "epsilon", "ridge_alpha", *fixed))
+        if not self.t_max >= 1:
             raise ValueError("t_max must be a positive integer")
-        if isinstance(self.step, str):
+        if not fixed:
             if self.step != "auto":
                 raise ValueError("step must be a damping factor in (0, 1] or 'auto'")
-        elif not 0.0 < float(self.step) <= 1.0:
+        elif not 0.0 < self.step <= 1.0:
             raise ValueError("fixed step must lie in (0, 1]")
-        if self.mu0 <= 0.0:
+        if not self.mu0 > 0.0:
             raise ValueError("mu0 must be positive")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.max_backtracks < 1:
+        if not self.max_backtracks >= 1:
             raise ValueError("max_backtracks must be a positive integer")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        if self.ridge_alpha < 0.0:
+        if not self.ridge_alpha >= 0.0:
             raise ValueError("ridge_alpha must be non-negative")
-        if self.min_subset < 1:
+        if not self.min_subset >= 1:
             raise ValueError("min_subset must be a positive integer")
 
     @property
@@ -93,7 +119,8 @@ class SplitOutcome:
     optimized splits; empty for fallback splits).  ``mu_trace`` and
     ``partition_sizes`` are per-iteration diagnostics;
     ``variant_iterations`` is filled by :func:`select_split` with the raw
-    (max-variant, min-variant) iteration counts.
+    (max-variant, min-variant) iteration counts.  ``theta1`` and ``theta2``
+    are kept as read-only float copies.
     """
 
     theta1: np.ndarray
@@ -108,6 +135,9 @@ class SplitOutcome:
     mu_trace: list[float] = field(default_factory=list)
     partition_sizes: list[tuple[int, int]] = field(default_factory=list)
     variant_iterations: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        self.theta1, self.theta2 = _read_only(self.theta1), _read_only(self.theta2)
 
 
 def _envelope(a, b, kind):

@@ -9,7 +9,7 @@ Every routing test is one rule, :func:`~hingetree.split._first_pair`: a
 row takes the first branch iff ``p >= q`` for the node's ordered pair of
 hinge sides, each evaluated by :func:`~hingetree.linear.affine`.  Training
 applies it node by node to the rows that reach each node, and
-:func:`predict_row` walks one row down one tree.  Batch prediction, for one
+:func:`predict` walks one row down one tree.  Batch prediction, for one
 tree or for a whole boosted ensemble, goes through one level-wise router
 over per-node coefficient and child-index tables: every (row, tree) pair
 moves down one level per step, and the leaves are evaluated at the end.
@@ -17,11 +17,10 @@ All of these perform the same rounded operations, so a training row
 reaches the leaf that was fitted on it, and scalar and batch predictions
 agree bit for bit.
 
-The router's tables are derived once, when a model is built
-(:class:`HrtModel` flattens its tree, and a boosted ensemble joins its
-learners' tables).  A tree must therefore not be changed in place after
-its model is built: the tables would still describe the old tree.  Build a
-changed model instead, for example with :func:`dataclasses.replace`.
+A model's router table is built once, when the model is built, by one
+builder (:func:`_flatten`) over one walk (:func:`_preorder`) of its trees.
+The table cannot go stale: :class:`Leaf` and :class:`Internal` are frozen
+and hold read-only coefficient copies, so a changed tree is a new tree.
 """
 from __future__ import annotations
 
@@ -33,7 +32,8 @@ import numpy as np
 
 from .errors import AllFeaturesConstant, DimensionMismatch, NonFiniteInput
 from .linear import affine, affine_row, augment, check_training, fit_or_mean
-from .split import SplitConfig, SplitOutcome, _first_pair, median_fallback, select_split
+from .split import (SplitConfig, SplitOutcome, _check_numbers, _first_pair, _read_only,
+                    median_fallback, select_split)
 
 _MASK64 = (1 << 64) - 1
 
@@ -85,21 +85,29 @@ class TreeConfig:
     split: SplitConfig = field(default_factory=SplitConfig)
 
     def __post_init__(self):
-        if self.d_max < 0:
+        _check_numbers(self, ("d_max", "n_min"), ("tau_rmse",))
+        if not isinstance(self.split, SplitConfig):
+            raise ValueError(f"split must be a SplitConfig, got {self.split!r}")
+        if not self.d_max >= 0:
             raise ValueError("d_max must be non-negative")
-        if self.n_min < 2 * self.split.min_subset:
+        if not self.n_min >= 2 * self.split.min_subset:
             raise ValueError("n_min must be at least 2 * min_subset")
-        if self.tau_rmse < 0:
+        if not self.tau_rmse >= 0:
             raise ValueError("tau_rmse must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # nodes compare and hash by identity, not by their arrays
 class Leaf:
+    """A leaf's affine model, ``theta`` kept as a read-only float copy."""
+
     theta: np.ndarray
     n_train: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "theta", _read_only(self.theta))
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class Internal:
     split: SplitOutcome
     left: "TreeNode"
@@ -146,11 +154,9 @@ class HrtModel:
     ``train --standardize``).  Only the CLI applies it; :func:`predict`
     and :func:`predict_batch` take rows already in the model's input space.
 
-    Building the model flattens the tree once into the batch router's
-    tables (:func:`_flatten`), whether :func:`build_tree`, the loader or a
-    caller builds it.  The tree under ``root`` must not be changed in place
-    afterwards; build a new model for a changed tree (for example
-    ``dataclasses.replace(model)``, which flattens it again).
+    Building the model, by :func:`build_tree`, the loader or a caller,
+    flattens the tree once into the batch router's table (:func:`_flatten`).
+    The nodes cannot change, so a changed tree is a new tree in a new model.
     """
 
     root: TreeNode
@@ -161,7 +167,7 @@ class HrtModel:
     _table: _Table = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._table = _flatten(self.root)
+        self._table = _flatten([self.root], self.d)
 
 
 def _first_mask(split: SplitOutcome, X: np.ndarray) -> np.ndarray:
@@ -288,20 +294,6 @@ def check_row(x, d: int) -> list[float]:
     return row
 
 
-def predict_row(node: TreeNode, x: list[float]) -> float:
-    """Route one checked sample, given as Python floats, from ``node`` to a leaf value.
-
-    Every hinge value and the leaf value come from
-    :func:`~hingetree.linear.affine_row`, the one-row form of the batch
-    kernel.
-    """
-    while isinstance(node, Internal):
-        o = node.split
-        p, q = _first_pair(o.kind, o.theta1, o.theta2)
-        node = node.left if affine_row(x, p.tolist()) >= affine_row(x, q.tolist()) else node.right
-    return affine_row(x, node.theta.tolist())
-
-
 def predict(model: HrtModel, x) -> float:
     """Route one sample to its leaf and evaluate the leaf model.
 
@@ -313,11 +305,17 @@ def predict(model: HrtModel, x) -> float:
     :class:`NonFiniteInput` (:func:`check_row`).  ``x`` is used as given:
     ``model.preprocess`` is applied only by the CLI.
     """
-    return predict_row(model.root, check_row(x, model.d))
+    x = check_row(x, model.d)
+    node = model.root
+    while isinstance(node, Internal):
+        o = node.split
+        p, q = _first_pair(o.kind, o.theta1, o.theta2)
+        node = node.left if affine_row(x, p.tolist()) >= affine_row(x, q.tolist()) else node.right
+    return affine_row(x, node.theta.tolist())
 
 
 class _Table(NamedTuple):
-    """Trees as preorder node tables for :func:`_route`.
+    """Trees as preorder node tables for :func:`_route`; built only by :func:`_flatten`.
 
     Column i of ``coef_p`` and ``coef_q``, both of shape ``(d+1, nodes)``,
     holds node i's ordered hinge pair (:func:`~hingetree.split._first_pair`),
@@ -334,68 +332,44 @@ class _Table(NamedTuple):
     depths: np.ndarray
 
 
-def _flatten(root: TreeNode) -> _Table:
-    """The tree under ``root`` as a one-tree :class:`_Table`, in one preorder walk.
+def _flatten(roots: list[TreeNode], d: int) -> _Table:
+    """The trees under ``roots``, in order, as one :class:`_Table` over ``d`` features.
 
-    :class:`HrtModel` calls it once, when the model is built; the tables
-    are not derived again for any prediction.
+    Each tree is walked once, by :func:`_preorder`, and each internal
+    node's children are found by their index in the walk (nodes hash by
+    identity).  :class:`HrtModel` passes its root and
+    :class:`~hingetree.boost.BoostModel` its learners' roots, once, when
+    the model is built; no prediction builds a table.
     """
-    coef_p, coef_q, left, right = [], [], [], []
-    levels = 0
-
-    def visit(node: TreeNode, depth: int) -> int:
-        nonlocal levels
-        i = len(left)
-        left.append(i)
-        right.append(i)
-        if isinstance(node, Leaf):
-            coef_p.append(node.theta)
-            coef_q.append(node.theta)
-            levels = max(levels, depth)
-        else:
-            p, q = _first_pair(node.split.kind, node.split.theta1, node.split.theta2)
-            coef_p.append(p)
-            coef_q.append(q)
-            left[i] = visit(node.left, depth + 1)
-            right[i] = visit(node.right, depth + 1)
-        return i
-
-    visit(root, 0)
-    return _Table(np.array(coef_p).T.copy(), np.array(coef_q).T.copy(),
-                  np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-                  np.zeros(1, dtype=np.intp), np.array([levels], dtype=np.intp))
-
-
-def _join(tables: list[_Table], d: int) -> _Table:
-    """One :class:`_Table` holding the trees of ``tables`` in order, without walking any tree.
-
-    Each table's node, child and root indices are shifted by the number of
-    nodes before it.  With no tables the result holds no tree.
-    """
-    ints = [np.empty(0, dtype=np.intp)]
-    coefs = [np.empty((d + 1, 0))]
-    offsets = np.cumsum([0] + [t.left.size for t in tables], dtype=np.intp)
-    return _Table(np.concatenate(coefs + [t.coef_p for t in tables], axis=1),
-                  np.concatenate(coefs + [t.coef_q for t in tables], axis=1),
-                  np.concatenate(ints + [t.left + k for t, k in zip(tables, offsets)]),
-                  np.concatenate(ints + [t.right + k for t, k in zip(tables, offsets)]),
-                  np.concatenate(ints + [t.starts + k for t, k in zip(tables, offsets)]),
-                  np.concatenate(ints + [t.depths for t in tables]))
+    nodes, starts, depths = [], [], []
+    for root in roots:
+        starts.append(len(nodes))
+        walk = list(_preorder(root))
+        nodes += [node for node, _ in walk]
+        depths.append(max(depth for _, depth in walk))  # the deepest node is a leaf
+    index = {node: i for i, node in enumerate(nodes)}
+    pairs = [(n.theta, n.theta) if isinstance(n, Leaf)
+             else _first_pair(n.split.kind, n.split.theta1, n.split.theta2) for n in nodes]
+    children = [(i, i) if isinstance(n, Leaf) else (index[n.left], index[n.right])
+                for i, n in enumerate(nodes)]
+    coefs = np.array(pairs, dtype=float).reshape(-1, 2, d + 1).transpose(1, 2, 0).copy()
+    links = np.array(children, dtype=np.intp).reshape(-1, 2).T.copy()
+    return _Table(coefs[0], coefs[1], links[0], links[1], np.array(starts, dtype=np.intp),
+                  np.array(depths, dtype=np.intp))
 
 
 def _route(table: _Table, X: np.ndarray):
     """Yield each tree's predictions on checked ``X``, in the order of ``table``'s trees.
 
-    Level-wise routing over tables derived when the model was built
-    (:func:`_flatten`, :func:`_join`): every (row, tree) pair starts at its
-    tree's root.  Each step gathers the pair's node coefficients, evaluates
-    both hinge sides with :func:`~hingetree.linear.affine` and moves the
-    pair to the chosen child; after as many steps as the group's deepest
-    leaf's depth every pair sits on its leaf, whose model gives the value.
-    Pairs are processed in blocks of at most ``_BLOCK`` (a group holds one
-    tree when the batch alone exceeds it), so the temporaries stay bounded
-    whatever the batch and ensemble sizes.  Each value is computed with
-    :func:`predict_row`'s operations.
+    Level-wise routing over the table built with the model (:func:`_flatten`):
+    every (row, tree) pair starts at its tree's root.  Each step gathers the
+    pair's node coefficients, evaluates both hinge sides with
+    :func:`~hingetree.linear.affine` and moves the pair to the chosen child;
+    after as many steps as the group's deepest leaf's depth every pair sits
+    on its leaf, whose model gives the value.  Pairs are processed in blocks
+    of at most ``_BLOCK`` (a group holds one tree when the batch alone
+    exceeds it), so the temporaries stay bounded whatever the batch and
+    ensemble sizes.  Each value is computed with :func:`predict`'s operations.
     """
     coef_p, coef_q, left, right, starts, depths = table
     n = X.shape[0]
@@ -421,7 +395,7 @@ def predict_batch(model: HrtModel, X) -> np.ndarray:
     """Predict every row of ``X``; bit-identical to :func:`predict` per row.
 
     The rows go through the batch router (:func:`_route`) with this one
-    tree's tables, flattened when the model was built: all rows move down
+    tree's table, flattened when the model was built: all rows move down
     the tree together, one level per step, and the leaves are evaluated at
     the end.  The kernel's fixed column order makes every value
     independent of the batch size and of which other rows share the batch.

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from hingetree.tree import Internal, Leaf
 
 
 @pytest.fixture
@@ -37,3 +41,22 @@ def nested_document(depth):
                 f'"used_fallback": false, "left": {node}, "right": {leaf}}}}}')
     return (f'{{"format_version": 1, "kind": "hrt", "d": 1, "config": {{"split": {{}}}}, '
             f'"root": {node}}}')
+
+
+def relabel_leaves(model):
+    """Copy of ``model`` whose leaf k predicts the constant k; returns (copy, n_train per leaf).
+
+    Nodes cannot be changed in place, so the copy is a new tree of new
+    leaves under the original splits, left to right.
+    """
+    counts = []
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            theta = np.zeros(model.d + 1)
+            theta[-1] = float(len(counts))
+            counts.append(node.n_train)
+            return Leaf(theta=theta, n_train=node.n_train)
+        return Internal(split=node.split, left=walk(node.left), right=walk(node.right))
+
+    return replace(model, root=walk(model.root)), counts

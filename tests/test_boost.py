@@ -1,4 +1,7 @@
+import importlib
 import math
+import pkgutil
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from unittest import mock
 
@@ -295,30 +298,54 @@ class TestGammaBoundCheck:
             gamma_bound_check(model)
 
 
+@contextmanager
+def counted_flatten():
+    """A mock of the table builder, installed in every ``hingetree`` module that holds it.
+
+    A module that imports ``_flatten`` by name calls its own binding, so
+    patching ``hingetree.tree`` alone would miss its calls.
+    """
+    builder = hingetree.tree._flatten
+    modules = [importlib.import_module(f"hingetree.{info.name}")
+               for info in pkgutil.iter_modules(hingetree.__path__)]
+    holders = [module for module in modules if getattr(module, "_flatten", None) is builder]
+    assert {"hingetree.tree", "hingetree.boost"} <= {module.__name__ for module in holders}
+    flatten = mock.Mock(wraps=builder)
+    with ExitStack() as stack:
+        for module in holders:
+            stack.enter_context(mock.patch.object(module, "_flatten", flatten))
+        yield flatten
+
+
 class TestRouterTables:
-    """Every tree is flattened once, when its model is built or loaded, and never to predict."""
+    """Every model is flattened once, when it is built or loaded, and never to predict."""
 
     def test_one_flatten_per_tree_model_and_none_per_prediction(self):
         ds = gen_synthetic("f2", 200, 0.05, seed=3)
         X, y = ds.X, ds.y
-        with mock.patch.object(hingetree.tree, "_flatten",
-                               wraps=hingetree.tree._flatten) as flatten:
+        with counted_flatten() as flatten:
             tree_model = build_tree(X, y, TreeConfig(d_max=3))
             assert flatten.call_count == 1
             model = fit_boost(X, y, BoostConfig(m_stages=5, eta=0.3))
-            # Each stage builds one learner, a discarded one included.
-            assert flatten.call_count == 1 + len(model.stage_retained) == 6
+            # Each stage builds one learner, a discarded one included, and the
+            # ensemble is flattened once more, from its learners' roots.
+            assert flatten.call_count == 1 + len(model.stage_retained) + 1 == 7
+            assert flatten.call_args.args == ([t.root for t in model.learners], model.d)
             flatten.reset_mock()
             loads_model(dumps_model(tree_model))
+            assert flatten.call_count == 1
             loaded = loads_model(dumps_model(model))
-            assert flatten.call_count == 1 + len(model.learners)
+            assert flatten.call_count == 1 + len(model.learners) + 1
             flatten.reset_mock()
-            rebuilt = replace(model)  # an ensemble built from its learners joins their tables
+            rebuilt = replace(model)  # an ensemble built from its learners flattens them again
+            assert flatten.call_count == 1
+            flatten.reset_mock()
             for m in (model, loaded, rebuilt):
                 batch = predict_boost_batch(m, X)
                 assert predict_boost(m, X[0]) == batch[0]
                 staged_losses(m, X, y)
             predict_batch(tree_model, X)
+            predict(tree_model, X[0])
             assert flatten.call_count == 0
         assert predict_boost_batch(rebuilt, X).tobytes() == batch.tobytes()
 

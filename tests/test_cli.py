@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -112,6 +113,20 @@ class TestTrain:
         code, _, _ = run(capsys, "train", str(csv), "--target", "y", "hrt",
                          "--max-depth", "2", "--out", str(out))
         assert code == 0
+
+    def test_train_from_csv_with_byte_order_mark(self, tmp_path, capsys):
+        csv = tmp_path / "d.csv"
+        write_csv(gen_synthetic("twisted_sigmoid", 200, 0.025, seed=2), csv)
+        # The target first, so that the mark precedes its name.
+        rows = [line.split(",") for line in csv.read_text().splitlines()]
+        csv.write_text("".join(",".join(cells[-1:] + cells[:-1]) + "\n" for cells in rows))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + csv.read_bytes())
+        for data, out in ((csv, "plain.json"), (marked, "marked.json")):
+            code, _, _ = run(capsys, "train", str(data), "--target", "y", "hrt",
+                             "--max-depth", "2", "--out", str(tmp_path / out))
+            assert code == 0
+        assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_bad_step_is_config_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", SINC, "hrt",
@@ -372,7 +387,11 @@ class TestCorruptModelFile:
 
     @pytest.mark.parametrize("key, value, message", [
         ("eta", 5, "error: config: eta must lie in (0, 1]"),
-        ("m_stages", "many", "error: config: invalid literal for int()"),
+        ("m_stages", "many", "error: config: m_stages must be an integer, got 'many'"),
+        ("m_stages", "3", "error: config: m_stages must be an integer, got '3'"),
+        ("m_stages", 2.7, "error: config: m_stages must be an integer, got 2.7"),
+        ("m_stages", True, "error: config: m_stages must be an integer, got True"),
+        ("eta", "0.1", "error: config: eta must be a finite number, got '0.1'"),
     ])
     def test_bad_boost_config_value_is_data_error(self, tmp_path, capsys, key, value, message):
         out = tmp_path / "m.json"

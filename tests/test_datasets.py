@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf, pi, sin
@@ -144,6 +146,32 @@ class TestCsv:
             with pytest.raises(ParseError, match="is not UTF-8 text") as err:
                 load()
             assert (err.value.row, err.value.col) == (row, col)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Spreadsheet programs start a UTF-8 CSV with one; here it precedes the target's name.
+        plain = tmp_path / "plain.csv"
+        plain.write_text("y,a\n3,1\n6,4\n")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        ds = load_csv(marked, target="y")
+        assert (ds.target_name, ds.feature_names) == ("y", ["a"])
+        assert ds.X.tolist() == [[1.0], [4.0]] and ds.y.tolist() == [3.0, 6.0]
+        X, names = load_features(marked)
+        assert names == ["y", "a"] and X.tolist() == load_features(plain)[0].tolist()
+
+    @pytest.mark.parametrize("body, row, col", [
+        (b"\xff,b,y\n1,2,3\n", 1, 1),
+        (b"a,b,y\n1,\xff,3\n", 2, 2),
+        (b"a,b,y\n1,2,3\n4,5,\xc3", 3, 3),
+    ], ids=["header", "data-row", "truncated-last-cell"])
+    def test_byte_order_mark_keeps_bad_byte_location(self, tmp_path, body, row, col):
+        path = tmp_path / "marked.csv"
+        for prefix in (b"", codecs.BOM_UTF8):
+            path.write_bytes(prefix + body)
+            for load in (lambda: load_csv(path, target="y"), lambda: load_features(path)):
+                with pytest.raises(ParseError, match="is not UTF-8 text") as err:
+                    load()
+                assert (err.value.row, err.value.col) == (row, col)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_line_endings_and_blank_lines(self, tmp_path, newline):

@@ -39,8 +39,7 @@ from hingetree import (
     staged_losses,
 )
 from hingetree import cli, linear, split, tree
-from hingetree.tree import Leaf
-from conftest import hinge_regression
+from conftest import hinge_regression, relabel_leaves
 
 # Few derandomized examples keep the suite fast and its outcome fixed.
 FAST = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -142,27 +141,15 @@ def test_save_load_round_trips_exactly(args):
     assert np.array([predict(loaded, row) for row in X]).tobytes() == batch.tobytes()
 
 
-def leaves(node):
-    if isinstance(node, Leaf):
-        return [node]
-    return leaves(node.left) + leaves(node.right)
-
-
 @FAST
 @given(tree_fits)
 def test_leaf_counts_are_the_training_rows_routed_to_them(args):
     X, model = fit(**args)
-    found = leaves(model.root)
-    counts = [leaf.n_train for leaf in found]
     # A leaf that predicts its own index turns predict_batch into a leaf lookup;
     # routing reads only the internal nodes.
-    for i, leaf in enumerate(found):
-        leaf.theta = np.zeros(model.d + 1)
-        leaf.theta[-1] = i
-    # The router's tables are derived when a model is built, so the changed
-    # tree is read through a model built from it.
-    reached = predict_batch(replace(model), X).astype(int)
-    assert np.bincount(reached, minlength=len(found)).tolist() == counts
+    labelled, counts = relabel_leaves(model)
+    reached = predict_batch(labelled, X).astype(int)
+    assert np.bincount(reached, minlength=len(counts)).tolist() == counts
 
 
 @FAST

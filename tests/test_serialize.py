@@ -343,8 +343,28 @@ class TestCorruptModel:
     def test_non_numeric_boost_stage_count(self):
         doc = model_to_dict(trained_boost()[1])
         doc["config"]["m_stages"] = "many"
-        with pytest.raises(CorruptModel, match="config: invalid literal"):
+        with pytest.raises(CorruptModel, match="config: m_stages must be an integer, got 'many'"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("kind, path, value, message", [
+        ("boost", ("m_stages",), "3", "config: m_stages must be an integer, got '3'"),
+        ("boost", ("m_stages",), 2.7, "config: m_stages must be an integer, got 2.7"),
+        ("boost", ("m_stages",), True, "config: m_stages must be an integer, got True"),
+        ("boost", ("eta",), "0.1", "config: eta must be a finite number, got '0.1'"),
+        ("hrt", ("split", "t_max"), 2.7, "config: t_max must be an integer, got 2.7"),
+        ("hrt", ("split", "ridge_alpha"), True, "config: ridge_alpha must be a finite number, got True"),
+        ("hrt", ("tau_rmse",), float("nan"), "config: tau_rmse must be a finite number, got nan"),
+    ])
+    def test_config_value_of_the_wrong_kind(self, kind, path, value, message):
+        # Saved through JSON text, as a file holds it (NaN included).
+        doc = self.tree_doc() if kind == "hrt" else model_to_dict(trained_boost()[1])
+        *parents, key = path
+        block = doc["config"]
+        for parent in parents:
+            block = block[parent]
+        block[key] = value
+        with pytest.raises(CorruptModel, match=re.escape(message)):
+            loads_model(json.dumps(doc))
 
     def test_out_of_range_boost_tree_step(self):
         doc = model_to_dict(trained_boost()[1])

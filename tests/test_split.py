@@ -81,10 +81,37 @@ class TestConfigValidation:
         (BoostConfig, "m_stages", -1),
         (BoostConfig, "eta", 0.0),
         (BoostConfig, "eta", 1.5),
+        # NaN, booleans and values of the wrong kind, which no range test sees.
+        (SplitConfig, "epsilon", float("nan")),
+        (SplitConfig, "mu0", float("nan")),
+        (SplitConfig, "beta", float("nan")),
+        (SplitConfig, "step", float("nan")),
+        (SplitConfig, "ridge_alpha", float("inf")),
+        (SplitConfig, "step", True),
+        (SplitConfig, "ridge_alpha", True),
+        (SplitConfig, "t_max", 2.7),
+        (SplitConfig, "seed", 1.5),
+        (SplitConfig, "max_backtracks", "30"),
+        (SplitConfig, "min_subset", None),
+        (TreeConfig, "d_max", True),
+        (TreeConfig, "n_min", 5.0),
+        (TreeConfig, "tau_rmse", float("nan")),
+        (TreeConfig, "split", {}),
+        (BoostConfig, "m_stages", 2.5),
+        (BoostConfig, "m_stages", True),
+        (BoostConfig, "eta", float("nan")),
+        (BoostConfig, "eta", "0.1"),
+        (BoostConfig, "tree", SplitConfig()),
     ])
     def test_bad_value_names_its_field(self, config, field, value):
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             config(**{field: value})
+
+    def test_numpy_scalars_are_numbers(self):
+        split = SplitConfig(t_max=np.int64(5), seed=np.uint64(7), epsilon=np.float32(0.5),
+                            step=np.float64(0.25))
+        tree = TreeConfig(d_max=np.int32(2), tau_rmse=np.float64(0.0), split=split)
+        assert BoostConfig(m_stages=np.int64(3), eta=np.float64(0.5), tree=tree).tree is tree
 
 
 class TestObjective:

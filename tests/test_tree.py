@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from hingetree import (
 )
 from hingetree.linear import affine_row
 from hingetree.tree import Internal, Leaf, derive_seed, train_stats
-from conftest import hinge_regression, random_regression
+from conftest import hinge_regression, random_regression, relabel_leaves
 
 
 def abs_config(**overrides):
@@ -302,20 +304,38 @@ def multi_feature_data(name):
     return hinge_regression(16, 400, 16)
 
 
-def relabel_leaves(model):
-    """Copy of ``model`` whose leaf k predicts the constant k; returns (copy, n_train per leaf)."""
-    counts = []
+class TestImmutableNodes:
+    """A built tree cannot be changed in place, so its model's router table cannot go stale."""
 
-    def walk(node):
-        if isinstance(node, Leaf):
-            theta = np.zeros(model.d + 1)
-            theta[-1] = float(len(counts))
-            counts.append(node.n_train)
-            return Leaf(theta=theta, n_train=node.n_train)
-        return Internal(split=node.split, left=walk(node.left), right=walk(node.right))
+    @pytest.mark.parametrize("edit, error", [
+        (lambda leaf, node: setattr(leaf, "theta", np.zeros(2)), FrozenInstanceError),
+        (lambda leaf, node: leaf.theta.__setitem__(-1, 1.0), ValueError),
+        (lambda leaf, node: setattr(leaf, "n_train", 0), FrozenInstanceError),
+        (lambda leaf, node: setattr(node, "left", node.right), FrozenInstanceError),
+        (lambda leaf, node: setattr(node, "split", None), FrozenInstanceError),
+        (lambda leaf, node: node.split.theta1.__setitem__(-1, 1.0), ValueError),
+        (lambda leaf, node: node.split.theta2.__setitem__(0, 1.0), ValueError),
+    ], ids=["leaf-theta", "leaf-coefficient", "leaf-n-train", "child", "split",
+            "split-theta1-coefficient", "split-theta2-coefficient"])
+    def test_each_edit_raises_and_predictions_agree(self, edit, error):
+        X, _, model = abs_model()
+        before = predict_batch(model, X)
+        node = model.root
+        with pytest.raises(error):
+            edit(node.left, node)
+        assert predict_batch(model, X).tobytes() == before.tobytes()
+        assert np.array([predict(model, row) for row in X]).tobytes() == before.tobytes()
 
-    root = walk(model.root)
-    return HrtModel(root=root, d=model.d, config=model.config, stats=model.stats), counts
+    def test_nodes_hold_read_only_copies_and_hash_by_identity(self):
+        theta = np.array([1.0, 2.0])
+        leaf = Leaf(theta=theta, n_train=3)
+        split = SplitOutcome(theta1=theta, theta2=-theta, kind=HingeKind.MAX, converged=True,
+                             iterations=0, objective_trace=[])
+        theta[0] = 5.0
+        assert leaf.theta.tolist() == split.theta1.tolist() == [1.0, 2.0]
+        assert not (leaf.theta.flags.writeable or split.theta2.flags.writeable)
+        node = Internal(split=split, left=leaf, right=Leaf(theta=theta, n_train=1))
+        assert len({leaf, node, leaf}) == 2
 
 
 class TestRoutingContract:
