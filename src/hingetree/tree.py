@@ -11,8 +11,11 @@ hinge sides, each evaluated by :func:`~hingetree.linear.affine`.  Training
 applies it node by node to the rows that reach each node, and
 :func:`predict` walks one row down one tree.  Batch prediction, for one
 tree or for a whole boosted ensemble, goes through one level-wise router
-over per-node coefficient and child-index tables: every (row, tree) pair
-moves down one level per step, and the leaves are evaluated at the end.
+(:func:`_route`) over per-node coefficient and child-index tables: every
+(row, tree) pair moves down one level per step, and the leaves are
+evaluated at the end.  One row of an ensemble takes one pass over the same
+table instead (:func:`~hingetree.boost.predict_boost`): every node's hinge
+sides are evaluated at once, and each tree follows the resulting flags.
 All of these perform the same rounded operations, so a training row
 reaches the leaf that was fitted on it, and scalar and batch predictions
 agree bit for bit.
@@ -260,14 +263,6 @@ def build_tree(X, y, config: TreeConfig | None = None) -> HrtModel:
     return HrtModel(root=root, d=X.shape[1], config=config, stats=train_stats(root, fits))
 
 
-def _check_width(X: np.ndarray, d: int) -> np.ndarray:
-    if X.ndim != 2:
-        raise DimensionMismatch("expected a 2-D feature matrix")
-    if X.shape[0] and X.shape[1] != d:
-        raise DimensionMismatch(f"expected {d} features, got {X.shape[1]}")
-    return X
-
-
 def check_features(X, d: int) -> np.ndarray:
     """``X`` as a finite float matrix of ``d`` columns, or a typed error.
 
@@ -275,7 +270,11 @@ def check_features(X, d: int) -> np.ndarray:
     rows is accepted at any width) and :class:`NonFiniteInput` when a value
     is NaN or infinite.
     """
-    X = _check_width(np.asarray(X, dtype=float), d)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch("expected a 2-D feature matrix")
+    if X.shape[0] and X.shape[1] != d:
+        raise DimensionMismatch(f"expected {d} features, got {X.shape[1]}")
     if not np.isfinite(X).all():
         raise NonFiniteInput("feature matrix contains a NaN or infinite value")
     return X
@@ -284,10 +283,16 @@ def check_features(X, d: int) -> np.ndarray:
 def check_row(x, d: int) -> list[float]:
     """One sample as ``d`` finite Python floats, or the errors of :func:`check_features`.
 
-    The finiteness test runs on the floats of the list, which is several
-    times cheaper than ``np.isfinite`` on a one-row array.
+    A sample is a sequence of ``d`` values or a ``(1, d)`` row; any other
+    shape, a column or a ``(1, 1, d)`` array among them, raises
+    :class:`DimensionMismatch` even when it holds ``d`` values.  The
+    finiteness test runs on the floats of the list, which is several times
+    cheaper than ``np.isfinite`` on a one-row array.
     """
-    row = _check_width(np.asarray(x, dtype=float).reshape(1, -1), d)[0].tolist()
+    x = np.asarray(x, dtype=float)
+    if x.shape not in ((d,), (1, d)):
+        raise DimensionMismatch(f"expected one sample of {d} features, got shape {x.shape}")
+    row = x.reshape(d).tolist()
     for value in row:
         if not isfinite(value):
             raise NonFiniteInput("sample contains a NaN or infinite value")
@@ -361,8 +366,11 @@ def _flatten(roots: list[TreeNode], d: int) -> _Table:
 def _route(table: _Table, X: np.ndarray):
     """Yield each tree's predictions on checked ``X``, in the order of ``table``'s trees.
 
-    Level-wise routing over the table built with the model (:func:`_flatten`):
-    every (row, tree) pair starts at its tree's root.  Each step gathers the
+    The batch router, behind :func:`predict_batch` and the ensemble's batch
+    functions; one ensemble row instead takes one pass over the whole table
+    (:func:`~hingetree.boost.predict_boost`).  Routing is level-wise, over
+    the table built with the model (:func:`_flatten`): every (row, tree)
+    pair starts at its tree's root.  Each step gathers the
     pair's node coefficients, evaluates both hinge sides with
     :func:`~hingetree.linear.affine` and moves the pair to the chosen child;
     after as many steps as the group's deepest leaf's depth every pair sits

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hingetree.tree import Internal, Leaf
+from hingetree.tree import Internal, Leaf, predict
 
 
 @pytest.fixture
@@ -60,3 +60,11 @@ def relabel_leaves(model):
         return Internal(split=node.split, left=walk(node.left), right=walk(node.right))
 
     return replace(model, root=walk(model.root)), counts
+
+
+def walked_boost(model, x):
+    """The ensemble's value from each learner's scalar walk, added in stage order."""
+    total = model.f0
+    for learner in model.learners:
+        total += model.eta * predict(learner, x)
+    return total

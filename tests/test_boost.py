@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import warnings
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -14,6 +15,8 @@ from hingetree import (
     BoostConfig,
     BoostModel,
     DimensionMismatch,
+    HingeKind,
+    HrtModel,
     NonFiniteInput,
     SplitConfig,
     TreeConfig,
@@ -31,7 +34,9 @@ from hingetree import (
     predict_boost_batch,
     staged_losses,
 )
-from conftest import hinge_regression, random_regression
+from hingetree.split import SplitOutcome
+from hingetree.tree import Internal, Leaf, train_stats
+from conftest import hinge_regression, random_regression, walked_boost
 
 
 def abs_tree_config(seed=0):
@@ -218,6 +223,85 @@ class TestPredictBoost:
         with pytest.raises(DimensionMismatch):
             predict_boost_batch(model, np.zeros((3, 2)))
 
+    def test_only_a_sequence_or_a_one_row_matrix_is_a_sample(self):
+        model = ensemble([split(HingeKind.MAX, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                leaf(0.0, 0.0, 1.0), leaf(0.0, 0.0, -1.0))], d=2)
+        expected = predict_boost(model, [1.0, 2.0])
+        assert predict_boost(model, np.array([[1.0, 2.0]])) == expected
+        # Each holds two values, but neither is one sample of two features.
+        for x in ([[1.0], [2.0]], np.array([1.0, 2.0]).reshape(1, 1, 2)):
+            with pytest.raises(DimensionMismatch):
+                predict_boost(model, x)
+
+
+def leaf(*theta):
+    return Leaf(theta=np.array(theta), n_train=1)
+
+
+def split(kind, theta1, theta2, left, right):
+    outcome = SplitOutcome(theta1=np.array(theta1), theta2=np.array(theta2), kind=kind,
+                           converged=True, iterations=0, objective_trace=[])
+    return Internal(split=outcome, left=left, right=right)
+
+
+def ensemble(roots, d, f0=0.5, eta=0.5):
+    """An ensemble of hand-built trees, one retained stage per root."""
+    learners = [HrtModel(root=root, d=d, config=TreeConfig(), stats=train_stats(root))
+                for root in roots]
+    n = len(learners)
+    return BoostModel(f0=f0, eta=eta, learners=learners, gamma_trace=[0.0] * n,
+                      loss_trace=[1.0] * (n + 1), stage_retained=[True] * n, d=d,
+                      config=BoostConfig())
+
+
+def assert_walked(model, rows):
+    """``predict_boost`` on each row has the bits of the learners' scalar walks and of the batch."""
+    rows = np.asarray(rows, dtype=float)
+    one = np.array([predict_boost(model, x) for x in rows])
+    assert one.tobytes() == np.array([walked_boost(model, x) for x in rows]).tobytes()
+    assert one.tobytes() == predict_boost_batch(model, rows).tobytes()
+    return one
+
+
+class TestPredictBoostOnePass:
+    """The single-row pass over the ensemble's table, on hand-built ensembles."""
+
+    @pytest.mark.parametrize("kind", list(HingeKind))
+    def test_row_on_the_hyperplane_takes_the_first_branch(self, kind):
+        # The sides x0 and x1 + 0.25 tie exactly on both rows.
+        model = ensemble([split(kind, [1.0, 0.0, 0.0], [0.0, 1.0, 0.25],
+                                leaf(0.0, 0.0, 1.0), leaf(0.0, 0.0, -1.0))], d=2)
+        one = assert_walked(model, [[0.75, 0.5], [-2.0, -2.25]])
+        assert one.tolist() == [1.0, 1.0]
+
+    def test_off_path_overflow_is_silent_and_unused(self):
+        # The row goes first at the root; the second subtree overflows to inf
+        # (1e300 * 1e10) and to NaN (inf - inf) on it, in a node and its leaves.
+        huge = split(HingeKind.MAX, [1e300, -1e300, 0.0], [1e300, 0.0, 0.0],
+                     leaf(1e300, 0.0, 0.0), leaf(0.0, -1e300, 0.0))
+        model = ensemble([split(HingeKind.MAX, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                leaf(0.0, 0.0, 2.0), huge)], d=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = assert_walked(model, [[1e10, 1e10]])
+        assert one.tolist() == [1.5]
+
+    def test_learners_of_unequal_depth(self):
+        gen = np.random.default_rng(12)
+
+        def chain(depth):
+            # A first-branch chain: every level's second child is a leaf.
+            if depth == 0:
+                return leaf(*gen.normal(size=3))
+            kind = HingeKind.MAX if gen.integers(2) else HingeKind.MIN
+            return split(kind, gen.normal(size=3), gen.normal(size=3),
+                         chain(depth - 1), leaf(*gen.normal(size=3)))
+
+        roots = [chain(3), chain(0), chain(1), chain(0), chain(2)]
+        model = ensemble(roots, d=2, eta=0.3)
+        assert model._table.depths.tolist() == [3, 0, 1, 0, 2]
+        assert_walked(model, gen.normal(size=(200, 2)))
+
 
 class TestStagedLosses:
     def test_zero_stage_model(self):
@@ -299,31 +383,34 @@ class TestGammaBoundCheck:
 
 
 @contextmanager
-def counted_flatten():
-    """A mock of the table builder, installed in every ``hingetree`` module that holds it.
+def counted(name):
+    """A mock of the tree layer's ``name``, installed in every ``hingetree`` module that holds it.
 
-    A module that imports ``_flatten`` by name calls its own binding, so
+    A module that imports ``name`` by name calls its own binding, so
     patching ``hingetree.tree`` alone would miss its calls.
     """
-    builder = hingetree.tree._flatten
+    original = getattr(hingetree.tree, name)
     modules = [importlib.import_module(f"hingetree.{info.name}")
                for info in pkgutil.iter_modules(hingetree.__path__)]
-    holders = [module for module in modules if getattr(module, "_flatten", None) is builder]
+    holders = [module for module in modules if getattr(module, name, None) is original]
     assert {"hingetree.tree", "hingetree.boost"} <= {module.__name__ for module in holders}
-    flatten = mock.Mock(wraps=builder)
+    wrapper = mock.Mock(wraps=original)
     with ExitStack() as stack:
         for module in holders:
-            stack.enter_context(mock.patch.object(module, "_flatten", flatten))
-        yield flatten
+            stack.enter_context(mock.patch.object(module, name, wrapper))
+        yield wrapper
 
 
 class TestRouterTables:
-    """Every model is flattened once, when it is built or loaded, and never to predict."""
+    """Every model is flattened once, when it is built or loaded, and never to predict.
+
+    A single ensemble row does not go through the batch router either.
+    """
 
     def test_one_flatten_per_tree_model_and_none_per_prediction(self):
         ds = gen_synthetic("f2", 200, 0.05, seed=3)
         X, y = ds.X, ds.y
-        with counted_flatten() as flatten:
+        with counted("_flatten") as flatten:
             tree_model = build_tree(X, y, TreeConfig(d_max=3))
             assert flatten.call_count == 1
             model = fit_boost(X, y, BoostConfig(m_stages=5, eta=0.3))
@@ -342,7 +429,9 @@ class TestRouterTables:
             flatten.reset_mock()
             for m in (model, loaded, rebuilt):
                 batch = predict_boost_batch(m, X)
-                assert predict_boost(m, X[0]) == batch[0]
+                with counted("_route") as route:
+                    assert predict_boost(m, X[0]) == batch[0]
+                assert route.call_count == 0
                 staged_losses(m, X, y)
             predict_batch(tree_model, X)
             predict(tree_model, X[0])

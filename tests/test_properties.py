@@ -39,7 +39,7 @@ from hingetree import (
     staged_losses,
 )
 from hingetree import cli, linear, split, tree
-from conftest import hinge_regression, relabel_leaves
+from conftest import hinge_regression, relabel_leaves, walked_boost
 
 # Few derandomized examples keep the suite fast and its outcome fixed.
 FAST = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -226,14 +226,6 @@ def assert_same_values(batch, scalar):
     assert batch.tobytes() == scalar.tobytes()
 
 
-def walked_boost(model, x):
-    """The ensemble's value from each learner's scalar walk, added in stage order."""
-    total = model.f0
-    for learner in model.learners:
-        total += model.eta * predict(learner, x)
-    return total
-
-
 # Router blocks of 1 and 7 (row, tree) pairs split one batch into many blocks.
 @pytest.mark.parametrize("block", [1, 7, "default"])
 @pytest.mark.parametrize("d", [0, 1, 2, 16])
@@ -247,8 +239,9 @@ def test_batch_routing_equals_the_scalar_walk(d, block):
         with blocks:
             F = X[finite]
             assert_same_values(predict_batch(hrt, F), [predict(hrt, row) for row in F])
-            # Both boost entry points share the router, so each is held to the
-            # learners' scalar walks instead of to the other.
+            # The boost entry points route differently (the batch level by level,
+            # a single row in one pass over the table), and each is held to the
+            # learners' scalar walks.
             walked = [walked_boost(boost, row) for row in F]
             assert_same_values(predict_boost_batch(boost, F), walked)
             assert_same_values(np.array([predict_boost(boost, row) for row in F]), walked)

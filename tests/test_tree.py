@@ -269,6 +269,14 @@ class TestPredict:
         with pytest.raises(DimensionMismatch):
             predict(model, [1.0, 2.0])
 
+    def test_only_a_sequence_or_a_one_row_matrix_is_a_sample(self):
+        model = manual_model(depth=2, d=2)
+        assert predict(model, np.array([[1.0, 2.0]])) == predict(model, [1.0, 2.0])
+        # Each holds two values, but neither is one sample of two features.
+        for x in ([[1.0], [2.0]], np.array([1.0, 2.0]).reshape(1, 1, 2)):
+            with pytest.raises(DimensionMismatch):
+                predict(model, x)
+
 
 class TestPredictBatch:
     def test_empty_matrix(self):
