@@ -50,6 +50,7 @@ from .metrics import (
 from .serialize import dumps_model, load_model, loads_model, model_from_dict, model_to_dict, save_model
 from .split import (
     HingeKind,
+    Split,
     SplitConfig,
     SplitOutcome,
     backtracking_step,

@@ -15,19 +15,9 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput
 from .linear import affine, check_training
 from .split import SplitConfig, _check_numbers
-from .tree import (  # noqa: F401 -- perfbench/tracer.py patches hingetree.boost.predict
-    HrtModel,
-    TreeConfig,
-    _flatten,
-    _route,
-    _Table,
-    build_tree,
-    check_features,
-    check_row,
-    derive_seed,
-    predict,
-    predict_batch,
-)
+# ``predict`` is not called here, but perfbench/tracer.py patches hingetree.boost.predict.
+from .tree import (HrtModel, TreeConfig, _flatten, _route, _Table, build_tree,  # noqa: F401
+                   check_features, check_row, derive_seed, predict, predict_batch)
 
 # Relative residual-energy floor below which training stops early.
 _RESIDUAL_FLOOR = 1e-24
@@ -66,7 +56,7 @@ class BoostConfig:
             raise ValueError("eta must lie in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoostModel:
     """Fitted ensemble.
 
@@ -79,32 +69,29 @@ class BoostModel:
     with the model (the CLI's ``train --standardize``); only the CLI
     applies it, and the predict functions take rows as given.
 
-    Building the model flattens its learners' trees, in order, into one
-    router table for the ensemble (:func:`~hingetree.tree._flatten`).  Their
-    nodes cannot change; do not change ``learners`` in place either, but
-    build a new model (for example with :func:`dataclasses.replace`).
-
-    The batch functions route every row down the table level by level, so
-    their cost per row grows with the depth; :func:`predict_boost` evaluates
-    every node of the table on its one row, so its cost grows with the node
-    count times d+1.  The one-pass scalar path is the faster one for the
-    ensembles of shallow trees that boosting is for, and the slower one
-    somewhere between 12,700 and 25,550 nodes (see :func:`predict_boost`).
+    Building the model stores ``learners`` and ``stage_retained`` as tuples
+    and flattens the learners' trees, in order, into one router table
+    (:func:`~hingetree.tree._flatten`).  The model, its learners and their
+    nodes cannot change, so a changed ensemble is a new model
+    (:func:`dataclasses.replace`).  :func:`predict_boost` compares the
+    costs of the scalar and the batch prediction paths.
     """
 
     f0: float
     eta: float
-    learners: list[HrtModel]
+    learners: tuple[HrtModel, ...]
     gamma_trace: list[float]
     loss_trace: list[float]
-    stage_retained: list[bool]
+    stage_retained: tuple[bool, ...]
     d: int
     config: BoostConfig
     preprocess: dict | None = None
     _table: _Table = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._table = _flatten([learner.root for learner in self.learners], self.d)
+        object.__setattr__(self, "learners", tuple(self.learners))
+        object.__setattr__(self, "stage_retained", tuple(self.stage_retained))
+        object.__setattr__(self, "_table", _flatten([t.root for t in self.learners], self.d))
 
 
 @dataclass

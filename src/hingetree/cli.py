@@ -17,11 +17,11 @@ and ``trace-node`` print data (the predictions, the per-iteration CSV).  The
 :mod:`hingetree.metrics`, as ``{"two": {...}, "diff": {...}}``.
 Exit codes: 0 success, 2 configuration error, 3 data error (a NaN or
 infinite value included, also one that standardizing a row to predict
-produces) or corrupt model file (any value that :mod:`hingetree.serialize`
-rejects on load, ``preprocess`` included), 4 model/data dimension
-mismatch, 5 per-stage bound violation (boost-diagnose only).  The HRT_LOG
-environment variable ({error|info|debug}, default error) controls
-verbosity; debug additionally prints tracebacks.
+produces or that the model predicts) or corrupt model file (any value that
+:mod:`hingetree.serialize` rejects on load, ``preprocess`` included), 4
+model/data dimension mismatch, 5 per-stage bound violation (boost-diagnose
+only).  The HRT_LOG environment variable ({error|info|debug}, default
+error) controls verbosity; debug additionally prints tracebacks.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from .datasets import (
     standardize,
     write_csv,
 )
-from .errors import DimensionMismatch, HingeTreeError
+from .errors import DimensionMismatch, HingeTreeError, NonFiniteInput
 from .metrics import (FLOPS_MODES, boost_inference_flops, complexity_report, evaluate,
                       hrt_inference_flops)
 from .serialize import load_model, save_model
@@ -196,9 +196,11 @@ def _predictions(model, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"model expects {model.d} features, data has {X.shape[1]}")
     if model.preprocess is not None:
         X = StandardizeTransform.from_dict(model.preprocess["standardize"]).apply(X)
-    if isinstance(model, BoostModel):
-        return predict_boost_batch(model, X)
-    return predict_batch(model, X)
+    predict = predict_boost_batch if isinstance(model, BoostModel) else predict_batch
+    preds = predict(model, X)
+    if not np.isfinite(preds).all():
+        raise NonFiniteInput("the model predicts a NaN or infinite value")
+    return preds
 
 
 def _assess(model, ds: Dataset, key: str) -> dict:
@@ -260,17 +262,16 @@ def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config, keys)
     ds = _dataset(args)
 
-    preprocess = None
     if args.standardize:
         ds, _, transform = standardize(ds)
-        preprocess = {"standardize": transform.to_dict()}
 
     base = TreeConfig() if hrt else BoostConfig(tree=default_boost_tree_config())
     config = _configure(base, args, file_cfg, seed=args.seed)
     started = time.perf_counter()
     model = build_tree(ds.X, ds.y, config) if hrt else fit_boost(ds.X, ds.y, config)
     fit_time = time.perf_counter() - started
-    model.preprocess = preprocess
+    if args.standardize:
+        model = replace(model, preprocess={"standardize": transform.to_dict()})
 
     scores = _assess(model, ds, "train_eval")
     save_model(model, args.out)

@@ -20,7 +20,7 @@ from .errors import (
 
 @dataclass
 class Dataset:
-    """Immutable sample matrix with targets.
+    """A sample matrix with its targets, in a plain mutable record.
 
     ``provenance`` records where the data came from (synthetic generator
     parameters or source file), and is carried through splits.

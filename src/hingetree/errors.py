@@ -26,7 +26,7 @@ class DimensionMismatch(HingeTreeError):
 
 
 class NonFiniteInput(HingeTreeError):
-    """Training data, or a sample or matrix to predict, holds a NaN or infinite value."""
+    """A NaN or infinite value in training data, in rows to predict, or in the CLI's predictions."""
 
 
 class CorruptModel(HingeTreeError):

@@ -16,7 +16,8 @@ that is not a finite number, a ``stage_retained`` entry that is not a
 boolean, an ``f0`` that is not finite, an ``eta`` outside (0, 1], or a
 ``preprocess`` block that :meth:`~hingetree.datasets.StandardizeTransform.from_dict`
 rejects, that holds a key it does not read or whose width is not d raises
-:class:`CorruptModel`.
+:class:`CorruptModel`.  Growth records are not saved: loading builds each
+internal node's :class:`~hingetree.split.Split` and makes up no record.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 from .boost import BoostConfig, BoostModel
 from .datasets import StandardizeTransform, _finite
 from .errors import CorruptModel
-from .split import HingeKind, SplitConfig, SplitOutcome
+from .split import HingeKind, Split, SplitConfig
 from .tree import HrtModel, Internal, Leaf, TreeConfig, TreeNode, train_stats
 
 FORMAT_VERSION = 1
@@ -40,18 +41,18 @@ def _node_to_dict(node: TreeNode) -> dict:
     if isinstance(node, Leaf):
         return {"leaf": {"theta": [float(v) for v in node.theta],
                          "n_train": int(node.n_train)}}
-    o = node.split
+    split = node.split
     body = {
-        "kind": o.kind.value,
-        "theta1": [float(v) for v in o.theta1],
-        "theta2": [float(v) for v in o.theta2],
-        "used_fallback": bool(o.used_fallback),
+        "kind": split.kind.value,
+        "theta1": [float(v) for v in split.theta1],
+        "theta2": [float(v) for v in split.theta2],
+        "used_fallback": split.used_fallback,
         "left": _node_to_dict(node.left),
         "right": _node_to_dict(node.right),
     }
-    if o.used_fallback:
-        body["fallback_feature"] = int(o.fallback_feature)
-        body["fallback_threshold"] = float(o.fallback_threshold)
+    if split.used_fallback:
+        body["fallback_feature"] = int(split.fallback_feature)
+        body["fallback_threshold"] = float(split.fallback_threshold)
     return {"internal": body}
 
 
@@ -137,11 +138,9 @@ def _node_from_dict(doc, d: int, where: str) -> TreeNode:
         if not _finite(threshold):
             raise CorruptModel(f"{where}.fallback_threshold: expected a finite number, "
                                f"got {threshold!r}")
-    outcome = SplitOutcome(theta1=theta1, theta2=theta2, kind=HingeKind(body["kind"]),
-                           converged=True, iterations=0, objective_trace=[],
-                           used_fallback=used, fallback_feature=feature,
-                           fallback_threshold=threshold)
-    return Internal(split=outcome,
+    split = Split(kind=HingeKind(body["kind"]), theta1=theta1, theta2=theta2,
+                  fallback_feature=feature, fallback_threshold=threshold)
+    return Internal(split=split,
                     left=_node_from_dict(body["left"], d, f"{where}.left"),
                     right=_node_from_dict(body["right"], d, f"{where}.right"))
 

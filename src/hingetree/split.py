@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AllFeaturesConstant, DegenerateSystem, TooFewSamples
+from .errors import AllFeaturesConstant, DegenerateSystem, NonFiniteInput, TooFewSamples
 from .linear import augment, check_training, fit_or_mean, ridge_solve, ridge_solve_pair
 
 # Two parameter vectors closer than this (max-norm) count as identical
@@ -110,17 +110,38 @@ class SplitConfig:
         return self.step == "auto"
 
 
+@dataclass(frozen=True, eq=False)  # compares by identity, not by its arrays
+class Split:
+    """How a node routes: a row goes first iff ``p >= q`` for ``_first_pair(kind, theta1, theta2)``.
+
+    ``theta1`` and ``theta2`` are kept as read-only float copies.  A median
+    fallback split (:func:`median_fallback`) also records its feature and threshold.
+    """
+
+    kind: HingeKind
+    theta1: np.ndarray
+    theta2: np.ndarray
+    fallback_feature: int | None = None
+    fallback_threshold: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta1", _read_only(self.theta1))
+        object.__setattr__(self, "theta2", _read_only(self.theta2))
+
+    @property
+    def used_fallback(self) -> bool:
+        return self.fallback_feature is not None
+
+
 @dataclass
 class SplitOutcome:
-    """Result of optimizing (or falling back on) one node split.
+    """How optimizing one hinge split went; a tree keeps a :class:`Split` of it, not this record.
 
     ``objective_trace`` holds the objective value at initialization and
-    after every accepted iteration (length ``iterations + 1`` for
-    optimized splits; empty for fallback splits).  ``mu_trace`` and
-    ``partition_sizes`` are per-iteration diagnostics;
+    after every accepted iteration (length ``iterations + 1``).
+    ``mu_trace`` and ``partition_sizes`` are per-iteration diagnostics;
     ``variant_iterations`` is filled by :func:`select_split` with the raw
-    (max-variant, min-variant) iteration counts.  ``theta1`` and ``theta2``
-    are kept as read-only float copies.
+    (max-variant, min-variant) iteration counts.
     """
 
     theta1: np.ndarray
@@ -129,15 +150,9 @@ class SplitOutcome:
     converged: bool
     iterations: int
     objective_trace: list[float]
-    used_fallback: bool = False
-    fallback_feature: int | None = None
-    fallback_threshold: float | None = None
     mu_trace: list[float] = field(default_factory=list)
     partition_sizes: list[tuple[int, int]] = field(default_factory=list)
     variant_iterations: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        self.theta1, self.theta2 = _read_only(self.theta1), _read_only(self.theta2)
 
 
 def _envelope(a, b, kind):
@@ -477,17 +492,20 @@ def select_split(X, y, config: SplitConfig) -> SplitOutcome:
     return winner
 
 
-def median_fallback(X, seed: int = 0) -> SplitOutcome:
+def median_fallback(X, seed: int = 0) -> Split:
     """Axis split at the median of a random non-constant feature.
 
     Used when node optimization stalls.  The axis test is encoded as a
     max hinge (theta1 = +e_k with bias -m_k, theta2 = its negation) so
     that S1 = {x_k >= m_k} and every downstream consumer sees one uniform
-    node representation.
+    node representation.  A NaN or infinite value in ``X`` raises
+    :class:`NonFiniteInput`.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise TooFewSamples("fallback split needs at least 2 samples")
+    if not np.isfinite(X).all():
+        raise NonFiniteInput("fallback split data contains a NaN or infinite value")
     n, d = X.shape
     ranges = X.max(axis=0) - X.min(axis=0)
     candidates = np.flatnonzero(ranges > 0)
@@ -499,15 +517,5 @@ def median_fallback(X, seed: int = 0) -> SplitOutcome:
     theta1 = np.zeros(d + 1)
     theta1[k] = 1.0
     theta1[-1] = -m
-    theta2 = -theta1
-    return SplitOutcome(
-        theta1=theta1,
-        theta2=theta2,
-        kind=HingeKind.MAX,
-        converged=True,
-        iterations=0,
-        objective_trace=[],
-        used_fallback=True,
-        fallback_feature=k,
-        fallback_threshold=m,
-    )
+    return Split(kind=HingeKind.MAX, theta1=theta1, theta2=-theta1, fallback_feature=k,
+                 fallback_threshold=m)

@@ -3,27 +3,23 @@
 A node becomes a leaf (its own ridge fit) when the depth cap, the minimum
 sample count, or the RMSE threshold fires.  Otherwise both hinge variants
 are optimized and the better one routes the samples; if optimization
-stalls, a random-feature median split keeps growth going.
+stalls, a random-feature median split keeps growth going.  The node keeps
+only the :class:`~hingetree.split.Split` that routes; the optimizer's
+:class:`~hingetree.split.SplitOutcome` goes to :func:`train_stats`.
 
 Every routing test is one rule, :func:`~hingetree.split._first_pair`: a
 row takes the first branch iff ``p >= q`` for the node's ordered pair of
-hinge sides, each evaluated by :func:`~hingetree.linear.affine`.  Training
-applies it node by node to the rows that reach each node, and
-:func:`predict` walks one row down one tree.  Batch prediction, for one
-tree or for a whole boosted ensemble, goes through one level-wise router
-(:func:`_route`) over per-node coefficient and child-index tables: every
-(row, tree) pair moves down one level per step, and the leaves are
-evaluated at the end.  One row of an ensemble takes one pass over the same
-table instead (:func:`~hingetree.boost.predict_boost`): every node's hinge
-sides are evaluated at once, and each tree follows the resulting flags.
-All of these perform the same rounded operations, so a training row
-reaches the leaf that was fitted on it, and scalar and batch predictions
-agree bit for bit.
+hinge sides, each evaluated by :func:`~hingetree.linear.affine`.  Training,
+:func:`predict` (one row down one tree), the level-wise batch router
+:func:`_route` (many rows down one tree or a whole ensemble) and the
+one-pass ensemble row (:func:`~hingetree.boost.predict_boost`) all perform
+the same rounded operations, so a training row reaches the leaf that was
+fitted on it, and scalar and batch predictions agree bit for bit.
 
-A model's router table is built once, when the model is built, by one
-builder (:func:`_flatten`) over one walk (:func:`_preorder`) of its trees.
-The table cannot go stale: :class:`Leaf` and :class:`Internal` are frozen
-and hold read-only coefficient copies, so a changed tree is a new tree.
+A model's router table is built once, with the model, by :func:`_flatten`
+over one walk (:func:`_preorder`) of its trees.  It cannot go stale: the
+models, nodes and splits are frozen, with read-only coefficient copies in
+the nodes and splits, so a changed tree is a new tree in a new model.
 """
 from __future__ import annotations
 
@@ -35,7 +31,7 @@ import numpy as np
 
 from .errors import AllFeaturesConstant, DimensionMismatch, NonFiniteInput
 from .linear import affine, affine_row, augment, check_training, fit_or_mean
-from .split import (SplitConfig, SplitOutcome, _check_numbers, _first_pair, _read_only,
+from .split import (Split, SplitConfig, SplitOutcome, _check_numbers, _first_pair, _read_only,
                     median_fallback, select_split)
 
 _MASK64 = (1 << 64) - 1
@@ -112,7 +108,7 @@ class Leaf:
 
 @dataclass(frozen=True, eq=False)
 class Internal:
-    split: SplitOutcome
+    split: Split
     left: "TreeNode"
     right: "TreeNode"
 
@@ -120,7 +116,7 @@ class Internal:
 TreeNode = Leaf | Internal
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainStats:
     """What a tree is and what growing it took; built only by :func:`train_stats`.
 
@@ -128,12 +124,11 @@ class TrainStats:
     (the root is at 0), ``n_splits`` counts the internal nodes (always
     ``n_leaves - 1``) and ``n_fallbacks`` those whose split is a median
     fallback.  ``per_node_traces`` holds the objective trace of every
-    :func:`~hingetree.split.select_split` call in growth order, splits that
-    a fallback replaced included, so it can be longer than ``n_splits``.
+    :func:`~hingetree.split.select_split` outcome in growth order, splits
+    that a fallback replaced included, so it can be longer than ``n_splits``.
     ``total_split_iterations`` and ``total_variant_iterations`` sum the
-    winning variant's and both variants' iterations over the same calls.
-    A loaded tree has no record of its growth: its counters read 0 and its
-    traces ``None``.
+    winning variant's and both variants' iterations over the same outcomes.
+    Only growth has them: a loaded tree's counters read 0, its traces ``None``.
     """
 
     n_leaves: int
@@ -149,7 +144,7 @@ class TrainStats:
         return self.n_fallbacks / self.n_splits if self.n_splits else 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class HrtModel:
     """A fitted tree over ``d`` features.
 
@@ -159,7 +154,8 @@ class HrtModel:
 
     Building the model, by :func:`build_tree`, the loader or a caller,
     flattens the tree once into the batch router's table (:func:`_flatten`).
-    The nodes cannot change, so a changed tree is a new tree in a new model.
+    Neither the model nor its tree can change: a changed tree or
+    ``preprocess`` is a new model (:func:`dataclasses.replace`).
     """
 
     root: TreeNode
@@ -170,10 +166,10 @@ class HrtModel:
     _table: _Table = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._table = _flatten([self.root], self.d)
+        object.__setattr__(self, "_table", _flatten([self.root], self.d))
 
 
-def _first_mask(split: SplitOutcome, X: np.ndarray) -> np.ndarray:
+def _first_mask(split: Split, X: np.ndarray) -> np.ndarray:
     """Which rows of ``X`` the split sends to its first branch."""
     p, q = _first_pair(split.kind, split.theta1, split.theta2)
     return affine(X, p) >= affine(X, q)
@@ -188,18 +184,19 @@ def _grow(X, y, depth, seed, config: TreeConfig, fits: list[SplitOutcome]) -> Tr
 
     outcome = select_split(X, y, replace(config.split, seed=seed))
     fits.append(outcome)
+    split = Split(kind=outcome.kind, theta1=outcome.theta1, theta2=outcome.theta2)
 
-    first = _first_mask(outcome, X)
+    first = _first_mask(split, X)
     n_first = int(np.count_nonzero(first))
     # A split that cannot produce two viable children stalls growth just
     # like non-convergence does, so both symptoms route to the fallback.
     stalled = (not outcome.converged) or min(n_first, n - n_first) < config.n_min
     if stalled:
         try:
-            outcome = median_fallback(X, seed=derive_seed(seed, depth, 2))
+            split = median_fallback(X, seed=derive_seed(seed, depth, 2))
         except AllFeaturesConstant:
             return Leaf(theta=theta_leaf, n_train=n)
-        first = _first_mask(outcome, X)
+        first = _first_mask(split, X)
         n_first = int(np.count_nonzero(first))
 
     if min(n_first, n - n_first) < config.n_min:
@@ -209,7 +206,7 @@ def _grow(X, y, depth, seed, config: TreeConfig, fits: list[SplitOutcome]) -> Tr
     second = ~first
     left = _grow(X[first], y[first], depth + 1, derive_seed(seed, depth, 0), config, fits)
     right = _grow(X[second], y[second], depth + 1, derive_seed(seed, depth, 1), config, fits)
-    return Internal(split=outcome, left=left, right=right)
+    return Internal(split=split, left=left, right=right)
 
 
 def _preorder(root: TreeNode):
@@ -387,15 +384,17 @@ def _route(table: _Table, X: np.ndarray):
         levels = int(depths[g:g + group].max())
         values = np.empty((n, roots.size))
         rows = max(1, _BLOCK // roots.size)
-        for r in range(0, n, rows):
-            block = X[r:r + rows]
-            node = roots[None, :]  # every row at its trees' roots; broadcasts in affine
-            for _ in range(levels):
-                # take() gathers several times faster than fancy indexing.
-                p = affine(block, coef_p.take(node, axis=1))
-                q = affine(block, coef_q.take(node, axis=1))
-                node = np.where(p >= q, left.take(node), right.take(node))
-            values[r:r + rows] = affine(block, coef_p.take(node, axis=1))
+        # An overflowing node gives +-inf or NaN silently, as in predict().
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(0, n, rows):
+                block = X[r:r + rows]
+                node = roots[None, :]  # every row at its trees' roots; broadcasts in affine
+                for _ in range(levels):
+                    # take() gathers several times faster than fancy indexing.
+                    p = affine(block, coef_p.take(node, axis=1))
+                    q = affine(block, coef_q.take(node, axis=1))
+                    node = np.where(p >= q, left.take(node), right.take(node))
+                values[r:r + rows] = affine(block, coef_p.take(node, axis=1))
         yield from values.T
 
 

@@ -34,7 +34,7 @@ from hingetree import (
     predict_boost_batch,
     staged_losses,
 )
-from hingetree.split import SplitOutcome
+from hingetree.split import Split
 from hingetree.tree import Internal, Leaf, train_stats
 from conftest import hinge_regression, random_regression, walked_boost
 
@@ -57,7 +57,7 @@ class TestFitBoost:
         X, y = random_regression(0, 40, 2)
         model = fit_boost(X, y, BoostConfig(m_stages=0))
         assert model.f0 == pytest.approx(np.mean(y))
-        assert model.learners == []
+        assert model.learners == ()
         centered = y - np.mean(y)
         assert model.loss_trace == [pytest.approx(0.5 * float(centered @ centered))]
         assert predict_boost(model, X[0]) == model.f0
@@ -119,7 +119,7 @@ class TestFitBoost:
         y = np.full(30, 4.25)  # dyadic, so the mean is exact
         model = fit_boost(X, y, BoostConfig(m_stages=5))
         assert model.f0 == 4.25
-        assert model.learners == []
+        assert model.learners == ()
         assert model.loss_trace == [0.0]
 
     def test_stage_one_loss_decreases_with_larger_eta(self):
@@ -162,9 +162,9 @@ class TestFitBoost:
         ds, model = sinc_boost(m_stages=4)
         assert len(calls) == 4
         assert model.gamma_trace[1] == 0.0
-        assert model.stage_retained == [True, False, True, True]
+        assert model.stage_retained == (True, False, True, True)
         assert model.loss_trace[2] == model.loss_trace[1]
-        assert model.learners == [calls[0], calls[2], calls[3]]
+        assert model.learners == (calls[0], calls[2], calls[3])
         assert all(check.ok for check in gamma_bound_check(model))
         np.testing.assert_array_equal(staged_losses(model, ds.X, ds.y), model.loss_trace)
         loaded = model_from_dict(model_to_dict(model))
@@ -239,9 +239,7 @@ def leaf(*theta):
 
 
 def split(kind, theta1, theta2, left, right):
-    outcome = SplitOutcome(theta1=np.array(theta1), theta2=np.array(theta2), kind=kind,
-                           converged=True, iterations=0, objective_trace=[])
-    return Internal(split=outcome, left=left, right=right)
+    return Internal(split=Split(kind=kind, theta1=theta1, theta2=theta2), left=left, right=right)
 
 
 def ensemble(roots, d, f0=0.5, eta=0.5):
@@ -285,6 +283,23 @@ class TestPredictBoostOnePass:
             warnings.simplefilter("error")
             one = assert_walked(model, [[1e10, 1e10]])
         assert one.tolist() == [1.5]
+
+    @pytest.mark.parametrize("theta, value", [((-1e300, -1e300, 0.0), -math.inf),
+                                              ((1e300, -1e300, 0.0), math.nan)],
+                             ids=["-inf", "nan"])
+    def test_on_path_overflow_has_the_same_bits_everywhere(self, theta, value):
+        # The root's first side overflows to inf on the row (1e300 * 1e10),
+        # and the leaf it picks to -inf or to NaN (inf - inf).
+        model = ensemble([split(HingeKind.MAX, [1e300, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                leaf(*theta), leaf(0.0, 0.0, 1.0))], d=2)
+        row = np.array([[1e10, 1e10]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = assert_walked(model, row)
+            tree = predict_batch(model.learners[0], row)
+        assert tree.tobytes() == np.array([predict(model.learners[0], row[0])]).tobytes()
+        assert np.array_equal(tree, [value], equal_nan=True)
+        assert np.array_equal(one, [value], equal_nan=True)
 
     def test_learners_of_unequal_depth(self):
         gen = np.random.default_rng(12)
@@ -333,9 +348,10 @@ class TestStagedLosses:
     def test_discarded_stage_repeats_the_previous_loss(self):
         ds, model = sinc_boost(m_stages=3)
         # Stages are discarded only through rounding; mark one by hand.
-        model.stage_retained.insert(1, False)
-        model.gamma_trace.insert(1, 0.0)
-        model.loss_trace.insert(2, model.loss_trace[1])
+        retained, gammas, losses = model.stage_retained, model.gamma_trace, model.loss_trace
+        model = replace(model, stage_retained=retained[:1] + (False,) + retained[1:],
+                        gamma_trace=gammas[:1] + [0.0] + gammas[1:],
+                        loss_trace=losses[:2] + losses[1:])
         losses = staged_losses(model, ds.X, ds.y)
         np.testing.assert_array_equal(losses, model.loss_trace)
         assert losses[2] == losses[1]

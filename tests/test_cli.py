@@ -516,6 +516,31 @@ class TestPredict:
         assert len(text.strip().splitlines()) == 3
 
 
+    @pytest.mark.parametrize("kind", ["hrt", "boost"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_model_overflowing_on_a_finite_row_is_data_error(self, tmp_path, capsys, kind,
+                                                              command):
+        # The first side overflows to inf on the row (1e10, 1e10), and so does the leaf it picks.
+        tree = {"internal": {"kind": "max", "theta1": [1e300, 0.0, 0.0],
+                             "theta2": [0.0, 0.0, 0.0], "used_fallback": False,
+                             "left": {"leaf": {"theta": [-1e300, -1e300, 0.0], "n_train": 1}},
+                             "right": {"leaf": {"theta": [0.0, 0.0, 1.0], "n_train": 1}}}}
+        out = tmp_path / "m.json"
+        stages = ["--stages", "1"] if kind == "boost" else []
+        run(capsys, "train", "f1:n=50:sigma=0:seed=1", kind, *stages, "--out", str(out))
+        doc = json.loads(out.read_text())
+        if kind == "hrt":
+            doc["root"] = tree
+        else:
+            doc["learners"][0] = tree
+        out.write_text(json.dumps(doc))
+        data = tmp_path / "d.csv"
+        data.write_text("x1,x2,y\n-1,0,1\n1e10,1e10,0\n")
+        code, text, err = run(capsys, command, str(out), str(data), "--target", "y")
+        assert code == 3
+        assert err.startswith("error: the model predicts a NaN or infinite value")
+        assert text == ""
+
     def test_row_standardized_to_infinity_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         run(capsys, "train", SINC, "hrt", "--standardize", "--max-depth", "2", "--out", str(out))

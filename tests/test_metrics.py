@@ -11,7 +11,7 @@ from hingetree import (
     HrtModel,
     LengthMismatch,
     SplitConfig,
-    SplitOutcome,
+    Split,
     TrainStats,
     TreeConfig,
     boost_inference_flops,
@@ -37,9 +37,7 @@ def balanced_model(depth, d):
     def node(level):
         if level == depth:
             return Leaf(theta=np.zeros(d + 1), n_train=1)
-        out = SplitOutcome(theta1=np.zeros(d + 1), theta2=np.ones(d + 1),
-                           kind=HingeKind.MAX, converged=True, iterations=0,
-                           objective_trace=[])
+        out = Split(kind=HingeKind.MAX, theta1=np.zeros(d + 1), theta2=np.ones(d + 1))
         return Internal(split=out, left=node(level + 1), right=node(level + 1))
 
     n_leaves = 2 ** depth

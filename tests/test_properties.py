@@ -333,8 +333,9 @@ def saved_documents():
                                         tree=replace(default_boost_tree_config(6), d_max=2)))
     texts = []
     for model in (hrt, boost):
-        model.preprocess = {"standardize": {"shift": [1.0, 0.5], "scale": [3.0, 2.0],
-                                            "constant_mask": [False, False]}}
+        model = replace(model, preprocess={"standardize": {"shift": [1.0, 0.5],
+                                                           "scale": [3.0, 2.0],
+                                                           "constant_mask": [False, False]}})
         texts.append(dumps_model(model))
     assert '"used_fallback": true' in texts[0]
     return tuple(texts)

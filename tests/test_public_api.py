@@ -11,7 +11,7 @@ PUBLIC_NAMES = {
     # linear
     "affine", "augment", "fit_or_mean", "ridge_solve",
     # split
-    "HingeKind", "SplitConfig", "SplitOutcome", "backtracking_step", "damped_update",
+    "HingeKind", "Split", "SplitConfig", "SplitOutcome", "backtracking_step", "damped_update",
     "find_optimal_split", "initialize_params", "median_fallback", "newton_step", "objective",
     "partition", "select_split",
     # tree

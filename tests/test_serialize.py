@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,9 +211,9 @@ class TestBoostRoundTrip:
 
     def test_preprocess_block_round_trips(self, tmp_path):
         _, model = trained_boost(seed=6)
-        model.preprocess = {"standardize": {"shift": [0.5, -1.0],
-                                            "scale": [2.0, 1.0],
-                                            "constant_mask": [False, False]}}
+        model = replace(model, preprocess={"standardize": {"shift": [0.5, -1.0],
+                                                           "scale": [2.0, 1.0],
+                                                           "constant_mask": [False, False]}})
         path = tmp_path / "pre.json"
         save_model(model, path)
         assert load_model(path).preprocess == model.preprocess
@@ -513,8 +514,9 @@ class TestCorruptModel:
             "no-scale", "not-an-object"])
     def test_bad_preprocess_block(self, damage):
         _, model = trained_boost(seed=6)
-        model.preprocess = {"standardize": {"shift": [0.5, -1.0], "scale": [2.0, 1.0],
-                                            "constant_mask": [False, False]}}
+        model = replace(model, preprocess={"standardize": {"shift": [0.5, -1.0],
+                                                           "scale": [2.0, 1.0],
+                                                           "constant_mask": [False, False]}})
         doc = model_to_dict(model)
         damage(doc["preprocess"])
         with pytest.raises(CorruptModel, match=r"^preprocess\.standardize: expected lists"):

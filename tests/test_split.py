@@ -630,7 +630,13 @@ class TestMedianFallback:
         s1, s2 = partition(X, out.theta1, out.theta2, out.kind)
         assert sorted(X[s1, 0]) == [3.0, 4.0]
         assert sorted(X[s2, 0]) == [1.0, 2.0]
-        assert out.used_fallback and out.converged and out.iterations == 0
+        assert out.used_fallback
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_rejected(self, value):
+        X = np.array([[value, 1.0], [value, 2.0], [1.0, 3.0], [2.0, 0.0]])
+        with pytest.raises(NonFiniteInput):
+            median_fallback(X, seed=1)
 
     def test_single_feature_always_chosen(self):
         X = np.array([[0.0], [5.0], [9.0]])

@@ -1,4 +1,5 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -9,25 +10,29 @@ from hingetree import (
     EmptyDataset,
     HingeKind,
     NonFiniteInput,
+    BoostConfig,
     HrtModel,
     SplitConfig,
-    SplitOutcome,
+    Split,
     TrainStats,
     TreeConfig,
     augment,
     build_tree,
     dumps_model,
     find_optimal_split,
+    fit_boost,
     gen_synthetic,
     load_csv,
     loads_model,
     predict,
     predict_batch,
+    predict_boost,
+    predict_boost_batch,
     ridge_solve,
     write_csv,
 )
 from hingetree.linear import affine_row
-from hingetree.tree import Internal, Leaf, derive_seed, train_stats
+from hingetree.tree import Internal, Leaf, _preorder, derive_seed, train_stats
 from conftest import hinge_regression, random_regression, relabel_leaves
 
 
@@ -52,13 +57,10 @@ def manual_model(depth, d, seed=0):
     def node(level):
         if level == depth:
             return Leaf(theta=gen.normal(size=d + 1), n_train=1)
-        out = SplitOutcome(
+        out = Split(
             theta1=gen.normal(size=d + 1),
             theta2=gen.normal(size=d + 1),
             kind=HingeKind.MAX if gen.integers(2) else HingeKind.MIN,
-            converged=True,
-            iterations=0,
-            objective_trace=[],
         )
         return Internal(split=out, left=node(level + 1), right=node(level + 1))
 
@@ -337,13 +339,73 @@ class TestImmutableNodes:
     def test_nodes_hold_read_only_copies_and_hash_by_identity(self):
         theta = np.array([1.0, 2.0])
         leaf = Leaf(theta=theta, n_train=3)
-        split = SplitOutcome(theta1=theta, theta2=-theta, kind=HingeKind.MAX, converged=True,
-                             iterations=0, objective_trace=[])
+        split = Split(kind=HingeKind.MAX, theta1=theta, theta2=-theta)
         theta[0] = 5.0
         assert leaf.theta.tolist() == split.theta1.tolist() == [1.0, 2.0]
         assert not (leaf.theta.flags.writeable or split.theta2.flags.writeable)
         node = Internal(split=split, left=leaf, right=Leaf(theta=theta, n_train=1))
         assert len({leaf, node, leaf}) == 2
+
+
+def f1_models():
+    """A depth-3 tree and a 3-stage ensemble, fitted on 300 f1 rows (seed 1), and the rows."""
+    ds = gen_synthetic("f1", 300, 0.1, seed=1)
+    return (ds.X, build_tree(ds.X, ds.y, TreeConfig(d_max=3)),
+            fit_boost(ds.X, ds.y, BoostConfig(m_stages=3)))
+
+
+def all_bits(tree, ensemble, X):
+    """Each model's batch predictions on ``X``, checked against its scalar predictions."""
+    batch = predict_batch(tree, X), predict_boost_batch(ensemble, X)
+    assert batch[0].tobytes() == np.array([predict(tree, row) for row in X]).tobytes()
+    assert batch[1].tobytes() == np.array([predict_boost(ensemble, row) for row in X]).tobytes()
+    return batch[0].tobytes() + batch[1].tobytes()
+
+
+STANDARDIZE = {"standardize": {"shift": [0.5, -1.0], "scale": [2.0, 1.0],
+                               "constant_mask": [False, False]}}
+
+
+class TestFrozenModels:
+    """A built model cannot be changed in place either; a changed model is a new one."""
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda tree, ens: setattr(tree.root.split, "theta1", tree.root.split.theta2 + 1.0),
+         FrozenInstanceError),
+        (lambda tree, ens: setattr(tree.root.split, "kind", HingeKind.MIN), FrozenInstanceError),
+        (lambda tree, ens: setattr(tree, "root", tree.root.left), FrozenInstanceError),
+        (lambda tree, ens: setattr(tree, "preprocess", STANDARDIZE), FrozenInstanceError),
+        (lambda tree, ens: setitem(ens.learners, 0, ens.learners[1]), TypeError),
+        (lambda tree, ens: setitem(ens.stage_retained, 0, False), TypeError),
+        (lambda tree, ens: setattr(ens, "learners", ens.learners[1:]), FrozenInstanceError),
+        (lambda tree, ens: setattr(ens, "preprocess", STANDARDIZE), FrozenInstanceError),
+    ], ids=["split-theta1", "split-kind", "root", "preprocess", "learner", "stage-retained",
+            "learners", "boost-preprocess"])
+    def test_each_edit_raises_and_predictions_agree(self, edit, error):
+        X, tree, ensemble = f1_models()
+        before = all_bits(tree, ensemble, X)
+        with pytest.raises(error):
+            edit(tree, ensemble)
+        assert all_bits(tree, ensemble, X) == before
+        assert (tree.preprocess, ensemble.preprocess) == (None, None)
+
+    def test_replaced_preprocess_predicts_the_same_bits(self):
+        X, tree, ensemble = f1_models()
+        before = all_bits(tree, ensemble, X)
+        tree2, ensemble2 = (replace(m, preprocess=STANDARDIZE) for m in (tree, ensemble))
+        assert (tree2.preprocess, ensemble2.preprocess) == (STANDARDIZE, STANDARDIZE)
+        assert all_bits(tree2, ensemble2, X) == before
+        assert ensemble2.learners is ensemble.learners
+
+    def test_splits_hold_no_growth_record(self):
+        X, tree, _ = f1_models()
+        for model in (tree, loads_model(dumps_model(tree))):
+            splits = [node.split for node, _ in _preorder(model.root)
+                      if isinstance(node, Internal)]
+            assert splits and all(type(split) is Split for split in splits)
+            for name in ("converged", "iterations", "objective_trace", "mu_trace",
+                         "partition_sizes", "variant_iterations"):
+                assert not any(hasattr(split, name) for split in splits), name
 
 
 class TestRoutingContract:
