@@ -69,19 +69,23 @@ class BoostModel:
     with the model (the CLI's ``train --standardize``); only the CLI
     applies it, and the predict functions take rows as given.
 
-    Building the model stores ``learners`` and ``stage_retained`` as tuples
-    and flattens the learners' trees, in order, into one router table
-    (:func:`~hingetree.tree._flatten`).  The model, its learners and their
-    nodes cannot change, so a changed ensemble is a new model
-    (:func:`dataclasses.replace`).  :func:`predict_boost` compares the
-    costs of the scalar and the batch prediction paths.
+    Building the model stores ``learners``, ``gamma_trace``, ``loss_trace``
+    and ``stage_retained`` as tuples and flattens the learners' trees, in
+    order, into one router table (:func:`~hingetree.tree._flatten`).  The
+    ensemble builds none of the Python rows that
+    :func:`~hingetree.tree.predict` walks, since :func:`predict_boost`
+    takes one NumPy pass over the table; each learner, a tree model, keeps
+    its own.  The model, its learners and their nodes cannot change, so a
+    changed ensemble is a new model (:func:`dataclasses.replace`).
+    :func:`predict_boost` compares the costs of the scalar and the batch
+    prediction paths.
     """
 
     f0: float
     eta: float
     learners: tuple[HrtModel, ...]
-    gamma_trace: list[float]
-    loss_trace: list[float]
+    gamma_trace: tuple[float, ...]
+    loss_trace: tuple[float, ...]
     stage_retained: tuple[bool, ...]
     d: int
     config: BoostConfig
@@ -89,8 +93,8 @@ class BoostModel:
     _table: _Table = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "learners", tuple(self.learners))
-        object.__setattr__(self, "stage_retained", tuple(self.stage_retained))
+        for name in ("learners", "gamma_trace", "loss_trace", "stage_retained"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "_table", _flatten([t.root for t in self.learners], self.d))
 
 

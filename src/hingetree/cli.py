@@ -73,7 +73,7 @@ def _setup_logging() -> None:
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return json.dumps(value, separators=(",", ":"))
     return str(value)
 

@@ -21,6 +21,7 @@ training inputs, shared by the split, tree and boost layers.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -219,7 +220,7 @@ def affine(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return acc
 
 
-def affine_row(x: list[float], theta: list[float]) -> float:
+def affine_row(x: list[float], theta: Sequence[float]) -> float:
     """One-row form of :func:`affine` on Python floats, in the same order.
 
     ``x`` holds d features and ``theta`` d+1 coefficients.  Builtin

@@ -9,7 +9,8 @@ only the :class:`~hingetree.split.Split` that routes; the optimizer's
 
 Every routing test is one rule, :func:`~hingetree.split._first_pair`: a
 row takes the first branch iff ``p >= q`` for the node's ordered pair of
-hinge sides, each evaluated by :func:`~hingetree.linear.affine`.  Training,
+hinge sides, each evaluated by :func:`~hingetree.linear.affine` (or its
+one-row form :func:`~hingetree.linear.affine_row`).  Training,
 :func:`predict` (one row down one tree), the level-wise batch router
 :func:`_route` (many rows down one tree or a whole ensemble) and the
 one-pass ensemble row (:func:`~hingetree.boost.predict_boost`) all perform
@@ -17,9 +18,11 @@ the same rounded operations, so a training row reaches the leaf that was
 fitted on it, and scalar and batch predictions agree bit for bit.
 
 A model's router table is built once, with the model, by :func:`_flatten`
-over one walk (:func:`_preorder`) of its trees.  It cannot go stale: the
-models, nodes and splits are frozen, with read-only coefficient copies in
-the nodes and splits, so a changed tree is a new tree in a new model.
+over one walk (:func:`_preorder`) of its trees.  A tree model also keeps
+that table's columns as read-only Python rows (:func:`_walk_rows`), which
+:func:`predict` walks by index.  Neither can go stale: the models, nodes
+and splits are frozen, with read-only coefficient copies in the nodes and
+splits, so a changed tree is a new tree in a new model.
 """
 from __future__ import annotations
 
@@ -129,6 +132,7 @@ class TrainStats:
     ``total_split_iterations`` and ``total_variant_iterations`` sum the
     winning variant's and both variants' iterations over the same outcomes.
     Only growth has them: a loaded tree's counters read 0, its traces ``None``.
+    The traces are a tuple of tuples, so they cannot be edited.
     """
 
     n_leaves: int
@@ -137,7 +141,7 @@ class TrainStats:
     n_fallbacks: int
     total_split_iterations: int
     total_variant_iterations: int
-    per_node_traces: list[list[float]] | None = None
+    per_node_traces: tuple[tuple[float, ...], ...] | None = None
 
     @property
     def fallback_rate(self) -> float:
@@ -153,9 +157,11 @@ class HrtModel:
     and :func:`predict_batch` take rows already in the model's input space.
 
     Building the model, by :func:`build_tree`, the loader or a caller,
-    flattens the tree once into the batch router's table (:func:`_flatten`).
-    Neither the model nor its tree can change: a changed tree or
-    ``preprocess`` is a new model (:func:`dataclasses.replace`).
+    flattens the tree once into the batch router's table (:func:`_flatten`)
+    and copies the table into the tuples of Python floats that
+    :func:`predict` walks (:func:`_walk_rows`).  Neither the model nor its
+    tree can change: a changed tree or ``preprocess`` is a new model
+    (:func:`dataclasses.replace`).
     """
 
     root: TreeNode
@@ -164,9 +170,11 @@ class HrtModel:
     stats: TrainStats
     preprocess: dict | None = None
     _table: _Table = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_table", _flatten([self.root], self.d))
+        object.__setattr__(self, "_rows", _walk_rows(self._table))
 
 
 def _first_mask(split: Split, X: np.ndarray) -> np.ndarray:
@@ -233,7 +241,7 @@ def train_stats(root: TreeNode, fits: list[SplitOutcome] | None = None) -> Train
             depth = max(depth, at)
         elif node.split.used_fallback:
             n_fallbacks += 1
-    traces = None if fits is None else [o.objective_trace for o in fits]
+    traces = None if fits is None else tuple(tuple(o.objective_trace) for o in fits)
     fits = fits or ()
     return TrainStats(
         n_leaves=n_leaves,
@@ -299,21 +307,25 @@ def check_row(x, d: int) -> list[float]:
 def predict(model: HrtModel, x) -> float:
     """Route one sample to its leaf and evaluate the leaf model.
 
-    Ties on a split hyperplane go to the first branch, matching training.
-    The affine arithmetic is :func:`~hingetree.linear.affine_row`: a
-    left-to-right float accumulation of ``x[j] * w[j]`` followed by the
-    bias, so the result equals :func:`predict_batch` on the same row bit
-    for bit.  A sample holding NaN or an infinity raises
-    :class:`NonFiniteInput` (:func:`check_row`).  ``x`` is used as given:
-    ``model.preprocess`` is applied only by the CLI.
+    The walk reads only the rows built with the model (:func:`_walk_rows`):
+    from row 0 it moves to a node's first child iff
+    ``affine_row(x, p) >= affine_row(x, q)``, so ties on a split hyperplane
+    go first, matching training, and a side that evaluates to NaN sends
+    the row second.  ``p`` and ``q`` hold the bits of the node's
+    coefficients, and the affine arithmetic is
+    :func:`~hingetree.linear.affine_row`: a left-to-right float
+    accumulation of ``x[j] * w[j]`` followed by the bias, so the result
+    equals :func:`predict_batch` on the same row bit for bit.  A sample
+    holding NaN or an infinity raises :class:`NonFiniteInput`
+    (:func:`check_row`).  ``x`` is used as given: ``model.preprocess`` is
+    applied only by the CLI.
     """
     x = check_row(x, model.d)
-    node = model.root
-    while isinstance(node, Internal):
-        o = node.split
-        p, q = _first_pair(o.kind, o.theta1, o.theta2)
-        node = node.left if affine_row(x, p.tolist()) >= affine_row(x, q.tolist()) else node.right
-    return affine_row(x, node.theta.tolist())
+    rows = model._rows
+    p, q, first, second = rows[0]
+    while q is not None:
+        p, q, first, second = rows[first if affine_row(x, p) >= affine_row(x, q) else second]
+    return affine_row(x, p)
 
 
 class _Table(NamedTuple):
@@ -324,6 +336,10 @@ class _Table(NamedTuple):
     or for a leaf its model twice.  ``left[i]`` and ``right[i]`` are node
     i's first and second child; a leaf routes to itself.  ``starts`` holds
     each tree's root index and ``depths`` its deepest leaf's depth.
+
+    A tree model also keeps its table as :func:`predict`'s Python rows
+    (:func:`_walk_rows`); an ensemble builds none for its own table, since
+    :func:`~hingetree.boost.predict_boost` takes one NumPy pass over it.
     """
 
     coef_p: np.ndarray
@@ -358,6 +374,21 @@ def _flatten(roots: list[TreeNode], d: int) -> _Table:
     links = np.array(children, dtype=np.intp).reshape(-1, 2).T.copy()
     return _Table(coefs[0], coefs[1], links[0], links[1], np.array(starts, dtype=np.intp),
                   np.array(depths, dtype=np.intp))
+
+
+def _walk_rows(table: _Table) -> tuple:
+    """One tree's :class:`_Table` as :func:`predict`'s rows, one per node, in the table's order.
+
+    Row i is ``(p, q, first, second)``: ``p`` and ``q`` are tuples of the
+    Python floats in column i of ``coef_p`` and ``coef_q``, and ``first``
+    and ``second`` are the indices of node i's children.  A leaf has no
+    second side: its row holds its model as ``p``, ``None`` as ``q``, and
+    routes to itself.  Row 0 is the root.
+    """
+    return tuple((p, None if first == i else q, first, second) for i, (p, q, first, second)
+                 in enumerate(zip(map(tuple, table.coef_p.T.tolist()),
+                                  map(tuple, table.coef_q.T.tolist()),
+                                  table.left.tolist(), table.right.tolist())))
 
 
 def _route(table: _Table, X: np.ndarray):

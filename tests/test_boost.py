@@ -59,7 +59,7 @@ class TestFitBoost:
         assert model.f0 == pytest.approx(np.mean(y))
         assert model.learners == ()
         centered = y - np.mean(y)
-        assert model.loss_trace == [pytest.approx(0.5 * float(centered @ centered))]
+        assert model.loss_trace == (pytest.approx(0.5 * float(centered @ centered)),)
         assert predict_boost(model, X[0]) == model.f0
 
     def test_single_stage_fits_representable_target(self):
@@ -120,7 +120,7 @@ class TestFitBoost:
         model = fit_boost(X, y, BoostConfig(m_stages=5))
         assert model.f0 == 4.25
         assert model.learners == ()
-        assert model.loss_trace == [0.0]
+        assert model.loss_trace == (0.0,)
 
     def test_stage_one_loss_decreases_with_larger_eta(self):
         # Stage 1 sees identical residuals for every eta, so its post-update
@@ -350,7 +350,7 @@ class TestStagedLosses:
         # Stages are discarded only through rounding; mark one by hand.
         retained, gammas, losses = model.stage_retained, model.gamma_trace, model.loss_trace
         model = replace(model, stage_retained=retained[:1] + (False,) + retained[1:],
-                        gamma_trace=gammas[:1] + [0.0] + gammas[1:],
+                        gamma_trace=gammas[:1] + (0.0,) + gammas[1:],
                         loss_trace=losses[:2] + losses[1:])
         losses = staged_losses(model, ds.X, ds.y)
         np.testing.assert_array_equal(losses, model.loss_trace)
@@ -370,7 +370,8 @@ class TestGammaBoundCheck:
 
     def test_zero_gamma_degenerates_to_previous_loss(self):
         ds, model = sinc_boost(m_stages=5)
-        model.gamma_trace[2] = 0.0
+        gammas = model.gamma_trace
+        model = replace(model, gamma_trace=gammas[:2] + (0.0,) + gammas[3:])
         checks = gamma_bound_check(model)
         slack = 1e-9 * model.loss_trace[0]
         assert checks[2].rhs == pytest.approx(model.loss_trace[2] + slack)
@@ -393,7 +394,7 @@ class TestGammaBoundCheck:
         doc["config"]["record_gamma"] = False
         doc["gamma_trace"] = []
         model = model_from_dict(doc)
-        assert model.gamma_trace == [] and len(model.stage_retained) == 2
+        assert model.gamma_trace == () and len(model.stage_retained) == 2
         with pytest.raises(ValueError):
             gamma_bound_check(model)
 

@@ -1,9 +1,11 @@
 from dataclasses import FrozenInstanceError, replace
 from operator import setitem
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import hingetree.tree
 from hingetree import (
     Dataset,
     DimensionMismatch,
@@ -21,6 +23,7 @@ from hingetree import (
     dumps_model,
     find_optimal_split,
     fit_boost,
+    gamma_bound_check,
     gen_synthetic,
     load_csv,
     loads_model,
@@ -32,6 +35,7 @@ from hingetree import (
     write_csv,
 )
 from hingetree.linear import affine_row
+from hingetree.split import _first_pair
 from hingetree.tree import Internal, Leaf, _preorder, derive_seed, train_stats
 from conftest import hinge_regression, random_regression, relabel_leaves
 
@@ -379,15 +383,25 @@ class TestFrozenModels:
         (lambda tree, ens: setitem(ens.stage_retained, 0, False), TypeError),
         (lambda tree, ens: setattr(ens, "learners", ens.learners[1:]), FrozenInstanceError),
         (lambda tree, ens: setattr(ens, "preprocess", STANDARDIZE), FrozenInstanceError),
+        (lambda tree, ens: setitem(ens.gamma_trace, 0, 0.0), TypeError),
+        (lambda tree, ens: setitem(ens.loss_trace, 1, 10.0 * ens.loss_trace[0]), TypeError),
+        (lambda tree, ens: setitem(tree.stats.per_node_traces, 0, ()), TypeError),
+        (lambda tree, ens: setitem(tree.stats.per_node_traces[0], 0, 0.0), TypeError),
+        (lambda tree, ens: setitem(tree._rows[0][0], 0, 0.0), TypeError),
+        (lambda tree, ens: setattr(tree, "_rows", tree._rows[1:]), FrozenInstanceError),
     ], ids=["split-theta1", "split-kind", "root", "preprocess", "learner", "stage-retained",
-            "learners", "boost-preprocess"])
+            "learners", "boost-preprocess", "gamma-trace", "loss-trace", "node-traces",
+            "node-trace", "row-coefficient", "rows"])
     def test_each_edit_raises_and_predictions_agree(self, edit, error):
         X, tree, ensemble = f1_models()
         before = all_bits(tree, ensemble, X)
+        traces = tree.stats.per_node_traces, ensemble.gamma_trace, ensemble.loss_trace
         with pytest.raises(error):
             edit(tree, ensemble)
         assert all_bits(tree, ensemble, X) == before
         assert (tree.preprocess, ensemble.preprocess) == (None, None)
+        assert (tree.stats.per_node_traces, ensemble.gamma_trace, ensemble.loss_trace) == traces
+        assert all(check.ok for check in gamma_bound_check(ensemble))
 
     def test_replaced_preprocess_predicts_the_same_bits(self):
         X, tree, ensemble = f1_models()
@@ -406,6 +420,86 @@ class TestFrozenModels:
             for name in ("converged", "iterations", "objective_trace", "mu_trace",
                          "partition_sizes", "variant_iterations"):
                 assert not any(hasattr(split, name) for split in splits), name
+
+
+def hex_floats(values):
+    return [float.hex(v) for v in values]
+
+
+class TestScalarRows:
+    """:func:`predict` walks the rows built with the model, and only those."""
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["fitted", "loaded"])
+    def test_rows_hold_the_node_coefficients_as_python_floats(self, loaded):
+        _, tree, _ = f1_models()
+        if loaded:
+            tree = loads_model(dumps_model(tree))
+        nodes = [node for node, _ in _preorder(tree.root)]
+        index = {node: i for i, node in enumerate(nodes)}
+        assert type(tree._rows) is tuple and len(tree._rows) == len(nodes) > 1
+        for i, (node, row) in enumerate(zip(nodes, tree._rows)):
+            assert type(row) is tuple and len(row) == 4
+            p, q, first, second = row
+            sides = [p] if q is None else [p, q]
+            assert all(type(side) is tuple and len(side) == tree.d + 1 for side in sides)
+            assert all(type(v) is float for side in sides for v in side)
+            if isinstance(node, Leaf):
+                assert (q, first, second) == (None, i, i)
+                assert hex_floats(p) == hex_floats(node.theta)
+            else:
+                o = node.split
+                want_p, want_q = _first_pair(o.kind, o.theta1, o.theta2)
+                assert (hex_floats(p), hex_floats(q)) == (hex_floats(want_p), hex_floats(want_q))
+                assert (first, second) == (index[node.left], index[node.right])
+
+    def test_predict_reads_only_the_rows_built_with_the_model(self):
+        X, tree, _ = f1_models()
+        before = np.array([predict(tree, row) for row in X])
+        assert before.tobytes() == predict_batch(tree, X).tobytes()
+        failing = mock.Mock(side_effect=AssertionError("predict walked the tree"))
+        with mock.patch.object(hingetree.tree, "_first_pair", failing), \
+                mock.patch.object(hingetree.tree, "_preorder", failing):
+            after = np.array([predict(tree, row) for row in X])
+        assert after.tobytes() == before.tobytes()
+
+    def test_an_ensemble_holds_no_rows(self):
+        _, tree, ensemble = f1_models()
+        assert hasattr(tree, "_rows")
+        assert not hasattr(ensemble, "_rows")
+        assert all(hasattr(learner, "_rows") for learner in ensemble.learners)
+
+    @staticmethod
+    def one_split(kind, theta1, theta2):
+        """A hand-built tree whose first branch predicts 1.0 and second -1.0."""
+        root = Internal(split=Split(kind=kind, theta1=theta1, theta2=theta2),
+                        left=Leaf(theta=[0.0, 0.0, 1.0], n_train=1),
+                        right=Leaf(theta=[0.0, 0.0, -1.0], n_train=1))
+        return HrtModel(root=root, d=2, config=TreeConfig(), stats=train_stats(root))
+
+    @staticmethod
+    def scalar_and_batch(model, rows):
+        rows = np.asarray(rows, dtype=float)
+        one = np.array([predict(model, row) for row in rows])
+        assert one.tobytes() == predict_batch(model, rows).tobytes()
+        return one.tolist()
+
+    @pytest.mark.parametrize("kind", list(HingeKind))
+    def test_row_on_the_hyperplane_takes_the_first_branch(self, kind):
+        # The sides x0 and x1 + 0.25 tie exactly on both rows.
+        model = self.one_split(kind, [1.0, 0.0, 0.0], [0.0, 1.0, 0.25])
+        assert self.scalar_and_batch(model, [[0.75, 0.5], [-2.0, -2.25]]) == [1.0, 1.0]
+        # Off the hyperplane each variant sends the row by its own order.
+        above = 1.0 if kind is HingeKind.MAX else -1.0
+        assert self.scalar_and_batch(model, [[1.0, 0.5], [0.5, 0.5]]) == [above, -above]
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("kind", list(HingeKind))
+    def test_a_nan_side_takes_the_second_branch(self, kind, side):
+        # On the finite row (1e10, 1e10) this side overflows to inf - inf = NaN.
+        nan_side, other = [1e300, -1e300, 0.0], [0.0, 0.0, 0.0]
+        theta1, theta2 = (nan_side, other) if side == 1 else (other, nan_side)
+        model = self.one_split(kind, theta1, theta2)
+        assert self.scalar_and_batch(model, [[1e10, 1e10]]) == [-1.0]
 
 
 class TestRoutingContract:
@@ -438,7 +532,7 @@ class TestTreeStats:
         X, y = random_regression(1, 30, 2)
         s = build_tree(X, y, TreeConfig(d_max=0)).stats
         assert (s.depth, s.n_leaves, s.n_splits, s.n_fallbacks) == (0, 1, 0, 0)
-        assert s.per_node_traces == []
+        assert s.per_node_traces == ()
 
     def test_perfect_depth_two(self):
         model = manual_model(depth=2, d=2)
