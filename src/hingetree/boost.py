@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput
-from .linear import affine, check_training
+from .linear import affine_row, check_training
 from .split import SplitConfig, _check_numbers
 # ``predict`` is not called here, but perfbench/tracer.py patches hingetree.boost.predict.
 from .tree import (HrtModel, TreeConfig, _flatten, _route, _Table, build_tree,  # noqa: F401
@@ -74,11 +74,14 @@ class BoostModel:
     order, into one router table (:func:`~hingetree.tree._flatten`).  The
     ensemble builds none of the Python rows that
     :func:`~hingetree.tree.predict` walks, since :func:`predict_boost`
-    takes one NumPy pass over the table; each learner, a tree model, keeps
-    its own.  The model, its learners and their nodes cannot change, so a
-    changed ensemble is a new model (:func:`dataclasses.replace`).
-    :func:`predict_boost` compares the costs of the scalar and the batch
-    prediction paths.
+    evaluates a row on the whole table with two calls of the one-row
+    kernel; each learner, a tree model, keeps its own.  The model, its
+    learners and their nodes cannot change, so a changed ensemble is a new
+    model (:func:`dataclasses.replace`).  :func:`predict_boost` compares
+    the costs of the scalar and the batch prediction paths: the scalar
+    pass is the faster up to about 12,700 nodes at d = 16 and 25,000 at
+    d = 2, and a one-row batch is the faster for ensembles of many deep
+    trees.
     """
 
     f0: float
@@ -176,36 +179,42 @@ def fit_boost(X, y, config: BoostConfig | None = None) -> BoostModel:
 def predict_boost(model: BoostModel, x) -> float:
     """f0 plus eta times the sum of learner predictions, in stage order.
 
-    ``x`` is checked and converted once (:func:`~hingetree.tree.check_row`,
-    which raises :class:`NonFiniteInput` for NaN or an infinity).  One pass
-    over the ensemble's table, built with the model, then evaluates both
-    hinge sides of every node on the row with
-    :func:`~hingetree.linear.affine`, off-path nodes included, and picks
-    each node's child once: the first iff ``p >= q``, so a NaN side routes
-    second, and a leaf routes to itself.  Every learner follows the picked
-    children from its root for as many steps as the deepest learner's
-    depth, and ``eta`` times each reached leaf's value is added in stage
-    order.  These are the operations of :func:`predict_boost_batch` on the
-    same row, so the bits agree; an ensemble without learners returns f0.
+    ``x`` is checked and converted once, to Python floats
+    (:func:`~hingetree.tree.check_row`, which raises :class:`NonFiniteInput`
+    for NaN or an infinity).  Two calls of the one-row kernel
+    :func:`~hingetree.linear.affine_row`, one over the rows of the
+    ensemble's ``coef_p`` and one over those of its ``coef_q``, then
+    evaluate both hinge sides of every node of the table built with the
+    model, off-path nodes included, and each node's child is picked once:
+    the first iff ``p >= q``, so a NaN side routes second, and a leaf
+    routes to itself.  Every learner follows the picked children from its
+    root for the table's ``deepest`` steps, and ``eta`` times each reached
+    leaf's value is added in stage order.  These are the operations of
+    :func:`predict_boost_batch` on the same row, so the bits agree; an
+    ensemble without learners returns f0.
 
     The cost grows with the ensemble's node count times d+1, where the
-    batch router's grows with the depth times its per-level calls.  Against
-    routing a one-row batch, on one core of a 2-core Xeon VM and at both
-    d = 2 and d = 16, this is 2-3.5 times faster up to 6,350 nodes (50
-    full trees of depth 6), 1.3-1.5 times faster at 12,700, and slower from
-    25,550 nodes on: 1.8-2.4 times slower at 51,100 (100 full trees of
-    depth 8).  For such huge, deep ensembles, :func:`predict_boost_batch`
-    on a one-row batch keeps the router's level-wise cost.
+    batch router's grows with its learners' depths times d+1, plus its
+    per-level calls.  Against routing a one-row batch, on one core of a
+    shared 2-core Xeon VM (NumPy 2.4), this is 6.5 (d = 2) and 5 (d = 16)
+    times faster at 300 nodes (20 full trees of depth 3), 4.4 and 2.7
+    times faster at 6,350 nodes (50 full trees of depth 6), and 3.5 and
+    1.6 times faster at 12,700 (100 such trees).  Deeper trees favour the
+    router: at 25,550 nodes (50 full trees of depth 8) this is 1.1-1.5
+    times faster at d = 2 but 1.3 times slower at d = 16, and at 51,100
+    (100 of them) 1.3 and 2.1 times slower.  For such huge, deep
+    ensembles, :func:`predict_boost_batch` on a one-row batch keeps the
+    router's level-wise cost.
     """
-    row = np.array([check_row(x, model.d)])
-    coef_p, coef_q, left, right, starts, depths = model._table
+    row = check_row(x, model.d)
+    coef_p, coef_q, left, right, starts, _, deepest = model._table
     # Off-path nodes may overflow on a finite row; they never reach the result.
     with np.errstate(over="ignore", invalid="ignore"):
-        p = affine(row, coef_p[:, None, :])[0]
-        first = p >= affine(row, coef_q[:, None, :])[0]
+        p = affine_row(row, coef_p)
+        first = p >= affine_row(row, coef_q)
     child = np.where(first, left, right)
     node = starts
-    for _ in range(depths.max(initial=0)):
+    for _ in range(deepest):
         node = child.take(node)
     total = model.f0
     for value in p.take(node).tolist():

@@ -15,8 +15,10 @@ was most of a small solve's time, and skipping it keeps their bits
 functions).  A stacked solve has the bits of single solves.
 Every routing decision and leaf value is evaluated by :func:`affine` or
 its one-row form :func:`affine_row`, which perform the same floating-point
-operations in the same order.  :func:`check_training` is the one check of
-training inputs, shared by the split, tree and boost layers.
+operations in the same order; :func:`affine_row` takes one model's
+coefficients or, elementwise, the d+1 rows of a table of many models.
+:func:`check_training` is the one check of training inputs, shared by the
+split, tree and boost layers.
 """
 from __future__ import annotations
 
@@ -220,11 +222,20 @@ def affine(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return acc
 
 
-def affine_row(x: list[float], theta: Sequence[float]) -> float:
+def affine_row(x: list[float], theta: Sequence) -> float | np.ndarray:
     """One-row form of :func:`affine` on Python floats, in the same order.
 
-    ``x`` holds d features and ``theta`` d+1 coefficients.  Builtin
-    ``sum`` (compensated from Python 3.12 on), ``math.fsum`` and fused
+    ``x`` holds d features as Python floats.  ``theta`` holds d+1
+    coefficients, or d+1 float arrays of one shape, such as the rows of a
+    ``(d+1, k)`` table whose columns are k models; the result is then
+    evaluated elementwise, an array of that shape whose entry i is
+    ``affine_row(x, theta[:, i])``.  Either way every step is the rounded
+    IEEE multiply or add of :func:`affine`, in its order, so a value has
+    the bits of :func:`affine` on the same row and coefficients.  (Where
+    two NaN operands meet, IEEE 754 leaves the sign of the result open,
+    and Python's float addition and NumPy's may differ in it; finite
+    features and coefficients never meet two NaNs.)  Builtin ``sum``
+    (compensated from Python 3.12 on), ``math.fsum`` and fused
     multiply-add would all round differently from the batch kernel, so the
     loop is written out.
     """

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boost import BoostModel
-from .errors import EmptyInput, LengthMismatch
+from .errors import EmptyInput, LengthMismatch, NonFiniteInput
 from .tree import HrtModel, Leaf, _preorder
 
 # FLOPs conventions: a length-p dot product costs p multiplies plus p-1
@@ -35,7 +35,8 @@ def evaluate(predictions, targets) -> EvalReport:
     """RMSE, MAE and R^2 of paired prediction/target vectors.
 
     R^2 is undefined for constant targets; it is reported as NaN with
-    ``r2_defined=False``.
+    ``r2_defined=False``.  A NaN or infinite value in either vector raises
+    :class:`NonFiniteInput`, since every score would then be NaN or infinite.
     """
     p = np.asarray(predictions, dtype=float).ravel()
     t = np.asarray(targets, dtype=float).ravel()
@@ -43,6 +44,8 @@ def evaluate(predictions, targets) -> EvalReport:
         raise LengthMismatch(f"{p.shape[0]} predictions vs {t.shape[0]} targets")
     if p.shape[0] == 0:
         raise EmptyInput("cannot evaluate zero samples")
+    if not (np.isfinite(p).all() and np.isfinite(t).all()):
+        raise NonFiniteInput("predictions or targets contain a NaN or infinite value")
     err = p - t
     rmse = float(np.sqrt(np.mean(err ** 2)))
     mae = float(np.mean(np.abs(err)))

@@ -13,7 +13,8 @@ hinge sides, each evaluated by :func:`~hingetree.linear.affine` (or its
 one-row form :func:`~hingetree.linear.affine_row`).  Training,
 :func:`predict` (one row down one tree), the level-wise batch router
 :func:`_route` (many rows down one tree or a whole ensemble) and the
-one-pass ensemble row (:func:`~hingetree.boost.predict_boost`) all perform
+one-pass ensemble row (:func:`~hingetree.boost.predict_boost`, which runs
+the one-row kernel over every node's coefficients at once) all perform
 the same rounded operations, so a training row reaches the leaf that was
 fitted on it, and scalar and batch predictions agree bit for bit.
 
@@ -335,11 +336,14 @@ class _Table(NamedTuple):
     holds node i's ordered hinge pair (:func:`~hingetree.split._first_pair`),
     or for a leaf its model twice.  ``left[i]`` and ``right[i]`` are node
     i's first and second child; a leaf routes to itself.  ``starts`` holds
-    each tree's root index and ``depths`` its deepest leaf's depth.
+    each tree's root index, ``depths`` its deepest leaf's depth, and
+    ``deepest``, a Python int, the largest of them (0 without trees).
 
     A tree model also keeps its table as :func:`predict`'s Python rows
     (:func:`_walk_rows`); an ensemble builds none for its own table, since
-    :func:`~hingetree.boost.predict_boost` takes one NumPy pass over it.
+    :func:`~hingetree.boost.predict_boost` evaluates a row on all of it at
+    once, with one :func:`~hingetree.linear.affine_row` call over the rows
+    of ``coef_p`` and one over those of ``coef_q``.
     """
 
     coef_p: np.ndarray
@@ -348,6 +352,7 @@ class _Table(NamedTuple):
     right: np.ndarray
     starts: np.ndarray
     depths: np.ndarray
+    deepest: int
 
 
 def _flatten(roots: list[TreeNode], d: int) -> _Table:
@@ -357,7 +362,10 @@ def _flatten(roots: list[TreeNode], d: int) -> _Table:
     node's children are found by their index in the walk (nodes hash by
     identity).  :class:`HrtModel` passes its root and
     :class:`~hingetree.boost.BoostModel` its learners' roots, once, when
-    the model is built; no prediction builds a table.
+    the model is built; no prediction builds a table.  A node whose affine
+    models do not all hold d+1 coefficients (a hand-built model of the
+    wrong ``d``, say) raises :class:`DimensionMismatch` before any table
+    is formed.
     """
     nodes, starts, depths = [], [], []
     for root in roots:
@@ -368,12 +376,17 @@ def _flatten(roots: list[TreeNode], d: int) -> _Table:
     index = {node: i for i, node in enumerate(nodes)}
     pairs = [(n.theta, n.theta) if isinstance(n, Leaf)
              else _first_pair(n.split.kind, n.split.theta1, n.split.theta2) for n in nodes]
+    for theta in (theta for pair in pairs for theta in pair):
+        if theta.shape != (d + 1,):
+            found = theta.size if theta.ndim == 1 else f"shape {theta.shape}"
+            raise DimensionMismatch(
+                f"expected {d + 1} coefficients per affine model (d = {d}), found {found}")
     children = [(i, i) if isinstance(n, Leaf) else (index[n.left], index[n.right])
                 for i, n in enumerate(nodes)]
     coefs = np.array(pairs, dtype=float).reshape(-1, 2, d + 1).transpose(1, 2, 0).copy()
     links = np.array(children, dtype=np.intp).reshape(-1, 2).T.copy()
     return _Table(coefs[0], coefs[1], links[0], links[1], np.array(starts, dtype=np.intp),
-                  np.array(depths, dtype=np.intp))
+                  np.array(depths, dtype=np.intp), max(depths, default=0))
 
 
 def _walk_rows(table: _Table) -> tuple:
@@ -407,7 +420,7 @@ def _route(table: _Table, X: np.ndarray):
     exceeds it), so the temporaries stay bounded whatever the batch and
     ensemble sizes.  Each value is computed with :func:`predict`'s operations.
     """
-    coef_p, coef_q, left, right, starts, depths = table
+    coef_p, coef_q, left, right, starts, depths, _ = table
     n = X.shape[0]
     group = max(1, _BLOCK // max(n, 1))
     for g in range(0, starts.size, group):

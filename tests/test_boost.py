@@ -318,6 +318,30 @@ class TestPredictBoostOnePass:
         assert_walked(model, gen.normal(size=(200, 2)))
 
 
+class TestPredictBoostKernelCalls:
+    """One ensemble row costs two calls of the one-row kernel, whatever the ensemble's size."""
+
+    @pytest.mark.parametrize("stages", [0, 1, 20])
+    def test_two_affine_row_calls_per_row(self, stages):
+        ds, model = sinc_boost(m_stages=stages)
+        assert len(model.learners) == stages
+        rows = ds.X[:5]
+        with mock.patch.object(hingetree.boost, "affine_row",
+                               wraps=hingetree.boost.affine_row) as kernel:
+            one = [predict_boost(model, x) for x in rows]
+        assert kernel.call_count == 2 * len(rows)
+        assert np.array(one).tobytes() == predict_boost_batch(model, rows).tobytes()
+
+    @pytest.mark.parametrize("stages", [0, 3, 20])
+    def test_deepest_is_the_largest_learner_depth(self, stages):
+        _, model = sinc_boost(m_stages=stages, d_max=3)
+        for m in (model, loads_model(dumps_model(model))):
+            table = m._table
+            assert type(table.deepest) is int
+            assert table.deepest == table.depths.max(initial=0)
+            assert table.deepest == max((t.stats.depth for t in m.learners), default=0)
+
+
 class TestStagedLosses:
     def test_zero_stage_model(self):
         X, y = random_regression(7, 25, 2)

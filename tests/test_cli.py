@@ -621,6 +621,14 @@ class TestAblateStep:
         for key in ("rmse", "leaves", "splits", "fallbacks"):
             assert row[key] == float(np.mean([fit[key] for fit in fits])), key
 
+    def test_non_finite_predictions_are_a_data_error(self, capsys, monkeypatch):
+        # ablate-step scores predict_batch's output directly; a NaN must not become its RMSE.
+        monkeypatch.setattr("hingetree.cli.predict_batch", lambda model, X: np.full(len(X), np.nan))
+        code, _, err = run(capsys, "ablate-step", SINC, "--mu-list", "0.05", "--repeats", "1",
+                           "--max-depth", "1")
+        assert code == 3
+        assert "NaN or infinite" in err
+
     def test_fallback_rate_is_ratio_of_means(self, capsys, tmp_path):
         report = tmp_path / "a.json"
         code, _, _ = run(capsys, "ablate-step", SINC, "--mu-list", "0.05,auto",

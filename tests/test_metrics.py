@@ -10,6 +10,7 @@ from hingetree import (
     HingeKind,
     HrtModel,
     LengthMismatch,
+    NonFiniteInput,
     SplitConfig,
     Split,
     TrainStats,
@@ -97,6 +98,14 @@ class TestEvaluate:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             evaluate([], [])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["predictions", "targets"])
+    def test_non_finite_input(self, side, value):
+        bad, good = [1.0, value, 2.0], [1.0, 0.5, 2.0]
+        args = (bad, good) if side == "predictions" else (good, bad)
+        with pytest.raises(NonFiniteInput):
+            evaluate(*args)
 
 
 class TestTreeFlops:

@@ -261,6 +261,49 @@ def test_batch_routing_equals_the_scalar_walk(d, block):
     check()
 
 
+@st.composite
+def kernel_instances(draw, special):
+    """``(x, theta)``: one row of d features and a ``(d+1, columns)`` coefficient table.
+
+    Magnitudes reach 1e300, so products overflow; with ``special`` a few
+    values are also inf or NaN.
+    """
+    d = draw(st.integers(0, 16))
+    columns = draw(st.integers(1, 6))
+    values = st.floats(-1e300, 1e300)
+    if special:
+        values = values | special_values
+    x = draw(st.lists(values, min_size=d, max_size=d))
+    theta = draw(hnp.arrays(np.float64, (d + 1, columns), elements=values))
+    return x, theta
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["finite", "inf-nan"])
+def test_row_kernel_over_columns_has_the_bits_of_the_batch_and_of_each_column(special):
+    @FAST
+    @given(kernel_instances(special))
+    def check(instance):
+        x, theta = instance
+        with np.errstate(all="ignore"):
+            row = linear.affine_row(x, theta)
+            batch = linear.affine(np.array([x]), theta[:, None, :])[0]
+        columns = np.array([linear.affine_row(x, theta[:, i].tolist())
+                            for i in range(theta.shape[1])])
+        assert_same_values(row, batch)
+        if not special:
+            assert_same_values(row, columns)
+            return
+        # Where two NaN operands meet, IEEE 754 leaves the result's sign and
+        # payload open, and CPython's float addition and NumPy's pick different
+        # operands; every other value keeps its bits.  (Finite features and
+        # coefficients never meet two NaNs: a product of them is not NaN.)
+        nan = np.isnan(row)
+        assert np.array_equal(nan, np.isnan(columns))
+        assert_same_values(row[~nan], columns[~nan])
+
+    check()
+
+
 # ---- the auto step ----
 
 @FAST

@@ -13,6 +13,7 @@ from hingetree import (
     HingeKind,
     NonFiniteInput,
     BoostConfig,
+    BoostModel,
     HrtModel,
     SplitConfig,
     Split,
@@ -420,6 +421,31 @@ class TestFrozenModels:
             for name in ("converged", "iterations", "objective_trace", "mu_trace",
                          "partition_sizes", "variant_iterations"):
                 assert not any(hasattr(split, name) for split in splits), name
+
+
+class TestCoefficientLength:
+    """A model is built only from nodes whose affine models have d+1 coefficients."""
+
+    def test_tree_of_more_features(self):
+        X, y = random_regression(3, 80, 5)
+        wide = build_tree(X, y, TreeConfig(d_max=2))
+        with pytest.raises(DimensionMismatch, match=r"expected 3 coefficients .* found 6$"):
+            HrtModel(root=wide.root, d=2, config=wide.config, stats=wide.stats)
+
+    def test_one_short_leaf(self):
+        root = Internal(split=Split(kind=HingeKind.MAX, theta1=[1.0, 0.0, 0.0],
+                                    theta2=[0.0, 1.0, 0.0]),
+                        left=Leaf(theta=[0.0, 0.0, 1.0], n_train=1),
+                        right=Leaf(theta=[0.0, 1.0], n_train=1))
+        with pytest.raises(DimensionMismatch, match=r"expected 3 coefficients .* found 2$"):
+            HrtModel(root=root, d=2, config=TreeConfig(), stats=train_stats(root))
+
+    def test_ensemble_learner_of_more_features(self):
+        X, y = random_regression(4, 80, 3)
+        learner = build_tree(X, y, TreeConfig(d_max=2))
+        with pytest.raises(DimensionMismatch, match=r"expected 3 coefficients .* found 4$"):
+            BoostModel(f0=0.0, eta=0.1, learners=[learner], gamma_trace=[0.5],
+                       loss_trace=[1.0, 0.5], stage_retained=[True], d=2, config=BoostConfig())
 
 
 def hex_floats(values):
