@@ -12,7 +12,11 @@ that ``np.linalg.cholesky`` and ``np.linalg.solve`` wrap, imported from
 ``numpy.linalg._umath_linalg``: the wrappers' per-call Python overhead
 was most of a small solve's time, and skipping it keeps their bits
 (``tests/test_linear.py::TestSpdSolve`` checks this against the public
-functions).  A stacked solve has the bits of single solves.
+functions).  A stacked solve has the bits of single solves.  The normal
+equations' products go through ``np.dot``, which makes the BLAS call of
+``np.matmul`` (``dsyrk`` for the Gram matrix, ``dgemv`` for the
+right-hand side) without its ufunc dispatch and so has its bits
+(``tests/test_linear.py::TestDotMatchesMatmul`` pins this).
 Every routing decision and leaf value is evaluated by :func:`affine` or
 its one-row form :func:`affine_row`, which perform the same floating-point
 operations in the same order; :func:`affine_row` takes one model's
@@ -77,8 +81,10 @@ def _normal_equations(designs, targets, alpha: float):
 
     ``designs`` are augmented float designs of one width p and ``targets``
     their 1-D targets.  Each Gram matrix and right-hand side is one
-    ``matmul`` written into its slot of a ``(k, p, p)`` and a ``(k, p)``
-    stack, with the bits of ``X.T @ X`` and ``X.T @ y``.  ``system`` is
+    ``np.dot`` written into its slot of a ``(k, p, p)`` and a ``(k, p)``
+    stack: the BLAS call of ``np.matmul`` without its ufunc dispatch, with
+    the bits of ``X.T @ X`` and ``X.T @ y``
+    (``tests/test_linear.py::TestDotMatchesMatmul``).  ``system`` is
     ``gram`` when alpha is 0; otherwise the penalty matrix, formed once per
     (p, alpha) and cached read-only, is added to the whole stack at once.
     """
@@ -86,8 +92,8 @@ def _normal_equations(designs, targets, alpha: float):
     gram = np.empty((len(designs), p, p))
     rhs = np.empty((len(designs), p))
     for i, (X, y) in enumerate(zip(designs, targets)):
-        np.matmul(X.T, X, out=gram[i])
-        np.matmul(X.T, y, out=rhs[i])
+        np.dot(X.T, X, out=gram[i])
+        np.dot(X.T, y, out=rhs[i])
     system = gram + _penalty(p, alpha) if alpha > 0 else gram
     return gram, rhs, system
 
@@ -111,7 +117,7 @@ def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      over="ignore", divide="ignore", under="ignore"):
         low = _umath_linalg.cholesky_lo(a, signature="d->d")
         half = _umath_linalg.solve(low, b[..., None], signature="dd->d")
-        return _umath_linalg.solve(np.swapaxes(low, -1, -2), half, signature="dd->d")[..., 0]
+        return _umath_linalg.solve(low.swapaxes(-1, -2), half, signature="dd->d")[..., 0]
 
 
 def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
@@ -159,10 +165,11 @@ def ridge_solve_pair(X1: np.ndarray, y1: np.ndarray, X2: np.ndarray, y2: np.ndar
     ``X1`` and ``X2`` are augmented float designs with at least one row
     each and the same number of columns, ``y1`` and ``y2`` 1-D float
     targets; only the sign of ``alpha`` is checked.  The builder writes
-    both systems into one ``(2, p, p)`` stack and adds the penalty to it
-    once, and :func:`_spd_solve` factorizes the stack with the same
-    LAPACK gufunc calls as a single system, so each row of the result has
-    the bits of a separate :func:`ridge_solve` call
+    both systems into one ``(2, p, p)`` stack, each product an ``np.dot``
+    with the bits of ``@`` (``tests/test_linear.py::TestDotMatchesMatmul``),
+    and adds the penalty to it once, and :func:`_spd_solve` factorizes the
+    stack with the same LAPACK gufunc calls as a single system, so each
+    row of the result has the bits of a separate :func:`ridge_solve` call
     (``tests/test_linear.py::TestSpdSolve`` pins the solver against
     NumPy's public wrappers).  Returns the ``(2, p)`` solution, whose rows
     are ``theta1`` and ``theta2``, or ``None`` when either system is not

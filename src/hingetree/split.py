@@ -11,7 +11,11 @@ The optimizer and the public steps hold both sides' parameters as one
 ``(2, d+1)`` array, so a step, a line-search candidate and a parameter
 change are one set of elementwise operations; every value keeps the bits
 of the per-side arithmetic, because the side values stay two matvecs and
-the objective and change norms stay dot products.
+the objective and change norms stay dot products.  Those products go
+through ``ndarray.dot``, which makes the BLAS call of the ``@`` operator
+(``dgemv``, ``ddot``) without its ufunc dispatch, and so has its bits
+(``tests/test_linear.py::TestDotMatchesMatmul`` pins this); the hinge
+kind is resolved to its ufuncs once per call (:func:`_hinge`).
 Every function that takes samples and targets checks them with
 :func:`~hingetree.linear.check_training` first.
 """
@@ -24,7 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AllFeaturesConstant, DegenerateSystem, NonFiniteInput, TooFewSamples
+from .errors import (AllFeaturesConstant, DegenerateSystem, DimensionMismatch, NonFiniteInput,
+                     TooFewSamples)
 from .linear import augment, check_training, fit_or_mean, ridge_solve, ridge_solve_pair
 
 # Two parameter vectors closer than this (max-norm) count as identical
@@ -155,10 +160,6 @@ class SplitOutcome:
     variant_iterations: tuple[int, int] | None = None
 
 
-def _envelope(a, b, kind):
-    return np.maximum(a, b) if kind is HingeKind.MAX else np.minimum(a, b)
-
-
 def _first_pair(kind, a, b):
     """The tie rule: ``(p, q)`` such that a row takes the first branch iff ``p >= q``.
 
@@ -171,30 +172,61 @@ def _first_pair(kind, a, b):
     return (a, b) if kind is HingeKind.MAX else (b, a)
 
 
-def _first_side(a, b, kind):
-    # Boolean mask of the rows on the first side of the hinge.
-    p, q = _first_pair(kind, a, b)
-    return p >= q
+def _hinge(kind):
+    """``(envelope, first)``: the ufuncs that join a ``kind`` hinge's side values and pick its rows.
+
+    ``envelope(a, b)`` is the hinge prediction, ``np.maximum`` or
+    ``np.minimum``; ``first(a, b)`` is the mask of the rows on the first
+    side by the rule of :func:`_first_pair`: ``np.greater_equal`` for max
+    and ``np.less_equal`` for min, whose ``a <= b`` is ``b >= a`` for every
+    value, NaN included.  A caller resolves both once per call, not per
+    iteration.  Any ``kind`` but a :class:`HingeKind` raises ``TypeError``.
+    """
+    if kind is HingeKind.MAX:
+        return np.maximum, np.greater_equal
+    if kind is HingeKind.MIN:
+        return np.minimum, np.less_equal
+    raise TypeError(f"kind must be a HingeKind, got {kind!r}")
 
 
-def _evaluate(Xa, y, th, kind):
+def _evaluate(Xa, y, th, envelope):
     """Objective at the stacked parameters ``th`` = (theta1, theta2), with the side values a and b.
 
-    ``a = Xa @ th[0]`` and ``b = Xa @ th[1]`` are two matvecs, not one
-    product with ``th.T``, which would round differently; they are
+    ``a = Xa.dot(th[0])`` and ``b = Xa.dot(th[1])`` are two matvecs, not
+    one product with ``th.T``, which would round differently; they are
     returned so that the caller can partition by them without recomputing
-    either.
+    either.  ``envelope`` is the hinge's ufunc (:func:`_hinge`).  Every
+    product goes through ``ndarray.dot``, the BLAS call of ``@`` without
+    its ufunc dispatch, so it has the bits of ``@``
+    (``tests/test_linear.py::TestDotMatchesMatmul`` pins this).
     """
-    a = Xa @ th[0]
-    b = Xa @ th[1]
-    r = y - _envelope(a, b, kind)
-    return 0.5 * float(r @ r), a, b
+    a = Xa.dot(th[0])
+    b = Xa.dot(th[1])
+    r = y - envelope(a, b)
+    return 0.5 * float(r.dot(r)), a, b
+
+
+def _check_pair(pair, d: int) -> np.ndarray:
+    """``pair`` = (theta1, theta2) as one ``(2, d+1)`` float array, a copy, or a typed error.
+
+    Raises :class:`DimensionMismatch` unless ``pair`` holds two vectors of
+    length d+1, and :class:`NonFiniteInput` if a coefficient is NaN or
+    infinite.
+    """
+    thetas = [np.asarray(theta, dtype=float) for theta in pair]
+    if len(thetas) != 2 or any(theta.shape != (d + 1,) for theta in thetas):
+        raise DimensionMismatch(f"expected two coefficient vectors of length {d + 1}")
+    th = np.array(thetas)
+    if not np.isfinite(th).all():
+        raise NonFiniteInput("coefficient vectors contain a NaN or infinite value")
+    return th
 
 
 def objective(X, y, theta1, theta2, kind: HingeKind) -> float:
     """Node objective: half the summed squared error of the hinge prediction."""
     X, y = check_training(X, y)
-    return _evaluate(augment(X), y, np.array((theta1, theta2), dtype=float), kind)[0]
+    th = _check_pair((theta1, theta2), X.shape[1])
+    return _evaluate(augment(X), y, th, _hinge(kind)[0])[0]
 
 
 def partition(X, theta1, theta2, kind: HingeKind):
@@ -204,8 +236,9 @@ def partition(X, theta1, theta2, kind: HingeKind):
     <=.  The two sets are disjoint and exhaustive.
     """
     Xa = augment(X)
-    first = _first_side(Xa @ theta1, Xa @ theta2, kind)
-    return np.flatnonzero(first), np.flatnonzero(~first)
+    theta1, theta2 = _check_pair((theta1, theta2), Xa.shape[1] - 1)
+    first = _hinge(kind)[1](Xa.dot(theta1), Xa.dot(theta2))
+    return first.nonzero()[0], (~first).nonzero()[0]
 
 
 def _fit_subset(Xa, y, idx, alpha, min_subset, current):
@@ -242,7 +275,7 @@ def _refit(Xa, y, s1, s2, th, alpha, min_subset):
 
 def _targets(Xa, y, first, th, alpha, min_subset):
     """:func:`_refit` on the partition ``first``, a mask of the rows on the first side."""
-    return _refit(Xa, y, np.flatnonzero(first), np.flatnonzero(~first), th, alpha, min_subset)
+    return _refit(Xa, y, first.nonzero()[0], (~first).nonzero()[0], th, alpha, min_subset)
 
 
 def _step(th, target, delta, mu):
@@ -253,7 +286,7 @@ def _step(th, target, delta, mu):
     return th + mu * delta
 
 
-def _line_search(Xa, y, kind, th, target, v0, config):
+def _line_search(Xa, y, envelope, th, target, v0, config):
     """Backtrack from ``mu0`` until a step from ``th`` toward ``target`` lowers the objective below v0.
 
     Both are stacked ``(2, d+1)`` parameters.  Returns ``(mu, th', v, a,
@@ -265,19 +298,43 @@ def _line_search(Xa, y, kind, th, target, v0, config):
     mu = config.mu0
     for _ in range(config.max_backtracks):
         candidate = _step(th, target, delta, mu)
-        v, a, b = _evaluate(Xa, y, candidate, kind)
+        v, a, b = _evaluate(Xa, y, candidate, envelope)
         if v < v0:
             return mu, candidate, v, a, b
         mu *= config.beta
     return 0.0, th, v0, None, None
 
 
+def _check_indices(idx, n: int) -> np.ndarray:
+    """The row indices ``idx`` of one side as an integer array, or ``ValueError``.
+
+    A boolean mask or non-integer values are rejected, not cast; an empty
+    side is allowed.
+    """
+    idx = np.asarray(idx)
+    if idx.size == 0:
+        return np.empty(0, dtype=np.intp)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError("a side must be a 1-D array of integer row indices")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"row indices must lie in [0, {n})")
+    return idx
+
+
 def damped_update(X, y, s1, s2, theta1, theta2, mu: float,
                   alpha: float = 0.0, min_subset: int = 2):
-    """One damped Newton step with the partition (s1, s2) held fixed."""
+    """One damped Newton step with the partition (s1, s2) held fixed.
+
+    ``s1`` and ``s2`` are the integer row indices of the two sides.
+    Raises ``ValueError`` unless ``mu`` lies in (0, 1] and each side is a
+    1-D integer index array within the rows (a boolean mask is rejected).
+    """
+    if not 0.0 < mu <= 1.0:
+        raise ValueError("mu must lie in (0, 1]")
     X, y = check_training(X, y)
-    th = np.array((theta1, theta2), dtype=float)
-    target, _ = _refit(augment(X), y, np.asarray(s1, dtype=int), np.asarray(s2, dtype=int),
+    n, d = X.shape
+    th = _check_pair((theta1, theta2), d)
+    target, _ = _refit(augment(X), y, _check_indices(s1, n), _check_indices(s2, n),
                        th, alpha, min_subset)
     new1, new2 = _step(th, target, target - th, mu)
     return new1, new2
@@ -285,9 +342,10 @@ def damped_update(X, y, s1, s2, theta1, theta2, mu: float,
 
 def newton_step(X, y, theta1, theta2, kind: HingeKind, mu: float,
                 alpha: float = 0.0, min_subset: int = 2):
-    """Partition by the current parameters, then take one damped Newton step."""
-    if not 0.0 < mu <= 1.0:
-        raise ValueError("mu must lie in (0, 1]")
+    """Partition by the current parameters, then take one damped Newton step.
+
+    Raises ``ValueError`` unless ``mu`` lies in (0, 1] (:func:`damped_update`).
+    """
     s1, s2 = partition(X, theta1, theta2, kind)
     return damped_update(X, y, s1, s2, theta1, theta2, mu, alpha, min_subset)
 
@@ -303,12 +361,12 @@ def backtracking_step(X, y, theta1, theta2, kind: HingeKind,
     callers treat as a local stop.
     """
     X, y = check_training(X, y)
+    th = _check_pair((theta1, theta2), X.shape[1])
     Xa = augment(X)
-    th = np.array((theta1, theta2), dtype=float)
-    v0, a, b = _evaluate(Xa, y, th, kind)
-    target, _ = _targets(Xa, y, _first_side(a, b, kind), th, config.ridge_alpha,
-                         config.min_subset)
-    mu, (new1, new2), *_ = _line_search(Xa, y, kind, th, target, v0, config)
+    envelope, first = _hinge(kind)
+    v0, a, b = _evaluate(Xa, y, th, envelope)
+    target, _ = _targets(Xa, y, first(a, b), th, config.ridge_alpha, config.min_subset)
+    mu, (new1, new2), *_ = _line_search(Xa, y, envelope, th, target, v0, config)
     return mu, new1, new2
 
 
@@ -361,7 +419,7 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0):
     # start stalls small damping factors for ~1/mu iterations, so shift
     # the second bias by the median margin to pull the boundary into the
     # sample cloud.
-    margins = Xa @ (theta1 - theta2)
+    margins = Xa.dot(theta1 - theta2)
     if margins.min() >= 0.0 or margins.max() <= 0.0:
         theta2 = theta2.copy()
         theta2[-1] += float(np.median(margins))
@@ -388,10 +446,16 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     and line search, on an augmented design formed once per call.  Both
     sides' parameters are held as one ``(2, d+1)`` array, so a step or a
     line-search candidate is one set of elementwise operations, while the
-    side values stay the two matvecs ``Xa @ theta`` and the objective and
-    change norms stay dot products: every value has the bits of the
-    per-side arithmetic.  A refit gathers each side's rows with ``take``
-    and factorizes both sides' normal equations as one stacked Cholesky
+    side values stay the two matvecs ``Xa.dot(theta)`` and the objective
+    and change norms stay dot products: every value has the bits of the
+    per-side arithmetic.  Every product goes through ``ndarray.dot``, the
+    BLAS call of ``@`` without its ufunc dispatch and with its bits
+    (``tests/test_linear.py::TestDotMatchesMatmul``), and the kind's
+    envelope and first-side ufuncs (:func:`_hinge`) are resolved once per
+    call.  ``start`` must hold two finite vectors of length d+1
+    (:class:`DimensionMismatch`, :class:`NonFiniteInput`).  A refit
+    gathers each side's rows with ``take`` and factorizes both sides'
+    normal equations as one stacked Cholesky
     (:func:`hingetree.linear.ridge_solve_pair`), whose ``(2, d+1)``
     solution serves as the targets as it is, and the side values of
     the accepted parameters serve both the objective and the next
@@ -414,13 +478,14 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     Xa = augment(X)
     if start is None:
         start = initialize_params(X, y, config.ridge_alpha, config.seed)
-    th = np.array(start, dtype=float)
+    th = _check_pair(start, X.shape[1])
     alpha, min_subset, auto = config.ridge_alpha, config.min_subset, config.auto_step
     fixed = None if auto else float(config.step)
+    envelope, first_side = _hinge(kind)
 
-    v, a, b = _evaluate(Xa, y, th, kind)
+    v, a, b = _evaluate(Xa, y, th, envelope)
     trace = [v]
-    first = _first_side(a, b, kind)
+    first = first_side(a, b)
     n1 = int(np.count_nonzero(first))
     sizes = [(n1, n - n1)]
     mu_trace: list[float] = []
@@ -435,7 +500,7 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
             target, alone = _targets(Xa, y, first, th, alpha, min_subset)
             held = key if alone else None
         if auto:
-            mu, new, v, a, b = _line_search(Xa, y, kind, th, target, trace[-1], config)
+            mu, new, v, a, b = _line_search(Xa, y, envelope, th, target, trace[-1], config)
             if mu == 0.0:
                 # No decreasing step exists along this direction; stop.
                 converged = True
@@ -443,13 +508,13 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
         else:
             mu = fixed
             new = _step(th, target, target - th, mu)
-            v, a, b = _evaluate(Xa, y, new, kind)
+            v, a, b = _evaluate(Xa, y, new, envelope)
 
         # Euclidean norms; math.sqrt of the dot gives np.linalg.norm's bits.
-        moved = new - th
-        change = math.sqrt(float(moved[0] @ moved[0])) + math.sqrt(float(moved[1] @ moved[1]))
+        m1, m2 = new - th
+        change = math.sqrt(float(m1.dot(m1))) + math.sqrt(float(m2.dot(m2)))
         th = new
-        first = _first_side(a, b, kind)
+        first = first_side(a, b)
         n1 = int(np.count_nonzero(first))
         trace.append(v)
         mu_trace.append(mu)

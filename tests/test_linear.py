@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hingetree.linear as linear
 from hingetree import DegenerateSystem, augment, fit_or_mean, ridge_solve
@@ -180,6 +182,37 @@ class TestSpdSolve:
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):
                 linear._spd_solve(a, np.ones(a.shape[:-1]))
+
+
+class TestDotMatchesMatmul:
+    """The fit's products go through ``ndarray.dot``; every value keeps the bits of ``@``.
+
+    ``split._evaluate`` and ``split.find_optimal_split`` form their matvecs
+    and dot products, and ``linear._normal_equations`` its Gram matrices
+    and right-hand sides, with ``dot`` rather than ``@`` or ``np.matmul``,
+    on rows gathered with ``take`` as the refit gathers them.
+    """
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
+           p=st.sampled_from([1, 2, 3, 17]), magnitude=st.floats(1e-3, 1e3))
+    def test_dot_has_the_bits_of_matmul(self, seed, n, p, magnitude):
+        gen = np.random.default_rng(seed)
+        pool = augment(magnitude * gen.normal(size=(n + 50, p - 1)))
+        rows = gen.permutation(n + 50)[:n]
+        X = pool.take(rows, axis=0)
+        y = (magnitude * gen.normal(size=n + 50)).take(rows)
+        v = magnitude * gen.normal(size=p)
+        assert X.dot(v).tobytes() == (X @ v).tobytes()
+        assert y.dot(y).tobytes() == (y @ y).tobytes()
+        gram, gram_matmul = np.empty((2, 1, p, p))
+        np.dot(X.T, X, out=gram[0])
+        np.matmul(X.T, X, out=gram_matmul[0])
+        assert gram.tobytes() == gram_matmul.tobytes()
+        rhs, rhs_matmul = np.empty((2, 1, p))
+        np.dot(X.T, y, out=rhs[0])
+        np.matmul(X.T, y, out=rhs_matmul[0])
+        assert rhs.tobytes() == rhs_matmul.tobytes()
 
 
 class TestRidgeSolvePair:

@@ -62,6 +62,69 @@ class TestInputChecks:
             CHECKED_ENTRY_POINTS[entry](X, y[:-1])
 
 
+# Every function that takes a (theta1, theta2) pair, called on 30 rows of 2 features.
+PAIR_ENTRY_POINTS = {
+    "objective": lambda X, y, t1, t2: objective(X, y, t1, t2, HingeKind.MAX),
+    "partition": lambda X, y, t1, t2: partition(X, t1, t2, HingeKind.MIN),
+    "newton_step": lambda X, y, t1, t2: newton_step(X, y, t1, t2, HingeKind.MAX, 0.5),
+    "backtracking_step": lambda X, y, t1, t2: backtracking_step(
+        X, y, t1, t2, HingeKind.MIN, SplitConfig(step="auto")),
+    "damped_update": lambda X, y, t1, t2: damped_update(
+        X, y, np.arange(15), np.arange(15, 30), t1, t2, 0.5),
+    "find_optimal_split": lambda X, y, t1, t2: find_optimal_split(
+        X, y, HingeKind.MAX, SplitConfig(step="auto"), (t1, t2)),
+}
+
+
+class TestParameterPairChecks:
+    @pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, entry, which, value):
+        X, y = random_regression(23, 30, 2)
+        pair = [np.zeros(3), np.ones(3)]
+        pair[which][which] = value
+        with pytest.raises(NonFiniteInput):
+            PAIR_ENTRY_POINTS[entry](X, y, *pair)
+
+    @pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_wrong_length_parameter_rejected(self, entry, which, shape):
+        X, y = random_regression(24, 30, 2)
+        pair = [np.zeros(3), np.ones(3)]
+        pair[which] = np.ones(shape)
+        with pytest.raises(DimensionMismatch):
+            PAIR_ENTRY_POINTS[entry](X, y, *pair)
+
+    @pytest.mark.parametrize("start", [(np.zeros(3),), (np.zeros(3), np.ones(3), np.ones(3))])
+    def test_start_must_be_a_pair(self, start):
+        X, y = random_regression(25, 30, 2)
+        with pytest.raises(DimensionMismatch):
+            find_optimal_split(X, y, HingeKind.MAX, SplitConfig(), start)
+
+    @pytest.mark.parametrize("kind", ["max", "min", None])
+    def test_kind_must_be_a_hinge_kind(self, kind):
+        # The string "max" used to run the min hinge, and find_optimal_split
+        # labelled that outcome "max".
+        X, y = random_regression(28, 30, 2)
+        t1, t2 = np.zeros(3), np.ones(3)
+        calls = [lambda: objective(X, y, t1, t2, kind), lambda: partition(X, t1, t2, kind),
+                 lambda: newton_step(X, y, t1, t2, kind, 0.5),
+                 lambda: backtracking_step(X, y, t1, t2, kind, SplitConfig(step="auto")),
+                 lambda: find_optimal_split(X, y, kind, SplitConfig(), (t1, t2))]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
+    def test_nan_start_no_longer_converges_to_nan(self):
+        # A NaN start used to come back converged, with NaN parameters and the trace [nan].
+        X, y = random_regression(26, 30, 2)
+        with pytest.raises(NonFiniteInput):
+            find_optimal_split(X, y, HingeKind.MAX, SplitConfig(step="auto"),
+                               (np.full(3, np.nan), np.ones(3)))
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("config, field, value", [
         (SplitConfig, "t_max", 0),
@@ -263,8 +326,46 @@ class TestNewtonStep:
     def test_mu_out_of_range_rejected(self):
         X, y = vee_data()
         t = np.array([0.0, 0.0])
+        for mu in (0.0, -3.0, 1.5, np.nan):
+            with pytest.raises(ValueError):
+                newton_step(X, y, t, t, HingeKind.MAX, mu=mu)
+
+
+class TestDampedUpdate:
+    @pytest.mark.parametrize("mu", [0.0, -3.0, 1.5, np.nan, np.inf])
+    def test_mu_out_of_range_rejected(self, mu):
+        X, y = vee_data()
         with pytest.raises(ValueError):
-            newton_step(X, y, t, t, HingeKind.MAX, mu=0.0)
+            damped_update(X, y, [2, 3], [0, 1], np.array([1.0, 0.0]), np.array([-1.0, 0.0]), mu)
+
+    @pytest.mark.parametrize("sides", [
+        (np.array([False, False, True, True]), np.array([True, True, False, False])),
+        (np.array([2.0, 3.0]), np.array([0.0, 1.0])),
+        (np.array([[2, 3]]), np.array([0, 1])),
+        (np.array([2, 3]), np.array([0, 4])),
+        (np.array([2, 3]), np.array([-1, 0])),
+    ], ids=["boolean-masks", "float-indices", "2-d", "past-the-end", "negative"])
+    def test_malformed_sides_rejected(self, sides):
+        X, y = vee_data()
+        with pytest.raises(ValueError):
+            damped_update(X, y, *sides, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("empty", [[], np.array([], dtype=int), np.array([])])
+    def test_an_empty_side_keeps_its_parameters(self, empty):
+        X, y = vee_data()
+        t1, t2 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+        n1, n2 = damped_update(X, y, empty, np.arange(4), t1, t2, 1.0)
+        assert np.array_equal(n1, t1)
+        assert n2.tobytes() == ridge_solve(augment(X), y).tobytes()
+
+    def test_integer_indices_of_any_width_match_partition(self):
+        X, y = random_regression(27, 40, 2)
+        t1, t2 = np.array([1.0, -0.5, 0.2]), np.array([-0.3, 0.8, 0.0])
+        s1, s2 = partition(X, t1, t2, HingeKind.MAX)
+        want = damped_update(X, y, s1, s2, t1, t2, 0.5)
+        for dtype in (np.int32, np.uint16):
+            got = damped_update(X, y, s1.astype(dtype), s2.astype(dtype), t1, t2, 0.5)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 class TestBacktrackingStep:
