@@ -344,7 +344,7 @@ def replayed_partitions(X, y, kind, config):
 @FAST
 @given(seed=st.integers(0, 2**16), n=st.integers(12, 80), d=st.integers(1, 3),
        step=st.sampled_from([0.01, 0.1, "auto"]), kind=st.sampled_from(HingeKind))
-def test_one_pair_solve_per_distinct_consecutive_partition(seed, n, d, step, kind):
+def test_one_pair_solve_per_distinct_partition(seed, n, d, step, kind):
     X, y = hinge_regression(seed, n, d, noise=0.1)
     config = SplitConfig(step=step, t_max=40, epsilon=1e-4, seed=seed)
     firsts, iterations = replayed_partitions(X, y, kind, config)
@@ -360,8 +360,8 @@ def test_one_pair_solve_per_distinct_consecutive_partition(seed, n, d, step, kin
     # A failed stacked factorization falls back to single fits, which may keep parameters.
     assume(all(pair is not None for pair in pairs))
     assert out.iterations == iterations
-    distinct = 1 + sum(not np.array_equal(a, b) for a, b in zip(firsts, firsts[1:]))
-    assert len(pairs) == distinct
+    # One solve per distinct partition of the call, revisited ones included.
+    assert len(pairs) == len({s1.tobytes() for s1 in firsts})
 
 
 # ---- loading edited model documents ----

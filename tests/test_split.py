@@ -105,14 +105,15 @@ class TestParameterPairChecks:
 
     @pytest.mark.parametrize("kind", ["max", "min", None])
     def test_kind_must_be_a_hinge_kind(self, kind):
-        # The string "max" used to run the min hinge, and find_optimal_split
-        # labelled that outcome "max".
+        # The string "max" used to run the min hinge, find_optimal_split
+        # labelled that outcome "max", and a Split of kind "max" routed as a min hinge.
         X, y = random_regression(28, 30, 2)
         t1, t2 = np.zeros(3), np.ones(3)
         calls = [lambda: objective(X, y, t1, t2, kind), lambda: partition(X, t1, t2, kind),
                  lambda: newton_step(X, y, t1, t2, kind, 0.5),
                  lambda: backtracking_step(X, y, t1, t2, kind, SplitConfig(step="auto")),
-                 lambda: find_optimal_split(X, y, kind, SplitConfig(), (t1, t2))]
+                 lambda: find_optimal_split(X, y, kind, SplitConfig(), (t1, t2)),
+                 lambda: split.Split(kind=kind, theta1=t1, theta2=t2)]
         for call in calls:
             with pytest.raises(TypeError):
                 call()
@@ -237,6 +238,12 @@ class TestPartition:
         t2 = np.array([0.0, 0.0])
         s1, _ = partition(X, t1, t2, HingeKind.MIN)
         assert sorted(s1) == [0, 1, 2]  # x <= 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, value):
+        # A NaN row used to go to the second side, with no error.
+        with pytest.raises(NonFiniteInput):
+            partition([[value], [1.0], [-1.0]], [1.0, 0.0], [-1.0, 0.0], HingeKind.MAX)
 
     def test_exhaustive_and_disjoint_on_random_instances(self):
         for seed in range(25):
@@ -390,6 +397,19 @@ class TestBacktrackingStep:
         assert mu == 0.0
         assert np.array_equal(n1, t1) and np.array_equal(n2, t2)
 
+    def test_fixed_point_evaluates_no_candidate(self, monkeypatch):
+        X, y = vee_data()
+        config = SplitConfig(step="auto", ridge_alpha=0.0)
+        # The unit step's targets keep the partition, so they are a fixed point.
+        t1, t2 = newton_step(X, y, [0.9, 0.05], [-0.9, 0.05], HingeKind.MAX, 1.0, 0.0)
+        n1, n2 = newton_step(X, y, t1, t2, HingeKind.MAX, 1.0, 0.0)
+        assert np.array_equal(n1, t1) and np.array_equal(n2, t2)
+        evaluations = record_calls(monkeypatch, "_evaluate")
+        mu, n1, n2 = backtracking_step(X, y, t1, t2, HingeKind.MAX, config)
+        assert len(evaluations) == 1  # the objective at (t1, t2), and no candidate
+        assert mu == 0.0
+        assert np.array_equal(n1, t1) and np.array_equal(n2, t2)
+
     def test_accepts_quarter_step_on_oscillatory_node(self):
         # Frozen state on a noisy oscillatory dataset where the unit and
         # half steps increase the objective but the quarter step drops it.
@@ -436,6 +456,28 @@ class TestFindOptimalSplit:
         assert auto.iterations > 0
         for k in range(auto.iterations):
             assert trace[k + 1] < trace[k]
+
+    def test_auto_run_ending_on_a_zero_direction_evaluates_no_candidate(self, monkeypatch):
+        X, y = hinge_regression(0, 100, 2, noise=0.1)
+        config = SplitConfig(step="auto", epsilon=1e-12, seed=0)
+        kind = HingeKind.MAX
+        evaluations = record_calls(monkeypatch, "_evaluate")
+        out = find_optimal_split(X, y, kind, config)
+        monkeypatch.undo()
+        assert out.converged and out.iterations < config.t_max
+        # The run stopped at a fixed point: the last search's direction was zero.
+        n1, n2 = newton_step(X, y, out.theta1, out.theta2, kind, 1.0, config.ridge_alpha,
+                             config.min_subset)
+        assert np.array_equal(n1, out.theta1) and np.array_equal(n2, out.theta2)
+        # Accepted steps are mu0 * beta**s, after s rejected candidates each.
+        candidates = sum(1 + round(np.log(config.mu0 / mu) / np.log(1.0 / config.beta))
+                         for mu in out.mu_trace)
+        assert candidates > out.iterations  # some steps were backtracked
+        assert len(evaluations) == 1 + candidates
+        t1, t2, trace, mus, converged = replay_public_steps(X, y, kind, config)
+        assert np.array_equal(out.theta1, t1) and np.array_equal(out.theta2, t2)
+        assert out.objective_trace == trace and out.mu_trace == mus
+        assert out.converged == converged
 
     def test_trace_length_matches_iterations(self):
         ds = gen_synthetic("twisted_sigmoid", 120, 0.025, seed=5)
@@ -512,9 +554,9 @@ def record_calls(monkeypatch, name):
 
 
 class TestRefitReuse:
-    def test_one_pair_solve_per_distinct_consecutive_partition(self, monkeypatch):
-        X, y = hinge_regression(5, 200, 2, noise=0.1)
-        config = SplitConfig(step=0.01, epsilon=1e-4, seed=5)
+    def test_one_pair_solve_per_distinct_partition(self, monkeypatch):
+        X, y = hinge_regression(0, 100, 2, noise=0.1)
+        config = SplitConfig(step=0.01, epsilon=1e-4, seed=0)
         kind = HingeKind.MAX
         # The partition each iteration refits, replayed with the public steps.
         t1, t2 = initialize_params(X, y, config.ridge_alpha, config.seed)
@@ -532,8 +574,10 @@ class TestRefitReuse:
         calls = record_calls(monkeypatch, "ridge_solve_pair")
         out = find_optimal_split(X, y, kind, config)
         assert out.iterations == len(firsts)
-        distinct = 1 + sum(not np.array_equal(a, b) for a, b in zip(firsts, firsts[1:]))
-        assert distinct < len(firsts) // 2  # most refits reuse the previous targets
+        runs = 1 + sum(not np.array_equal(a, b) for a, b in zip(firsts, firsts[1:]))
+        distinct = len({s1.tobytes() for s1 in firsts})
+        # The run comes back to earlier partitions, not only to the last one.
+        assert distinct < runs < len(firsts) // 2
         assert len(calls) == distinct
         monkeypatch.undo()
         u1, u2, trace, mus, converged = replay_public_steps(X, y, kind, config)
@@ -720,6 +764,27 @@ class TestInitializeParams:
         c = initialize_params(X, y, 0.0, seed=8)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[1], c[1])
+
+
+class TestColumnRanges:
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (2, 1), (7, 2), (300, 1), (2000, 2),
+                                      (129, 17)])
+    def test_bits_of_the_axis_0_expression(self, n, d):
+        gen = np.random.default_rng(n * 100 + d)
+        X = gen.normal(size=(n, d))
+        signed_zeros = np.where(gen.random((n, d)) < 0.5, 0.0, -0.0)
+        constant = np.tile(gen.normal(size=(1, d)), (n, 1))
+        for M in (X, signed_zeros, constant, np.where(gen.random((n, d)) < 0.3, signed_zeros, X),
+                  np.asfortranarray(X), np.asfortranarray(signed_zeros)):
+            expected = M.max(axis=0) - M.min(axis=0)
+            assert split._column_ranges(M).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("column", [[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0, 0.0],
+                                        [-0.0, -0.0], [2.5, 2.5, 2.5]])
+    def test_constant_column_ranges(self, column):
+        X = np.column_stack([column, np.arange(len(column), dtype=float)])
+        expected = X.max(axis=0) - X.min(axis=0)
+        assert split._column_ranges(X).tobytes() == expected.tobytes()
 
 
 class TestMedianFallback:
