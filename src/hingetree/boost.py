@@ -71,17 +71,12 @@ class BoostModel:
 
     Building the model stores ``learners``, ``gamma_trace``, ``loss_trace``
     and ``stage_retained`` as tuples and flattens the learners' trees, in
-    order, into one router table (:func:`~hingetree.tree._flatten`).  The
-    ensemble builds none of the Python rows that
-    :func:`~hingetree.tree.predict` walks, since :func:`predict_boost`
-    evaluates a row on the whole table with two calls of the one-row
-    kernel; each learner, a tree model, keeps its own.  The model, its
+    order, into one router table (:func:`~hingetree.tree._flatten`).  It
+    raises ``ValueError`` unless ``loss_trace`` has one entry per stage
+    plus the initializer's, ``learners`` one per retained stage, and
+    ``gamma_trace`` one per stage or none (a legacy file).  The model, its
     learners and their nodes cannot change, so a changed ensemble is a new
-    model (:func:`dataclasses.replace`).  :func:`predict_boost` compares
-    the costs of the scalar and the batch prediction paths: the scalar
-    pass is the faster up to about 12,700 nodes at d = 16 and 25,000 at
-    d = 2, and a one-row batch is the faster for ensembles of many deep
-    trees.
+    model (:func:`dataclasses.replace`).
     """
 
     f0: float
@@ -98,6 +93,18 @@ class BoostModel:
     def __post_init__(self):
         for name in ("learners", "gamma_trace", "loss_trace", "stage_retained"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        # The stage loop reads one learner per retained stage and one loss per stage.
+        stages = len(self.stage_retained)
+        if len(self.loss_trace) != stages + 1:
+            raise ValueError(f"loss_trace: expected {stages + 1} entries for {stages} stages, "
+                             f"got {len(self.loss_trace)}")
+        retained = sum(self.stage_retained)
+        if retained != len(self.learners):
+            raise ValueError(f"stage_retained: {retained} retained stages for "
+                             f"{len(self.learners)} learners")
+        if len(self.gamma_trace) not in (0, stages):
+            raise ValueError(f"gamma_trace: expected {stages} entries or none, "
+                             f"got {len(self.gamma_trace)}")
         object.__setattr__(self, "_table", _flatten([t.root for t in self.learners], self.d))
 
 
@@ -114,14 +121,20 @@ def _loss(y, fx) -> float:
     return 0.5 * float(r @ r)
 
 
+def _stage_config(tree: TreeConfig, m: int) -> TreeConfig:
+    """Stage m's learner config: ``tree`` with its split seed mixed with m (slot 3)."""
+    return replace(tree, split=replace(tree.split, seed=derive_seed(tree.split.seed, m, 3)))
+
+
 def fit_boost(X, y, config: BoostConfig | None = None) -> BoostModel:
     """Fit the boosted ensemble on (X, y).
 
     Stage m trains a tree on the residuals ``y - F_{m-1}(X)`` with a seed
-    derived from the base seed and m.  A stage whose tree fits the
-    residuals worse than the zero predictor would break the stage-wise
-    risk bound, so it is discarded (gamma recorded as 0, risk unchanged);
-    with least-squares leaf fits this only happens through rounding.
+    derived from the base seed and m (:func:`_stage_config`).  A stage
+    whose tree fits the residuals worse than the zero predictor would break
+    the stage-wise risk bound, so it is discarded (gamma recorded as 0,
+    risk unchanged); with least-squares leaf fits this only happens through
+    rounding.
     Training stops early once the residual energy hits the relative
     machine floor.
     """
@@ -131,7 +144,6 @@ def fit_boost(X, y, config: BoostConfig | None = None) -> BoostModel:
     config = replace(config, tree=tree_cfg)
     X, y = check_training(X, y)
 
-    base_seed = tree_cfg.split.seed
     f0 = float(np.mean(y))
     fx = np.full(y.shape[0], f0)
     centered = y - f0
@@ -147,9 +159,7 @@ def fit_boost(X, y, config: BoostConfig | None = None) -> BoostModel:
         r_sq = float(r @ r)
         if r_sq <= _RESIDUAL_FLOOR * sse0:
             break
-        stage_cfg = replace(tree_cfg, split=replace(tree_cfg.split,
-                                                    seed=derive_seed(base_seed, m, 3)))
-        learner = build_tree(X, r, stage_cfg)
+        learner = build_tree(X, r, _stage_config(tree_cfg, m))
         t = predict_batch(learner, X)
         miss_sq = float((r - t) @ (r - t))
         gamma = 1.0 - miss_sq / r_sq
@@ -194,20 +204,13 @@ def predict_boost(model: BoostModel, x) -> float:
     ensemble without learners returns f0.
 
     The cost grows with the ensemble's node count times d+1, where the
-    batch router's grows with its learners' depths times d+1, plus its
-    per-level calls.  Against routing a one-row batch, on one core of a
-    shared 2-core Xeon VM (NumPy 2.4), this is 6.5 (d = 2) and 5 (d = 16)
-    times faster at 300 nodes (20 full trees of depth 3), 4.4 and 2.7
-    times faster at 6,350 nodes (50 full trees of depth 6), and 3.5 and
-    1.6 times faster at 12,700 (100 such trees).  Deeper trees favour the
-    router: at 25,550 nodes (50 full trees of depth 8) this is 1.1-1.5
-    times faster at d = 2 but 1.3 times slower at d = 16, and at 51,100
-    (100 of them) 1.3 and 2.1 times slower.  For such huge, deep
-    ensembles, :func:`predict_boost_batch` on a one-row batch keeps the
-    router's level-wise cost.
+    batch router's grows with its learner count times ``deepest`` times
+    d+1, plus its per-level calls.  So this pass is the faster up to about
+    12,700 nodes at d = 16 and 25,000 at d = 2, and for huge ensembles of
+    deep trees :func:`predict_boost_batch` on a one-row batch is the faster.
     """
     row = check_row(x, model.d)
-    coef_p, coef_q, left, right, starts, _, deepest = model._table
+    coef_p, coef_q, left, right, starts, deepest = model._table
     # Off-path nodes may overflow on a finite row; they never reach the result.
     with np.errstate(over="ignore", invalid="ignore"):
         p = affine_row(row, coef_p)

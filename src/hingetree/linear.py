@@ -82,9 +82,7 @@ def _normal_equations(designs, targets, alpha: float):
     ``designs`` are augmented float designs of one width p and ``targets``
     their 1-D targets.  Each Gram matrix and right-hand side is one
     ``np.dot`` written into its slot of a ``(k, p, p)`` and a ``(k, p)``
-    stack: the BLAS call of ``np.matmul`` without its ufunc dispatch, with
-    the bits of ``X.T @ X`` and ``X.T @ y``
-    (``tests/test_linear.py::TestDotMatchesMatmul``).  ``system`` is
+    stack, with the bits of ``X.T @ X`` and ``X.T @ y``.  ``system`` is
     ``gram`` when alpha is 0; otherwise the penalty matrix, formed once per
     (p, alpha) and cached read-only, is added to the whole stack at once.
     """
@@ -165,11 +163,10 @@ def ridge_solve_pair(X1: np.ndarray, y1: np.ndarray, X2: np.ndarray, y2: np.ndar
     ``X1`` and ``X2`` are augmented float designs with at least one row
     each and the same number of columns, ``y1`` and ``y2`` 1-D float
     targets; only the sign of ``alpha`` is checked.  The builder writes
-    both systems into one ``(2, p, p)`` stack, each product an ``np.dot``
-    with the bits of ``@`` (``tests/test_linear.py::TestDotMatchesMatmul``),
-    and adds the penalty to it once, and :func:`_spd_solve` factorizes the
-    stack with the same LAPACK gufunc calls as a single system, so each
-    row of the result has the bits of a separate :func:`ridge_solve` call
+    both systems into one ``(2, p, p)`` stack and adds the penalty to it
+    once, and :func:`_spd_solve` factorizes the stack with the same LAPACK
+    gufunc calls as a single system, so each row of the result has the
+    bits of a separate :func:`ridge_solve` call
     (``tests/test_linear.py::TestSpdSolve`` pins the solver against
     NumPy's public wrappers).  Returns the ``(2, p)`` solution, whose rows
     are ``theta1`` and ``theta2``, or ``None`` when either system is not

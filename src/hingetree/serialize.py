@@ -28,7 +28,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .boost import BoostConfig, BoostModel
+from .boost import BoostConfig, BoostModel, _stage_config
 from .datasets import StandardizeTransform, _finite
 from .errors import CorruptModel
 from .split import HingeKind, Split, SplitConfig
@@ -239,31 +239,18 @@ def model_from_dict(doc: dict):
     for i, b in enumerate(stage_retained):
         if type(b) is not bool:
             raise CorruptModel(f"stage_retained[{i}]: expected true or false, got {b!r}")
-    # The stage loop reads one learner per retained stage and one loss per stage.
-    stages = len(stage_retained)
-    if len(loss_trace) != stages + 1:
-        raise CorruptModel(f"loss_trace: expected {stages + 1} entries for {stages} stages, "
-                           f"got {len(loss_trace)}")
-    retained = sum(stage_retained)
-    if retained != len(doc["learners"]):
-        raise CorruptModel(f"stage_retained: {retained} retained stages for "
-                           f"{len(doc['learners'])} learners")
-    if len(gamma_trace) not in (0, stages):
-        raise CorruptModel(f"gamma_trace: expected {stages} entries or none, "
-                           f"got {len(gamma_trace)}")
     roots = [_node_from_dict(node, d, f"learners[{i}]") for i, node in enumerate(doc["learners"])]
-    return BoostModel(
-        f0=f0,
-        eta=eta,
-        learners=[HrtModel(root=root, d=d, config=tree_config, stats=train_stats(root))
-                  for root in roots],
-        gamma_trace=gamma_trace,
-        loss_trace=loss_trace,
-        stage_retained=stage_retained,
-        d=d,
-        config=config,
-        preprocess=preprocess,
-    )
+    # Learner i is the i-th retained stage's; surplus learners take stage 0's config, and the
+    # model's count check then rejects the file.
+    stage = (m for m, kept in enumerate(stage_retained, start=1) if kept)
+    learners = [HrtModel(root=root, d=d, config=_stage_config(tree_config, next(stage, 0)),
+                         stats=train_stats(root)) for root in roots]
+    try:
+        return BoostModel(f0=f0, eta=eta, learners=learners, gamma_trace=gamma_trace,
+                          loss_trace=loss_trace, stage_retained=stage_retained, d=d,
+                          config=config, preprocess=preprocess)
+    except ValueError as exc:  # the trace and learner counts disagree
+        raise CorruptModel(str(exc)) from None
 
 
 def dumps_model(model) -> str:

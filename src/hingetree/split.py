@@ -197,10 +197,7 @@ def _evaluate(Xa, y, th, envelope):
     ``a = Xa.dot(th[0])`` and ``b = Xa.dot(th[1])`` are two matvecs, not
     one product with ``th.T``, which would round differently; they are
     returned so that the caller can partition by them without recomputing
-    either.  ``envelope`` is the hinge's ufunc (:func:`_hinge`).  Every
-    product goes through ``ndarray.dot``, the BLAS call of ``@`` without
-    its ufunc dispatch, so it has the bits of ``@``
-    (``tests/test_linear.py::TestDotMatchesMatmul`` pins this).
+    either.  ``envelope`` is the hinge's ufunc (:func:`_hinge`).
     """
     a = Xa.dot(th[0])
     b = Xa.dot(th[1])
@@ -399,10 +396,12 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0):
     """Data-driven starting point for the alternating optimization.
 
     Splits at the median of the largest-range feature (ranges by
-    :func:`_column_ranges`) and ridge-fits each side.  If either side is
-    smaller than two samples (or a side fit is degenerate), both vectors
-    start from the global fit plus small independent perturbations.  A
-    final diversity check keeps theta1 and theta2 from being numerically
+    :func:`_column_ranges`) and refits both sides on that partition as an
+    iteration does (:func:`_refit`, with ``min_subset`` 2).  If the refit
+    does not depend on the partition alone (a side has fewer than two
+    samples, or stays singular after the jitter retry), both vectors start
+    from the global fit plus small independent perturbations.  A final
+    diversity check keeps theta1 and theta2 from being numerically
     identical.  Deterministic given seed.
     """
     X, y = check_training(X, y)
@@ -414,16 +413,9 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0):
 
     k = int(np.argmax(_column_ranges(X)))
     pivot = float(np.median(X[:, k]))
-    low = X[:, k] <= pivot
-
-    theta1 = theta2 = None
-    if int(low.sum()) >= 2 and int((~low).sum()) >= 2:
-        try:
-            theta1 = ridge_solve(Xa[low], y[low], alpha)
-            theta2 = ridge_solve(Xa[~low], y[~low], alpha)
-        except DegenerateSystem:
-            theta1 = theta2 = None
-    if theta1 is None:
+    # There are no current parameters: a side that would keep its row is discarded.
+    (theta1, theta2), alone = _targets(Xa, y, X[:, k] <= pivot, np.zeros((2, d + 1)), alpha, 2)
+    if not alone:
         theta_global = fit_or_mean(Xa, y, alpha)
         scale = 1e-3 * (1.0 + float(np.max(np.abs(theta_global))))
         rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
@@ -473,12 +465,10 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     line-search candidate is one set of elementwise operations, while the
     side values stay the two matvecs ``Xa.dot(theta)`` and the objective
     and change norms stay dot products: every value has the bits of the
-    per-side arithmetic.  Every product goes through ``ndarray.dot``, the
-    BLAS call of ``@`` without its ufunc dispatch and with its bits
-    (``tests/test_linear.py::TestDotMatchesMatmul``), and the kind's
-    envelope and first-side ufuncs (:func:`_hinge`) are resolved once per
-    call.  ``start`` must hold two finite vectors of length d+1
-    (:class:`DimensionMismatch`, :class:`NonFiniteInput`).  A refit
+    per-side arithmetic.  The kind's envelope and first-side ufuncs
+    (:func:`_hinge`) are resolved once per call.  ``start`` must hold two
+    finite vectors of length d+1 (:class:`DimensionMismatch`,
+    :class:`NonFiniteInput`).  A refit
     gathers each side's rows with ``take`` and factorizes both sides'
     normal equations as one stacked Cholesky
     (:func:`hingetree.linear.ridge_solve_pair`), whose ``(2, d+1)``

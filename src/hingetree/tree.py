@@ -19,15 +19,17 @@ the same rounded operations, so a training row reaches the leaf that was
 fitted on it, and scalar and batch predictions agree bit for bit.
 
 A model's router table is built once, with the model, by :func:`_flatten`
-over one walk (:func:`_preorder`) of its trees.  A tree model also keeps
-that table's columns as read-only Python rows (:func:`_walk_rows`), which
-:func:`predict` walks by index.  Neither can go stale: the models, nodes
-and splits are frozen, with read-only coefficient copies in the nodes and
-splits, so a changed tree is a new tree in a new model.
+over one walk (:func:`_preorder`) of its trees.  A tree model copies that
+table's columns into read-only Python rows (:attr:`HrtModel._rows`) the
+first time :func:`predict` reads them, and keeps them.  Neither can go
+stale: the models, nodes and splits are frozen, with read-only coefficient
+copies in the nodes and splits, so a changed tree is a new tree in a new
+model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import isfinite
 from typing import NamedTuple
 
@@ -158,11 +160,12 @@ class HrtModel:
     and :func:`predict_batch` take rows already in the model's input space.
 
     Building the model, by :func:`build_tree`, the loader or a caller,
-    flattens the tree once into the batch router's table (:func:`_flatten`)
-    and copies the table into the tuples of Python floats that
-    :func:`predict` walks (:func:`_walk_rows`).  Neither the model nor its
-    tree can change: a changed tree or ``preprocess`` is a new model
-    (:func:`dataclasses.replace`).
+    flattens the tree once into the batch router's table (:func:`_flatten`).
+    The tuples of Python floats that :func:`predict` walks (:attr:`_rows`)
+    are copied from that table on the first read, so a model that only
+    routes batches, such as an ensemble's learner, never builds them.
+    Neither the model nor its tree can change: a changed tree or
+    ``preprocess`` is a new model (:func:`dataclasses.replace`).
     """
 
     root: TreeNode
@@ -171,11 +174,25 @@ class HrtModel:
     stats: TrainStats
     preprocess: dict | None = None
     _table: _Table = field(init=False, repr=False, compare=False)
-    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_table", _flatten([self.root], self.d))
-        object.__setattr__(self, "_rows", _walk_rows(self._table))
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """The table as :func:`predict`'s rows, one per node, in the table's order.
+
+        Row i is ``(p, q, first, second)``: ``p`` and ``q`` are tuples of the
+        Python floats in column i of ``coef_p`` and ``coef_q``, and ``first``
+        and ``second`` are the indices of node i's children.  A leaf has no
+        second side: its row holds its model as ``p``, ``None`` as ``q``, and
+        routes to itself.  Row 0 is the root.
+        """
+        table = self._table
+        return tuple((p, None if first == i else q, first, second) for i, (p, q, first, second)
+                     in enumerate(zip(map(tuple, table.coef_p.T.tolist()),
+                                      map(tuple, table.coef_q.T.tolist()),
+                                      table.left.tolist(), table.right.tolist())))
 
 
 def _first_mask(split: Split, X: np.ndarray) -> np.ndarray:
@@ -308,8 +325,8 @@ def check_row(x, d: int) -> list[float]:
 def predict(model: HrtModel, x) -> float:
     """Route one sample to its leaf and evaluate the leaf model.
 
-    The walk reads only the rows built with the model (:func:`_walk_rows`):
-    from row 0 it moves to a node's first child iff
+    The walk reads only the model's rows (:attr:`HrtModel._rows`, built on
+    the first call): from row 0 it moves to a node's first child iff
     ``affine_row(x, p) >= affine_row(x, q)``, so ties on a split hyperplane
     go first, matching training, and a side that evaluates to NaN sends
     the row second.  ``p`` and ``q`` hold the bits of the node's
@@ -336,11 +353,11 @@ class _Table(NamedTuple):
     holds node i's ordered hinge pair (:func:`~hingetree.split._first_pair`),
     or for a leaf its model twice.  ``left[i]`` and ``right[i]`` are node
     i's first and second child; a leaf routes to itself.  ``starts`` holds
-    each tree's root index, ``depths`` its deepest leaf's depth, and
-    ``deepest``, a Python int, the largest of them (0 without trees).
+    each tree's root index and ``deepest``, a Python int, the depth of the
+    deepest leaf of any tree (0 without trees).
 
-    A tree model also keeps its table as :func:`predict`'s Python rows
-    (:func:`_walk_rows`); an ensemble builds none for its own table, since
+    A tree model also copies its table into :func:`predict`'s Python rows
+    (:attr:`HrtModel._rows`); an ensemble builds none for its own table, since
     :func:`~hingetree.boost.predict_boost` evaluates a row on all of it at
     once, with one :func:`~hingetree.linear.affine_row` call over the rows
     of ``coef_p`` and one over those of ``coef_q``.
@@ -351,7 +368,6 @@ class _Table(NamedTuple):
     left: np.ndarray
     right: np.ndarray
     starts: np.ndarray
-    depths: np.ndarray
     deepest: int
 
 
@@ -367,12 +383,12 @@ def _flatten(roots: list[TreeNode], d: int) -> _Table:
     wrong ``d``, say) raises :class:`DimensionMismatch` before any table
     is formed.
     """
-    nodes, starts, depths = [], [], []
+    nodes, starts, deepest = [], [], 0
     for root in roots:
         starts.append(len(nodes))
-        walk = list(_preorder(root))
-        nodes += [node for node, _ in walk]
-        depths.append(max(depth for _, depth in walk))  # the deepest node is a leaf
+        for node, depth in _preorder(root):
+            nodes.append(node)
+            deepest = max(deepest, depth)  # the deepest node is a leaf
     index = {node: i for i, node in enumerate(nodes)}
     pairs = [(n.theta, n.theta) if isinstance(n, Leaf)
              else _first_pair(n.split.kind, n.split.theta1, n.split.theta2) for n in nodes]
@@ -386,22 +402,7 @@ def _flatten(roots: list[TreeNode], d: int) -> _Table:
     coefs = np.array(pairs, dtype=float).reshape(-1, 2, d + 1).transpose(1, 2, 0).copy()
     links = np.array(children, dtype=np.intp).reshape(-1, 2).T.copy()
     return _Table(coefs[0], coefs[1], links[0], links[1], np.array(starts, dtype=np.intp),
-                  np.array(depths, dtype=np.intp), max(depths, default=0))
-
-
-def _walk_rows(table: _Table) -> tuple:
-    """One tree's :class:`_Table` as :func:`predict`'s rows, one per node, in the table's order.
-
-    Row i is ``(p, q, first, second)``: ``p`` and ``q`` are tuples of the
-    Python floats in column i of ``coef_p`` and ``coef_q``, and ``first``
-    and ``second`` are the indices of node i's children.  A leaf has no
-    second side: its row holds its model as ``p``, ``None`` as ``q``, and
-    routes to itself.  Row 0 is the root.
-    """
-    return tuple((p, None if first == i else q, first, second) for i, (p, q, first, second)
-                 in enumerate(zip(map(tuple, table.coef_p.T.tolist()),
-                                  map(tuple, table.coef_q.T.tolist()),
-                                  table.left.tolist(), table.right.tolist())))
+                  deepest)
 
 
 def _route(table: _Table, X: np.ndarray):
@@ -414,18 +415,17 @@ def _route(table: _Table, X: np.ndarray):
     pair starts at its tree's root.  Each step gathers the
     pair's node coefficients, evaluates both hinge sides with
     :func:`~hingetree.linear.affine` and moves the pair to the chosen child;
-    after as many steps as the group's deepest leaf's depth every pair sits
-    on its leaf, whose model gives the value.  Pairs are processed in blocks
+    a leaf routes to itself, so after the table's ``deepest`` steps every
+    pair sits on its leaf, whose model gives the value.  Pairs are processed in blocks
     of at most ``_BLOCK`` (a group holds one tree when the batch alone
     exceeds it), so the temporaries stay bounded whatever the batch and
     ensemble sizes.  Each value is computed with :func:`predict`'s operations.
     """
-    coef_p, coef_q, left, right, starts, depths, _ = table
+    coef_p, coef_q, left, right, starts, deepest = table
     n = X.shape[0]
     group = max(1, _BLOCK // max(n, 1))
     for g in range(0, starts.size, group):
         roots = starts[g:g + group]
-        levels = int(depths[g:g + group].max())
         values = np.empty((n, roots.size))
         rows = max(1, _BLOCK // roots.size)
         # An overflowing node gives +-inf or NaN silently, as in predict().
@@ -433,7 +433,7 @@ def _route(table: _Table, X: np.ndarray):
             for r in range(0, n, rows):
                 block = X[r:r + rows]
                 node = roots[None, :]  # every row at its trees' roots; broadcasts in affine
-                for _ in range(levels):
+                for _ in range(deepest):
                     # take() gathers several times faster than fancy indexing.
                     p = affine(block, coef_p.take(node, axis=1))
                     q = affine(block, coef_q.take(node, axis=1))

@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import re
 import warnings
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
@@ -314,7 +315,7 @@ class TestPredictBoostOnePass:
 
         roots = [chain(3), chain(0), chain(1), chain(0), chain(2)]
         model = ensemble(roots, d=2, eta=0.3)
-        assert model._table.depths.tolist() == [3, 0, 1, 0, 2]
+        assert model._table.deepest == 3
         assert_walked(model, gen.normal(size=(200, 2)))
 
 
@@ -338,7 +339,7 @@ class TestPredictBoostKernelCalls:
         for m in (model, loads_model(dumps_model(model))):
             table = m._table
             assert type(table.deepest) is int
-            assert table.deepest == table.depths.max(initial=0)
+            assert table.deepest == max((t._table.deepest for t in m.learners), default=0)
             assert table.deepest == max((t.stats.depth for t in m.learners), default=0)
 
 
@@ -369,6 +370,11 @@ class TestStagedLosses:
         with pytest.raises(NonFiniteInput):
             staged_losses(model, ds.X, y)
 
+    def test_row_count_mismatch_rejected(self):
+        ds, model = sinc_boost(m_stages=2)
+        with pytest.raises(DimensionMismatch, match="X and y row counts differ"):
+            staged_losses(model, ds.X, ds.y[:-1])
+
     def test_discarded_stage_repeats_the_previous_loss(self):
         ds, model = sinc_boost(m_stages=3)
         # Stages are discarded only through rounding; mark one by hand.
@@ -379,6 +385,28 @@ class TestStagedLosses:
         losses = staged_losses(model, ds.X, ds.y)
         np.testing.assert_array_equal(losses, model.loss_trace)
         assert losses[2] == losses[1]
+
+
+class TestStageCounts:
+    """An ensemble whose traces contradict its stages is rejected when it is built."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: {"loss_trace": b.loss_trace[:2]},
+         "loss_trace: expected 4 entries for 3 stages, got 2"),
+        (lambda b: {"stage_retained": (True,) * 4},
+         "loss_trace: expected 5 entries for 4 stages, got 4"),
+        (lambda b: {"stage_retained": (True, False, True)},
+         "stage_retained: 2 retained stages for 3 learners"),
+        (lambda b: {"learners": b.learners[:2]},
+         "stage_retained: 3 retained stages for 2 learners"),
+        (lambda b: {"gamma_trace": b.gamma_trace[:2]},
+         "gamma_trace: expected 3 entries or none, got 2"),
+    ], ids=["short-loss", "more-stages", "unretained", "short-learners", "short-gamma"])
+    def test_inconsistent_counts_raise(self, edit, message):
+        _, model = sinc_boost(m_stages=3)
+        assert model.stage_retained == (True,) * 3
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            replace(model, **edit(model))
 
 
 class TestGammaBoundCheck:

@@ -235,6 +235,14 @@ class TestTrain:
         assert err.startswith(f"error: --config {cfg}: 'utf-8' codec can't decode byte 0xff")
         assert not out.exists()
 
+    def test_config_file_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", SINC, "hrt", "--config", str(cfg), "--out", str(out))
+        assert (code, err) == (2, f"error: --config {cfg}: expected a JSON object\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("max_depth", ["3", "0"])
     def test_flops_are_reported_in_both_modes(self, tmp_path, capsys, max_depth):
         report = tmp_path / "r.json"
@@ -660,6 +668,14 @@ class TestAblateStep:
         assert code == 2
         assert "--mu-list" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--mu-list", "0.05", "--repeats", "0"), "--repeats: must be at least 1"),
+        (("--mu-list", " , ", "--repeats", "1"), "--mu-list: no step sizes given"),
+    ], ids=["no-repeats", "no-steps"])
+    def test_empty_grid_is_config_error(self, capsys, flags, message):
+        code, out, err = run(capsys, "ablate-step", SINC, *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestBoostDiagnose:
     def test_all_stages_ok(self, tmp_path, capsys):
@@ -837,9 +853,9 @@ class TestParsing:
         assert f"unrecognized arguments: {flag} 1" in err
 
 
-def run_python(*args):
+def run_python(*args, **env):
     src = os.path.dirname(os.path.dirname(os.path.abspath(hingetree.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
 
@@ -849,6 +865,16 @@ class TestProcess:
         proc = run_python("-m", "hingetree.cli", "--help")
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: hingetree")
+
+    @pytest.mark.parametrize("level", ["debug", "error"])
+    def test_debug_logging_adds_the_traceback(self, tmp_path, level):
+        missing = tmp_path / "missing.json"
+        proc = run_python("-m", "hingetree.cli", "eval", str(missing), "f1.csv", HRT_LOG=level)
+        assert proc.returncode == 3
+        assert proc.stderr.endswith(f"error: [Errno 2] No such file or directory: '{missing}'\n")
+        assert proc.stderr.count("Traceback (most recent call last):") == (level == "debug")
+        if level == "debug":
+            assert proc.stderr.startswith("ERROR hingetree: data error\nTraceback")
 
     def test_import_loads_no_scipy(self):
         proc = run_python("-c", "import sys, hingetree, hingetree.cli; "

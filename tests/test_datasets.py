@@ -27,6 +27,10 @@ class TestGenerators:
         fn = SYNTHETIC_FUNCTIONS["twisted_sigmoid"][0]
         assert fn(np.array([[0.0]]))[0] == pytest.approx(1.0, abs=1e-15)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            gen_synthetic("f1", 0)
+
     def test_f2_at_origin(self):
         fn = SYNTHETIC_FUNCTIONS["f2"][0]
         assert fn(np.array([[0.0, 0.0]]))[0] == pytest.approx(1.0, abs=1e-15)
@@ -191,6 +195,21 @@ class TestCsv:
             load_csv(path, target="y")
         assert err.value.row == 3
 
+    @pytest.mark.parametrize("text, target, header, error, message, col", [
+        ("7\n8\n", 0, False, ParseError, "need a target column plus at least one feature", 1),
+        ("a,b,y\n1,2\n", "y", True, ParseError, "header and data column counts differ", 3),
+        ("1,2,3\n", "y", False, MissingTarget, "target by name requires a header row", None),
+        ("1,2,3\n", 3, False, MissingTarget, "target index 3 outside 0..2", None),
+    ], ids=["one-column", "short-data", "name-without-header", "index-outside"])
+    def test_target_and_width_checks(self, tmp_path, text, target, header, error, message,
+                                     col):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=message) as err:
+            load_csv(path, target=target, header=header)
+        if col is not None:
+            assert (err.value.row, err.value.col) == (1 + header, col)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -290,6 +309,10 @@ class TestDatasetSpec:
         assert ds.n == 123
         assert ds.provenance == {"kind": "synthetic", "name": "sinc", "n": 123,
                                  "sigma": 0.5, "seed": 9}
+
+    def test_component_without_a_value_rejected(self):
+        with pytest.raises(ValueError, match="bad synthetic spec component 'n'"):
+            parse_dataset_spec("f1:n:seed=3")
 
     def test_bare_name_uses_defaults(self):
         ds = parse_dataset_spec("f2")

@@ -132,6 +132,19 @@ class TestRidgeSolve:
         with pytest.raises(DegenerateSystem):
             ridge_solve(Xa, np.array([1.0, 2.0]), 0.0)
 
+    @pytest.mark.parametrize("X, y, message", [
+        (np.zeros((0, 2)), np.zeros(0), "design matrix must be 2-D with at least one row"),
+        (np.ones(3), np.ones(3), "design matrix must be 2-D with at least one row"),
+        (np.ones((3, 2)), np.ones(2), "design and target row counts differ"),
+    ], ids=["no-rows", "one-dimensional", "row-counts"])
+    def test_malformed_design_rejected(self, X, y, message):
+        with pytest.raises(ValueError, match=message):
+            ridge_solve(X, y, 0.0)
+
+    def test_augment_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="expected a 2-D feature matrix"):
+            augment(np.ones(3))
+
     def test_fit_or_mean_constant_fallback(self, monkeypatch):
         def always_fail(a, b):
             raise np.linalg.LinAlgError("not positive definite")

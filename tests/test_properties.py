@@ -348,6 +348,8 @@ def test_one_pair_solve_per_distinct_partition(seed, n, d, step, kind):
     X, y = hinge_regression(seed, n, d, noise=0.1)
     config = SplitConfig(step=step, t_max=40, epsilon=1e-4, seed=seed)
     firsts, iterations = replayed_partitions(X, y, kind, config)
+    # The start is passed so that only the loop's solves are counted.
+    start = initialize_params(X, y, config.ridge_alpha, config.seed)
     pairs = []
     solve_pair = split.ridge_solve_pair
 
@@ -356,7 +358,7 @@ def test_one_pair_solve_per_distinct_partition(seed, n, d, step, kind):
         return pairs[-1]
 
     with mock.patch.object(split, "ridge_solve_pair", recorded):
-        out = find_optimal_split(X, y, kind, config)
+        out = find_optimal_split(X, y, kind, config, start)
     # A failed stacked factorization falls back to single fits, which may keep parameters.
     assume(all(pair is not None for pair in pairs))
     assert out.iterations == iterations

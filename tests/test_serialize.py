@@ -179,6 +179,25 @@ class TestBoostRoundTrip:
         assert back.stage_retained == model.stage_retained
         assert len(back.learners) == len(model.learners)
 
+    def test_learner_configs_survive(self):
+        ds = gen_synthetic("f1", 300, 0.1, seed=1)
+        model = fit_boost(ds.X, ds.y, BoostConfig(m_stages=3))
+        back = loads_model(dumps_model(model))
+        assert [t.config for t in back.learners] == [t.config for t in model.learners]
+        assert [t.config.split.seed for t in back.learners] == [
+            4543754279239219615, 4886950880070738254, 3381230697883877612]
+
+    def test_learner_configs_survive_a_discarded_stage(self):
+        ds = gen_synthetic("f1", 300, 0.1, seed=1)
+        fitted = fit_boost(ds.X, ds.y, BoostConfig(m_stages=4))
+        # Stages are discarded only through rounding; drop stage 2's learner by hand.
+        model = replace(fitted, learners=fitted.learners[:1] + fitted.learners[2:],
+                        stage_retained=(True, False, True, True),
+                        gamma_trace=fitted.gamma_trace[:1] + (0.0,) + fitted.gamma_trace[2:])
+        back = loads_model(dumps_model(model))
+        assert [t.config for t in back.learners] == [t.config for t in model.learners]
+        assert len({t.config.split.seed for t in back.learners}) == 3
+
     def test_document_with_dropped_fallback_key_loads(self):
         _, model = trained_boost(seed=3)
         doc = model_to_dict(model)
@@ -201,6 +220,10 @@ class TestBoostRoundTrip:
         points = np.random.default_rng(8).uniform(-3, 3, size=(500, 2))
         assert predict_boost_batch(back, points).tobytes() == \
             predict_boost_batch(model, points).tobytes()
+
+    def test_unsupported_model_type(self):
+        with pytest.raises(TypeError, match="unsupported model type Dataset"):
+            model_to_dict(gen_synthetic("f1", 10))
 
     def test_envelope_fields(self):
         _, model = trained_boost(seed=5)

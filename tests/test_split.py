@@ -571,8 +571,10 @@ class TestRefitReuse:
             if done:
                 break
 
+        start = initialize_params(X, y, config.ridge_alpha, config.seed)
+        # The start is passed so that only the loop's solves are counted.
         calls = record_calls(monkeypatch, "ridge_solve_pair")
-        out = find_optimal_split(X, y, kind, config)
+        out = find_optimal_split(X, y, kind, config, start)
         assert out.iterations == len(firsts)
         runs = 1 + sum(not np.array_equal(a, b) for a, b in zip(firsts, firsts[1:]))
         distinct = len({s1.tobytes() for s1 in firsts})
@@ -757,6 +759,35 @@ class TestInitializeParams:
             s1, s2 = partition(X, t1, t2, HingeKind.MAX)
             assert s1.size > 0 and s2.size > 0
 
+    @staticmethod
+    def curved():
+        """The data of test_median_split_fits_match_oracle: the start is the median refit."""
+        gen = np.random.default_rng(50)
+        x = np.sort(gen.uniform(-1, 1, 50))
+        return x.reshape(-1, 1), x ** 2 + 0.01 * gen.normal(size=50)
+
+    def test_median_split_is_one_pair_solve(self, monkeypatch):
+        X, y = self.curved()
+        pairs = record_calls(monkeypatch, "ridge_solve_pair")
+        singles = record_calls(monkeypatch, "ridge_solve")
+        t1, t2 = initialize_params(X, y, alpha=0.01, seed=5)
+        assert len(pairs) == 1 and singles == []
+        assert t1.tobytes() + t2.tobytes() == pairs[0].tobytes()
+
+    def test_failed_pair_solve_falls_back_to_single_fits(self, monkeypatch):
+        # The refit's recovery: each side is then fitted alone, with the same bits.
+        X, y = self.curved()
+        expected = initialize_params(X, y, alpha=0.01, seed=5)
+        monkeypatch.setattr(split, "ridge_solve_pair", lambda *args: None)
+        singles = record_calls(monkeypatch, "ridge_solve")
+        t1, t2 = initialize_params(X, y, alpha=0.01, seed=5)
+        assert len(singles) == 2
+        assert (t1.tobytes(), t2.tobytes()) == (expected[0].tobytes(), expected[1].tobytes())
+
+    def test_one_sample_raises(self):
+        with pytest.raises(TooFewSamples, match="initialization needs at least 2 samples"):
+            initialize_params(np.array([[1.0, 2.0]]), np.array([3.0]))
+
     def test_deterministic_given_seed(self):
         X, y = random_regression(2, 2, 3)
         a = initialize_params(X, y, 0.0, seed=7)
@@ -813,6 +844,12 @@ class TestMedianFallback:
         X = np.column_stack([np.ones(6), np.arange(6.0)])
         for seed in range(20):
             assert median_fallback(X, seed=seed).fallback_feature == 1
+
+    @pytest.mark.parametrize("X", [np.array([[1.0, 2.0]]), np.arange(4.0)],
+                             ids=["one-row", "one-dimensional"])
+    def test_fewer_than_two_rows_rejected(self, X):
+        with pytest.raises(TooFewSamples, match="fallback split needs at least 2 samples"):
+            median_fallback(X, seed=0)
 
     def test_all_features_constant(self):
         X = np.ones((5, 3))

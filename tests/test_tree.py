@@ -310,6 +310,11 @@ class TestPredictBatch:
         with pytest.raises(DimensionMismatch):
             predict_batch(model, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("X", [np.zeros(2), np.zeros((1, 1, 2))], ids=["vector", "3-d"])
+    def test_batch_that_is_not_a_matrix_rejected(self, X):
+        with pytest.raises(DimensionMismatch, match="expected a 2-D feature matrix"):
+            predict_batch(manual_model(depth=1, d=2), X)
+
 
 def multi_feature_data(name):
     # d >= 2, where a fixed-order sum and a BLAS dot product round differently.
@@ -453,7 +458,7 @@ def hex_floats(values):
 
 
 class TestScalarRows:
-    """:func:`predict` walks the rows built with the model, and only those."""
+    """:func:`predict` walks the model's rows, and only those; nothing else builds them."""
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["fitted", "loaded"])
     def test_rows_hold_the_node_coefficients_as_python_floats(self, loaded):
@@ -489,10 +494,24 @@ class TestScalarRows:
         assert after.tobytes() == before.tobytes()
 
     def test_an_ensemble_holds_no_rows(self):
-        _, tree, ensemble = f1_models()
-        assert hasattr(tree, "_rows")
+        _, _, ensemble = f1_models()
         assert not hasattr(ensemble, "_rows")
-        assert all(hasattr(learner, "_rows") for learner in ensemble.learners)
+        assert not any("_rows" in vars(learner) for learner in ensemble.learners)
+
+    def test_rows_are_built_by_the_first_predict_only(self):
+        X, tree, ensemble = f1_models()
+        loaded = loads_model(dumps_model(ensemble))
+        predict_batch(tree, X)
+        predict_boost_batch(loaded, X)
+        for row in X[:5]:
+            predict_boost(ensemble, row)
+        models = [tree, loads_model(dumps_model(tree)), *ensemble.learners, *loaded.learners]
+        assert not any("_rows" in vars(model) for model in models)
+        assert not hasattr(ensemble, "_rows")
+        predict(tree, X[0])
+        rows = vars(tree)["_rows"]
+        predict(tree, X[1])
+        assert tree._rows is rows
 
     @staticmethod
     def one_split(kind, theta1, theta2):
