@@ -37,19 +37,19 @@ def default_boost_tree_config(seed: int = 0) -> TreeConfig:
 class BoostConfig:
     """Boosting hyperparameters.
 
-    ``tree`` is the base-learner configuration; leaving it unset picks
+    ``tree`` is the base-learner configuration and defaults to
     :func:`default_boost_tree_config`, whose automatic step size adapts to
     the shrinking residual scale across stages.
     """
 
     m_stages: int = 50
     eta: float = 0.1
-    tree: TreeConfig | None = None
+    tree: TreeConfig = field(default_factory=default_boost_tree_config)
 
     def __post_init__(self):
         _check_numbers(self, ("m_stages",), ("eta",))
-        if not (self.tree is None or isinstance(self.tree, TreeConfig)):
-            raise ValueError(f"tree must be None or a TreeConfig, got {self.tree!r}")
+        if not isinstance(self.tree, TreeConfig):
+            raise ValueError(f"tree must be a TreeConfig, got {self.tree!r}")
         if not self.m_stages >= 0:
             raise ValueError("m_stages must be non-negative")
         if not 0.0 < self.eta <= 1.0:
@@ -140,8 +140,6 @@ def fit_boost(X, y, config: BoostConfig | None = None) -> BoostModel:
     """
     if config is None:
         config = BoostConfig()
-    tree_cfg = config.tree if config.tree is not None else default_boost_tree_config()
-    config = replace(config, tree=tree_cfg)
     X, y = check_training(X, y)
 
     f0 = float(np.mean(y))
@@ -159,7 +157,7 @@ def fit_boost(X, y, config: BoostConfig | None = None) -> BoostModel:
         r_sq = float(r @ r)
         if r_sq <= _RESIDUAL_FLOOR * sse0:
             break
-        learner = build_tree(X, r, _stage_config(tree_cfg, m))
+        learner = build_tree(X, r, _stage_config(config.tree, m))
         t = predict_batch(learner, X)
         miss_sq = float((r - t) @ (r - t))
         gamma = 1.0 - miss_sq / r_sq

@@ -36,8 +36,7 @@ from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 
-from .boost import (BoostConfig, BoostModel, default_boost_tree_config, fit_boost,
-                    gamma_bound_check, predict_boost_batch)
+from .boost import BoostConfig, BoostModel, fit_boost, gamma_bound_check, predict_boost_batch
 from .datasets import (
     Dataset,
     StandardizeTransform,
@@ -260,19 +259,18 @@ def cmd_train(args) -> int:
     if unread:
         raise CliConfigError(f"train {args.kind} does not read {', '.join(unread)}")
     file_cfg = _load_config_file(args.config, keys)
-    ds = _dataset(args)
-
+    ds = fit = _dataset(args)
     if args.standardize:
-        ds, _, transform = standardize(ds)
+        fit, _, transform = standardize(ds)
 
-    base = TreeConfig() if hrt else BoostConfig(tree=default_boost_tree_config())
-    config = _configure(base, args, file_cfg, seed=args.seed)
+    config = _configure(TreeConfig() if hrt else BoostConfig(), args, file_cfg, seed=args.seed)
     started = time.perf_counter()
-    model = build_tree(ds.X, ds.y, config) if hrt else fit_boost(ds.X, ds.y, config)
+    model = build_tree(fit.X, fit.y, config) if hrt else fit_boost(fit.X, fit.y, config)
     fit_time = time.perf_counter() - started
     if args.standardize:
         model = replace(model, preprocess={"standardize": transform.to_dict()})
 
+    # The raw rows: the model standardizes them itself, as eval does.
     scores = _assess(model, ds, "train_eval")
     save_model(model, args.out)
 

@@ -30,7 +30,7 @@ class NonFiniteInput(HingeTreeError):
 
 
 class CorruptModel(HingeTreeError):
-    """A model file is not JSON or lacks a key, a child or a well-formed coefficient vector."""
+    """A model file or document that :mod:`hingetree.serialize` rejects on load."""
 
 
 class LengthMismatch(HingeTreeError):

@@ -3,26 +3,32 @@
 Floats are emitted in Python's shortest round-trip decimal form, so a
 save/load cycle reproduces every binary64 value exactly and predictions
 are bit-identical.  Documents are written with sorted keys so identical
-models serialize to identical bytes.  Loading checks each value where it
-reads it, in one walk over the document.  Text that is not JSON, a missing
-key or child, a key that no document of its kind or node of its tag
-holds (an internal node may hold the fallback fields even when its split
-is not a fallback; they are then ignored), a coefficient vector that is
-not d+1 finite numbers, a fallback split without a feature index in
-[0, d) and a finite threshold, boost traces whose lengths disagree with
-each other or with the learners, a config field that is unknown or holds
-a value the config rejects, a count that is not a number, a trace entry
-that is not a finite number, a ``stage_retained`` entry that is not a
-boolean, an ``f0`` that is not finite, an ``eta`` outside (0, 1], or a
-``preprocess`` block that :meth:`~hingetree.datasets.StandardizeTransform.from_dict`
-rejects, that holds a key it does not read or whose width is not d raises
-:class:`CorruptModel`.  Growth records are not saved: loading builds each
-internal node's :class:`~hingetree.split.Split` and makes up no record.
+models serialize to identical bytes.  Saving serializes the whole model
+before it opens the file, so a save that fails leaves the file as it was.
+
+Loading checks each value where it reads it, in one walk over the
+document, and every document it rejects raises :class:`CorruptModel`:
+text that is not JSON, a ``format_version`` that is not the integer
+``FORMAT_VERSION``, an unknown model kind, a missing key or child, a key
+that no document of its kind or node of its tag holds (an internal node
+may hold the fallback fields even when its split is not a fallback; they
+are then ignored), boost traces whose lengths disagree with each other or
+with the learners, a config field that is unknown or holds a value the
+config rejects, a ``stage_retained`` entry that is not a boolean, an
+``eta`` outside (0, 1], or a ``preprocess`` block that
+:meth:`~hingetree.datasets.StandardizeTransform.from_dict` rejects, that
+holds a key it does not read or whose width is not d.  Numbers follow one
+rule and are never converted before it: a coefficient, ``f0``, ``eta``, a
+trace entry and a fallback threshold must be a finite JSON int or float
+(:func:`~hingetree.datasets._finite`; a boolean or a string is not one),
+and ``d``, ``n_train`` and a fallback feature (which must also lie in
+[0, d)) a non-negative JSON integer.  Growth records are not saved:
+loading builds each internal node's :class:`~hingetree.split.Split` and
+makes up no record.
 """
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import asdict
 
@@ -87,7 +93,7 @@ def _only(doc: dict, keys, where: str) -> None:
 
 @contextmanager
 def _reading(where: str):
-    """Report a document value that fails to convert as CorruptModel."""
+    """Report a config or transform that rejects its document block as CorruptModel."""
     try:
         yield
     except (TypeError, ValueError, OverflowError) as exc:
@@ -100,13 +106,10 @@ def _theta(values, d: int, where: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _finite_trace(values: list, where: str) -> list[float]:
-    with _reading(where):
-        trace = [float(v) for v in values]
-    for i, v in enumerate(trace):
-        if not math.isfinite(v):
-            raise CorruptModel(f"{where}[{i}]: expected a finite number, got {v!r}")
-    return trace
+def _number(value, where: str) -> float:
+    if not _finite(value):
+        raise CorruptModel(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _node_from_dict(doc, d: int, where: str) -> TreeNode:
@@ -118,8 +121,10 @@ def _node_from_dict(doc, d: int, where: str) -> TreeNode:
     _require(body, _NODE_KEYS[tag], where)
     _only(body, _NODE_KEYS[tag] + (_FALLBACK_KEYS if tag == "internal" else ()), where)
     if tag == "leaf":
-        with _reading(f"{where}.n_train"):
-            n_train = int(body["n_train"])
+        n_train = body["n_train"]
+        if type(n_train) is not int or n_train < 0:
+            raise CorruptModel(f"{where}.n_train: expected a non-negative integer, "
+                               f"got {n_train!r}")
         return Leaf(theta=_theta(body["theta"], d, f"{where}.theta"), n_train=n_train)
     if body["kind"] not in [k.value for k in HingeKind]:
         raise CorruptModel(f"{where}.kind: unknown hinge kind {body['kind']!r}")
@@ -131,13 +136,11 @@ def _node_from_dict(doc, d: int, where: str) -> TreeNode:
     feature = threshold = None
     if used:
         _require(body, _FALLBACK_KEYS, where)
-        feature, threshold = body["fallback_feature"], body["fallback_threshold"]
+        feature = body["fallback_feature"]
         if type(feature) is not int or not 0 <= feature < d:
             raise CorruptModel(f"{where}.fallback_feature: expected a feature index in "
                                f"[0, {d}), got {feature!r}")
-        if not _finite(threshold):
-            raise CorruptModel(f"{where}.fallback_threshold: expected a finite number, "
-                               f"got {threshold!r}")
+        threshold = _number(body["fallback_threshold"], f"{where}.fallback_threshold")
     split = Split(kind=HingeKind(body["kind"]), theta1=theta1, theta2=theta2,
                   fallback_feature=feature, fallback_threshold=threshold)
     return Internal(split=split,
@@ -179,20 +182,19 @@ def model_to_dict(model) -> dict:
 def model_from_dict(doc: dict):
     """Build a model from its document, checking each value as it is read.
 
-    A ``format_version`` that is not the integer ``FORMAT_VERSION`` (a
-    boolean is not an integer here) or an unknown model kind raises
-    ``ValueError``;
-    every other malformed value listed in the module docstring raises
-    :class:`CorruptModel`.
+    Every malformed value listed in the module docstring, an unsupported
+    ``format_version`` (a boolean is not an integer here) and an unknown
+    model kind included, raises :class:`CorruptModel`, and nothing else
+    does.
     """
     if not isinstance(doc, dict):
         raise CorruptModel("model: expected a JSON object")
     version = doc.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {version!r}")
+        raise CorruptModel(f"unsupported format_version {version!r}")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _MODEL_KEYS:
-        raise ValueError(f"unknown model kind {kind!r}")
+        raise CorruptModel(f"unknown model kind {kind!r}")
     _require(doc, _MODEL_KEYS[kind], "model")
     _only(doc, _MODEL_KEYS[kind] + _ENVELOPE_KEYS, "model")
     d = doc["d"]
@@ -221,20 +223,15 @@ def model_from_dict(doc: dict):
     with _reading("config"):
         config = BoostConfig(m_stages=doc["config"]["m_stages"], eta=doc["config"]["eta"],
                              tree=tree_config)
-    with _reading("f0"):
-        f0 = float(doc["f0"])
-    if not math.isfinite(f0):
-        raise CorruptModel(f"f0: expected a finite number, got {f0!r}")
-    with _reading("eta"):
-        eta = float(doc["eta"])
+    f0, eta = _number(doc["f0"], "f0"), doc["eta"]
     # Not required to equal config.eta: only this one scales the learners.
-    if not 0.0 < eta <= 1.0:
+    if not (_finite(eta) and 0.0 < eta <= 1.0):
         raise CorruptModel(f"eta: must lie in (0, 1], got {eta!r}")
     for key in ("learners", "gamma_trace", "loss_trace", "stage_retained"):
         if not isinstance(doc[key], list):
             raise CorruptModel(f"{key}: expected a list")
-    gamma_trace = _finite_trace(doc["gamma_trace"], "gamma_trace")
-    loss_trace = _finite_trace(doc["loss_trace"], "loss_trace")
+    gamma_trace = [_number(v, f"gamma_trace[{i}]") for i, v in enumerate(doc["gamma_trace"])]
+    loss_trace = [_number(v, f"loss_trace[{i}]") for i, v in enumerate(doc["loss_trace"])]
     stage_retained = doc["stage_retained"]
     for i, b in enumerate(stage_retained):
         if type(b) is not bool:
@@ -246,7 +243,7 @@ def model_from_dict(doc: dict):
     learners = [HrtModel(root=root, d=d, config=_stage_config(tree_config, next(stage, 0)),
                          stats=train_stats(root)) for root in roots]
     try:
-        return BoostModel(f0=f0, eta=eta, learners=learners, gamma_trace=gamma_trace,
+        return BoostModel(f0=f0, eta=float(eta), learners=learners, gamma_trace=gamma_trace,
                           loss_trace=loss_trace, stage_retained=stage_retained, d=d,
                           config=config, preprocess=preprocess)
     except ValueError as exc:  # the trace and learner counts disagree
@@ -268,8 +265,9 @@ def loads_model(text: str):
 
 
 def save_model(model, path: str) -> None:
+    text = dumps_model(model)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_model(model))
+        fh.write(text)
 
 
 def load_model(path: str):

@@ -42,6 +42,8 @@ def _check_numbers(config, integers, reals) -> None:
 
     ``integers`` take a ``numbers.Integral`` and ``reals`` a finite ``numbers.Real``; a bool is
     neither.  Exact ints and floats skip the ABC checks: the tree rebuilds a config per node.
+    A value of any other type, a NumPy scalar say, is stored as ``int`` or ``float`` so that
+    the config writes to JSON; an int in a real field stays an int.
     """
     for name in (*integers, *reals):
         value = getattr(config, name)
@@ -50,6 +52,8 @@ def _check_numbers(config, integers, reals) -> None:
                 or not -math.inf < value < math.inf):
             raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}"
                              f", got {value!r}")
+        if type(value) not in (int, float):
+            object.__setattr__(config, name, kind(value))
 
 
 def _read_only(theta) -> np.ndarray:

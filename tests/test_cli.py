@@ -350,6 +350,20 @@ class TestEval:
         assert_eval_and_flops(evaluated, "eval")
         assert evaluated["eval"] == trained["train_eval"]
 
+    @pytest.mark.parametrize("kind, size", [("hrt", ["--max-depth", "4"]),
+                                            ("boost", ["--stages", "5"])])
+    def test_standardized_train_report_equals_eval(self, tmp_path, capsys, kind, size):
+        # train scores the raw rows through the model's stored transform, as eval does.
+        data = tmp_path / "f1.csv"
+        run(capsys, "synth", "f1:n=300:sigma=0.1:seed=1", "--out", str(data))
+        out, train_report, eval_report = (tmp_path / f for f in ("m.json", "tr.json", "ev.json"))
+        run(capsys, "train", str(data), kind, *size, "--standardize", "--out", str(out),
+            "--json", str(train_report))
+        code, _, _ = run(capsys, "eval", str(out), str(data), "--json", str(eval_report))
+        assert code == 0
+        assert json.loads(eval_report.read_text())["eval"] == \
+            json.loads(train_report.read_text())["train_eval"]
+
     def test_dimension_mismatch_exit_code(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         run(capsys, "train", SINC, "hrt", "--out", str(out))
@@ -379,6 +393,15 @@ class TestCorruptModelFile:
         assert code == 3
         assert err.startswith("error: model: missing 'root'")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("format_version", 2, "error: unsupported format_version 2"),
+        ("kind", "forest", "error: unknown model kind 'forest'"),
+    ])
+    def test_unreadable_envelope_is_data_error(self, tmp_path, capsys, key, value, message):
+        code, _, err = self.corrupt(tmp_path, capsys, lambda doc: doc.__setitem__(key, value))
+        assert code == 3
+        assert err == message + "\n"
 
     def test_missing_left_child_is_data_error(self, tmp_path, capsys):
         code, _, err = self.corrupt(tmp_path, capsys,
@@ -421,7 +444,7 @@ class TestCorruptModelFile:
         out.write_text(json.dumps(doc))
         code, _, err = run(capsys, "eval", str(out), SINC)
         assert code == 3
-        assert err.startswith("error: f0: could not convert string to float")
+        assert err.startswith("error: f0: expected a finite number, got 'zero'")
 
     @pytest.mark.parametrize("key, value", [("fallback_feature", [1]),
                                             ("fallback_threshold", "x")])

@@ -418,9 +418,6 @@ def test_an_edited_document_loads_whole_or_raises_corrupt_model(text):
         model = loads_model(text)
     except CorruptModel:
         return
-    except ValueError as exc:
-        assert str(exc).startswith(("unsupported format_version", "unknown model kind"))
-        return
     dumps_model(model)
     X = np.random.default_rng(0).uniform(-3.0, 5.0, size=(7, model.d))
     assert np.isfinite(cli._predictions(model, X)).all()

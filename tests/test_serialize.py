@@ -126,7 +126,7 @@ class TestTreeRoundTrip:
         _, model = trained_tree()
         doc = model_to_dict(model)
         doc["format_version"] = 99
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptModel, match="^unsupported format_version 99$"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("value", [True, 1.0, "1", None])
@@ -134,15 +134,39 @@ class TestTreeRoundTrip:
         # True == 1 and 1.0 == 1 in Python; neither is the format's integer.
         doc = model_to_dict(trained_tree()[1])
         doc["format_version"] = value
-        with pytest.raises(ValueError, match=f"^unsupported format_version {value!r}$"):
+        with pytest.raises(CorruptModel, match=f"^unsupported format_version {value!r}$"):
             loads_model(json.dumps(doc))
 
     def test_unknown_kind_rejected(self):
         _, model = trained_tree()
         doc = model_to_dict(model)
         doc["kind"] = "mystery"
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptModel, match="^unknown model kind 'mystery'$"):
             model_from_dict(doc)
+
+    def test_numpy_scalar_config_round_trips_with_builtin_numbers(self, tmp_path):
+        ds = gen_synthetic("sinc", 200, 0.025, seed=2)
+        config = TreeConfig(d_max=np.int64(2), tau_rmse=np.float32(0.25),
+                            split=SplitConfig(step=np.float32(0.5), t_max=np.uint8(20)))
+        model = build_tree(ds.X, ds.y, config)
+        path = tmp_path / "np.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.config == model.config
+        assert [type(v) for v in (back.config.d_max, back.config.tau_rmse,
+                                  back.config.split.step, back.config.split.t_max)] == \
+            [int, float, float, int]
+        assert dumps_model(back) == dumps_model(model)
+        points = np.random.default_rng(3).uniform(-1.5, 1.5, size=(200, 1))
+        assert predict_batch(back, points).tobytes() == predict_batch(model, points).tobytes()
+
+    def test_failing_save_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "tree.json"
+        save_model(trained_tree()[1], path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="unsupported model type"):
+            save_model(gen_synthetic("f1", 10), path)
+        assert path.read_bytes() == before
 
     def test_json_floats_round_trip_exactly(self):
         _, model = trained_tree(seed=11)
@@ -197,6 +221,13 @@ class TestBoostRoundTrip:
         back = loads_model(dumps_model(model))
         assert [t.config for t in back.learners] == [t.config for t in model.learners]
         assert len({t.config.split.seed for t in back.learners}) == 3
+
+    def test_default_config_round_trips(self):
+        # BoostConfig() holds the default base-learner config, which the loader reads back.
+        model = replace(trained_boost()[1], config=BoostConfig())
+        text = dumps_model(model)
+        assert loads_model(text).config == BoostConfig()
+        assert dumps_model(loads_model(text)) == text
 
     def test_document_with_dropped_fallback_key_loads(self):
         _, model = trained_boost(seed=3)
@@ -412,6 +443,7 @@ class TestCorruptModel:
 
     @pytest.mark.parametrize("key, value", [
         ("f0", "zero"), ("f0", None), ("eta", "fast"), ("eta", [0.2]),
+        ("f0", "1.5"), ("f0", True),
     ])
     def test_non_numeric_boost_scalar(self, key, value):
         doc = model_to_dict(trained_boost()[1])
@@ -423,10 +455,10 @@ class TestCorruptModel:
     def test_non_numeric_trace_entry(self, key):
         doc = model_to_dict(trained_boost()[1])
         doc[key][1] = "low"
-        with pytest.raises(CorruptModel, match=f"^{key}: "):
+        with pytest.raises(CorruptModel, match=rf"^{key}\[1\]: expected a finite number"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("value", ["many", None, float("inf")])
+    @pytest.mark.parametrize("value", ["many", None, float("inf"), 7.9, 7.0, "5", True, -1])
     def test_non_numeric_leaf_count(self, value):
         doc = self.tree_doc()
         first_leaf(doc["root"])["n_train"] = value
@@ -480,10 +512,10 @@ class TestCorruptModel:
     def test_kind_that_is_not_a_string(self):
         doc = self.tree_doc()
         doc["kind"] = ["hrt"]
-        with pytest.raises(ValueError, match=r"unknown model kind \['hrt'\]"):
+        with pytest.raises(CorruptModel, match=r"unknown model kind \['hrt'\]"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("value", [3, 0, -0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [3, 0, -0.5, float("nan"), float("inf"), True, "0.5"])
     def test_boost_eta_out_of_range(self, value):
         # Checked against its range, not against config.eta.
         doc = model_to_dict(trained_boost()[1])
@@ -517,6 +549,15 @@ class TestCorruptModel:
         doc = model_to_dict(trained_boost()[1])
         doc["stage_retained"][1] = value
         with pytest.raises(CorruptModel, match=r"^stage_retained\[1\]: expected true or false"):
+            loads_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["loss_trace", "gamma_trace"])
+    @pytest.mark.parametrize("value", ["2.5", False])
+    def test_trace_entry_that_is_not_a_json_number(self, key, value):
+        doc = model_to_dict(trained_boost()[1])
+        doc[key][1] = value
+        with pytest.raises(CorruptModel, match=rf"^{key}\[1\]: expected a finite number, "
+                                               rf"got {re.escape(repr(value))}$"):
             loads_model(json.dumps(doc))
 
     def test_integer_beyond_the_float_range(self):

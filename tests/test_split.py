@@ -13,6 +13,7 @@ from hingetree import (
     augment,
     backtracking_step,
     damped_update,
+    default_boost_tree_config,
     find_optimal_split,
     gen_synthetic,
     initialize_params,
@@ -166,16 +167,28 @@ class TestConfigValidation:
         (BoostConfig, "eta", float("nan")),
         (BoostConfig, "eta", "0.1"),
         (BoostConfig, "tree", SplitConfig()),
+        (BoostConfig, "tree", None),
     ])
     def test_bad_value_names_its_field(self, config, field, value):
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             config(**{field: value})
 
     def test_numpy_scalars_are_numbers(self):
+        # Stored as builtin numbers, so that the config writes to JSON; an int in a real
+        # field keeps its type.
         split = SplitConfig(t_max=np.int64(5), seed=np.uint64(7), epsilon=np.float32(0.5),
-                            step=np.float64(0.25))
+                            step=np.float64(0.25), ridge_alpha=0)
         tree = TreeConfig(d_max=np.int32(2), tau_rmse=np.float64(0.0), split=split)
-        assert BoostConfig(m_stages=np.int64(3), eta=np.float64(0.5), tree=tree).tree is tree
+        boost = BoostConfig(m_stages=np.int64(3), eta=np.float64(0.5), tree=tree)
+        assert boost.tree is tree
+        values = [split.t_max, split.seed, split.epsilon, split.step, split.ridge_alpha,
+                  tree.d_max, tree.tau_rmse, boost.m_stages, boost.eta]
+        assert [(type(v), v) for v in values] == [
+            (int, 5), (int, 7), (float, 0.5), (float, 0.25), (int, 0), (int, 2), (float, 0.0),
+            (int, 3), (float, 0.5)]
+
+    def test_boost_tree_defaults_to_the_base_learner_config(self):
+        assert BoostConfig().tree == default_boost_tree_config()
 
 
 class TestObjective:
