@@ -74,9 +74,13 @@ class BoostModel:
     order, into one router table (:func:`~hingetree.tree._flatten`).  It
     raises ``ValueError`` unless ``loss_trace`` has one entry per stage
     plus the initializer's, ``learners`` one per retained stage, and
-    ``gamma_trace`` one per stage or none (a legacy file).  The model, its
-    learners and their nodes cannot change, so a changed ensemble is a new
-    model (:func:`dataclasses.replace`).
+    ``gamma_trace`` one per stage or none (a legacy file), and, once the
+    table is built, unless each retained stage m's learner has the config
+    :func:`fit_boost` gives it, ``_stage_config(config.tree, m)``: a saved
+    file keeps only ``config.tree``, so a learner of another config would
+    load with one it was not fitted with.  The model, its learners and
+    their nodes cannot change, so a changed ensemble is a new model
+    (:func:`dataclasses.replace`).
     """
 
     f0: float
@@ -106,6 +110,10 @@ class BoostModel:
             raise ValueError(f"gamma_trace: expected {stages} entries or none, "
                              f"got {len(self.gamma_trace)}")
         object.__setattr__(self, "_table", _flatten([t.root for t in self.learners], self.d))
+        kept_stages = (m for m, kept in enumerate(self.stage_retained, start=1) if kept)
+        for i, (m, learner) in enumerate(zip(kept_stages, self.learners)):
+            if learner.config != _stage_config(self.config.tree, m):
+                raise ValueError(f"learners[{i}]: config is not stage {m}'s config.tree")
 
 
 @dataclass

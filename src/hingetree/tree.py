@@ -1,10 +1,12 @@
-"""Recursive tree construction over hinge splits, plus prediction routing.
+"""Tree construction by one node-expansion step over a preorder stack, plus prediction routing.
 
-A node becomes a leaf (its own ridge fit) when the depth cap, the minimum
-sample count, or the RMSE threshold fires.  Otherwise both hinge variants
-are optimized and the better one routes the samples; if optimization
-stalls, a random-feature median split keeps growth going.  The node keeps
-only the :class:`~hingetree.split.Split` that routes; the optimizer's
+:func:`_expand` grows one node: it stays a leaf (its own ridge fit) when
+the depth cap, the minimum sample count, or the RMSE threshold fires;
+otherwise the better of the two optimized hinge variants routes its
+samples, or a random-feature median split does when optimization stalls.
+:func:`build_tree` pops pending nodes off a stack in preorder, left subtree
+before right, and then builds the frozen nodes children first.  A node
+keeps only the :class:`~hingetree.split.Split` that routes; the optimizer's
 :class:`~hingetree.split.SplitOutcome` goes to :func:`train_stats`.
 
 Every routing test is one rule, :func:`~hingetree.split._first_pair`: a
@@ -130,12 +132,13 @@ class TrainStats:
     (the root is at 0), ``n_splits`` counts the internal nodes (always
     ``n_leaves - 1``) and ``n_fallbacks`` those whose split is a median
     fallback.  ``per_node_traces`` holds the objective trace of every
-    :func:`~hingetree.split.select_split` outcome in growth order, splits
-    that a fallback replaced included, so it can be longer than ``n_splits``.
-    ``total_split_iterations`` and ``total_variant_iterations`` sum the
-    winning variant's and both variants' iterations over the same outcomes.
-    Only growth has them: a loaded tree's counters read 0, its traces ``None``.
-    The traces are a tuple of tuples, so they cannot be edited.
+    :func:`~hingetree.split.select_split` outcome in preorder, left subtree
+    before right, splits that a fallback replaced included, so it can be
+    longer than ``n_splits``.  ``total_split_iterations`` and
+    ``total_variant_iterations`` sum the winning variant's and both variants'
+    iterations over the same outcomes.  Only growth has them: a loaded tree's
+    counters read 0, its traces ``None``.  The traces are a tuple of tuples,
+    so they cannot be edited.
     """
 
     n_leaves: int
@@ -195,44 +198,30 @@ class HrtModel:
                                       table.left.tolist(), table.right.tolist())))
 
 
-def _first_mask(split: Split, X: np.ndarray) -> np.ndarray:
-    """Which rows of ``X`` the split sends to its first branch."""
-    p, q = _first_pair(split.kind, split.theta1, split.theta2)
-    return affine(X, p) >= affine(X, q)
+def _expand(X, y, depth, seed, config: TreeConfig, fits: list[SplitOutcome]):
+    """One node's growth step: ``(theta_leaf, split, first)``, the last two None for a leaf.
 
-
-def _grow(X, y, depth, seed, config: TreeConfig, fits: list[SplitOutcome]) -> TreeNode:
+    A split routes only if each side of its mask ``first`` gets ``n_min`` rows; the
+    median fallback is drawn when the hinge did not converge or fails that test.
+    """
     n = X.shape[0]
     theta_leaf = fit_or_mean(augment(X), y, config.split.ridge_alpha)
     rmse = float(np.sqrt(np.mean((y - affine(X, theta_leaf)) ** 2)))
     if depth >= config.d_max or n < config.n_min or rmse < config.tau_rmse:
-        return Leaf(theta=theta_leaf, n_train=n)
-
+        return theta_leaf, None, None
     outcome = select_split(X, y, replace(config.split, seed=seed))
     fits.append(outcome)
-    split = Split(kind=outcome.kind, theta1=outcome.theta1, theta2=outcome.theta2)
-
-    first = _first_mask(split, X)
-    n_first = int(np.count_nonzero(first))
-    # A split that cannot produce two viable children stalls growth just
-    # like non-convergence does, so both symptoms route to the fallback.
-    stalled = (not outcome.converged) or min(n_first, n - n_first) < config.n_min
-    if stalled:
+    for hinge in (True, False) if outcome.converged else (False,):
         try:
-            split = median_fallback(X, seed=derive_seed(seed, depth, 2))
+            split = (Split(kind=outcome.kind, theta1=outcome.theta1, theta2=outcome.theta2) if hinge
+                     else median_fallback(X, seed=derive_seed(seed, depth, 2)))
         except AllFeaturesConstant:
-            return Leaf(theta=theta_leaf, n_train=n)
-        first = _first_mask(split, X)
-        n_first = int(np.count_nonzero(first))
-
-    if min(n_first, n - n_first) < config.n_min:
-        # Ineffective split: keep the node's own fit.
-        return Leaf(theta=theta_leaf, n_train=n)
-
-    second = ~first
-    left = _grow(X[first], y[first], depth + 1, derive_seed(seed, depth, 0), config, fits)
-    right = _grow(X[second], y[second], depth + 1, derive_seed(seed, depth, 1), config, fits)
-    return Internal(split=split, left=left, right=right)
+            break
+        p, q = _first_pair(split.kind, split.theta1, split.theta2)
+        first = affine(X, p) >= affine(X, q)
+        if config.n_min <= np.count_nonzero(first) <= n - config.n_min:
+            return theta_leaf, split, first
+    return theta_leaf, None, None
 
 
 def _preorder(root: TreeNode):
@@ -281,9 +270,20 @@ def build_tree(X, y, config: TreeConfig | None = None) -> HrtModel:
     if config is None:
         config = TreeConfig()
     X, y = check_training(X, y)
-    fits: list[SplitOutcome] = []
-    root = _grow(X, y, 0, config.split.seed & _MASK64, config, fits)
-    return HrtModel(root=root, d=X.shape[1], config=config, stats=train_stats(root, fits))
+    # A LIFO stack with the right child pushed first expands the nodes in preorder.
+    pending, expanded, fits = [(X, y, 0, config.split.seed & _MASK64)], [], []
+    while pending:
+        Xn, yn, depth, seed = pending.pop()
+        theta_leaf, split, first = _expand(Xn, yn, depth, seed, config, fits)
+        expanded.append((theta_leaf, split, Xn.shape[0]))
+        if split is not None:
+            for slot, rows in ((1, ~first), (0, first)):
+                pending.append((Xn[rows], yn[rows], depth + 1, derive_seed(seed, depth, slot)))
+    built: list[TreeNode] = []
+    for theta_leaf, split, n in reversed(expanded):  # children first, the left subtree on top
+        built.append(Leaf(theta=theta_leaf, n_train=n) if split is None
+                     else Internal(split=split, left=built.pop(), right=built.pop()))
+    return HrtModel(root=built[0], d=X.shape[1], config=config, stats=train_stats(built[0], fits))
 
 
 def check_features(X, d: int) -> np.ndarray:

@@ -35,6 +35,7 @@ from hingetree import (
     predict_boost_batch,
     staged_losses,
 )
+from hingetree.boost import _stage_config
 from hingetree.split import Split
 from hingetree.tree import Internal, Leaf, train_stats
 from conftest import hinge_regression, random_regression, walked_boost
@@ -245,8 +246,8 @@ def split(kind, theta1, theta2, left, right):
 
 def ensemble(roots, d, f0=0.5, eta=0.5):
     """An ensemble of hand-built trees, one retained stage per root."""
-    learners = [HrtModel(root=root, d=d, config=TreeConfig(), stats=train_stats(root))
-                for root in roots]
+    learners = [HrtModel(root=root, d=d, config=_stage_config(BoostConfig().tree, m),
+                         stats=train_stats(root)) for m, root in enumerate(roots, start=1)]
     n = len(learners)
     return BoostModel(f0=f0, eta=eta, learners=learners, gamma_trace=[0.0] * n,
                       loss_trace=[1.0] * (n + 1), stage_retained=[True] * n, d=d,
@@ -379,7 +380,11 @@ class TestStagedLosses:
         ds, model = sinc_boost(m_stages=3)
         # Stages are discarded only through rounding; mark one by hand.
         retained, gammas, losses = model.stage_retained, model.gamma_trace, model.loss_trace
-        model = replace(model, stage_retained=retained[:1] + (False,) + retained[1:],
+        # The learners move to stages 1, 3 and 4, each with its stage's config.
+        learners = [replace(t, config=_stage_config(model.config.tree, m))
+                    for m, t in zip((1, 3, 4), model.learners)]
+        model = replace(model, learners=learners,
+                        stage_retained=retained[:1] + (False,) + retained[1:],
                         gamma_trace=gammas[:1] + (0.0,) + gammas[1:],
                         loss_trace=losses[:2] + losses[1:])
         losses = staged_losses(model, ds.X, ds.y)
@@ -388,7 +393,7 @@ class TestStagedLosses:
 
 
 class TestStageCounts:
-    """An ensemble whose traces contradict its stages is rejected when it is built."""
+    """An ensemble whose traces or learners contradict its stages is rejected when it is built."""
 
     @pytest.mark.parametrize("edit, message", [
         (lambda b: {"loss_trace": b.loss_trace[:2]},
@@ -401,12 +406,28 @@ class TestStageCounts:
          "stage_retained: 3 retained stages for 2 learners"),
         (lambda b: {"gamma_trace": b.gamma_trace[:2]},
          "gamma_trace: expected 3 entries or none, got 2"),
-    ], ids=["short-loss", "more-stages", "unretained", "short-learners", "short-gamma"])
+        # The counts are checked first: these learners are also of other stages.
+        (lambda b: {"learners": b.learners[1:]},
+         "stage_retained: 3 retained stages for 2 learners"),
+        (lambda b: {"learners": b.learners[:1] * 2 + b.learners[2:]},
+         "learners[1]: config is not stage 2's config.tree"),
+    ], ids=["short-loss", "more-stages", "unretained", "short-learners", "short-gamma",
+            "learners-of-later-stages", "learner-of-another-stage"])
     def test_inconsistent_counts_raise(self, edit, message):
         _, model = sinc_boost(m_stages=3)
         assert model.stage_retained == (True,) * 3
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             replace(model, **edit(model))
+
+    def test_learner_fitted_under_another_config_raises(self):
+        # A saved file keeps only config.tree, so this model would load with d_max 3 learners.
+        ds = gen_synthetic("f1", 200, 0.1, 1)
+        model = fit_boost(ds.X, ds.y, BoostConfig(m_stages=3, tree=TreeConfig(d_max=2)))
+        assert [t.config.d_max for t in model.learners] == [2, 2, 2]
+        message = "learners[0]: config is not stage 1's config.tree"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            replace(model, config=BoostConfig(m_stages=3))
+
 
 
 class TestGammaBoundCheck:

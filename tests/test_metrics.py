@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hingetree import (
     hrt_inference_flops,
     split_train_test,
 )
+from hingetree.boost import _stage_config
 from hingetree.tree import Internal, Leaf
 
 
@@ -51,6 +53,9 @@ def balanced_model(depth, d):
 
 def boost_of(learners, d, eta=0.1):
     stages = len(learners)
+    # Each learner takes its stage's config, as fit_boost gives it.
+    learners = [replace(t, config=_stage_config(BoostConfig().tree, m))
+                for m, t in enumerate(learners, start=1)]
     return BoostModel(f0=0.5, eta=eta, learners=learners,
                       gamma_trace=[0.1] * stages, loss_trace=[1.0] * (stages + 1),
                       stage_retained=[True] * stages, d=d, config=BoostConfig())

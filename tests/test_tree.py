@@ -28,15 +28,17 @@ from hingetree import (
     gen_synthetic,
     load_csv,
     loads_model,
+    median_fallback,
     predict,
     predict_batch,
     predict_boost,
     predict_boost_batch,
     ridge_solve,
+    select_split,
     write_csv,
 )
 from hingetree.linear import affine_row
-from hingetree.split import _first_pair
+from hingetree.split import SplitOutcome, _first_pair
 from hingetree.tree import Internal, Leaf, _preorder, derive_seed, train_stats
 from conftest import hinge_regression, random_regression, relabel_leaves
 
@@ -229,6 +231,50 @@ class TestBuildTree:
             rmses.append(float(np.sqrt(np.mean(residual ** 2))))
         assert rmses[0] >= rmses[1] >= rmses[2]
         assert rmses[2] < 0.5 * rmses[0]
+
+
+class TestGrowthExits:
+    """The node a stalled split leaves, with ``select_split`` and ``median_fallback`` replaced."""
+
+    CONFIG = TreeConfig(d_max=1, n_min=5, tau_rmse=0.0)
+
+    @staticmethod
+    def axis_split(X, n_second, **fallback):
+        """An axis split as ``median_fallback`` encodes it, the ``n_second`` lowest-x0 rows second."""
+        m = np.sort(X[:, 0])[n_second]
+        return Split(kind=HingeKind.MAX, theta1=np.array([1.0, 0.0, -m]),
+                     theta2=np.array([-1.0, 0.0, m]), **fallback)
+
+    @staticmethod
+    def outcome(split, converged):
+        return SplitOutcome(theta1=split.theta1, theta2=split.theta2, kind=split.kind,
+                            converged=converged, iterations=0, objective_trace=[1.0])
+
+    def test_converged_hinge_with_a_small_child_gives_way_to_the_fallback(self, monkeypatch):
+        X, y = random_regression(4, 60, 2)
+        hinge = self.outcome(self.axis_split(X, self.CONFIG.n_min - 1), converged=True)
+        monkeypatch.setattr(hingetree.tree, "select_split", lambda X, y, config: hinge)
+        model = build_tree(X, y, self.CONFIG)
+        drawn = median_fallback(X, seed=derive_seed(self.CONFIG.split.seed, 0, 2))
+        root = model.root
+        assert isinstance(root, Internal) and root.split.used_fallback
+        assert (root.split.fallback_feature, root.split.fallback_threshold) == (
+            drawn.fallback_feature, drawn.fallback_threshold)
+        assert root.left.n_train + root.right.n_train == 60
+        assert model.stats.per_node_traces == ((1.0,),) and model.stats.n_fallbacks == 1
+
+    def test_fallback_with_a_small_child_keeps_the_nodes_fit(self, monkeypatch):
+        X, y = random_regression(4, 60, 2)
+        stalled = self.outcome(self.axis_split(X, 30), converged=False)
+        fallback = self.axis_split(X, self.CONFIG.n_min - 1, fallback_feature=0,
+                                   fallback_threshold=0.0)
+        monkeypatch.setattr(hingetree.tree, "select_split", lambda X, y, config: stalled)
+        monkeypatch.setattr(hingetree.tree, "median_fallback", lambda X, seed: fallback)
+        model = build_tree(X, y, self.CONFIG)
+        own = build_tree(X, y, replace(self.CONFIG, d_max=0)).root
+        assert isinstance(model.root, Leaf) and model.root.n_train == 60
+        assert model.root.theta.tobytes() == own.theta.tobytes()
+        assert model.stats.per_node_traces == ((1.0,),) and model.stats.n_splits == 0
 
 
 class TestPredict:
@@ -619,3 +665,24 @@ class TestSeeds:
         assert len(seeds) == 64
         assert derive_seed(1234, 3, 1) == derive_seed(1234, 3, 1)
         assert derive_seed(1234, 3, 1) != derive_seed(1235, 3, 1)
+
+    def test_nodes_are_optimized_in_preorder(self, monkeypatch):
+        seeds = []
+
+        def recording(X, y, config):
+            seeds.append(config.seed)
+            return select_split(X, y, config)
+
+        monkeypatch.setattr(hingetree.tree, "select_split", recording)
+        ds = gen_synthetic("f1", 400, 0.1, seed=3)
+        config = TreeConfig(d_max=3, split=SplitConfig(step="auto", seed=11))
+        model = build_tree(ds.X, ds.y, config)
+        assert len(model.stats.per_node_traces) == model.stats.n_splits == 7
+
+        def preorder(node, seed, depth):
+            if isinstance(node, Internal):
+                yield seed
+                yield from preorder(node.left, derive_seed(seed, depth, 0), depth + 1)
+                yield from preorder(node.right, derive_seed(seed, depth, 1), depth + 1)
+
+        assert seeds == list(preorder(model.root, config.split.seed, 0))
