@@ -179,11 +179,14 @@ def _read_csv(path: str, header: bool, target=None):
         if len(cells) != width:
             raise ParseError(lineno, min(len(cells), width) + 1,
                              f"expected {width} columns, got {len(cells)}")
-        for c, cell in enumerate(cells):
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise NonNumericCell(lineno, c + 1, cell.strip()) from None
+        try:
+            values[r] = list(map(float, cells))  # float() per cell, so the bits are float()'s
+        except ValueError:
+            for c, cell in enumerate(cells):  # find the row's first bad cell
+                try:
+                    float(cell)
+                except ValueError:
+                    raise NonNumericCell(lineno, c + 1, cell.strip()) from None
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, c = bad[0]

@@ -4,17 +4,19 @@ Every predictor in this package is affine and stored as one coefficient
 vector of length d+1: feature weights first, bias last.  The solver works
 on the augmented design (features plus a trailing column of ones) so the
 bias lives inside the coefficient vector but stays outside the penalty.
-One builder forms the normal equations, as a stack of systems, for
-:func:`ridge_solve` (a stack of one) and for :func:`ridge_solve_pair`
-(a hinge split's two sides).  One solver, :func:`_spd_solve`, factorizes a
+One builder, :func:`_normal_equations`, forms the normal equations as a
+stack of systems, for :func:`ridge_solve` (a stack of one) and for
+:func:`ridge_solve_pair` (a hinge split's two sides): each product is
+written into its slot of the stack, and a positive penalty is added to
+the whole stack in place.  One solver, :func:`_spd_solve`, factorizes a
 stack by Cholesky and solves on the factors through the LAPACK gufuncs
 that ``np.linalg.cholesky`` and ``np.linalg.solve`` wrap, imported from
 ``numpy.linalg._umath_linalg``: the wrappers' per-call Python overhead
 was most of a small solve's time, and skipping it keeps their bits
 (``tests/test_linear.py::TestSpdSolve`` checks this against the public
 functions).  A stacked solve has the bits of single solves.  The normal
-equations' products go through ``np.dot``, which makes the BLAS call of
-``np.matmul`` (``dsyrk`` for the Gram matrix, ``dgemv`` for the
+equations' products go through ``ndarray.dot``, which makes the BLAS
+call of ``np.matmul`` (``dsyrk`` for the Gram matrix, ``dgemv`` for the
 right-hand side) without its ufunc dispatch and so has its bits
 (``tests/test_linear.py::TestDotMatchesMatmul`` pins this).
 Every routing decision and leaf value is evaluated by :func:`affine` or
@@ -77,23 +79,26 @@ def _penalty(p: int, alpha: float) -> np.ndarray:
 
 
 def _normal_equations(designs, targets, alpha: float):
-    """``(gram, rhs, system)`` of one ridge problem per (design, target), stacked.
+    """``(rhs, system)`` of one ridge problem per (design, target), stacked.
 
     ``designs`` are augmented float designs of one width p and ``targets``
     their 1-D targets.  Each Gram matrix and right-hand side is one
-    ``np.dot`` written into its slot of a ``(k, p, p)`` and a ``(k, p)``
-    stack, with the bits of ``X.T @ X`` and ``X.T @ y``.  ``system`` is
-    ``gram`` when alpha is 0; otherwise the penalty matrix, formed once per
-    (p, alpha) and cached read-only, is added to the whole stack at once.
+    ``ndarray.dot`` written into its slot of a ``(k, p, p)`` and a
+    ``(k, p)`` stack, with the bits of ``X.T @ X`` and ``X.T @ y``.  When
+    alpha is positive the penalty matrix, formed once per (p, alpha) and
+    cached read-only, is added to the whole Gram stack in place, so
+    ``system`` holds the penalized matrices and no unpenalized copy is kept.
     """
     p = designs[0].shape[1]
-    gram = np.empty((len(designs), p, p))
+    system = np.empty((len(designs), p, p))
     rhs = np.empty((len(designs), p))
     for i, (X, y) in enumerate(zip(designs, targets)):
-        np.dot(X.T, X, out=gram[i])
-        np.dot(X.T, y, out=rhs[i])
-    system = gram + _penalty(p, alpha) if alpha > 0 else gram
-    return gram, rhs, system
+        XT = X.T
+        XT.dot(X, out=system[i])
+        XT.dot(y, out=rhs[i])
+    if alpha > 0:
+        system += _penalty(p, alpha)
+    return rhs, system
 
 
 def _not_positive_definite(err, flag):
@@ -141,13 +146,14 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         raise ValueError("design and target row counts differ")
     if alpha < 0:
         raise ValueError("ridge penalty must be non-negative")
-    gram, rhs, system = _normal_equations((X,), (y,), alpha)
+    rhs, system = _normal_equations((X,), (y,), alpha)
     try:
         return _spd_solve(system, rhs)[0]
     except np.linalg.LinAlgError:
         pass
     p = X.shape[1]
-    jitter = JITTER_SCALE * float(np.trace(gram[0])) / p
+    # The builder keeps no unpenalized Gram matrix; the rare retry forms it again.
+    jitter = JITTER_SCALE * float(np.trace(X.T.dot(X))) / p
     try:
         return _spd_solve(system + jitter * np.eye(p), rhs)[0]
     except np.linalg.LinAlgError:
@@ -174,7 +180,7 @@ def ridge_solve_pair(X1: np.ndarray, y1: np.ndarray, X2: np.ndarray, y2: np.ndar
     """
     if alpha < 0:
         raise ValueError("ridge penalty must be non-negative")
-    _, rhs, system = _normal_equations((X1, X2), (y1, y2), alpha)
+    rhs, system = _normal_equations((X1, X2), (y1, y2), alpha)
     try:
         return _spd_solve(system, rhs)
     except np.linalg.LinAlgError:

@@ -17,7 +17,10 @@ through ``ndarray.dot``, which makes the BLAS call of the ``@`` operator
 (``tests/test_linear.py::TestDotMatchesMatmul`` pins this); the hinge
 kind is resolved to its ufuncs once per call (:func:`_hinge`).
 Every function that takes samples and targets checks them with
-:func:`~hingetree.linear.check_training` first.
+:func:`~hingetree.linear.check_training` first.  :func:`select_split`
+checks and augments a node once and hands that design, with one refit
+cache, to the initialization and both variants it runs (:class:`_Node`),
+so a node's partitions are each solved once.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -383,6 +387,29 @@ def backtracking_step(X, y, theta1, theta2, kind: HingeKind,
     return mu, new1, new2
 
 
+class _Node(NamedTuple):
+    """One node's checked samples, their augmented design, and the refit targets solved on them.
+
+    Built by :func:`_checked_node`: once per node by :func:`select_split`,
+    which hands it to :func:`initialize_params` and to both
+    :func:`find_optimal_split` variants, or else once per call.
+    ``solved`` maps the bytes of a first-side mask to the ``(2, d+1)``
+    targets of a refit that depended on that partition alone; they are
+    never written.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    Xa: np.ndarray
+    solved: dict[bytes, np.ndarray]
+
+
+def _checked_node(X, y) -> _Node:
+    """The checked (:func:`~hingetree.linear.check_training`) and augmented node, with no refits."""
+    X, y = check_training(X, y)
+    return _Node(X, y, augment(X), {})
+
+
 def _column_ranges(X) -> np.ndarray:
     """``X.max(axis=0) - X.min(axis=0)`` with its bits, signed zeros included.
 
@@ -396,7 +423,7 @@ def _column_ranges(X) -> np.ndarray:
     return Xt.max(axis=1) - Xt.min(axis=1)
 
 
-def initialize_params(X, y, alpha: float = 0.0, seed: int = 0):
+def initialize_params(X, y, alpha: float = 0.0, seed: int = 0, *, _node: _Node | None = None):
     """Data-driven starting point for the alternating optimization.
 
     Splits at the median of the largest-range feature (ranges by
@@ -407,12 +434,20 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0):
     from the global fit plus small independent perturbations.  A final
     diversity check keeps theta1 and theta2 from being numerically
     identical.  Deterministic given seed.
+
+    ``_node``, private to this module, is the node of ``X`` and ``y``
+    already checked and augmented (:func:`select_split` and
+    :func:`find_optimal_split` pass it); without it they are checked and
+    augmented here.  The refit neither reads nor
+    fills the node's refit cache: it runs with ``min_subset`` 2, not the
+    split's, so a side too small for the split's ``min_subset`` is fitted
+    here where an iteration would keep its parameters (and the reverse
+    when the split's is 1).
     """
-    X, y = check_training(X, y)
+    X, y, Xa, _ = _node or _checked_node(X, y)
     n, d = X.shape
     if n < 2:
         raise TooFewSamples("initialization needs at least 2 samples")
-    Xa = augment(X)
     rng = None  # made on the first perturbation that draws from it
 
     k = int(np.argmax(_column_ranges(X)))
@@ -455,7 +490,8 @@ def _check_size(n: int, config: SplitConfig) -> None:
 
 
 def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
-                       start: tuple[np.ndarray, np.ndarray] | None = None) -> SplitOutcome:
+                       start: tuple[np.ndarray, np.ndarray] | None = None, *,
+                       _node: _Node | None = None) -> SplitOutcome:
     """Optimize one hinge split of the given kind.
 
     Starts from ``start``, a ``(theta1, theta2)`` pair, or from
@@ -463,29 +499,37 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     modified, so both variants may share one.  Alternates refitting and
     repartitioning for at most ``t_max`` iterations.  Each iteration
     refits and steps as :func:`newton_step` (fixed step) or
-    :func:`backtracking_step` (auto) do, through the same private refit
-    and line search, on an augmented design formed once per call.  Both
-    sides' parameters are held as one ``(2, d+1)`` array, so a step or a
-    line-search candidate is one set of elementwise operations, while the
-    side values stay the two matvecs ``Xa.dot(theta)`` and the objective
-    and change norms stay dot products: every value has the bits of the
-    per-side arithmetic.  The kind's envelope and first-side ufuncs
-    (:func:`_hinge`) are resolved once per call.  ``start`` must hold two
-    finite vectors of length d+1 (:class:`DimensionMismatch`,
-    :class:`NonFiniteInput`).  A refit
+    :func:`backtracking_step` (auto) do, through the same private refit,
+    on an augmented design formed once per node; the fixed step writes
+    :func:`_step` and :func:`_evaluate` out in the loop, with their
+    operations.  Both sides' parameters are held as one ``(2, d+1)``
+    array, so a step or a line-search candidate is one set of elementwise
+    operations, while the side values stay the two matvecs
+    ``Xa.dot(theta)`` and the objective and change norms stay dot
+    products: every value has the bits of the per-side arithmetic.  The
+    kind's envelope and first-side ufuncs (:func:`_hinge`) are resolved
+    once per call.  ``start`` must hold two finite vectors of length d+1
+    (:class:`DimensionMismatch`, :class:`NonFiniteInput`).  A refit
     gathers each side's rows with ``take`` and factorizes both sides'
     normal equations as one stacked Cholesky
     (:func:`hingetree.linear.ridge_solve_pair`), whose ``(2, d+1)``
-    solution serves as the targets as it is, and the side values of
-    the accepted parameters serve both the objective and the next
-    partition, so each pair is evaluated once.  The partition is the
-    boolean mask of the first side; the row indices are formed only when a
-    refit runs.  Each distinct partition of a call is refitted once: the
-    targets of every refit that depended on the partition alone (both sides
-    had ``min_subset`` rows and neither kept its current parameters) are
-    kept by the bytes of their mask, and an iteration whose mask has the
-    bytes of any earlier such refit in the call, not only the last one,
-    reuses its targets.  They are the bits a refit would return.
+    solution serves as the targets as it is, and the side values of the
+    accepted parameters serve both the objective and the next partition,
+    so each pair is evaluated once.  The partition is the boolean mask of
+    the first side; the row indices are formed only when a refit runs.
+
+    Each distinct partition is refitted once per node, whichever side is
+    first.  The targets of every refit that depended on the partition
+    alone (both sides had ``min_subset`` rows and neither kept its current
+    parameters) are cached by the bytes of their mask, and any later mask
+    with those bytes reuses them.  A mask that misses looks up its
+    complement's bytes and reuses those targets with the two rows swapped,
+    caching them under its own: each row of a stacked solve has the bits of
+    a single solve, so either way they are the bits a refit would return.
+    ``_node``, private to this module, is ``X`` and ``y`` already checked
+    and augmented, with the cache, which :func:`select_split` shares
+    between both variants; without it the cache lasts one call.
+
     Convergence means the summed parameter change fell below
     ``epsilon``, or (auto step only) no backtracking candidate decreased
     the objective; when the targets equal the current parameters, that
@@ -494,12 +538,12 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     construction.  The fallback split is not taken here; the tree layer
     decides that.
     """
-    X, y = check_training(X, y)
+    node = _node or _checked_node(X, y)
+    X, y, Xa, solved = node
     n = y.shape[0]
     _check_size(n, config)
-    Xa = augment(X)
     if start is None:
-        start = initialize_params(X, y, config.ridge_alpha, config.seed)
+        start = initialize_params(X, y, config.ridge_alpha, config.seed, _node=node)
     th = _check_pair(start, X.shape[1])
     alpha, min_subset, auto = config.ridge_alpha, config.min_subset, config.auto_step
     fixed = None if auto else float(config.step)
@@ -512,17 +556,20 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     sizes = [(n1, n - n1)]
     mu_trace: list[float] = []
     converged = False
-    # The targets of this call's refits that depend on the partition alone,
-    # by the bytes of their partition mask.
-    solved: dict[bytes, np.ndarray] = {}
 
     for _ in range(config.t_max):
         key = first.tobytes()
         target = solved.get(key)
         if target is None:
-            target, alone = _targets(Xa, y, first, th, alpha, min_subset)
-            if alone:
-                solved[key] = target
+            second = ~first
+            target = solved.get(second.tobytes())
+            if target is not None:
+                target = solved[key] = target[::-1]  # the complement's sides, swapped
+            else:
+                target, alone = _refit(Xa, y, first.nonzero()[0], second.nonzero()[0], th,
+                                       alpha, min_subset)
+                if alone:
+                    solved[key] = target
         if auto:
             mu, new, v, a, b = _line_search(Xa, y, envelope, th, target, trace[-1], config)
             if mu == 0.0:
@@ -530,9 +577,13 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
                 converged = True
                 break
         else:
+            # _step, then _evaluate at the new pair.
             mu = fixed
-            new = _step(th, target, target - th, mu)
-            v, a, b = _evaluate(Xa, y, new, envelope)
+            new = target.copy() if mu == 1.0 else th + mu * (target - th)
+            a = Xa.dot(new[0])
+            b = Xa.dot(new[1])
+            r = y - envelope(a, b)
+            v = 0.5 * float(r.dot(r))
 
         # Euclidean norms; math.sqrt of the dot gives np.linalg.norm's bits.
         m1, m2 = new - th
@@ -563,17 +614,25 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
 def select_split(X, y, config: SplitConfig) -> SplitOutcome:
     """Run both hinge variants and keep the one with lower training RMSE.
 
-    :func:`initialize_params` runs once, after the sample-count check, and
-    both variants start from its pair.  The max variant runs first and
-    wins ties.  The returned outcome's ``variant_iterations`` holds the
-    raw (max, min) iteration counts.
+    The samples are checked and augmented once, into one node
+    (:class:`_Node`) with one refit cache, after which the sample count is
+    checked.  :func:`initialize_params` runs once on that node, and both
+    variants (:func:`find_optimal_split`) start from its pair and share the
+    node: a partition, or its complement, that one variant has solved is
+    not solved again by the other.  Both functions are looked up in this
+    module's namespace at call time, so a wrapper put there sees each
+    call.  The max variant runs first and wins ties.  The returned
+    outcome's ``variant_iterations`` holds the raw (max, min) iteration
+    counts.  The outcome has the bits of the better of two separate
+    :func:`find_optimal_split` calls from the same start.
     """
-    X, y = check_training(X, y)
+    node = _checked_node(X, y)
+    X, y = node.X, node.y
     n = y.shape[0]
     _check_size(n, config)
-    start = initialize_params(X, y, config.ridge_alpha, config.seed)
-    out_max = find_optimal_split(X, y, HingeKind.MAX, config, start)
-    out_min = find_optimal_split(X, y, HingeKind.MIN, config, start)
+    start = initialize_params(X, y, config.ridge_alpha, config.seed, _node=node)
+    out_max = find_optimal_split(X, y, HingeKind.MAX, config, start, _node=node)
+    out_min = find_optimal_split(X, y, HingeKind.MIN, config, start, _node=node)
     rmse_max = float(np.sqrt(2.0 * out_max.objective_trace[-1] / n))
     rmse_min = float(np.sqrt(2.0 * out_min.objective_trace[-1] / n))
     winner = out_min if rmse_min < rmse_max else out_max

@@ -4,6 +4,9 @@
 the depth cap, the minimum sample count, or the RMSE threshold fires;
 otherwise the better of the two optimized hinge variants routes its
 samples, or a random-feature median split does when optimization stalls.
+A node's ridge fit is formed only where it is read: at a leaf, and at a
+node whose RMSE a positive ``tau_rmse`` tests, so under ``tau_rmse = 0``
+(the boosting default) an internal node fits no model.
 :func:`build_tree` pops pending nodes off a stack in preorder, left subtree
 before right, and then builds the frozen nodes children first.  A node
 keeps only the :class:`~hingetree.split.Split` that routes; the optimizer's
@@ -21,9 +24,9 @@ the same rounded operations, so a training row reaches the leaf that was
 fitted on it, and scalar and batch predictions agree bit for bit.
 
 A model's router table is built once, with the model, by :func:`_flatten`
-over one walk (:func:`_preorder`) of its trees.  A tree model copies that
-table's columns into read-only Python rows (:attr:`HrtModel._rows`) the
-first time :func:`predict` reads them, and keeps them.  Neither can go
+over one walk (:func:`_preorder`) of its trees.  A tree model's first
+:func:`predict` copies that table's columns into read-only Python rows,
+kept in the model's field :attr:`HrtModel._rows`.  Neither can go
 stale: the models, nodes and splits are frozen, with read-only coefficient
 copies in the nodes and splits, so a changed tree is a new tree in a new
 model.
@@ -31,7 +34,6 @@ model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from math import isfinite
 from typing import NamedTuple
 
@@ -81,7 +83,10 @@ class TreeConfig:
     ``d_max`` counts edges, with the root at depth 0 (0 means a single
     leaf).  ``n_min`` is the minimum sample count for a node to be split
     and for each resulting child.  ``tau_rmse`` compares against the
-    unpenalized RMSE of the node's ridge-fit leaf model.  A split that
+    unpenalized RMSE of the node's ridge-fit leaf model: a node that passes
+    the depth and sample-count tests stays a leaf when that RMSE is below
+    it.  At 0 no RMSE is below it, so no RMSE is computed and a node's leaf
+    model is fitted only if the node ends as a leaf.  A split that
     does not converge, or that leaves a child below ``n_min``, is replaced
     by :func:`~hingetree.split.median_fallback`.
     """
@@ -164,9 +169,11 @@ class HrtModel:
 
     Building the model, by :func:`build_tree`, the loader or a caller,
     flattens the tree once into the batch router's table (:func:`_flatten`).
-    The tuples of Python floats that :func:`predict` walks (:attr:`_rows`)
-    are copied from that table on the first read, so a model that only
-    routes batches, such as an ensemble's learner, never builds them.
+    The tuples of Python floats that :func:`predict` walks are copied from
+    that table by the first :func:`predict` into the declared field
+    :attr:`_rows`, None until then, so the instance gains no attribute and
+    a model that only routes batches, such as an ensemble's learner, never
+    builds them.
     Neither the model nor its tree can change: a changed tree or
     ``preprocess`` is a new model (:func:`dataclasses.replace`).
     """
@@ -177,38 +184,52 @@ class HrtModel:
     stats: TrainStats
     preprocess: dict | None = None
     _table: _Table = field(init=False, repr=False, compare=False)
+    # predict()'s rows (see _predict_rows); the first predict() fills the field.
+    _rows: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_table", _flatten([self.root], self.d))
+        # In the instance from the start, so that filling it adds no attribute.
+        object.__setattr__(self, "_rows", None)
 
-    @cached_property
-    def _rows(self) -> tuple:
-        """The table as :func:`predict`'s rows, one per node, in the table's order.
 
-        Row i is ``(p, q, first, second)``: ``p`` and ``q`` are tuples of the
-        Python floats in column i of ``coef_p`` and ``coef_q``, and ``first``
-        and ``second`` are the indices of node i's children.  A leaf has no
-        second side: its row holds its model as ``p``, ``None`` as ``q``, and
-        routes to itself.  Row 0 is the root.
-        """
-        table = self._table
-        return tuple((p, None if first == i else q, first, second) for i, (p, q, first, second)
-                     in enumerate(zip(map(tuple, table.coef_p.T.tolist()),
-                                      map(tuple, table.coef_q.T.tolist()),
-                                      table.left.tolist(), table.right.tolist())))
+def _predict_rows(table: _Table) -> tuple:
+    """``table`` as :func:`predict`'s rows, one per node, in the table's order.
+
+    Row i is ``(p, q, first, second)``: ``p`` and ``q`` are tuples of the
+    Python floats in column i of ``coef_p`` and ``coef_q``, and ``first``
+    and ``second`` are the indices of node i's children.  A leaf has no
+    second side: its row holds its model as ``p``, ``None`` as ``q``, and
+    routes to itself.  Row 0 is the root.
+    """
+    return tuple((p, None if first == i else q, first, second) for i, (p, q, first, second)
+                 in enumerate(zip(map(tuple, table.coef_p.T.tolist()),
+                                  map(tuple, table.coef_q.T.tolist()),
+                                  table.left.tolist(), table.right.tolist())))
 
 
 def _expand(X, y, depth, seed, config: TreeConfig, fits: list[SplitOutcome]):
-    """One node's growth step: ``(theta_leaf, split, first)``, the last two None for a leaf.
+    """One node's growth step: ``(theta_leaf, split, first)``, a leaf's model or a split and mask.
 
-    A split routes only if each side of its mask ``first`` gets ``n_min`` rows; the
-    median fallback is drawn when the hinge did not converge or fails that test.
+    A leaf comes back as ``(theta_leaf, None, None)`` and an internal node as
+    ``(None, split, first)``.  A split routes only if each side of its mask
+    ``first`` gets ``n_min`` rows; the median fallback is drawn when the
+    hinge did not converge or fails that test.  The leaf model, a ridge fit
+    (:func:`~hingetree.linear.fit_or_mean`), is fitted only where it is
+    read: at a node that ends as a leaf, and at a node past the depth and
+    sample-count tests when ``tau_rmse > 0`` asks for its RMSE, whose fit
+    is kept if the node ends as a leaf after all.  A node stopped by depth
+    or ``n_min`` takes no RMSE pass.
     """
     n = X.shape[0]
-    theta_leaf = fit_or_mean(augment(X), y, config.split.ridge_alpha)
-    rmse = float(np.sqrt(np.mean((y - affine(X, theta_leaf)) ** 2)))
-    if depth >= config.d_max or n < config.n_min or rmse < config.tau_rmse:
-        return theta_leaf, None, None
+    if depth >= config.d_max or n < config.n_min:
+        return _leaf_model(X, y, config), None, None
+    theta_leaf = None
+    if config.tau_rmse > 0:
+        theta_leaf = _leaf_model(X, y, config)
+        rmse = float(np.sqrt(np.mean((y - affine(X, theta_leaf)) ** 2)))
+        if rmse < config.tau_rmse:
+            return theta_leaf, None, None
     outcome = select_split(X, y, replace(config.split, seed=seed))
     fits.append(outcome)
     for hinge in (True, False) if outcome.converged else (False,):
@@ -220,8 +241,13 @@ def _expand(X, y, depth, seed, config: TreeConfig, fits: list[SplitOutcome]):
         p, q = _first_pair(split.kind, split.theta1, split.theta2)
         first = affine(X, p) >= affine(X, q)
         if config.n_min <= np.count_nonzero(first) <= n - config.n_min:
-            return theta_leaf, split, first
-    return theta_leaf, None, None
+            return None, split, first
+    return (_leaf_model(X, y, config) if theta_leaf is None else theta_leaf), None, None
+
+
+def _leaf_model(X, y, config: TreeConfig) -> np.ndarray:
+    """The node's leaf model: the ridge fit of ``y`` on the augmented ``X``."""
+    return fit_or_mean(augment(X), y, config.split.ridge_alpha)
 
 
 def _preorder(root: TreeNode):
@@ -340,6 +366,9 @@ def predict(model: HrtModel, x) -> float:
     """
     x = check_row(x, model.d)
     rows = model._rows
+    if rows is None:
+        rows = _predict_rows(model._table)
+        object.__setattr__(model, "_rows", rows)
     p, q, first, second = rows[0]
     while q is not None:
         p, q, first, second = rows[first if affine_row(x, p) >= affine_row(x, q) else second]

@@ -32,6 +32,13 @@ def hinge_regression(seed, n, d, noise=0.05):
     return X, y
 
 
+def unordered_partition(s1, n):
+    """The partition {S1, S2} of n rows with first side ``s1``, whichever side comes first."""
+    first = np.zeros(n, dtype=bool)
+    first[s1] = True
+    return frozenset((first.tobytes(), (~first).tobytes()))
+
+
 def nested_document(depth):
     """A tree document whose root heads a chain of ``depth`` internal nodes."""
     leaf = '{"leaf": {"theta": [0.0, 0.0], "n_train": 1}}'

@@ -344,6 +344,25 @@ class TestPredictBoostKernelCalls:
             assert table.deepest == max((t.stats.depth for t in m.learners), default=0)
 
 
+class TestLeafFits:
+    def test_a_learner_fits_one_model_per_leaf(self):
+        # The base learners grow with tau_rmse = 0, which reads no internal node's model.
+        ds = gen_synthetic("f1", 300, 0.1, seed=3)
+        built = []
+        real = hingetree.boost.build_tree
+
+        def build(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        with mock.patch.object(hingetree.boost, "build_tree", build), \
+                mock.patch.object(hingetree.tree, "fit_or_mean",
+                                  wraps=hingetree.tree.fit_or_mean) as fit:
+            fit_boost(ds.X, ds.y, BoostConfig(m_stages=5))
+        assert len(built) == 5 and all(m.stats.n_splits for m in built)
+        assert fit.call_count == sum(m.stats.n_leaves for m in built)
+
+
 class TestStagedLosses:
     def test_zero_stage_model(self):
         X, y = random_regression(7, 25, 2)

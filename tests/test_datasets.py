@@ -125,6 +125,21 @@ class TestCsv:
             load_csv(path, target="y")
         assert err.value.row == 3 and err.value.col == 2
 
+    def test_non_numeric_cell_in_a_wide_row_has_location(self, tmp_path):
+        # A row is converted whole; a bad cell still names its own column.
+        path = tmp_path / "wide.csv"
+        rows = [[f"x{c}" for c in range(1, 17)] + ["y"],
+                [str(0.25 * c) for c in range(17)], [str(c - 8.5) for c in range(17)]]
+        rows[2][8] = "1.5.2"
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        with pytest.raises(NonNumericCell, match="'1.5.2'") as err:
+            load_csv(path, target="y")
+        assert (err.value.row, err.value.col) == (3, 9)
+        rows[2][8] = "-0.5"
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        ds = load_csv(path, target="y")
+        assert ds.X[1].tolist() == [float(cell) for cell in rows[2][:16]]
+
     @pytest.mark.parametrize("cell, row, col", [("nan", 3, 2), ("inf", 2, 3), ("-inf", 3, 1)])
     def test_non_finite_cell_has_location(self, tmp_path, cell, row, col):
         lines = [["a", "b", "y"], ["1", "2", "3"], ["4", "5", "6"]]

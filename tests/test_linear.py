@@ -123,6 +123,17 @@ class TestRidgeSolve:
         assert np.all(np.isfinite(theta))
         assert abs(affine_row([1.0], theta.tolist()) - 2.0) < 1e-6
 
+    def test_jitter_retry_has_the_bits_of_its_formula(self):
+        # A zero feature column: the Gram matrix has a zero pivot, so only the retry solves.
+        Xa = augment(np.array([[0.0], [0.0], [0.0]]))
+        y = np.array([1.0, 2.0, 4.0])
+        gram = Xa.T @ Xa
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+        jitter = linear.JITTER_SCALE * float(np.trace(gram)) / 2
+        want = public_spd_solve(gram + jitter * np.eye(2), Xa.T @ y)
+        assert ridge_solve(Xa, y, 0.0).tobytes() == want.tobytes()
+
     def test_degenerate_system_raised_when_factorization_fails(self, monkeypatch):
         def always_fail(a, b):
             raise np.linalg.LinAlgError("not positive definite")
@@ -202,8 +213,9 @@ class TestDotMatchesMatmul:
 
     ``split._evaluate`` and ``split.find_optimal_split`` form their matvecs
     and dot products, and ``linear._normal_equations`` its Gram matrices
-    and right-hand sides, with ``dot`` rather than ``@`` or ``np.matmul``,
-    on rows gathered with ``take`` as the refit gathers them.
+    and right-hand sides (into slots of a stack), with ``dot`` rather than
+    ``@`` or ``np.matmul``, on rows gathered with ``take`` as the refit
+    gathers them.
     """
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -218,14 +230,18 @@ class TestDotMatchesMatmul:
         v = magnitude * gen.normal(size=p)
         assert X.dot(v).tobytes() == (X @ v).tobytes()
         assert y.dot(y).tobytes() == (y @ y).tobytes()
-        gram, gram_matmul = np.empty((2, 1, p, p))
+        gram, gram_method, gram_matmul = np.empty((3, 1, p, p))
         np.dot(X.T, X, out=gram[0])
+        X.T.dot(X, out=gram_method[0])
         np.matmul(X.T, X, out=gram_matmul[0])
-        assert gram.tobytes() == gram_matmul.tobytes()
-        rhs, rhs_matmul = np.empty((2, 1, p))
+        assert gram.tobytes() == gram_matmul.tobytes() == gram_method.tobytes()
+        # The jitter retry forms the Gram matrix again, without an output slot.
+        assert X.T.dot(X).tobytes() == gram_matmul[0].tobytes()
+        rhs, rhs_method, rhs_matmul = np.empty((3, 1, p))
         np.dot(X.T, y, out=rhs[0])
+        X.T.dot(y, out=rhs_method[0])
         np.matmul(X.T, y, out=rhs_matmul[0])
-        assert rhs.tobytes() == rhs_matmul.tobytes()
+        assert rhs.tobytes() == rhs_matmul.tobytes() == rhs_method.tobytes()
 
 
 class TestRidgeSolvePair:

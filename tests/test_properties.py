@@ -1,7 +1,7 @@
 """Property tests of the split layer's and the fitted models' invariants (Hypothesis)."""
 import functools
 import json
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, replace
 from unittest import mock
 
@@ -36,10 +36,11 @@ from hingetree import (
     predict_boost,
     predict_boost_batch,
     ridge_solve,
+    select_split,
     staged_losses,
 )
 from hingetree import cli, linear, split, tree
-from conftest import hinge_regression, relabel_leaves, walked_boost
+from conftest import hinge_regression, relabel_leaves, unordered_partition, walked_boost
 
 # Few derandomized examples keep the suite fast and its outcome fixed.
 FAST = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -81,7 +82,7 @@ def test_last_partition_size_is_that_of_the_returned_split(seed, n, d, step, alp
 
 def factorizes(X, y, alpha):
     try:
-        np.linalg.cholesky(linear._normal_equations((X,), (y,), alpha)[2])
+        np.linalg.cholesky(linear._normal_equations((X,), (y,), alpha)[1])
     except np.linalg.LinAlgError:
         return False
     return True
@@ -341,6 +342,20 @@ def replayed_partitions(X, y, kind, config):
     return firsts, config.t_max
 
 
+@contextmanager
+def recorded_pair_solves():
+    """Record the result of every ``ridge_solve_pair`` call the split layer makes."""
+    pairs = []
+    solve_pair = split.ridge_solve_pair
+
+    def recorded(*args):
+        pairs.append(solve_pair(*args))
+        return pairs[-1]
+
+    with mock.patch.object(split, "ridge_solve_pair", recorded):
+        yield pairs
+
+
 @FAST
 @given(seed=st.integers(0, 2**16), n=st.integers(12, 80), d=st.integers(1, 3),
        step=st.sampled_from([0.01, 0.1, "auto"]), kind=st.sampled_from(HingeKind))
@@ -350,20 +365,54 @@ def test_one_pair_solve_per_distinct_partition(seed, n, d, step, kind):
     firsts, iterations = replayed_partitions(X, y, kind, config)
     # The start is passed so that only the loop's solves are counted.
     start = initialize_params(X, y, config.ridge_alpha, config.seed)
-    pairs = []
-    solve_pair = split.ridge_solve_pair
-
-    def recorded(*args):
-        pairs.append(solve_pair(*args))
-        return pairs[-1]
-
-    with mock.patch.object(split, "ridge_solve_pair", recorded):
+    with recorded_pair_solves() as pairs:
         out = find_optimal_split(X, y, kind, config, start)
     # A failed stacked factorization falls back to single fits, which may keep parameters.
     assume(all(pair is not None for pair in pairs))
     assert out.iterations == iterations
-    # One solve per distinct partition of the call, revisited ones included.
-    assert len(pairs) == len({s1.tobytes() for s1 in firsts})
+    # One solve per distinct unordered partition {S1, S2} of the call, revisited ones and
+    # complements of earlier ones included.
+    assert len(pairs) == len({unordered_partition(s1, n) for s1 in firsts})
+
+
+@FAST
+@given(seed=st.integers(0, 2**16), n=st.integers(12, 80), d=st.integers(1, 3),
+       step=st.sampled_from([0.01, 0.1, "auto"]))
+def test_one_pair_solve_per_distinct_partition_of_a_node(seed, n, d, step):
+    X, y = hinge_regression(seed, n, d, noise=0.1)
+    config = SplitConfig(step=step, t_max=40, epsilon=1e-4, seed=seed)
+    per_variant = [{unordered_partition(s1, n) for s1 in replayed_partitions(X, y, kind, config)[0]}
+                   for kind in HingeKind]
+    with recorded_pair_solves() as init_pairs:
+        initialize_params(X, y, config.ridge_alpha, config.seed)
+    with recorded_pair_solves() as pairs:
+        select_split(X, y, config)
+    assume(all(pair is not None for pair in pairs))
+    # Initialization solves its own partition; the variants share the rest.  The max
+    # variant's first partition is the min variant's first with the sides swapped, unless a
+    # row lies on the start's hinge.
+    assert len(pairs) == len(init_pairs) + len(per_variant[0] | per_variant[1])
+
+
+@FAST
+@given(seed=st.integers(0, 2**16), n=st.integers(12, 80), d=st.integers(1, 3),
+       step=st.sampled_from([0.01, 1.0, "auto"]), alpha=st.sampled_from([0.0, 1e-3]),
+       min_subset=st.integers(1, 3))
+def test_select_split_is_the_better_of_two_separate_variants(seed, n, d, step, alpha, min_subset):
+    X, y = hinge_regression(seed, n, d, noise=0.1)
+    config = SplitConfig(step=step, ridge_alpha=alpha, min_subset=min_subset, seed=seed)
+    start = initialize_params(X, y, alpha, seed)
+    out_max, out_min = (find_optimal_split(X, y, kind, config, start) for kind in HingeKind)
+    rmse_max, rmse_min = (np.sqrt(2.0 * o.objective_trace[-1] / n) for o in (out_max, out_min))
+    want = out_min if rmse_min < rmse_max else out_max
+    got = select_split(X, y, config)
+    assert got.theta1.tobytes() == want.theta1.tobytes()
+    assert got.theta2.tobytes() == want.theta2.tobytes()
+    assert (got.kind, got.converged, got.iterations) == (want.kind, want.converged,
+                                                        want.iterations)
+    assert got.objective_trace == want.objective_trace and got.mu_trace == want.mu_trace
+    assert got.partition_sizes == want.partition_sizes
+    assert got.variant_iterations == (out_max.iterations, out_min.iterations)
 
 
 # ---- loading edited model documents ----

@@ -26,7 +26,7 @@ from hingetree import (
 )
 from hingetree import split
 from hingetree.linear import affine_row, ridge_solve_pair
-from conftest import hinge_regression, random_regression
+from conftest import hinge_regression, random_regression, unordered_partition
 
 
 def vee_data():
@@ -558,8 +558,8 @@ def record_calls(monkeypatch, name):
     results = []
     real = getattr(split, name)
 
-    def recorded(*args):
-        results.append(real(*args))
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(split, name, recorded)
@@ -590,7 +590,8 @@ class TestRefitReuse:
         out = find_optimal_split(X, y, kind, config, start)
         assert out.iterations == len(firsts)
         runs = 1 + sum(not np.array_equal(a, b) for a, b in zip(firsts, firsts[1:]))
-        distinct = len({s1.tobytes() for s1 in firsts})
+        # A partition and its complement are one refit, with the two sides swapped.
+        distinct = len({unordered_partition(s1, len(y)) for s1 in firsts})
         # The run comes back to earlier partitions, not only to the last one.
         assert distinct < runs < len(firsts) // 2
         assert len(calls) == distinct
@@ -653,8 +654,8 @@ class TestSelectSplit:
         outcomes = {}
         real = split_mod.find_optimal_split
 
-        def record(Xd, yd, kind, config, start=None):
-            out = real(Xd, yd, kind, config, start)
+        def record(Xd, yd, kind, config, start=None, **private):
+            out = real(Xd, yd, kind, config, start, **private)
             out.objective_trace[-1] = 1.0  # force an exact tie
             outcomes[kind] = out
             return out
@@ -671,9 +672,9 @@ class TestSelectSplit:
         starts, outcomes = {}, {}
         real = split.find_optimal_split
 
-        def record(Xd, yd, kind, config, start=None):
+        def record(Xd, yd, kind, config, start=None, **private):
             starts[kind] = start
-            outcomes[kind] = real(Xd, yd, kind, config, start)
+            outcomes[kind] = real(Xd, yd, kind, config, start, **private)
             return outcomes[kind]
 
         monkeypatch.setattr(split, "find_optimal_split", record)

@@ -29,6 +29,7 @@ from hingetree import (
     load_csv,
     loads_model,
     median_fallback,
+    model_to_dict,
     predict,
     predict_batch,
     predict_boost,
@@ -277,6 +278,23 @@ class TestGrowthExits:
         assert model.stats.per_node_traces == ((1.0,),) and model.stats.n_splits == 0
 
 
+    def test_leaf_models_are_fitted_only_where_read(self):
+        # Noisy data: no node fits exactly, so the smallest positive threshold stops no
+        # node, but it asks for the RMSE, and so the model, of every node it tests.
+        X, y = random_regression(5, 200, 2, noise=0.5)
+        models, fits = [], []
+        for tau in (0.0, 5e-324):
+            with mock.patch.object(hingetree.tree, "fit_or_mean",
+                                   wraps=hingetree.tree.fit_or_mean) as fit:
+                models.append(build_tree(X, y, TreeConfig(d_max=3, tau_rmse=tau)))
+            fits.append(fit.call_count)
+        zero, tiny = models
+        assert zero.stats.n_splits > 1
+        assert model_to_dict(zero)["root"] == model_to_dict(tiny)["root"]
+        assert zero.stats == tiny.stats
+        assert fits == [zero.stats.n_leaves, zero.stats.n_leaves + zero.stats.n_splits]
+
+
 class TestPredict:
     def test_single_leaf_model(self):
         X, y = random_regression(3, 20, 2)
@@ -508,9 +526,10 @@ class TestScalarRows:
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["fitted", "loaded"])
     def test_rows_hold_the_node_coefficients_as_python_floats(self, loaded):
-        _, tree, _ = f1_models()
+        X, tree, _ = f1_models()
         if loaded:
             tree = loads_model(dumps_model(tree))
+        predict(tree, X[0])
         nodes = [node for node, _ in _preorder(tree.root)]
         index = {node: i for i, node in enumerate(nodes)}
         assert type(tree._rows) is tuple and len(tree._rows) == len(nodes) > 1
@@ -542,7 +561,7 @@ class TestScalarRows:
     def test_an_ensemble_holds_no_rows(self):
         _, _, ensemble = f1_models()
         assert not hasattr(ensemble, "_rows")
-        assert not any("_rows" in vars(learner) for learner in ensemble.learners)
+        assert all(learner._rows is None for learner in ensemble.learners)
 
     def test_rows_are_built_by_the_first_predict_only(self):
         X, tree, ensemble = f1_models()
@@ -552,12 +571,28 @@ class TestScalarRows:
         for row in X[:5]:
             predict_boost(ensemble, row)
         models = [tree, loads_model(dumps_model(tree)), *ensemble.learners, *loaded.learners]
-        assert not any("_rows" in vars(model) for model in models)
+        assert all(model._rows is None for model in models)
         assert not hasattr(ensemble, "_rows")
         predict(tree, X[0])
-        rows = vars(tree)["_rows"]
+        rows = tree._rows
+        assert rows is not None
         predict(tree, X[1])
         assert tree._rows is rows
+
+    def test_predict_adds_no_instance_attribute(self):
+        X, tree, _ = f1_models()
+        names = list(vars(tree))
+        assert tree._rows is None
+        predict(tree, X[0])
+        assert list(vars(tree)) == names and tree._rows is not None
+
+    def test_a_replaced_model_builds_its_rows_again(self):
+        X, tree, _ = f1_models()
+        value = predict(tree, X[0])
+        twin = replace(tree)
+        assert twin._rows is None and twin._table is not tree._table
+        assert float.hex(predict(twin, X[0])) == float.hex(value)
+        assert twin._rows is not tree._rows and twin._rows == tree._rows
 
     @staticmethod
     def one_split(kind, theta1, theta2):
