@@ -88,7 +88,11 @@ def _normal_equations(designs, targets, alpha: float):
     alpha is positive the penalty matrix, formed once per (p, alpha) and
     cached read-only, is added to the whole Gram stack in place, so
     ``system`` holds the penalized matrices and no unpenalized copy is kept.
+    Raises ``ValueError`` unless ``0 <= alpha < inf``: this is the one check
+    of the penalty, so a NaN is never taken as no penalty.
     """
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"ridge penalty must be a finite non-negative number, got {alpha!r}")
     p = designs[0].shape[1]
     system = np.empty((len(designs), p, p))
     rhs = np.empty((len(designs), p))
@@ -144,8 +148,6 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         raise ValueError("design matrix must be 2-D with at least one row")
     if X.shape[0] != y.shape[0]:
         raise ValueError("design and target row counts differ")
-    if alpha < 0:
-        raise ValueError("ridge penalty must be non-negative")
     rhs, system = _normal_equations((X,), (y,), alpha)
     try:
         return _spd_solve(system, rhs)[0]
@@ -168,7 +170,7 @@ def ridge_solve_pair(X1: np.ndarray, y1: np.ndarray, X2: np.ndarray, y2: np.ndar
 
     ``X1`` and ``X2`` are augmented float designs with at least one row
     each and the same number of columns, ``y1`` and ``y2`` 1-D float
-    targets; only the sign of ``alpha`` is checked.  The builder writes
+    targets; only ``alpha`` is checked (by the builder).  The builder writes
     both systems into one ``(2, p, p)`` stack and adds the penalty to it
     once, and :func:`_spd_solve` factorizes the stack with the same LAPACK
     gufunc calls as a single system, so each row of the result has the
@@ -178,8 +180,6 @@ def ridge_solve_pair(X1: np.ndarray, y1: np.ndarray, X2: np.ndarray, y2: np.ndar
     are ``theta1`` and ``theta2``, or ``None`` when either system is not
     positive definite: the jitter retry is left to :func:`ridge_solve`.
     """
-    if alpha < 0:
-        raise ValueError("ridge penalty must be non-negative")
     rhs, system = _normal_equations((X1, X2), (y1, y2), alpha)
     try:
         return _spd_solve(system, rhs)

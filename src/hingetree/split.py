@@ -7,13 +7,17 @@ a damped Newton step on the node objective, because the Gauss-Newton
 Hessian is exact for a piecewise-linear model.  ``mu`` may be a fixed
 damping factor in (0, 1] or ``"auto"``, a backtracking search that starts
 at ``mu0`` and shrinks geometrically until the objective strictly drops.
-The optimizer and the public steps hold both sides' parameters as one
-``(2, d+1)`` array, so a step, a line-search candidate and a parameter
-change are one set of elementwise operations; every value keeps the bits
-of the per-side arithmetic, because the side values stay two matvecs and
-the objective and change norms stay dot products.  Those products go
-through ``ndarray.dot``, which makes the BLAS call of the ``@`` operator
-(``dgemv``, ``ddot``) without its ufunc dispatch, and so has its bits
+One function, :func:`_newton_iteration`, is that iteration: the loop of
+:func:`find_optimal_split` runs it, and so do :func:`newton_step` and
+:func:`backtracking_step`, once, on a node of their own.
+:func:`damped_update` is the step on a partition the caller holds fixed.
+Both sides' parameters are held as one ``(2, d+1)`` array, so a step, a
+line-search candidate and a parameter change are one set of elementwise
+operations; every value keeps the bits of the per-side arithmetic,
+because the side values stay two matvecs and the objective and change
+norms stay dot products.  Those products go through ``ndarray.dot``,
+which makes the BLAS call of the ``@`` operator (``dgemv``, ``ddot``)
+without its ufunc dispatch, and so has its bits
 (``tests/test_linear.py::TestDotMatchesMatmul`` pins this); the hinge
 kind is resolved to its ufuncs once per call (:func:`_hinge`).
 Every function that takes samples and targets checks them with
@@ -283,11 +287,6 @@ def _refit(Xa, y, s1, s2, th, alpha, min_subset):
     return np.array((f1, f2)), f1 is not theta1 and f2 is not theta2
 
 
-def _targets(Xa, y, first, th, alpha, min_subset):
-    """:func:`_refit` on the partition ``first``, a mask of the rows on the first side."""
-    return _refit(Xa, y, first.nonzero()[0], (~first).nonzero()[0], th, alpha, min_subset)
-
-
 def _step(th, target, delta, mu):
     # ``delta`` is ``target - th``, formed once per direction; mu == 1
     # lands exactly on the refit solution (unit Newton step).
@@ -320,6 +319,65 @@ def _line_search(Xa, y, envelope, th, target, v0, config):
     return 0.0, th, v0, None, None
 
 
+class _Node(NamedTuple):
+    """One node's checked samples, their augmented design, and the refit targets solved on them.
+
+    Built by :func:`_checked_node`: once per node by :func:`select_split`,
+    which hands it to :func:`initialize_params` and to both
+    :func:`find_optimal_split` variants, or else once per call.
+    ``solved`` is read and filled by :func:`_newton_iteration` alone.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    Xa: np.ndarray
+    solved: dict[bytes, np.ndarray]
+
+
+def _checked_node(X, y) -> _Node:
+    """The checked (:func:`~hingetree.linear.check_training`) and augmented node, with no refits."""
+    X, y = check_training(X, y)
+    return _Node(X, y, augment(X), {})
+
+
+def _newton_iteration(node: _Node, envelope, first, th, v0, mu, config: SplitConfig):
+    """One damped Newton iteration from ``th`` on the partition ``first``: ``(mu, th', v, a, b)``.
+
+    ``first`` masks the node's rows on the first side, ``v0`` is the
+    objective at the stacked parameters ``th`` and ``envelope`` the hinge's
+    ufunc (:func:`_hinge`).  A damping factor ``mu`` is stepped and
+    evaluated, and comes back as given; ``mu`` None returns
+    :func:`_line_search`.  ``v``, ``a`` and ``b`` are the objective and the
+    side values at ``th'``.
+
+    The node's cache rule: each distinct partition is refitted once per
+    node, whichever side is first.  Targets that depended on the partition
+    alone (:func:`_refit`) are kept in ``node.solved`` by the bytes of
+    their mask; a mask that misses reuses its complement's targets with
+    the two rows swapped, and keeps them under its own bytes.  Each row of
+    a stacked solve has the bits of a single solve, so either way they are
+    the bits a refit would return.  Targets are never written, and one
+    config serves all of a node's iterations.
+    """
+    _, y, Xa, solved = node
+    key = first.tobytes()
+    target = solved.get(key)
+    if target is None:
+        second = ~first
+        target = solved.get(second.tobytes())
+        if target is not None:
+            target = solved[key] = target[::-1]  # the complement's sides, swapped
+        else:
+            target, alone = _refit(Xa, y, first.nonzero()[0], second.nonzero()[0], th,
+                                   config.ridge_alpha, config.min_subset)
+            if alone:
+                solved[key] = target
+    if mu is None:
+        return _line_search(Xa, y, envelope, th, target, v0, config)
+    new = _step(th, target, target - th, mu)
+    return (mu, new, *_evaluate(Xa, y, new, envelope))
+
+
 def _check_indices(idx, n: int) -> np.ndarray:
     """The row indices ``idx`` of one side as an integer array, or ``ValueError``.
 
@@ -341,73 +399,57 @@ def damped_update(X, y, s1, s2, theta1, theta2, mu: float,
     """One damped Newton step with the partition (s1, s2) held fixed.
 
     ``s1`` and ``s2`` are the integer row indices of the two sides.
-    Raises ``ValueError`` unless ``mu`` lies in (0, 1] and each side is a
+    Raises ``ValueError`` unless ``mu`` lies in (0, 1], ``alpha`` and
+    ``min_subset`` pass :class:`SplitConfig`'s checks, and each side is a
     1-D integer index array within the rows (a boolean mask is rejected).
     """
     if not 0.0 < mu <= 1.0:
         raise ValueError("mu must lie in (0, 1]")
+    config = SplitConfig(ridge_alpha=alpha, min_subset=min_subset)
     X, y = check_training(X, y)
     n, d = X.shape
     th = _check_pair((theta1, theta2), d)
     target, _ = _refit(augment(X), y, _check_indices(s1, n), _check_indices(s2, n),
-                       th, alpha, min_subset)
-    new1, new2 = _step(th, target, target - th, mu)
-    return new1, new2
+                       th, config.ridge_alpha, config.min_subset)
+    return tuple(_step(th, target, target - th, mu))
+
+
+def _public_step(X, y, theta1, theta2, kind: HingeKind, mu, config: SplitConfig):
+    """``(mu, theta1', theta2')`` of :func:`_newton_iteration` from (theta1, theta2) on a node of its own."""
+    node = _checked_node(X, y)
+    th = _check_pair((theta1, theta2), node.X.shape[1])
+    envelope, first = _hinge(kind)
+    v0, a, b = _evaluate(node.Xa, node.y, th, envelope)
+    mu, new, *_ = _newton_iteration(node, envelope, first(a, b), th, v0, mu, config)
+    return mu, *new
 
 
 def newton_step(X, y, theta1, theta2, kind: HingeKind, mu: float,
                 alpha: float = 0.0, min_subset: int = 2):
-    """Partition by the current parameters, then take one damped Newton step.
+    """Partition by the current parameters, then take one damped Newton step: ``(theta1', theta2')``.
 
-    Raises ``ValueError`` unless ``mu`` lies in (0, 1] (:func:`damped_update`).
+    The iteration of :func:`find_optimal_split` under the fixed step
+    ``mu``.  Raises ``ValueError`` unless ``mu`` lies in (0, 1] and
+    ``alpha`` and ``min_subset`` pass :class:`SplitConfig`'s checks.
     """
-    s1, s2 = partition(X, theta1, theta2, kind)
-    return damped_update(X, y, s1, s2, theta1, theta2, mu, alpha, min_subset)
+    if not 0.0 < mu <= 1.0:
+        raise ValueError("mu must lie in (0, 1]")
+    config = SplitConfig(ridge_alpha=alpha, min_subset=min_subset)
+    return _public_step(X, y, theta1, theta2, kind, mu, config)[1:]
 
 
 def backtracking_step(X, y, theta1, theta2, kind: HingeKind,
                       config: SplitConfig):
-    """Line-searched Newton step.
+    """Line-searched Newton step: ``(mu, theta1', theta2')``.
 
-    Tries mu in {mu0, mu0*beta, mu0*beta**2, ...} (at most
-    ``max_backtracks`` candidates) and returns the first one that strictly
-    decreases the hinge objective, together with the updated parameters.
-    Returns ``(0.0, theta1, theta2)`` if no candidate decreases it, which
-    callers treat as a local stop.  At a fixed point, where the refit
-    targets equal the current parameters, it returns that without
-    evaluating any candidate: each would be the current pair.
+    The iteration of :func:`find_optimal_split` under ``"auto"``, whatever
+    ``config.step`` says: the first mu of mu0, mu0*beta, mu0*beta**2, ...
+    (at most ``max_backtracks``) that strictly decreases the objective.
+    Returns ``(0.0, theta1, theta2)`` if none does, which callers treat as
+    a local stop, and at once at a fixed point, where the refit targets
+    equal the current parameters and each candidate would be that pair.
     """
-    X, y = check_training(X, y)
-    th = _check_pair((theta1, theta2), X.shape[1])
-    Xa = augment(X)
-    envelope, first = _hinge(kind)
-    v0, a, b = _evaluate(Xa, y, th, envelope)
-    target, _ = _targets(Xa, y, first(a, b), th, config.ridge_alpha, config.min_subset)
-    mu, (new1, new2), *_ = _line_search(Xa, y, envelope, th, target, v0, config)
-    return mu, new1, new2
-
-
-class _Node(NamedTuple):
-    """One node's checked samples, their augmented design, and the refit targets solved on them.
-
-    Built by :func:`_checked_node`: once per node by :func:`select_split`,
-    which hands it to :func:`initialize_params` and to both
-    :func:`find_optimal_split` variants, or else once per call.
-    ``solved`` maps the bytes of a first-side mask to the ``(2, d+1)``
-    targets of a refit that depended on that partition alone; they are
-    never written.
-    """
-
-    X: np.ndarray
-    y: np.ndarray
-    Xa: np.ndarray
-    solved: dict[bytes, np.ndarray]
-
-
-def _checked_node(X, y) -> _Node:
-    """The checked (:func:`~hingetree.linear.check_training`) and augmented node, with no refits."""
-    X, y = check_training(X, y)
-    return _Node(X, y, augment(X), {})
+    return _public_step(X, y, theta1, theta2, kind, None, config)
 
 
 def _column_ranges(X) -> np.ndarray:
@@ -452,8 +494,10 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0, *, _node: _Node |
 
     k = int(np.argmax(_column_ranges(X)))
     pivot = float(np.median(X[:, k]))
+    first = X[:, k] <= pivot
     # There are no current parameters: a side that would keep its row is discarded.
-    (theta1, theta2), alone = _targets(Xa, y, X[:, k] <= pivot, np.zeros((2, d + 1)), alpha, 2)
+    (theta1, theta2), alone = _refit(Xa, y, first.nonzero()[0], (~first).nonzero()[0],
+                                     np.zeros((2, d + 1)), alpha, 2)
     if not alone:
         theta_global = fit_or_mean(Xa, y, alpha)
         scale = 1e-3 * (1.0 + float(np.max(np.abs(theta_global))))
@@ -494,59 +538,33 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
                        _node: _Node | None = None) -> SplitOutcome:
     """Optimize one hinge split of the given kind.
 
-    Starts from ``start``, a ``(theta1, theta2)`` pair, or from
-    :func:`initialize_params` when it is None; the start is read, never
-    modified, so both variants may share one.  Alternates refitting and
-    repartitioning for at most ``t_max`` iterations.  Each iteration
-    refits and steps as :func:`newton_step` (fixed step) or
-    :func:`backtracking_step` (auto) do, through the same private refit,
-    on an augmented design formed once per node; the fixed step writes
-    :func:`_step` and :func:`_evaluate` out in the loop, with their
-    operations.  Both sides' parameters are held as one ``(2, d+1)``
-    array, so a step or a line-search candidate is one set of elementwise
-    operations, while the side values stay the two matvecs
-    ``Xa.dot(theta)`` and the objective and change norms stay dot
-    products: every value has the bits of the per-side arithmetic.  The
-    kind's envelope and first-side ufuncs (:func:`_hinge`) are resolved
-    once per call.  ``start`` must hold two finite vectors of length d+1
-    (:class:`DimensionMismatch`, :class:`NonFiniteInput`).  A refit
-    gathers each side's rows with ``take`` and factorizes both sides'
-    normal equations as one stacked Cholesky
-    (:func:`hingetree.linear.ridge_solve_pair`), whose ``(2, d+1)``
-    solution serves as the targets as it is, and the side values of the
-    accepted parameters serve both the objective and the next partition,
-    so each pair is evaluated once.  The partition is the boolean mask of
-    the first side; the row indices are formed only when a refit runs.
+    Starts from ``start``, a pair of finite vectors of length d+1 (else
+    :class:`DimensionMismatch` or :class:`NonFiniteInput`) that is read and
+    never modified, or from :func:`initialize_params` when it is None.
+    Then runs at most ``t_max`` iterations of :func:`_newton_iteration` on
+    the partition of the current parameters, with the fixed step or, under
+    ``"auto"``, the line search.  ``objective_trace`` holds the objective
+    at the start and after each iteration, ``mu_trace`` each step, and
+    ``partition_sizes`` the sizes of each partition, the last included.
 
-    Each distinct partition is refitted once per node, whichever side is
-    first.  The targets of every refit that depended on the partition
-    alone (both sides had ``min_subset`` rows and neither kept its current
-    parameters) are cached by the bytes of their mask, and any later mask
-    with those bytes reuses them.  A mask that misses looks up its
-    complement's bytes and reuses those targets with the two rows swapped,
-    caching them under its own: each row of a stacked solve has the bits of
-    a single solve, so either way they are the bits a refit would return.
-    ``_node``, private to this module, is ``X`` and ``y`` already checked
-    and augmented, with the cache, which :func:`select_split` shares
-    between both variants; without it the cache lasts one call.
-
-    Convergence means the summed parameter change fell below
-    ``epsilon``, or (auto step only) no backtracking candidate decreased
-    the objective; when the targets equal the current parameters, that
-    search evaluates no candidate (:func:`_line_search`).  Under the auto
-    step the recorded objective trace is strictly decreasing by
-    construction.  The fallback split is not taken here; the tree layer
-    decides that.
+    Convergence means the summed parameter change (Euclidean norms) fell
+    below ``epsilon`` or, under ``"auto"``, that no candidate decreased the
+    objective, so an auto trace strictly decreases.  Each distinct
+    partition is refitted once per node (the cache rule of
+    :func:`_newton_iteration`).  ``_node``, private to this module, is
+    ``X`` and ``y`` already checked and augmented, with the cache that
+    :func:`select_split` shares between both variants; without it the
+    cache lasts one call.  The fallback split is not taken here; the tree
+    layer decides that.
     """
     node = _node or _checked_node(X, y)
-    X, y, Xa, solved = node
+    X, y, Xa, _ = node
     n = y.shape[0]
     _check_size(n, config)
     if start is None:
         start = initialize_params(X, y, config.ridge_alpha, config.seed, _node=node)
     th = _check_pair(start, X.shape[1])
-    alpha, min_subset, auto = config.ridge_alpha, config.min_subset, config.auto_step
-    fixed = None if auto else float(config.step)
+    fixed = None if config.auto_step else float(config.step)
     envelope, first_side = _hinge(kind)
 
     v, a, b = _evaluate(Xa, y, th, envelope)
@@ -558,33 +576,11 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     converged = False
 
     for _ in range(config.t_max):
-        key = first.tobytes()
-        target = solved.get(key)
-        if target is None:
-            second = ~first
-            target = solved.get(second.tobytes())
-            if target is not None:
-                target = solved[key] = target[::-1]  # the complement's sides, swapped
-            else:
-                target, alone = _refit(Xa, y, first.nonzero()[0], second.nonzero()[0], th,
-                                       alpha, min_subset)
-                if alone:
-                    solved[key] = target
-        if auto:
-            mu, new, v, a, b = _line_search(Xa, y, envelope, th, target, trace[-1], config)
-            if mu == 0.0:
-                # No decreasing step exists along this direction; stop.
-                converged = True
-                break
-        else:
-            # _step, then _evaluate at the new pair.
-            mu = fixed
-            new = target.copy() if mu == 1.0 else th + mu * (target - th)
-            a = Xa.dot(new[0])
-            b = Xa.dot(new[1])
-            r = y - envelope(a, b)
-            v = 0.5 * float(r.dot(r))
-
+        mu, new, v, a, b = _newton_iteration(node, envelope, first, th, trace[-1], fixed, config)
+        if mu == 0.0:
+            # No decreasing step exists along this direction (auto only); stop.
+            converged = True
+            break
         # Euclidean norms; math.sqrt of the dot gives np.linalg.norm's bits.
         m1, m2 = new - th
         change = math.sqrt(float(m1.dot(m1))) + math.sqrt(float(m2.dot(m2)))

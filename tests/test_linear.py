@@ -54,9 +54,13 @@ class TestRidgeSolve:
         assert np.array_equal(a, b)
 
     def test_negative_alpha_rejected(self):
+        # A NaN penalty used to give the unpenalized fit, bit for bit, and an
+        # infinite one a NumPy warning: every penalty outside [0, inf) is refused.
         X = augment(np.array([[0.0], [1.0]]))
-        with pytest.raises(ValueError):
-            ridge_solve(X, np.array([0.0, 1.0]), -1.0)
+        for alpha in (-1.0, np.nan, np.inf):
+            for solve in (ridge_solve, fit_or_mean):
+                with pytest.raises(ValueError, match="ridge penalty must be a finite non-negative"):
+                    solve(X, np.array([0.0, 1.0]), alpha)
 
     def test_matches_pinv_oracle_unpenalized(self):
         for seed in range(40):
@@ -271,8 +275,9 @@ class TestRidgeSolvePair:
 
     def test_negative_alpha_rejected(self):
         X = augment(np.array([[0.0], [1.0]]))
-        with pytest.raises(ValueError):
-            ridge_solve_pair(X, np.ones(2), X, np.ones(2), -1.0)
+        for alpha in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="ridge penalty must be a finite non-negative"):
+                ridge_solve_pair(X, np.ones(2), X, np.ones(2), alpha)
 
 
 class TestAffineRow:

@@ -40,6 +40,11 @@ CHECKED_ENTRY_POINTS = {
     "find_optimal_split": lambda X, y: find_optimal_split(X, y, HingeKind.MAX, SplitConfig()),
     "initialize_params": lambda X, y: initialize_params(X, y),
     "objective": lambda X, y: objective(X, y, np.zeros(3), np.ones(3), HingeKind.MAX),
+    "newton_step": lambda X, y: newton_step(X, y, np.zeros(3), np.ones(3), HingeKind.MAX, 0.5),
+    "backtracking_step": lambda X, y: backtracking_step(
+        X, y, np.zeros(3), np.ones(3), HingeKind.MAX, SplitConfig(step="auto")),
+    "damped_update": lambda X, y: damped_update(
+        X, y, np.arange(15), np.arange(15, 30), np.zeros(3), np.ones(3), 0.5),
 }
 
 
@@ -125,6 +130,42 @@ class TestParameterPairChecks:
         with pytest.raises(NonFiniteInput):
             find_optimal_split(X, y, HingeKind.MAX, SplitConfig(step="auto"),
                                (np.full(3, np.nan), np.ones(3)))
+
+
+# The functions that take a ridge penalty (and the steps a min_subset) as plain arguments.
+STEP_ARGUMENTS = {
+    "initialize_params": lambda X, y, alpha, min_subset: initialize_params(X, y, alpha),
+    "newton_step": lambda X, y, alpha, min_subset: newton_step(
+        X, y, np.zeros(3), np.ones(3), HingeKind.MAX, 0.5, alpha, min_subset),
+    "damped_update": lambda X, y, alpha, min_subset: damped_update(
+        X, y, np.arange(15), np.arange(15, 30), np.zeros(3), np.ones(3), 0.5, alpha, min_subset),
+}
+
+
+class TestStepArgumentChecks:
+    @pytest.mark.parametrize("entry", sorted(STEP_ARGUMENTS))
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+    def test_ridge_penalty_outside_zero_to_inf_rejected(self, entry, alpha):
+        # A NaN penalty used to fit as if it were 0, bit for bit.
+        X, y = random_regression(29, 30, 2)
+        with pytest.raises(ValueError, match="ridge"):
+            STEP_ARGUMENTS[entry](X, y, alpha, 2)
+
+    @pytest.mark.parametrize("entry", ["newton_step", "damped_update"])
+    @pytest.mark.parametrize("min_subset", [0, -1])
+    def test_min_subset_below_one_rejected(self, entry, min_subset):
+        # damped_update used to run as if min_subset were 1.
+        X, y = random_regression(30, 30, 2)
+        with pytest.raises(ValueError, match="min_subset must be a positive integer"):
+            STEP_ARGUMENTS[entry](X, y, 0.0, min_subset)
+
+    @pytest.mark.parametrize("min_subset", [0, -1])
+    def test_min_subset_below_one_rejected_with_an_empty_side(self, min_subset):
+        # It used to raise "design matrix must be 2-D with at least one row".
+        X, y = vee_data()
+        with pytest.raises(ValueError, match="min_subset must be a positive integer"):
+            damped_update(X, y, [], np.arange(4), np.array([1.0, 0.0]),
+                          np.array([-1.0, 0.0]), 1.0, 0.0, min_subset)
 
 
 class TestConfigValidation:
@@ -443,6 +484,17 @@ class TestBacktrackingStep:
         mu, _, _ = backtracking_step(X, y, t1, t2, HingeKind.MAX, config)
         assert mu == 0.25
 
+    @pytest.mark.parametrize("step", [0.01, 1.0])
+    def test_searches_whatever_the_step_says(self, step):
+        for seed in range(10):
+            X, y = hinge_regression(seed, 40, 2, noise=0.1)
+            t1, t2 = np.random.default_rng(seed).normal(size=(2, 3))
+            for kind in HingeKind:
+                got = backtracking_step(X, y, t1, t2, kind, SplitConfig(step=step))
+                want = backtracking_step(X, y, t1, t2, kind, SplitConfig(step="auto"))
+                assert got[0] == want[0]
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
+
 
 class TestFindOptimalSplit:
     def test_fits_abs_exactly_with_max(self):
@@ -508,23 +560,38 @@ class TestFindOptimalSplit:
 
 
 def replay_public_steps(X, y, kind, config, start=None):
-    """find_optimal_split's loop rebuilt from the public primitives only."""
+    """find_optimal_split's loop rebuilt from public primitives that it does not share.
+
+    Each iteration refits the current partition with no cache through
+    :func:`damped_update`: once under the fixed step, and once per
+    candidate ``mu0 * beta**s`` of an explicit backtracking search under
+    ``"auto"``, whose first candidate to lower :func:`objective` is taken.
+    """
     t1, t2 = start or initialize_params(X, y, config.ridge_alpha, config.seed)
     trace = [objective(X, y, t1, t2, kind)]
     mus = []
     converged = False
+    fit = (config.ridge_alpha, config.min_subset)
     for _ in range(config.t_max):
+        s1, s2 = partition(X, t1, t2, kind)
         if config.auto_step:
-            mu, n1, n2 = backtracking_step(X, y, t1, t2, kind, config)
-            if mu == 0.0:
+            mu = config.mu0
+            for _ in range(config.max_backtracks):
+                n1, n2 = damped_update(X, y, s1, s2, t1, t2, mu, *fit)
+                value = objective(X, y, n1, n2, kind)
+                if value < trace[-1]:
+                    break
+                mu *= config.beta
+            else:
                 converged = True
                 break
         else:
             mu = float(config.step)
-            n1, n2 = newton_step(X, y, t1, t2, kind, mu, config.ridge_alpha, config.min_subset)
+            n1, n2 = damped_update(X, y, s1, s2, t1, t2, mu, *fit)
+            value = objective(X, y, n1, n2, kind)
         change = float(np.linalg.norm(n1 - t1) + np.linalg.norm(n2 - t2))
         t1, t2 = n1, n2
-        trace.append(objective(X, y, t1, t2, kind))
+        trace.append(value)
         mus.append(mu)
         if change < config.epsilon:
             converged = True
