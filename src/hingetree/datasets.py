@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import codecs
+import itertools
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -122,6 +124,11 @@ def _lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+def _records(lines: list[str]):
+    """``(row, line)`` for each line that is not blank, with its 1-based file row."""
+    return ((i + 1, line) for i, line in enumerate(lines) if line.strip())
+
+
 def _read_csv(path: str, header: bool, target=None):
     """Parse a numeric CSV into ``(values, names, target_index)``.
 
@@ -132,6 +139,12 @@ def _read_csv(path: str, header: bool, target=None):
     :class:`NonNumericCell` at its 1-based file row and column, and a byte
     that is not UTF-8 text a :class:`ParseError` at its row and column.  A
     leading UTF-8 byte-order mark (spreadsheets write one) is dropped.
+
+    Each row is split into cells only when it is converted, by ``float()``
+    per cell, into one ``array('d')`` that ``values`` then views, so no
+    more than one row's cells exist at a time; the file's bytes and its
+    decoded text are each dropped once the next form is made, so the
+    peak stays a few times the file's size.
     """
     with open(path, "rb") as fh:
         # Not decoded as "utf-8-sig", whose error offsets skip the mark.
@@ -142,24 +155,28 @@ def _read_csv(path: str, header: bool, target=None):
         before = _lines(data[:exc.start].decode("utf-8"))
         raise ParseError(len(before), before[-1].count(",") + 1,
                          f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
-    rows = [(i + 1, line.split(",")) for i, line in enumerate(_lines(text)) if line.strip()]
-    if not rows:
+    del data
+    lines = _lines(text)
+    del text
+    rows = _records(lines)
+    first = next(rows, None)
+    if first is None:
         raise EmptyInput(f"{path} contains no rows")
 
     names = None
     if header:
-        names = [c.strip() for c in rows[0][1]]
-        rows = rows[1:]
-    if not rows:
+        names = [c.strip() for c in first[1].split(",")]
+        first = next(rows, None)
+    if first is None:
         raise EmptyInput(f"{path} contains no data rows")
 
-    width = len(rows[0][1])
+    width = first[1].count(",") + 1
     if target is not None and width < 2:
-        raise ParseError(rows[0][0], 1, "need a target column plus at least one feature")
+        raise ParseError(first[0], 1, "need a target column plus at least one feature")
     if names is None:
         names = [f"c{i}" for i in range(width)]
     elif len(names) != width:
-        raise ParseError(rows[0][0], min(len(names), width) + 1,
+        raise ParseError(first[0], min(len(names), width) + 1,
                          "header and data column counts differ")
 
     t_idx = None
@@ -174,23 +191,27 @@ def _read_csv(path: str, header: bool, target=None):
         if not 0 <= t_idx < width:
             raise MissingTarget(f"target index {t_idx} outside 0..{width - 1}")
 
-    values = np.empty((len(rows), width))
-    for r, (lineno, cells) in enumerate(rows):
+    buffer = array("d")
+    for lineno, line in itertools.chain((first,), rows):
+        cells = line.split(",")
         if len(cells) != width:
             raise ParseError(lineno, min(len(cells), width) + 1,
                              f"expected {width} columns, got {len(cells)}")
         try:
-            values[r] = list(map(float, cells))  # float() per cell, so the bits are float()'s
+            buffer.extend(map(float, cells))  # float() per cell, so the bits are float()'s
         except ValueError:
             for c, cell in enumerate(cells):  # find the row's first bad cell
                 try:
                     float(cell)
                 except ValueError:
                     raise NonNumericCell(lineno, c + 1, cell.strip()) from None
+    values = np.frombuffer(buffer).reshape(-1, width)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, c = bad[0]
-        raise NonNumericCell(rows[r][0], c + 1, rows[r][1][c].strip())
+        skip = r + 1 if header else r  # the header is a record too
+        lineno, line = next(itertools.islice(_records(lines), skip, None))
+        raise NonNumericCell(lineno, c + 1, line.split(",")[c].strip())
     return values, names, t_idx
 
 

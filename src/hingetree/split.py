@@ -21,10 +21,14 @@ without its ufunc dispatch, and so has its bits
 (``tests/test_linear.py::TestDotMatchesMatmul`` pins this); the hinge
 kind is resolved to its ufuncs once per call (:func:`_hinge`).
 Every function that takes samples and targets checks them with
-:func:`~hingetree.linear.check_training` first.  :func:`select_split`
-checks and augments a node once and hands that design, with one refit
-cache, to the initialization and both variants it runs (:class:`_Node`),
-so a node's partitions are each solved once.
+:func:`~hingetree.linear.check_training` first, unless it is handed a
+node that is already checked.  :func:`select_split` hands one node, its
+checked and augmented design with one refit cache (:class:`_Node`), to
+the initialization and both variants it runs, so a node's partitions are
+each solved once; the tree layer builds that node once per tree, at the
+root, and gathers each child's from it (:func:`_node_rows`).  Medians,
+of a pivot, a margin or a fallback threshold, come from one partition
+(:func:`_median`).
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ def _check_numbers(config, integers, reals) -> None:
     """Raise ``ValueError`` naming the first field of ``config`` that is not a number of its kind.
 
     ``integers`` take a ``numbers.Integral`` and ``reals`` a finite ``numbers.Real``; a bool is
-    neither.  Exact ints and floats skip the ABC checks: the tree rebuilds a config per node.
+    neither.  Exact ints and floats skip the ABC checks, the slow part of the test.
     A value of any other type, a NumPy scalar say, is stored as ``int`` or ``float`` so that
     the config writes to JSON; an int in a real field stays an int.
     """
@@ -125,6 +129,19 @@ class SplitConfig:
     @property
     def auto_step(self) -> bool:
         return self.step == "auto"
+
+
+def _with_seed(config: SplitConfig, seed: int) -> SplitConfig:
+    """``dataclasses.replace(config, seed=seed)`` without checking the other fields again.
+
+    ``config`` was checked when it was made, and ``seed`` must be an int in
+    [0, 2**64), as every :func:`~hingetree.tree.derive_seed` value is: the
+    copy then equals the replaced config, field by field, and reprs alike.
+    The tree makes one per node, where the checks cost more than the copy.
+    """
+    copy = object.__new__(SplitConfig)
+    copy.__dict__.update(vars(config), seed=seed)
+    return copy
 
 
 @dataclass(frozen=True, eq=False)  # compares by identity, not by its arrays
@@ -322,10 +339,14 @@ def _line_search(Xa, y, envelope, th, target, v0, config):
 class _Node(NamedTuple):
     """One node's checked samples, their augmented design, and the refit targets solved on them.
 
-    Built by :func:`_checked_node`: once per node by :func:`select_split`,
-    which hands it to :func:`initialize_params` and to both
-    :func:`find_optimal_split` variants, or else once per call.
-    ``solved`` is read and filled by :func:`_newton_iteration` alone.
+    Built by :func:`_checked_node` from unchecked samples, or by
+    :func:`_node_rows` from some rows of a node already built.  The tree
+    builds its root's once per tree and each child's from its parent's,
+    and passes each to :func:`select_split`; without one,
+    :func:`select_split` builds its own.  Either way it goes to
+    :func:`initialize_params` and to both :func:`find_optimal_split`
+    variants; those called alone build one per call.  ``solved`` is read
+    and filled by :func:`_newton_iteration` alone.
     """
 
     X: np.ndarray
@@ -338,6 +359,17 @@ def _checked_node(X, y) -> _Node:
     """The checked (:func:`~hingetree.linear.check_training`) and augmented node, with no refits."""
     X, y = check_training(X, y)
     return _Node(X, y, augment(X), {})
+
+
+def _node_rows(node: _Node, rows: np.ndarray) -> _Node:
+    """The node of ``node``'s rows at the indices ``rows``, in that order, with no refits.
+
+    Each array is gathered by ``take``: the rows are copied as they are,
+    already checked, and the augmented rows keep their column of ones, so
+    the result equals :func:`_checked_node` of the gathered samples.
+    """
+    X, y, Xa, _ = node
+    return _Node(X.take(rows, axis=0), y.take(rows), Xa.take(rows, axis=0), {})
 
 
 def _newton_iteration(node: _Node, envelope, first, th, v0, mu, config: SplitConfig):
@@ -465,6 +497,23 @@ def _column_ranges(X) -> np.ndarray:
     return Xt.max(axis=1) - Xt.min(axis=1)
 
 
+def _median(v: np.ndarray) -> float:
+    """``float(np.median(v))`` of a non-empty 1-D float array ``v`` of finite values, with its bits.
+
+    One ``np.partition`` with ``np.median``'s own indices (the middle one
+    or pair, then the last), so that equal values, ``-0.0`` and ``0.0``
+    among them, land where they land for ``np.median``; then its mean of
+    the middle slice, the sum by ``np.add.reduce`` divided by the count.
+    That is ``np.median`` without its wrapper (``_ureduce``, ``mean``),
+    which took most of its time on a node's column.  A NaN would not
+    propagate, so the values must be finite.
+    """
+    half = v.size // 2
+    middle = (half,) if v.size % 2 else (half - 1, half)
+    part = np.partition(v, (*middle, -1))
+    return float(np.add.reduce(part[middle[0]:half + 1])) / len(middle)
+
+
 def initialize_params(X, y, alpha: float = 0.0, seed: int = 0, *, _node: _Node | None = None):
     """Data-driven starting point for the alternating optimization.
 
@@ -477,10 +526,11 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0, *, _node: _Node |
     diversity check keeps theta1 and theta2 from being numerically
     identical.  Deterministic given seed.
 
-    ``_node``, private to this module, is the node of ``X`` and ``y``
-    already checked and augmented (:func:`select_split` and
-    :func:`find_optimal_split` pass it); without it they are checked and
-    augmented here.  The refit neither reads nor
+    The pivot and the margin median are :func:`_median`'s, with the bits
+    of ``np.median``.  ``_node``, private to this package, is the node of
+    ``X`` and ``y`` already checked and augmented (:func:`select_split`
+    and :func:`find_optimal_split` pass it); without it they are checked
+    and augmented here.  The refit neither reads nor
     fills the node's refit cache: it runs with ``min_subset`` 2, not the
     split's, so a side too small for the split's ``min_subset`` is fitted
     here where an iteration would keep its parameters (and the reverse
@@ -493,7 +543,7 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0, *, _node: _Node |
     rng = None  # made on the first perturbation that draws from it
 
     k = int(np.argmax(_column_ranges(X)))
-    pivot = float(np.median(X[:, k]))
+    pivot = _median(X[:, k])
     first = X[:, k] <= pivot
     # There are no current parameters: a side that would keep its row is discarded.
     (theta1, theta2), alone = _refit(Xa, y, first.nonzero()[0], (~first).nonzero()[0],
@@ -522,7 +572,7 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0, *, _node: _Node |
     margins = Xa.dot(theta1 - theta2)
     if margins.min() >= 0.0 or margins.max() <= 0.0:
         theta2 = theta2.copy()
-        theta2[-1] += float(np.median(margins))
+        theta2[-1] += _median(margins)
     return theta1, theta2
 
 
@@ -607,12 +657,16 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     )
 
 
-def select_split(X, y, config: SplitConfig) -> SplitOutcome:
+def select_split(X, y, config: SplitConfig, *, _node: _Node | None = None) -> SplitOutcome:
     """Run both hinge variants and keep the one with lower training RMSE.
 
     The samples are checked and augmented once, into one node
     (:class:`_Node`) with one refit cache, after which the sample count is
-    checked.  :func:`initialize_params` runs once on that node, and both
+    checked.  ``_node``, private to this package, is that node already
+    built, for ``X`` and ``y``: the tree passes each node's, gathered from
+    the root's (:func:`_node_rows`), so no node below the root is checked
+    or augmented again.  With it the outcome has the bits of a call
+    without it.  :func:`initialize_params` runs once on that node, and both
     variants (:func:`find_optimal_split`) start from its pair and share the
     node: a partition, or its complement, that one variant has solved is
     not solved again by the other.  Both functions are looked up in this
@@ -622,7 +676,7 @@ def select_split(X, y, config: SplitConfig) -> SplitOutcome:
     counts.  The outcome has the bits of the better of two separate
     :func:`find_optimal_split` calls from the same start.
     """
-    node = _checked_node(X, y)
+    node = _node or _checked_node(X, y)
     X, y = node.X, node.y
     n = y.shape[0]
     _check_size(n, config)
@@ -643,8 +697,9 @@ def median_fallback(X, seed: int = 0) -> Split:
     max hinge (theta1 = +e_k with bias -m_k, theta2 = its negation) so
     that S1 = {x_k >= m_k} and every downstream consumer sees one uniform
     node representation.  A feature is non-constant when its range
-    (:func:`_column_ranges`) is positive.  A NaN or infinite value in ``X``
-    raises :class:`NonFiniteInput`.
+    (:func:`_column_ranges`) is positive; the threshold is its
+    :func:`_median`, with the bits of ``np.median``.  A NaN or infinite
+    value in ``X`` raises :class:`NonFiniteInput`.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -657,7 +712,7 @@ def median_fallback(X, seed: int = 0) -> Split:
         raise AllFeaturesConstant("every feature is constant at this node")
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     k = int(candidates[rng.integers(candidates.size)])
-    m = float(np.median(X[:, k]))
+    m = _median(X[:, k])
     theta1 = np.zeros(d + 1)
     theta1[k] = 1.0
     theta1[-1] = -m

@@ -1,6 +1,11 @@
 """Tree construction by one node-expansion step over a preorder stack, plus prediction routing.
 
-:func:`_expand` grows one node: it stays a leaf (its own ridge fit) when
+:func:`build_tree` checks the training rows and augments them with the
+bias column once, at the root, into a :class:`~hingetree.split._Node`;
+each child's node is its parent's rows gathered by index
+(:func:`~hingetree.split._node_rows`), so no node below the root checks
+or augments its rows again.  :func:`_expand` grows one node: it stays a
+leaf (its own ridge fit, on the node's augmented rows) when
 the depth cap, the minimum sample count, or the RMSE threshold fires;
 otherwise the better of the two optimized hinge variants routes its
 samples, or a random-feature median split does when optimization stalls.
@@ -33,16 +38,16 @@ model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AllFeaturesConstant, DimensionMismatch, NonFiniteInput
-from .linear import affine, affine_row, augment, check_training, fit_or_mean
-from .split import (Split, SplitConfig, SplitOutcome, _check_numbers, _first_pair, _read_only,
-                    median_fallback, select_split)
+from .linear import affine, affine_row, fit_or_mean
+from .split import (Split, SplitConfig, SplitOutcome, _check_numbers, _checked_node, _first_pair,
+                    _Node, _node_rows, _read_only, _with_seed, median_fallback, select_split)
 
 _MASK64 = (1 << 64) - 1
 
@@ -208,10 +213,14 @@ def _predict_rows(table: _Table) -> tuple:
                                   table.left.tolist(), table.right.tolist())))
 
 
-def _expand(X, y, depth, seed, config: TreeConfig, fits: list[SplitOutcome]):
+def _expand(node: _Node, depth, seed, config: TreeConfig, fits: list[SplitOutcome]):
     """One node's growth step: ``(theta_leaf, split, first)``, a leaf's model or a split and mask.
 
-    A leaf comes back as ``(theta_leaf, None, None)`` and an internal node as
+    ``node`` holds the node's checked rows and their augmented design
+    (:class:`~hingetree.split._Node`): the leaf model is fitted on that
+    design and :func:`select_split` gets the node as its private ``_node``,
+    so nothing here checks or augments the rows again.  A leaf comes back as
+    ``(theta_leaf, None, None)`` and an internal node as
     ``(None, split, first)``.  A split routes only if each side of its mask
     ``first`` gets ``n_min`` rows; the median fallback is drawn when the
     hinge did not converge or fails that test.  The leaf model, a ridge fit
@@ -219,18 +228,20 @@ def _expand(X, y, depth, seed, config: TreeConfig, fits: list[SplitOutcome]):
     read: at a node that ends as a leaf, and at a node past the depth and
     sample-count tests when ``tau_rmse > 0`` asks for its RMSE, whose fit
     is kept if the node ends as a leaf after all.  A node stopped by depth
-    or ``n_min`` takes no RMSE pass.
+    or ``n_min`` takes no RMSE pass.  The node's split config is the tree's
+    with the node's seed (:func:`~hingetree.split._with_seed`).
     """
+    X, y, Xa, _ = node
     n = X.shape[0]
     if depth >= config.d_max or n < config.n_min:
-        return _leaf_model(X, y, config), None, None
+        return _leaf_model(Xa, y, config), None, None
     theta_leaf = None
     if config.tau_rmse > 0:
-        theta_leaf = _leaf_model(X, y, config)
+        theta_leaf = _leaf_model(Xa, y, config)
         rmse = float(np.sqrt(np.mean((y - affine(X, theta_leaf)) ** 2)))
         if rmse < config.tau_rmse:
             return theta_leaf, None, None
-    outcome = select_split(X, y, replace(config.split, seed=seed))
+    outcome = select_split(X, y, _with_seed(config.split, seed), _node=node)
     fits.append(outcome)
     for hinge in (True, False) if outcome.converged else (False,):
         try:
@@ -242,12 +253,12 @@ def _expand(X, y, depth, seed, config: TreeConfig, fits: list[SplitOutcome]):
         first = affine(X, p) >= affine(X, q)
         if config.n_min <= np.count_nonzero(first) <= n - config.n_min:
             return None, split, first
-    return (_leaf_model(X, y, config) if theta_leaf is None else theta_leaf), None, None
+    return (_leaf_model(Xa, y, config) if theta_leaf is None else theta_leaf), None, None
 
 
-def _leaf_model(X, y, config: TreeConfig) -> np.ndarray:
-    """The node's leaf model: the ridge fit of ``y`` on the augmented ``X``."""
-    return fit_or_mean(augment(X), y, config.split.ridge_alpha)
+def _leaf_model(Xa, y, config: TreeConfig) -> np.ndarray:
+    """The node's leaf model: the ridge fit of ``y`` on its augmented rows ``Xa``."""
+    return fit_or_mean(Xa, y, config.split.ridge_alpha)
 
 
 def _preorder(root: TreeNode):
@@ -291,25 +302,30 @@ def build_tree(X, y, config: TreeConfig | None = None) -> HrtModel:
     """Fit a hinge regression tree.
 
     Deterministic for identical (X, y, config): node seeds are derived
-    from ``config.split.seed`` through :func:`derive_seed`.
+    from ``config.split.seed`` through :func:`derive_seed`.  The rows are
+    checked (:func:`~hingetree.linear.check_training`) and augmented once,
+    into the root's node (:func:`~hingetree.split._checked_node`); a
+    child's node gathers its parent's rows by index, the first side's or
+    the second's in their order (:func:`~hingetree.split._node_rows`).
     """
     if config is None:
         config = TreeConfig()
-    X, y = check_training(X, y)
     # A LIFO stack with the right child pushed first expands the nodes in preorder.
-    pending, expanded, fits = [(X, y, 0, config.split.seed & _MASK64)], [], []
+    pending, expanded, fits = [(_checked_node(X, y), 0, config.split.seed & _MASK64)], [], []
+    d = pending[0][0].X.shape[1]
     while pending:
-        Xn, yn, depth, seed = pending.pop()
-        theta_leaf, split, first = _expand(Xn, yn, depth, seed, config, fits)
-        expanded.append((theta_leaf, split, Xn.shape[0]))
+        node, depth, seed = pending.pop()
+        theta_leaf, split, first = _expand(node, depth, seed, config, fits)
+        expanded.append((theta_leaf, split, node.y.shape[0]))
         if split is not None:
-            for slot, rows in ((1, ~first), (0, first)):
-                pending.append((Xn[rows], yn[rows], depth + 1, derive_seed(seed, depth, slot)))
+            for slot, side in ((1, ~first), (0, first)):
+                pending.append((_node_rows(node, side.nonzero()[0]), depth + 1,
+                                derive_seed(seed, depth, slot)))
     built: list[TreeNode] = []
     for theta_leaf, split, n in reversed(expanded):  # children first, the left subtree on top
         built.append(Leaf(theta=theta_leaf, n_train=n) if split is None
                      else Internal(split=split, left=built.pop(), right=built.pop()))
-    return HrtModel(root=built[0], d=X.shape[1], config=config, stats=train_stats(built[0], fits))
+    return HrtModel(root=built[0], d=d, config=config, stats=train_stats(built[0], fits))
 
 
 def check_features(X, d: int) -> np.ndarray:

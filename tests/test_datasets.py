@@ -1,4 +1,5 @@
 import codecs
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,45 @@ class TestCsv:
             load_csv(path, target=target, header=header)
         if col is not None:
             assert (err.value.row, err.value.col) == (1 + header, col)
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_non_finite_cell_after_blank_lines_has_location(self, tmp_path, header):
+        path = tmp_path / "gaps.csv"
+        path.write_text("a,b,y\n" * header + "\n1,2,3\n\n\n4,5,6\n \n7,-inf,9\n")
+        with pytest.raises(NonNumericCell, match="'-inf'") as err:
+            load_csv(path, target=2, header=header)
+        assert (err.value.row, err.value.col) == (7 + header, 2)
+
+    def test_rows_are_checked_for_shape_before_values_for_finiteness(self, tmp_path):
+        # Every row is converted before any value is tested, as the whole-file reader did.
+        path = tmp_path / "order.csv"
+        path.write_text("a,y\n1,nan\n3\n")
+        with pytest.raises(ParseError, match="expected 2 columns, got 1") as err:
+            load_csv(path, target="y")
+        assert (err.value.row, err.value.col) == (3, 2)
+
+    def test_peak_memory_is_a_few_times_the_file(self, tmp_path):
+        # 4,000 rows of 17 round-trip floats, as in a d = 16 training file (about 1.3 MB).
+        values = np.random.default_rng(0).normal(size=(4000, 17))
+        path = tmp_path / "wide.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join([f"x{j}" for j in range(1, 17)] + ["y"]) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in values.tolist())
+        size = path.stat().st_size
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ds = load_csv(path, target="y")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert ds.X.tobytes() == values[:, :16].tobytes()
+        assert ds.y.tobytes() == values[:, 16].tobytes()
+        assert peak < 4 * size, f"peak {peak} bytes for a file of {size}"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

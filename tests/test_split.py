@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hingetree import (
     TreeConfig,
     augment,
     backtracking_step,
+    build_tree,
     damped_update,
     default_boost_tree_config,
     find_optimal_split,
@@ -26,6 +29,7 @@ from hingetree import (
 )
 from hingetree import split
 from hingetree.linear import affine_row, ridge_solve_pair
+from hingetree.tree import derive_seed
 from conftest import hinge_regression, random_regression, unordered_partition
 
 
@@ -897,6 +901,106 @@ class TestColumnRanges:
         X = np.column_stack([column, np.arange(len(column), dtype=float)])
         expected = X.max(axis=0) - X.min(axis=0)
         assert split._column_ranges(X).tobytes() == expected.tobytes()
+
+
+def median_cases():
+    """``(id, values)``: odd and even lengths 1-9 and 2,000, ties, signed zeros and extremes."""
+    gen = np.random.default_rng(5)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.5, -1.5])
+    cases = []
+    for n in (*range(1, 10), 2000):
+        cases += [
+            (f"normal-{n}", gen.normal(size=n)),
+            (f"ties-{n}", gen.integers(-2, 3, size=n).astype(float)),
+            (f"zeros-{n}", gen.choice([0.0, -0.0], size=n)),
+            (f"negative-zeros-{n}", np.full(n, -0.0)),
+            (f"subnormal-{n}", gen.choice([5e-324, -5e-324, 1e-310, 0.0, -0.0], size=n)),
+            (f"extreme-{n}", gen.choice([1e308, -1e308, 1.0], size=n)),
+            (f"huge-{n}", np.full(n, 1e308)),
+            (f"specials-{n}", gen.choice(specials, size=n)),
+        ]
+    return cases
+
+
+class TestMedian:
+    @pytest.mark.parametrize("values", [v for _, v in median_cases()],
+                             ids=[i for i, _ in median_cases()])
+    def test_bits_of_np_median(self, values):
+        # A pair of 1e308s overflows in both, with the same warning.
+        with np.errstate(over="ignore"):
+            expected = float(np.median(values))
+            got = split._median(values)
+        assert type(got) is float and got.hex() == expected.hex()
+
+    def test_strided_column_left_unchanged(self):
+        X = np.random.default_rng(2).normal(size=(101, 3))
+        before = X.copy()
+        assert split._median(X[:, 1]).hex() == float(np.median(before[:, 1])).hex()
+        assert X.tobytes() == before.tobytes()
+
+    def test_no_np_median_in_a_fit(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("np.median called")
+
+        monkeypatch.setattr(np, "median", refused)
+        X, y = random_regression(3, 200, 2, noise=0.3)
+        model = build_tree(X, y, TreeConfig(d_max=3, split=SplitConfig(t_max=3, seed=3)))
+        assert model.stats.n_splits > model.stats.n_fallbacks > 0  # both medians were taken
+
+
+def outcome_bits(out):
+    """Everything a split outcome holds, its coefficients as bytes."""
+    return (out.theta1.tobytes(), out.theta2.tobytes(), out.kind, out.converged, out.iterations,
+            out.objective_trace, out.mu_trace, out.partition_sizes, out.variant_iterations)
+
+
+class TestCheckedNode:
+    @pytest.mark.parametrize("step", [0.01, "auto"])
+    def test_select_split_with_a_node_has_the_bits_of_one_without(self, step):
+        X, y = random_regression(14, 120, 3, noise=0.3)
+        config = SplitConfig(step=step, seed=14)
+        given = select_split(X, y, config, _node=split._checked_node(X, y))
+        assert outcome_bits(given) == outcome_bits(select_split(X, y, config))
+
+    def test_gathered_rows_are_the_checked_rows(self):
+        X, y = random_regression(15, 50, 2)
+        rows = np.flatnonzero(X[:, 0] >= 0.0)
+        gathered = split._node_rows(split._checked_node(X, y), rows)
+        checked = split._checked_node(X[rows], y[rows])
+        for a, b in zip(gathered[:3], checked[:3]):
+            assert a.flags.c_contiguous and a.tobytes() == b.tobytes() and a.shape == b.shape
+        assert gathered.solved == {}
+
+    def test_select_split_on_gathered_rows(self):
+        X, y = random_regression(16, 150, 2, noise=0.3)
+        rows = np.flatnonzero(X[:, 1] < 0.3)
+        config = SplitConfig(step="auto", seed=16)
+        node = split._node_rows(split._checked_node(X, y), rows)
+        given = select_split(node.X, node.y, config, _node=node)
+        assert outcome_bits(given) == outcome_bits(select_split(X[rows], y[rows], config))
+
+
+class TestWithSeed:
+    SEEDS = [0, 1, 2 ** 64 - 1, derive_seed(7, 3, 1)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("config", [SplitConfig(),
+                                        SplitConfig(step="auto", epsilon=1e-4, t_max=7, seed=5)],
+                             ids=["default", "auto"])
+    def test_equals_replace(self, config, seed):
+        copy, replaced = split._with_seed(config, seed), replace(config, seed=seed)
+        assert copy == replaced and repr(copy) == repr(replaced) and hash(copy) == hash(replaced)
+        assert type(copy.seed) is int and copy is not config
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_fits_the_bits_of_replace(self, seed):
+        X, _ = random_regression(17, 60, 2)
+        # Both sides fit this line exactly, so the start is perturbed by the seed's draws.
+        y = X.dot([0.5, -1.0]) + 2.0
+        config = SplitConfig(t_max=3, ridge_alpha=0.0)
+        fitted = outcome_bits(select_split(X, y, split._with_seed(config, seed)))
+        assert fitted == outcome_bits(select_split(X, y, replace(config, seed=seed)))
+        assert fitted != outcome_bits(select_split(X, y, replace(config, seed=seed ^ 1)))
 
 
 class TestMedianFallback:

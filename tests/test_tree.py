@@ -5,6 +5,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import hingetree.linear
+import hingetree.split
 import hingetree.tree
 from hingetree import (
     Dataset,
@@ -38,7 +40,7 @@ from hingetree import (
     select_split,
     write_csv,
 )
-from hingetree.linear import affine_row
+from hingetree.linear import affine, affine_row
 from hingetree.split import SplitOutcome, _first_pair
 from hingetree.tree import Internal, Leaf, _preorder, derive_seed, train_stats
 from conftest import hinge_regression, random_regression, relabel_leaves
@@ -234,6 +236,51 @@ class TestBuildTree:
         assert rmses[2] < 0.5 * rmses[0]
 
 
+class TestRowsOnceAtTheRoot:
+    """``build_tree`` checks and augments the rows once; children are gathered by index."""
+
+    @pytest.mark.parametrize("tau_rmse", [0.0, 0.03])
+    def test_one_check_and_one_augment_per_tree(self, monkeypatch, tau_rmse):
+        calls = {"augment": 0, "check_training": 0}
+        for name in calls:
+            real = getattr(hingetree.linear, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            # The names of every module that could call them, present or not.
+            for module in (hingetree.linear, hingetree.split, hingetree.tree):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        X, y = hinge_regression(9, 400, 2, noise=0.2)
+        model = build_tree(X, y, TreeConfig(tau_rmse=tau_rmse, split=SplitConfig(step="auto")))
+        assert model.stats.n_splits >= 15
+        assert calls == {"augment": 1, "check_training": 1}
+
+    def test_each_node_is_its_parents_rows_in_order(self, monkeypatch):
+        nodes = []
+
+        def recording(X, y, config, **kwargs):
+            nodes.append((X, y, kwargs["_node"]))
+            return select_split(X, y, config, **kwargs)
+
+        monkeypatch.setattr(hingetree.tree, "select_split", recording)
+        X, y = hinge_regression(10, 300, 2, noise=0.2)
+        config = TreeConfig(d_max=3, tau_rmse=0.0, split=SplitConfig(step="auto"))
+        model = build_tree(X, y, config)
+        assert len(nodes) == len(model.stats.per_node_traces) > 2
+        for Xn, yn, node in nodes:
+            assert Xn is node.X and yn is node.y
+            assert node.Xa.tobytes() == augment(Xn).tobytes()
+        assert nodes[0][0].tobytes() == X.tobytes() and nodes[0][1].tobytes() == y.tobytes()
+        # The root's left child, next in preorder, holds its first-side rows in their order.
+        split = model.root.split
+        p, q = _first_pair(split.kind, split.theta1, split.theta2)
+        first = affine(X, p) >= affine(X, q)
+        assert nodes[1][0].tobytes() == X[first].tobytes()
+        assert nodes[1][1].tobytes() == y[first].tobytes()
+
+
 class TestGrowthExits:
     """The node a stalled split leaves, with ``select_split`` and ``median_fallback`` replaced."""
 
@@ -254,7 +301,7 @@ class TestGrowthExits:
     def test_converged_hinge_with_a_small_child_gives_way_to_the_fallback(self, monkeypatch):
         X, y = random_regression(4, 60, 2)
         hinge = self.outcome(self.axis_split(X, self.CONFIG.n_min - 1), converged=True)
-        monkeypatch.setattr(hingetree.tree, "select_split", lambda X, y, config: hinge)
+        monkeypatch.setattr(hingetree.tree, "select_split", lambda X, y, config, **_: hinge)
         model = build_tree(X, y, self.CONFIG)
         drawn = median_fallback(X, seed=derive_seed(self.CONFIG.split.seed, 0, 2))
         root = model.root
@@ -269,7 +316,7 @@ class TestGrowthExits:
         stalled = self.outcome(self.axis_split(X, 30), converged=False)
         fallback = self.axis_split(X, self.CONFIG.n_min - 1, fallback_feature=0,
                                    fallback_threshold=0.0)
-        monkeypatch.setattr(hingetree.tree, "select_split", lambda X, y, config: stalled)
+        monkeypatch.setattr(hingetree.tree, "select_split", lambda X, y, config, **_: stalled)
         monkeypatch.setattr(hingetree.tree, "median_fallback", lambda X, seed: fallback)
         model = build_tree(X, y, self.CONFIG)
         own = build_tree(X, y, replace(self.CONFIG, d_max=0)).root
@@ -704,7 +751,7 @@ class TestSeeds:
     def test_nodes_are_optimized_in_preorder(self, monkeypatch):
         seeds = []
 
-        def recording(X, y, config):
+        def recording(X, y, config, **_):
             seeds.append(config.seed)
             return select_split(X, y, config)
 
