@@ -8,8 +8,9 @@ flag's value wins over its --config key (the flag's destination:
 default.  A --config key the command does not read is a configuration
 error, and so is a value of the wrong JSON type (a boolean, null, list or
 object, or a non-integral number for an integer field), ``--stages`` or
-``--eta`` given to ``train ... hrt``, or ``--diagnostics`` given to
-``train ... boost``.
+``--eta`` given to ``train ... hrt``, ``--diagnostics`` given to
+``train ... boost``, or ``--target`` or ``--no-header`` given with a
+synthetic dataset spec.
 Each command builds one report dict: ``--json`` writes it and
 :func:`_report` prints it as text, except that ``predict`` without ``--out``
 and ``trace-node`` print data (the predictions, the per-iteration CSV).  The
@@ -17,7 +18,8 @@ and ``trace-node`` print data (the predictions, the per-iteration CSV).  The
 :mod:`hingetree.metrics`, as ``{"two": {...}, "diff": {...}}``.
 Exit codes: 0 success, 2 configuration error, 3 data error (a NaN or
 infinite value included, also one that standardizing a row to predict
-produces or that the model predicts) or corrupt model file (any value that
+produces or that the model predicts, and training data whose sums of
+squares overflow) or corrupt model file (any value that
 :mod:`hingetree.serialize` rejects on load, ``preprocess`` included), 4
 model/data dimension mismatch, 5 per-stage bound violation (boost-diagnose
 only).  The HRT_LOG environment variable ({error|info|debug}, default
@@ -38,6 +40,7 @@ import numpy as np
 
 from .boost import BoostConfig, BoostModel, fit_boost, gamma_bound_check, predict_boost_batch
 from .datasets import (
+    SYNTHETIC_FUNCTIONS,
     Dataset,
     StandardizeTransform,
     gen_synthetic,
@@ -175,19 +178,29 @@ def _configure(config, args, file_cfg: dict, **fixed):
     return replace(config, **changes)
 
 
-def _target(args) -> str | int:
-    """``--target`` as a column name, or as an index when it is an integer (default ``"y"``)."""
-    target = getattr(args, "target", None)
-    if target is None:
-        return "y"
+def _csv_options(args) -> dict:
+    """``--target`` and ``--no-header`` as :func:`parse_dataset_spec`'s ``target`` and ``header``.
+
+    The target is a column name, or an index when it is an integer
+    (default ``"y"``).  Every command's dataset is read with these options.
+    Both flags describe a CSV file: a synthetic spec takes no options
+    (``{}``), and either flag given with one is a configuration error.
+    """
+    if args.dataset.split(":", 1)[0] in SYNTHETIC_FUNCTIONS:
+        given = [flag for flag, on in (("--target", args.target is not None),
+                                       ("--no-header", args.no_header)) if on]
+        if given:
+            raise CliConfigError(f"{' and '.join(given)}: the synthetic spec {args.dataset!r} "
+                                 f"is not a CSV file")
+        return {}
+    target = "y" if args.target is None else args.target
     if target.isdigit() or (target.startswith("-") and target[1:].isdigit()):
-        return int(target)
-    return target
+        target = int(target)
+    return {"target": target, "header": not args.no_header}
 
 
 def _dataset(args) -> Dataset:
-    header = not getattr(args, "no_header", False)
-    return parse_dataset_spec(args.dataset, target=_target(args), header=header)
+    return parse_dataset_spec(args.dataset, **_csv_options(args))
 
 
 def _predictions(model, X: np.ndarray) -> np.ndarray:
@@ -313,10 +326,11 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    if args.target is not None:
-        X = _dataset(args).X
+    options = _csv_options(args)
+    if options and args.target is None:  # a CSV of feature rows alone
+        X, _ = load_features(args.dataset, header=options["header"])
     else:
-        X, _ = load_features(args.dataset, header=not args.no_header)
+        X = _dataset(args).X
     preds = _predictions(model, X)
     text = "prediction\n" + "".join(f"{v:.17g}\n" for v in preds)
     payload = {"command": "predict", "n": int(preds.shape[0]), "out": args.out}
@@ -393,10 +407,7 @@ def cmd_ablate_step(args) -> int:
     rows = ablate_step_rows(
         args.dataset, mu_values, args.repeats, _configure(TreeConfig(), args, file_cfg),
         train_fraction=args.train_fraction, seed=args.seed,
-        use_standardize=args.standardize,
-        target=_target(args),
-        header=not args.no_header,
-    )
+        use_standardize=args.standardize, **_csv_options(args))
     _report(args, {
         "command": "ablate-step",
         "dataset": args.dataset,
@@ -512,7 +523,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pred = subs.add_parser("predict", help="emit predictions for a CSV file")
     pred.add_argument("model", help="model file")
-    pred.add_argument("dataset", help="CSV of feature rows")
+    pred.add_argument("dataset", help="CSV of feature rows, or synthetic spec "
+                                      "name:n=<N>:sigma=<s>:seed=<k>")
     pred.add_argument("--target", default=None,
                       help="target column to drop from the CSV, if present")
     pred.add_argument("--no-header", action="store_true")

@@ -15,6 +15,7 @@ from .errors import (
     DegenerateSplit,
     EmptyInput,
     MissingTarget,
+    NonFiniteInput,
     NonNumericCell,
     ParseError,
 )
@@ -328,10 +329,16 @@ def standardize(train: Dataset, test: Dataset | None = None):
 
     Zero-variance features are flagged and passed through unchanged.
     Targets are untouched.  Returns (train, test, transform); test is
-    None when not supplied.
+    None when not supplied.  Raises :class:`NonFiniteInput` naming the
+    first feature whose mean or standard deviation overflows.
     """
-    mean = train.X.mean(axis=0)
-    std = train.X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.X.mean(axis=0)
+        std = train.X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise NonFiniteInput(f"feature {train.feature_names[bad[0]]!r} is too large to "
+                             f"standardize: its mean or standard deviation is not finite")
     constant = std == 0.0
     transform = StandardizeTransform(
         shift=np.where(constant, 0.0, mean),

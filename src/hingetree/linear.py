@@ -48,7 +48,10 @@ def check_training(X, y) -> tuple[np.ndarray, np.ndarray]:
     layout, and therefore the matrix-product bits, of its C-ordered copy.
     Raises :class:`EmptyDataset` without a sample or a feature,
     :class:`DimensionMismatch` when the row counts differ, and
-    :class:`NonFiniteInput` when any value is NaN or infinite.
+    :class:`NonFiniteInput` when any value is NaN or infinite, or when a
+    feature's or the target's sum of squares overflows, as a diagonal
+    entry of the normal equations (:func:`_normal_equations`) or a
+    residual norm then would.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -58,7 +61,13 @@ def check_training(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch("X and y row counts differ")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NonFiniteInput("training data contains a NaN or infinite value")
-    return np.ascontiguousarray(X), np.ascontiguousarray(y)
+    X, y = np.ascontiguousarray(X), np.ascontiguousarray(y)
+    with np.errstate(over="ignore"):
+        large = not (np.isfinite(np.einsum("ij,ij->j", X, X)).all() and np.isfinite(y.dot(y)))
+    if large:
+        raise NonFiniteInput("training data too large: a feature's or the target's sum of "
+                             "squares overflows")
+    return X, y
 
 
 def augment(X: np.ndarray) -> np.ndarray:

@@ -131,19 +131,6 @@ class SplitConfig:
         return self.step == "auto"
 
 
-def _with_seed(config: SplitConfig, seed: int) -> SplitConfig:
-    """``dataclasses.replace(config, seed=seed)`` without checking the other fields again.
-
-    ``config`` was checked when it was made, and ``seed`` must be an int in
-    [0, 2**64), as every :func:`~hingetree.tree.derive_seed` value is: the
-    copy then equals the replaced config, field by field, and reprs alike.
-    The tree makes one per node, where the checks cost more than the copy.
-    """
-    copy = object.__new__(SplitConfig)
-    copy.__dict__.update(vars(config), seed=seed)
-    return copy
-
-
 @dataclass(frozen=True, eq=False)  # compares by identity, not by its arrays
 class Split:
     """How a node routes: a row goes first iff ``p >= q`` for ``_first_pair(kind, theta1, theta2)``.
@@ -519,12 +506,15 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0, *, _node: _Node |
 
     Splits at the median of the largest-range feature (ranges by
     :func:`_column_ranges`) and refits both sides on that partition as an
-    iteration does (:func:`_refit`, with ``min_subset`` 2).  If the refit
-    does not depend on the partition alone (a side has fewer than two
-    samples, or stays singular after the jitter retry), both vectors start
-    from the global fit plus small independent perturbations.  A final
-    diversity check keeps theta1 and theta2 from being numerically
-    identical.  Deterministic given seed.
+    iteration does (:func:`_refit`, with ``min_subset`` 2).  A start is
+    perturbed at most once, by normal draws of scale ``1e-3 * (1 + max|theta|)``
+    from a fresh ``np.random.default_rng(seed)``, and only in two cases: if
+    the refit does not depend on the partition alone (a side has fewer than
+    two samples, or stays singular after the jitter retry), both vectors
+    start from the global fit plus one draw each, theta1's first; else if
+    the two sides coincide within ``DIVERSITY_TOL`` (max-norm), as on
+    exactly linear data, theta2 takes one draw.  Any other start draws
+    nothing.  Deterministic given seed.
 
     The pivot and the margin median are :func:`_median`'s, with the bits
     of ``np.median``.  ``_node``, private to this package, is the node of
@@ -540,7 +530,6 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0, *, _node: _Node |
     n, d = X.shape
     if n < 2:
         raise TooFewSamples("initialization needs at least 2 samples")
-    rng = None  # made on the first perturbation that draws from it
 
     k = int(np.argmax(_column_ranges(X)))
     pivot = _median(X[:, k])
@@ -554,15 +543,10 @@ def initialize_params(X, y, alpha: float = 0.0, seed: int = 0, *, _node: _Node |
         rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
         theta1 = theta_global + rng.normal(0.0, scale, size=d + 1)
         theta2 = theta_global + rng.normal(0.0, scale, size=d + 1)
-
-    if float(np.max(np.abs(theta1 - theta2))) < DIVERSITY_TOL:
+    elif float(np.max(np.abs(theta1 - theta2))) < DIVERSITY_TOL:
         scale = 1e-3 * (1.0 + float(np.max(np.abs(theta1))))
-        if rng is None:
-            rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+        rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
         theta2 = theta2 + rng.normal(0.0, scale, size=d + 1)
-        if float(np.max(np.abs(theta1 - theta2))) < DIVERSITY_TOL:
-            theta2 = theta2.copy()
-            theta2[0] += 1e-6
 
     # The two side fits can be near-collinear, leaving the hinge boundary
     # entirely outside the data (every sample on one side).  A one-sided

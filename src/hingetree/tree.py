@@ -38,7 +38,7 @@ model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite
 from typing import NamedTuple
 
@@ -47,7 +47,7 @@ import numpy as np
 from .errors import AllFeaturesConstant, DimensionMismatch, NonFiniteInput
 from .linear import affine, affine_row, fit_or_mean
 from .split import (Split, SplitConfig, SplitOutcome, _check_numbers, _checked_node, _first_pair,
-                    _Node, _node_rows, _read_only, _with_seed, median_fallback, select_split)
+                    _Node, _node_rows, _read_only, median_fallback, select_split)
 
 _MASK64 = (1 << 64) - 1
 
@@ -229,7 +229,7 @@ def _expand(node: _Node, depth, seed, config: TreeConfig, fits: list[SplitOutcom
     sample-count tests when ``tau_rmse > 0`` asks for its RMSE, whose fit
     is kept if the node ends as a leaf after all.  A node stopped by depth
     or ``n_min`` takes no RMSE pass.  The node's split config is the tree's
-    with the node's seed (:func:`~hingetree.split._with_seed`).
+    with the node's seed, ``dataclasses.replace(config.split, seed=seed)``.
     """
     X, y, Xa, _ = node
     n = X.shape[0]
@@ -241,7 +241,7 @@ def _expand(node: _Node, depth, seed, config: TreeConfig, fits: list[SplitOutcom
         rmse = float(np.sqrt(np.mean((y - affine(X, theta_leaf)) ** 2)))
         if rmse < config.tau_rmse:
             return theta_leaf, None, None
-    outcome = select_split(X, y, _with_seed(config.split, seed), _node=node)
+    outcome = select_split(X, y, replace(config.split, seed=seed), _node=node)
     fits.append(outcome)
     for hinge in (True, False) if outcome.converged else (False,):
         try:

@@ -537,6 +537,15 @@ class TestPredict:
         assert lines[0] == "prediction"
         assert len(lines) == 26
 
+    def test_synthetic_spec_rows(self, tmp_path, capsys):
+        out, preds = tmp_path / "m.json", tmp_path / "p.csv"
+        run(capsys, "train", "f1:n=300:sigma=0.1:seed=1", "hrt", "--max-depth", "3",
+            "--out", str(out))
+        code, _, _ = run(capsys, "predict", str(out), "f1:n=50:seed=2", "--out", str(preds))
+        assert code == 0
+        expected = predict_batch(load_model(out), gen_synthetic("f1", 50, 0.0, seed=2).X)
+        assert preds.read_text() == "prediction\n" + "".join(f"{v:.17g}\n" for v in expected)
+
     def test_feature_only_csv(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         run(capsys, "train", SINC, "hrt", "--out", str(out))
@@ -875,6 +884,29 @@ class TestParsing:
         assert code == 2
         assert f"unrecognized arguments: {flag} 1" in err
 
+    # --target and --no-header describe a CSV file, which a synthetic spec is not.
+    SPEC = "f1:n=50:seed=1"
+    SPEC_ARGV = {
+        "train": ["train", SPEC, "hrt", "--out", "new.json"],
+        "eval": ["eval", "m.json", SPEC],
+        "predict": ["predict", "m.json", SPEC, "--out", "p.csv"],
+        "trace-node": ["trace-node", SPEC],
+        "ablate-step": ["ablate-step", SPEC, "--mu-list", "0.05", "--repeats", "1"],
+    }
+
+    @pytest.mark.parametrize("flags", [["--target", "x1"], ["--target", "y"], ["--no-header"],
+                                       ["--target", "x2", "--no-header"]])
+    @pytest.mark.parametrize("command", sorted(SPEC_ARGV))
+    def test_csv_flag_with_a_synthetic_spec_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                            command, flags):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "train", self.SPEC, "hrt", "--max-depth", "1", "--out", "m.json")
+        code, text, err = run(capsys, *self.SPEC_ARGV[command], *flags)
+        assert code == 2
+        named = " and ".join(flag for flag in flags if flag.startswith("--"))
+        assert err == f"error: {named}: the synthetic spec {self.SPEC!r} is not a CSV file\n"
+        assert text == "" and os.listdir(tmp_path) == ["m.json"]
+
 
 def run_python(*args, **env):
     src = os.path.dirname(os.path.dirname(os.path.abspath(hingetree.__file__)))
@@ -884,6 +916,23 @@ def run_python(*args, **env):
 
 
 class TestProcess:
+    @pytest.mark.parametrize("flags, message", [
+        ([], "training data too large: a feature's or the target's sum of squares overflows"),
+        (["--standardize"], "feature 'x2' is too large to standardize: its mean or standard "
+                            "deviation is not finite"),
+    ])
+    def test_data_too_large_for_the_arithmetic_is_data_error(self, tmp_path, flags, message):
+        gen = np.random.default_rng(8)
+        X = np.column_stack([gen.uniform(-1.0, 1.0, 200), gen.uniform(-1e160, 1e160, 200)])
+        data, out = tmp_path / "big.csv", tmp_path / "m.json"
+        write_csv(hingetree.Dataset(X=X, y=X[:, 0], feature_names=["x1", "x2"], provenance={}),
+                  data)
+        proc = run_python("-m", "hingetree.cli", "train", str(data), "hrt", *flags,
+                          "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {message}\n"  # the error line alone, no NumPy warning
+        assert not out.exists()
+
     def test_module_entry_prints_usage(self):
         proc = run_python("-m", "hingetree.cli", "--help")
         assert proc.returncode == 0

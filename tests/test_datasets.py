@@ -10,6 +10,7 @@ from hingetree import (
     DegenerateSplit,
     EmptyInput,
     MissingTarget,
+    NonFiniteInput,
     NonNumericCell,
     ParseError,
     gen_synthetic,
@@ -345,6 +346,16 @@ class TestStandardize:
         assert np.all(np.abs(train2.X.var(axis=0) - 1.0) <= 1e-9)
         np.testing.assert_allclose(test2.X, (test.X - transform.shift) / transform.scale)
         np.testing.assert_array_equal(train2.y, train.y)
+
+    @pytest.mark.parametrize("large", [lambda gen: gen.uniform(-1e160, 1e160, 50),  # std
+                                       lambda gen: np.full(50, 1e308)],  # mean
+                             ids=["std", "mean"])
+    def test_feature_too_large_is_named(self, large):
+        gen = np.random.default_rng(7)
+        X = np.column_stack([gen.normal(size=50), large(gen), 1e160 * gen.normal(size=50)])
+        ds = Dataset(X=X, y=gen.normal(size=50), feature_names=["a", "b", "c"], provenance={})
+        with pytest.raises(NonFiniteInput, match="^feature 'b' is too large to standardize"):
+            standardize(ds)
 
     def test_transform_round_trips_through_dict(self):
         gen = np.random.default_rng(6)

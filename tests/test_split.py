@@ -54,8 +54,9 @@ CHECKED_ENTRY_POINTS = {
 
 class TestInputChecks:
     @pytest.mark.parametrize("entry", sorted(CHECKED_ENTRY_POINTS))
-    @pytest.mark.parametrize("target, value", [("X", np.nan), ("X", -np.inf),
-                                               ("y", np.nan), ("y", np.inf)])
+    # A finite 1e160 overflows its column's sum of squares, a diagonal of the normal equations.
+    @pytest.mark.parametrize("target, value", [("X", np.nan), ("X", -np.inf), ("X", 1e160),
+                                               ("y", np.nan), ("y", np.inf), ("y", -1e160)])
     def test_non_finite_input_rejected(self, entry, target, value):
         X, y = random_regression(21, 30, 2)
         if target == "X":
@@ -980,27 +981,35 @@ class TestCheckedNode:
         assert outcome_bits(given) == outcome_bits(select_split(X[rows], y[rows], config))
 
 
-class TestWithSeed:
+class TestStartDraw:
     SEEDS = [0, 1, 2 ** 64 - 1, derive_seed(7, 3, 1)]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("config", [SplitConfig(),
-                                        SplitConfig(step="auto", epsilon=1e-4, t_max=7, seed=5)],
-                             ids=["default", "auto"])
-    def test_equals_replace(self, config, seed):
-        copy, replaced = split._with_seed(config, seed), replace(config, seed=seed)
-        assert copy == replaced and repr(copy) == repr(replaced) and hash(copy) == hash(replaced)
-        assert type(copy.seed) is int and copy is not config
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_fits_the_bits_of_replace(self, seed):
+    def test_coinciding_sides_take_one_draw(self, seed, monkeypatch):
         X, _ = random_regression(17, 60, 2)
-        # Both sides fit this line exactly, so the start is perturbed by the seed's draws.
+        # Both sides fit this line exactly, so the median refit's sides coincide.
         y = X.dot([0.5, -1.0]) + 2.0
-        config = SplitConfig(t_max=3, ridge_alpha=0.0)
-        fitted = outcome_bits(select_split(X, y, split._with_seed(config, seed)))
-        assert fitted == outcome_bits(select_split(X, y, replace(config, seed=seed)))
+        made, draws = [], []
+        default_rng = np.random.default_rng
+
+        class Counted:  # a generator that draws normals only, and counts them
+            def __init__(self, s):
+                made.append(s)
+                self.rng = default_rng(s)
+
+            def normal(self, loc, scale, size):
+                draws.append(size)
+                return self.rng.normal(loc, scale, size)
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        theta1, theta2 = initialize_params(X, y, 0.0, seed)
+        assert made == [seed] and draws == [3]
+        other1, other2 = initialize_params(X, y, 0.0, seed ^ 1)
+        assert other1.tobytes() == theta1.tobytes() and other2.tobytes() != theta2.tobytes()
+        config = SplitConfig(t_max=3, ridge_alpha=0.0, seed=seed)
+        fitted = outcome_bits(select_split(X, y, config))
         assert fitted != outcome_bits(select_split(X, y, replace(config, seed=seed ^ 1)))
+        assert made == [seed, seed ^ 1] * 2 and draws == [3] * 4
 
 
 class TestMedianFallback:

@@ -749,10 +749,10 @@ class TestSeeds:
         assert derive_seed(1234, 3, 1) != derive_seed(1235, 3, 1)
 
     def test_nodes_are_optimized_in_preorder(self, monkeypatch):
-        seeds = []
+        configs = []
 
         def recording(X, y, config, **_):
-            seeds.append(config.seed)
+            configs.append(config)
             return select_split(X, y, config)
 
         monkeypatch.setattr(hingetree.tree, "select_split", recording)
@@ -767,4 +767,6 @@ class TestSeeds:
                 yield from preorder(node.left, derive_seed(seed, depth, 0), depth + 1)
                 yield from preorder(node.right, derive_seed(seed, depth, 1), depth + 1)
 
+        seeds = [c.seed for c in configs]
         assert seeds == list(preorder(model.root, config.split.seed, 0))
+        assert configs == [replace(config.split, seed=s) for s in seeds]
