@@ -53,12 +53,9 @@ from .split import (
     Split,
     SplitConfig,
     SplitOutcome,
-    backtracking_step,
-    damped_update,
     find_optimal_split,
     initialize_params,
     median_fallback,
-    newton_step,
     objective,
     partition,
     select_split,

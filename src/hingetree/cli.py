@@ -351,15 +351,17 @@ _ABLATE_COLUMNS = ("rmse", "leaves", "avg_iters", "fit_time_s", "fallbacks", "sp
 def ablate_step_rows(dataset_spec: str, mu_values, repeats: int,
                      config: TreeConfig, train_fraction: float = 0.7,
                      seed: int = 0, use_standardize: bool = False,
-                     target="y", header: bool = True):
+                     target=None, header: bool | None = None):
     """Train `repeats` models per step-size value and average the metrics.
 
     Each run fits ``config`` with the step under test.  Synthetic datasets
     are regenerated per repeat with a derived seed so every step size sees
     the same sequence of datasets, train/test splits and split seeds
     (:func:`~hingetree.tree.derive_seed` slots 4, 5 and 6); file datasets
-    are re-split only.  The fallback rate is the ratio of mean fallbacks to
-    mean splits, as a percentage.
+    are re-split only.  ``target`` and ``header`` are passed to
+    :func:`~hingetree.datasets.parse_dataset_spec`, for a CSV file only.
+    The fallback rate is the ratio of mean fallbacks to mean splits, as a
+    percentage.
     """
     ds0 = parse_dataset_spec(dataset_spec, target=target, header=header)
     synthetic = ds0.provenance.get("kind") == "synthetic"

@@ -352,15 +352,22 @@ def standardize(train: Dataset, test: Dataset | None = None):
     return train_out, test_out, transform
 
 
-def parse_dataset_spec(spec: str, target="y", header: bool = True) -> Dataset:
+def parse_dataset_spec(spec: str, target=None, header: bool | None = None) -> Dataset:
     """Resolve a CLI dataset argument.
 
     Synthetic form: ``name:n=<N>:sigma=<s>:seed=<k>`` (or a bare name with
     defaults n=1000, sigma=0, seed=0).  Anything else is treated as a CSV
-    path.
+    path, read by :func:`load_csv` with ``target`` (default ``"y"``) and
+    ``header`` (default ``True``).  Both describe a CSV file: a synthetic
+    spec given either one raises ``ValueError`` naming it.
     """
     head = spec.split(":", 1)[0]
     if head in SYNTHETIC_FUNCTIONS:
+        given = [name for name, value in (("target", target), ("header", header))
+                 if value is not None]
+        if given:
+            raise ValueError(f"{' and '.join(given)}: the synthetic spec {spec!r} "
+                             f"is not a CSV file")
         params = {"n": 1000, "sigma": 0.0, "seed": 0}
         for part in spec.split(":")[1:]:
             if "=" not in part:
@@ -377,4 +384,5 @@ def parse_dataset_spec(spec: str, target="y", header: bool = True) -> Dataset:
         return gen_synthetic(head, params["n"], params["sigma"], params["seed"])
     if not os.path.exists(spec):
         raise EmptyInput(f"{spec!r} is neither a file nor a synthetic spec")
-    return load_csv(spec, target=target, header=header)
+    return load_csv(spec, target="y" if target is None else target,
+                    header=True if header is None else header)

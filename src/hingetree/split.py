@@ -7,10 +7,9 @@ a damped Newton step on the node objective, because the Gauss-Newton
 Hessian is exact for a piecewise-linear model.  ``mu`` may be a fixed
 damping factor in (0, 1] or ``"auto"``, a backtracking search that starts
 at ``mu0`` and shrinks geometrically until the objective strictly drops.
-One function, :func:`_newton_iteration`, is that iteration: the loop of
-:func:`find_optimal_split` runs it, and so do :func:`newton_step` and
-:func:`backtracking_step`, once, on a node of their own.
-:func:`damped_update` is the step on a partition the caller holds fixed.
+One function, :func:`_newton_iteration`, is that iteration, and only the
+loop of :func:`find_optimal_split` runs it: one damped Newton step, fixed
+or line-searched, is a call with ``t_max=1`` and a ``start``.
 Both sides' parameters are held as one ``(2, d+1)`` array, so a step, a
 line-search candidate and a parameter change are one set of elementwise
 operations; every value keeps the bits of the per-side arithmetic,
@@ -397,80 +396,6 @@ def _newton_iteration(node: _Node, envelope, first, th, v0, mu, config: SplitCon
     return (mu, new, *_evaluate(Xa, y, new, envelope))
 
 
-def _check_indices(idx, n: int) -> np.ndarray:
-    """The row indices ``idx`` of one side as an integer array, or ``ValueError``.
-
-    A boolean mask or non-integer values are rejected, not cast; an empty
-    side is allowed.
-    """
-    idx = np.asarray(idx)
-    if idx.size == 0:
-        return np.empty(0, dtype=np.intp)
-    if idx.ndim != 1 or idx.dtype.kind not in "iu":
-        raise ValueError("a side must be a 1-D array of integer row indices")
-    if idx.min() < 0 or idx.max() >= n:
-        raise ValueError(f"row indices must lie in [0, {n})")
-    return idx
-
-
-def damped_update(X, y, s1, s2, theta1, theta2, mu: float,
-                  alpha: float = 0.0, min_subset: int = 2):
-    """One damped Newton step with the partition (s1, s2) held fixed.
-
-    ``s1`` and ``s2`` are the integer row indices of the two sides.
-    Raises ``ValueError`` unless ``mu`` lies in (0, 1], ``alpha`` and
-    ``min_subset`` pass :class:`SplitConfig`'s checks, and each side is a
-    1-D integer index array within the rows (a boolean mask is rejected).
-    """
-    if not 0.0 < mu <= 1.0:
-        raise ValueError("mu must lie in (0, 1]")
-    config = SplitConfig(ridge_alpha=alpha, min_subset=min_subset)
-    X, y = check_training(X, y)
-    n, d = X.shape
-    th = _check_pair((theta1, theta2), d)
-    target, _ = _refit(augment(X), y, _check_indices(s1, n), _check_indices(s2, n),
-                       th, config.ridge_alpha, config.min_subset)
-    return tuple(_step(th, target, target - th, mu))
-
-
-def _public_step(X, y, theta1, theta2, kind: HingeKind, mu, config: SplitConfig):
-    """``(mu, theta1', theta2')`` of :func:`_newton_iteration` from (theta1, theta2) on a node of its own."""
-    node = _checked_node(X, y)
-    th = _check_pair((theta1, theta2), node.X.shape[1])
-    envelope, first = _hinge(kind)
-    v0, a, b = _evaluate(node.Xa, node.y, th, envelope)
-    mu, new, *_ = _newton_iteration(node, envelope, first(a, b), th, v0, mu, config)
-    return mu, *new
-
-
-def newton_step(X, y, theta1, theta2, kind: HingeKind, mu: float,
-                alpha: float = 0.0, min_subset: int = 2):
-    """Partition by the current parameters, then take one damped Newton step: ``(theta1', theta2')``.
-
-    The iteration of :func:`find_optimal_split` under the fixed step
-    ``mu``.  Raises ``ValueError`` unless ``mu`` lies in (0, 1] and
-    ``alpha`` and ``min_subset`` pass :class:`SplitConfig`'s checks.
-    """
-    if not 0.0 < mu <= 1.0:
-        raise ValueError("mu must lie in (0, 1]")
-    config = SplitConfig(ridge_alpha=alpha, min_subset=min_subset)
-    return _public_step(X, y, theta1, theta2, kind, mu, config)[1:]
-
-
-def backtracking_step(X, y, theta1, theta2, kind: HingeKind,
-                      config: SplitConfig):
-    """Line-searched Newton step: ``(mu, theta1', theta2')``.
-
-    The iteration of :func:`find_optimal_split` under ``"auto"``, whatever
-    ``config.step`` says: the first mu of mu0, mu0*beta, mu0*beta**2, ...
-    (at most ``max_backtracks``) that strictly decreases the objective.
-    Returns ``(0.0, theta1, theta2)`` if none does, which callers treat as
-    a local stop, and at once at a fixed point, where the refit targets
-    equal the current parameters and each candidate would be that pair.
-    """
-    return _public_step(X, y, theta1, theta2, kind, None, config)
-
-
 def _column_ranges(X) -> np.ndarray:
     """``X.max(axis=0) - X.min(axis=0)`` with its bits, signed zeros included.
 
@@ -583,8 +508,13 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
 
     Convergence means the summed parameter change (Euclidean norms) fell
     below ``epsilon`` or, under ``"auto"``, that no candidate decreased the
-    objective, so an auto trace strictly decreases.  Each distinct
-    partition is refitted once per node (the cache rule of
+    objective, so an auto trace strictly decreases.  One damped Newton
+    step from a pair, fixed or line-searched, is a call with ``t_max=1``
+    and that pair as ``start``: the outcome's parameters are the step's,
+    and ``mu_trace`` holds its step, or is empty when the search found no
+    decreasing step, which leaves the parameters at ``start``.  A node of
+    fewer than ``2 * min_subset`` rows raises :class:`TooFewSamples`.
+    Each distinct partition is refitted once per node (the cache rule of
     :func:`_newton_iteration`).  ``_node``, private to this module, is
     ``X`` and ``y`` already checked and augmented, with the cache that
     :func:`select_split` shares between both variants; without it the

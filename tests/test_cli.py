@@ -694,6 +694,12 @@ class TestAblateStep:
                             for row in json.loads(report.read_text())["rows"]]
         assert rows["2"] == rows["y"]
 
+    @pytest.mark.parametrize("options", [{"target": "x1"}, {"header": False}])
+    def test_csv_options_with_a_synthetic_spec_rejected(self, options):
+        # They used to be ignored, as parse_dataset_spec ignored them.
+        with pytest.raises(ValueError, match=f"^{next(iter(options))}: the synthetic spec"):
+            ablate_step_rows(SINC, [0.05], 1, TreeConfig(d_max=1), **options)
+
     def test_bad_mu_rejected(self, capsys):
         code, _, err = run(capsys, "ablate-step", SINC, "--mu-list", "0.05,nope",
                            "--repeats", "1")

@@ -390,6 +390,25 @@ class TestDatasetSpec:
         ds = parse_dataset_spec(str(path))
         assert ds.n == 20
 
+    def test_csv_without_options_reads_column_y_under_a_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,a\n1,10\n2,20\n3,30\n")
+        ds = parse_dataset_spec(str(path))
+        assert ds.feature_names == ["a"]
+        np.testing.assert_array_equal(ds.y, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(ds.X, [[10.0], [20.0], [30.0]])
+
+    # target and header describe a CSV file; a synthetic spec used to ignore them.
+    @pytest.mark.parametrize("options, named", [
+        ({"target": "x1"}, "target"), ({"target": "y"}, "target"),
+        ({"header": False}, "header"), ({"header": True}, "header"),
+        ({"target": 0, "header": False}, "target and header"),
+    ])
+    def test_csv_options_with_a_synthetic_spec_rejected(self, options, named):
+        with pytest.raises(ValueError, match=f"^{named}: the synthetic spec 'f1:n=5:seed=1' "
+                                             "is not a CSV file$"):
+            parse_dataset_spec("f1:n=5:seed=1", **options)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_dataset_spec("sinc:n=10:bogus=3")

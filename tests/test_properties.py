@@ -19,7 +19,6 @@ from hingetree import (
     SplitConfig,
     TreeConfig,
     augment,
-    backtracking_step,
     build_tree,
     default_boost_tree_config,
     dumps_model,
@@ -29,7 +28,6 @@ from hingetree import (
     initialize_params,
     loads_model,
     model_from_dict,
-    newton_step,
     partition,
     predict,
     predict_batch,
@@ -41,6 +39,7 @@ from hingetree import (
 )
 from hingetree import cli, linear, split, tree
 from conftest import hinge_regression, relabel_leaves, unordered_partition, walked_boost
+from reference import replay_public_steps
 
 # Few derandomized examples keep the suite fast and its outcome fixed.
 FAST = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -320,26 +319,12 @@ def test_auto_step_objective_trace_strictly_decreases(seed, n, d, noise):
 # ---- reuse of the ridge targets while the partition holds ----
 
 def replayed_partitions(X, y, kind, config):
-    """The first side each iteration refits, and the iteration count, from the public steps."""
-    t1, t2 = initialize_params(X, y, config.ridge_alpha, config.seed)
+    """The first side each iteration refits, and the iteration count, from the reference steps."""
     firsts = []
-    for iterations in range(config.t_max):
-        s1, s2 = partition(X, t1, t2, kind)
-        # A side below min_subset keeps its parameters, and such targets are never reused.
-        assume(min(s1.size, s2.size) >= config.min_subset)
-        firsts.append(s1)
-        if config.auto_step:
-            mu, n1, n2 = backtracking_step(X, y, t1, t2, kind, config)
-            if mu == 0.0:
-                return firsts, iterations
-        else:
-            n1, n2 = newton_step(X, y, t1, t2, kind, config.step, config.ridge_alpha,
-                                 config.min_subset)
-        done = np.linalg.norm(n1 - t1) + np.linalg.norm(n2 - t2) < config.epsilon
-        t1, t2 = n1, n2
-        if done:
-            return firsts, iterations + 1
-    return firsts, config.t_max
+    mus = replay_public_steps(X, y, kind, config, firsts=firsts)[3]
+    # A side below min_subset keeps its parameters, and such targets are never reused.
+    assume(all(min(s1.size, len(y) - s1.size) >= config.min_subset for s1 in firsts))
+    return firsts, len(mus)
 
 
 @contextmanager

@@ -11,9 +11,8 @@ PUBLIC_NAMES = {
     # linear
     "affine", "augment", "fit_or_mean", "ridge_solve",
     # split
-    "HingeKind", "Split", "SplitConfig", "SplitOutcome", "backtracking_step", "damped_update",
-    "find_optimal_split", "initialize_params", "median_fallback", "newton_step", "objective",
-    "partition", "select_split",
+    "HingeKind", "Split", "SplitConfig", "SplitOutcome", "find_optimal_split",
+    "initialize_params", "median_fallback", "objective", "partition", "select_split",
     # tree
     "HrtModel", "Internal", "Leaf", "TrainStats", "TreeConfig", "build_tree", "derive_seed",
     "predict", "predict_batch",
@@ -36,3 +35,23 @@ def test_public_names_are_pinned():
     public = {name for name, value in vars(hingetree).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == PUBLIC_NAMES
+
+
+# The one private keyword on a public signature: the node that select_split and
+# the tree layer hand on, already checked and augmented.  It stays on these three
+# public functions because the benchmark's tracer (perfbench/tracer.py) wraps them
+# by name and counts their calls; moving it to private entries needs a tracer change.
+PRIVATE_KEYWORDS = {
+    ("find_optimal_split", "_node"), ("initialize_params", "_node"), ("select_split", "_node"),
+}
+
+
+def test_only_the_traced_split_entries_take_a_private_keyword():
+    private = set()
+    for name in PUBLIC_NAMES:
+        try:
+            parameters = inspect.signature(getattr(hingetree, name)).parameters
+        except ValueError:  # an exception class, with the builtin signature of its base
+            continue
+        private |= {(name, p) for p in parameters if p.startswith("_")}
+    assert private == PRIVATE_KEYWORDS

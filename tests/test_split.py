@@ -13,15 +13,12 @@ from hingetree import (
     TooFewSamples,
     TreeConfig,
     augment,
-    backtracking_step,
     build_tree,
-    damped_update,
     default_boost_tree_config,
     find_optimal_split,
     gen_synthetic,
     initialize_params,
     median_fallback,
-    newton_step,
     objective,
     partition,
     ridge_solve,
@@ -31,6 +28,7 @@ from hingetree import split
 from hingetree.linear import affine_row, ridge_solve_pair
 from hingetree.tree import derive_seed
 from conftest import hinge_regression, random_regression, unordered_partition
+from reference import damped_update, replay_public_steps
 
 
 def vee_data():
@@ -39,14 +37,29 @@ def vee_data():
     return x, np.abs(x[:, 0])
 
 
+def one_step(X, y, theta1, theta2, kind, step, **fields):
+    """``(mu, theta1', theta2')`` of one damped Newton step from (theta1, theta2).
+
+    The step is :func:`find_optimal_split` with ``t_max=1``, the pair as its
+    start and ``fields`` as the config's other fields; ``mu`` is the step
+    taken, 0 when the line search found no decreasing step.
+    """
+    out = find_optimal_split(X, y, kind, SplitConfig(step=step, t_max=1, **fields),
+                             (theta1, theta2))
+    return (out.mu_trace[0] if out.mu_trace else 0.0), out.theta1, out.theta2
+
+
+# "newton_step" and "backtracking_step" are one fixed and one line-searched step
+# (one_step); "damped_update" is the reference step, which checks its inputs as the
+# package does.
 CHECKED_ENTRY_POINTS = {
     "select_split": lambda X, y: select_split(X, y, SplitConfig()),
     "find_optimal_split": lambda X, y: find_optimal_split(X, y, HingeKind.MAX, SplitConfig()),
     "initialize_params": lambda X, y: initialize_params(X, y),
     "objective": lambda X, y: objective(X, y, np.zeros(3), np.ones(3), HingeKind.MAX),
-    "newton_step": lambda X, y: newton_step(X, y, np.zeros(3), np.ones(3), HingeKind.MAX, 0.5),
-    "backtracking_step": lambda X, y: backtracking_step(
-        X, y, np.zeros(3), np.ones(3), HingeKind.MAX, SplitConfig(step="auto")),
+    "newton_step": lambda X, y: one_step(X, y, np.zeros(3), np.ones(3), HingeKind.MAX, 0.5),
+    "backtracking_step": lambda X, y: one_step(
+        X, y, np.zeros(3), np.ones(3), HingeKind.MAX, "auto"),
     "damped_update": lambda X, y: damped_update(
         X, y, np.arange(15), np.arange(15, 30), np.zeros(3), np.ones(3), 0.5),
 }
@@ -73,13 +86,12 @@ class TestInputChecks:
             CHECKED_ENTRY_POINTS[entry](X, y[:-1])
 
 
-# Every function that takes a (theta1, theta2) pair, called on 30 rows of 2 features.
+# Every call that takes a (theta1, theta2) pair, on 30 rows of 2 features.
 PAIR_ENTRY_POINTS = {
     "objective": lambda X, y, t1, t2: objective(X, y, t1, t2, HingeKind.MAX),
     "partition": lambda X, y, t1, t2: partition(X, t1, t2, HingeKind.MIN),
-    "newton_step": lambda X, y, t1, t2: newton_step(X, y, t1, t2, HingeKind.MAX, 0.5),
-    "backtracking_step": lambda X, y, t1, t2: backtracking_step(
-        X, y, t1, t2, HingeKind.MIN, SplitConfig(step="auto")),
+    "newton_step": lambda X, y, t1, t2: one_step(X, y, t1, t2, HingeKind.MAX, 0.5),
+    "backtracking_step": lambda X, y, t1, t2: one_step(X, y, t1, t2, HingeKind.MIN, "auto"),
     "damped_update": lambda X, y, t1, t2: damped_update(
         X, y, np.arange(15), np.arange(15, 30), t1, t2, 0.5),
     "find_optimal_split": lambda X, y, t1, t2: find_optimal_split(
@@ -121,9 +133,8 @@ class TestParameterPairChecks:
         X, y = random_regression(28, 30, 2)
         t1, t2 = np.zeros(3), np.ones(3)
         calls = [lambda: objective(X, y, t1, t2, kind), lambda: partition(X, t1, t2, kind),
-                 lambda: newton_step(X, y, t1, t2, kind, 0.5),
-                 lambda: backtracking_step(X, y, t1, t2, kind, SplitConfig(step="auto")),
                  lambda: find_optimal_split(X, y, kind, SplitConfig(), (t1, t2)),
+                 lambda: one_step(X, y, t1, t2, kind, "auto"),
                  lambda: split.Split(kind=kind, theta1=t1, theta2=t2)]
         for call in calls:
             with pytest.raises(TypeError):
@@ -137,11 +148,12 @@ class TestParameterPairChecks:
                                (np.full(3, np.nan), np.ones(3)))
 
 
-# The functions that take a ridge penalty (and the steps a min_subset) as plain arguments.
+# The calls that take a ridge penalty (and the steps a min_subset).
 STEP_ARGUMENTS = {
     "initialize_params": lambda X, y, alpha, min_subset: initialize_params(X, y, alpha),
-    "newton_step": lambda X, y, alpha, min_subset: newton_step(
-        X, y, np.zeros(3), np.ones(3), HingeKind.MAX, 0.5, alpha, min_subset),
+    "newton_step": lambda X, y, alpha, min_subset: one_step(
+        X, y, np.zeros(3), np.ones(3), HingeKind.MAX, 0.5, ridge_alpha=alpha,
+        min_subset=min_subset),
     "damped_update": lambda X, y, alpha, min_subset: damped_update(
         X, y, np.arange(15), np.arange(15, 30), np.zeros(3), np.ones(3), 0.5, alpha, min_subset),
 }
@@ -351,7 +363,7 @@ class TestNewtonStep:
         gen = np.random.default_rng(7)
         t1 = gen.normal(size=4)
         t2 = gen.normal(size=4)
-        n1, n2 = newton_step(X, y, t1, t2, HingeKind.MAX, mu=1.0, alpha=0.05)
+        _, n1, n2 = one_step(X, y, t1, t2, HingeKind.MAX, 1.0, ridge_alpha=0.05)
         Xa = augment(X)
         s1, s2 = partition(X, t1, t2, HingeKind.MAX)
         # The oracle gathers rows by fancy indexing, outside the refit.
@@ -363,8 +375,8 @@ class TestNewtonStep:
         gen = np.random.default_rng(8)
         t1 = gen.normal(size=3)
         t2 = gen.normal(size=3)
-        full1, full2 = newton_step(X, y, t1, t2, HingeKind.MAX, mu=1.0)
-        tiny1, tiny2 = newton_step(X, y, t1, t2, HingeKind.MAX, mu=1e-9)
+        _, full1, full2 = one_step(X, y, t1, t2, HingeKind.MAX, 1.0, ridge_alpha=0.0)
+        _, tiny1, tiny2 = one_step(X, y, t1, t2, HingeKind.MAX, 1e-9, ridge_alpha=0.0)
         move = np.linalg.norm(tiny1 - t1) + np.linalg.norm(tiny2 - t2)
         target = np.linalg.norm(full1 - t1) + np.linalg.norm(full2 - t2)
         assert move <= 1e-6 * target
@@ -374,18 +386,19 @@ class TestNewtonStep:
         gen = np.random.default_rng(9)
         t1 = gen.normal(size=3)
         t2 = gen.normal(size=3)
-        full1, full2 = newton_step(X, y, t1, t2, HingeKind.MIN, mu=1.0)
-        half1, half2 = newton_step(X, y, t1, t2, HingeKind.MIN, mu=0.5)
+        _, full1, full2 = one_step(X, y, t1, t2, HingeKind.MIN, 1.0, ridge_alpha=0.0)
+        _, half1, half2 = one_step(X, y, t1, t2, HingeKind.MIN, 0.5, ridge_alpha=0.0)
         np.testing.assert_allclose(half1, 0.5 * (t1 + full1), rtol=1e-12)
         np.testing.assert_allclose(half2, 0.5 * (t2 + full2), rtol=1e-12)
 
     def test_undersized_side_frozen(self):
-        # All samples land in S1, so theta2 must come back unchanged.
+        # All samples land in S1, so theta2 must come back unchanged.  Three
+        # rows are a node for min_subset 1 only.
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([1.0, 2.0, 3.0])
         t1 = np.array([10.0, 10.0])
         t2 = np.array([-10.0, -10.0])
-        n1, n2 = newton_step(X, y, t1, t2, HingeKind.MAX, mu=1.0)
+        _, n1, n2 = one_step(X, y, t1, t2, HingeKind.MAX, 1.0, ridge_alpha=0.0, min_subset=1)
         assert np.array_equal(n2, t2)
         np.testing.assert_allclose(n1, [1.0, 0.0], atol=1e-8)
 
@@ -394,7 +407,16 @@ class TestNewtonStep:
         t = np.array([0.0, 0.0])
         for mu in (0.0, -3.0, 1.5, np.nan):
             with pytest.raises(ValueError):
-                newton_step(X, y, t, t, HingeKind.MAX, mu=mu)
+                one_step(X, y, t, t, HingeKind.MAX, mu)
+
+    @pytest.mark.parametrize("step", [0.5, "auto"])
+    def test_fewer_than_two_min_subsets_of_rows_rejected(self, step):
+        # A single step needs a node of 2 * min_subset rows, as the loop does.
+        X, y = vee_data()
+        t1, t2 = np.array([0.9, 0.05]), np.array([-0.9, 0.05])
+        with pytest.raises(TooFewSamples, match="need at least 6 samples, got 4"):
+            one_step(X, y, t1, t2, HingeKind.MAX, step, min_subset=3)
+        one_step(X, y, t1, t2, HingeKind.MAX, step, min_subset=2)
 
 
 class TestDampedUpdate:
@@ -441,8 +463,7 @@ class TestBacktrackingStep:
         X, y = vee_data()
         t1 = np.array([0.9, 0.05])
         t2 = np.array([-0.9, 0.05])
-        mu, n1, n2 = backtracking_step(X, y, t1, t2, HingeKind.MAX,
-                                       SplitConfig(step="auto", ridge_alpha=0.0))
+        mu, n1, n2 = one_step(X, y, t1, t2, HingeKind.MAX, "auto", ridge_alpha=0.0)
         assert mu == 1.0
         np.testing.assert_allclose(n1, [1.0, 0.0], atol=1e-10)
         np.testing.assert_allclose(n2, [-1.0, 0.0], atol=1e-10)
@@ -451,20 +472,18 @@ class TestBacktrackingStep:
         X, y = vee_data()
         t1 = np.array([1.0, 0.0])
         t2 = np.array([-1.0, 0.0])
-        mu, n1, n2 = backtracking_step(X, y, t1, t2, HingeKind.MAX,
-                                       SplitConfig(step="auto", ridge_alpha=0.0))
+        mu, n1, n2 = one_step(X, y, t1, t2, HingeKind.MAX, "auto", ridge_alpha=0.0)
         assert mu == 0.0
         assert np.array_equal(n1, t1) and np.array_equal(n2, t2)
 
     def test_fixed_point_evaluates_no_candidate(self, monkeypatch):
         X, y = vee_data()
-        config = SplitConfig(step="auto", ridge_alpha=0.0)
         # The unit step's targets keep the partition, so they are a fixed point.
-        t1, t2 = newton_step(X, y, [0.9, 0.05], [-0.9, 0.05], HingeKind.MAX, 1.0, 0.0)
-        n1, n2 = newton_step(X, y, t1, t2, HingeKind.MAX, 1.0, 0.0)
+        _, t1, t2 = one_step(X, y, [0.9, 0.05], [-0.9, 0.05], HingeKind.MAX, 1.0, ridge_alpha=0.0)
+        _, n1, n2 = one_step(X, y, t1, t2, HingeKind.MAX, 1.0, ridge_alpha=0.0)
         assert np.array_equal(n1, t1) and np.array_equal(n2, t2)
         evaluations = record_calls(monkeypatch, "_evaluate")
-        mu, n1, n2 = backtracking_step(X, y, t1, t2, HingeKind.MAX, config)
+        mu, n1, n2 = one_step(X, y, t1, t2, HingeKind.MAX, "auto", ridge_alpha=0.0)
         assert len(evaluations) == 1  # the objective at (t1, t2), and no candidate
         assert mu == 0.0
         assert np.array_equal(n1, t1) and np.array_equal(n2, t2)
@@ -476,7 +495,6 @@ class TestBacktrackingStep:
         X, y = ds.X, ds.y
         t1 = np.array([-0.01562718355690073, -0.02150449737675517])
         t2 = np.array([0.06453781539770846, -0.10597404253663129])
-        config = SplitConfig(step="auto", ridge_alpha=0.0)
         v0 = objective(X, y, t1, t2, HingeKind.MAX)
         Xa = augment(X)
         s1, s2 = partition(X, t1, t2, HingeKind.MAX)
@@ -486,19 +504,8 @@ class TestBacktrackingStep:
                                 HingeKind.MAX)
                   for mu in (1.0, 0.5, 0.25)}
         assert values[1.0] >= v0 and values[0.5] >= v0 and values[0.25] < v0
-        mu, _, _ = backtracking_step(X, y, t1, t2, HingeKind.MAX, config)
+        mu, _, _ = one_step(X, y, t1, t2, HingeKind.MAX, "auto", ridge_alpha=0.0)
         assert mu == 0.25
-
-    @pytest.mark.parametrize("step", [0.01, 1.0])
-    def test_searches_whatever_the_step_says(self, step):
-        for seed in range(10):
-            X, y = hinge_regression(seed, 40, 2, noise=0.1)
-            t1, t2 = np.random.default_rng(seed).normal(size=(2, 3))
-            for kind in HingeKind:
-                got = backtracking_step(X, y, t1, t2, kind, SplitConfig(step=step))
-                want = backtracking_step(X, y, t1, t2, kind, SplitConfig(step="auto"))
-                assert got[0] == want[0]
-                assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
 
 
 class TestFindOptimalSplit:
@@ -536,8 +543,8 @@ class TestFindOptimalSplit:
         monkeypatch.undo()
         assert out.converged and out.iterations < config.t_max
         # The run stopped at a fixed point: the last search's direction was zero.
-        n1, n2 = newton_step(X, y, out.theta1, out.theta2, kind, 1.0, config.ridge_alpha,
-                             config.min_subset)
+        _, n1, n2 = one_step(X, y, out.theta1, out.theta2, kind, 1.0,
+                             ridge_alpha=config.ridge_alpha, min_subset=config.min_subset)
         assert np.array_equal(n1, out.theta1) and np.array_equal(n2, out.theta2)
         # Accepted steps are mu0 * beta**s, after s rejected candidates each.
         candidates = sum(1 + round(np.log(config.mu0 / mu) / np.log(1.0 / config.beta))
@@ -562,46 +569,6 @@ class TestFindOptimalSplit:
         X = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(TooFewSamples):
             find_optimal_split(X, np.zeros(3), HingeKind.MAX, SplitConfig(min_subset=2))
-
-
-def replay_public_steps(X, y, kind, config, start=None):
-    """find_optimal_split's loop rebuilt from public primitives that it does not share.
-
-    Each iteration refits the current partition with no cache through
-    :func:`damped_update`: once under the fixed step, and once per
-    candidate ``mu0 * beta**s`` of an explicit backtracking search under
-    ``"auto"``, whose first candidate to lower :func:`objective` is taken.
-    """
-    t1, t2 = start or initialize_params(X, y, config.ridge_alpha, config.seed)
-    trace = [objective(X, y, t1, t2, kind)]
-    mus = []
-    converged = False
-    fit = (config.ridge_alpha, config.min_subset)
-    for _ in range(config.t_max):
-        s1, s2 = partition(X, t1, t2, kind)
-        if config.auto_step:
-            mu = config.mu0
-            for _ in range(config.max_backtracks):
-                n1, n2 = damped_update(X, y, s1, s2, t1, t2, mu, *fit)
-                value = objective(X, y, n1, n2, kind)
-                if value < trace[-1]:
-                    break
-                mu *= config.beta
-            else:
-                converged = True
-                break
-        else:
-            mu = float(config.step)
-            n1, n2 = damped_update(X, y, s1, s2, t1, t2, mu, *fit)
-            value = objective(X, y, n1, n2, kind)
-        change = float(np.linalg.norm(n1 - t1) + np.linalg.norm(n2 - t2))
-        t1, t2 = n1, n2
-        trace.append(value)
-        mus.append(mu)
-        if change < config.epsilon:
-            converged = True
-            break
-    return t1, t2, trace, mus, converged
 
 
 class TestPublicStepReplay:
@@ -644,17 +611,9 @@ class TestRefitReuse:
         config = SplitConfig(step=0.01, epsilon=1e-4, seed=0)
         kind = HingeKind.MAX
         # The partition each iteration refits, replayed with the public steps.
-        t1, t2 = initialize_params(X, y, config.ridge_alpha, config.seed)
         firsts = []
-        for _ in range(config.t_max):
-            s1, s2 = partition(X, t1, t2, kind)
-            assert min(s1.size, s2.size) >= config.min_subset
-            firsts.append(s1)
-            n1, n2 = newton_step(X, y, t1, t2, kind, config.step, config.ridge_alpha)
-            done = np.linalg.norm(n1 - t1) + np.linalg.norm(n2 - t2) < config.epsilon
-            t1, t2 = n1, n2
-            if done:
-                break
+        u1, u2, trace, mus, converged = replay_public_steps(X, y, kind, config, firsts=firsts)
+        assert all(min(s1.size, len(y) - s1.size) >= config.min_subset for s1 in firsts)
 
         start = initialize_params(X, y, config.ridge_alpha, config.seed)
         # The start is passed so that only the loop's solves are counted.
@@ -667,8 +626,6 @@ class TestRefitReuse:
         # The run comes back to earlier partitions, not only to the last one.
         assert distinct < runs < len(firsts) // 2
         assert len(calls) == distinct
-        monkeypatch.undo()
-        u1, u2, trace, mus, converged = replay_public_steps(X, y, kind, config)
         assert np.array_equal(out.theta1, u1) and np.array_equal(out.theta2, u2)
         assert out.objective_trace == trace and out.mu_trace == mus
         assert out.converged == converged
