@@ -56,8 +56,6 @@ from .split import (
     find_optimal_split,
     initialize_params,
     median_fallback,
-    objective,
-    partition,
     select_split,
 )
 from .tree import (

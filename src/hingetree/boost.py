@@ -144,7 +144,9 @@ def fit_boost(X, y, config: BoostConfig | None = None) -> BoostModel:
     risk unchanged); with least-squares leaf fits this only happens through
     rounding.
     Training stops early once the residual energy hits the relative
-    machine floor.
+    machine floor.  Deterministic for identical (X, y, config), with the
+    scope of :func:`~hingetree.tree.build_tree`'s "same seed, same bits":
+    one NumPy, one BLAS kernel and one BLAS thread count.
     """
     if config is None:
         config = BoostConfig()

@@ -40,9 +40,10 @@ import numpy as np
 
 from .boost import BoostConfig, BoostModel, fit_boost, gamma_bound_check, predict_boost_batch
 from .datasets import (
-    SYNTHETIC_FUNCTIONS,
     Dataset,
     StandardizeTransform,
+    _reject_csv_options,
+    _synthetic,
     gen_synthetic,
     load_features,
     parse_dataset_spec,
@@ -181,22 +182,19 @@ def _configure(config, args, file_cfg: dict, **fixed):
 def _csv_options(args) -> dict:
     """``--target`` and ``--no-header`` as :func:`parse_dataset_spec`'s ``target`` and ``header``.
 
-    The target is a column name, or an index when it is an integer
-    (default ``"y"``).  Every command's dataset is read with these options.
-    Both flags describe a CSV file: a synthetic spec takes no options
-    (``{}``), and either flag given with one is a configuration error.
+    The target is a column name, or an index when it is an integer.  A flag
+    not given is left out, so the defaults are the dataset reader's.  Both
+    flags describe a CSV file: either one with a synthetic spec is a
+    configuration error that names it.
     """
-    if args.dataset.split(":", 1)[0] in SYNTHETIC_FUNCTIONS:
-        given = [flag for flag, on in (("--target", args.target is not None),
-                                       ("--no-header", args.no_header)) if on]
-        if given:
-            raise CliConfigError(f"{' and '.join(given)}: the synthetic spec {args.dataset!r} "
-                                 f"is not a CSV file")
-        return {}
-    target = "y" if args.target is None else args.target
-    if target.isdigit() or (target.startswith("-") and target[1:].isdigit()):
+    target = args.target
+    if target is not None and (target.isdigit()
+                               or (target.startswith("-") and target[1:].isdigit())):
         target = int(target)
-    return {"target": target, "header": not args.no_header}
+    header = False if args.no_header else None
+    _reject_csv_options(args.dataset, {"--target": target, "--no-header": header})
+    return {name: value for name, value in (("target", target), ("header", header))
+            if value is not None}
 
 
 def _dataset(args) -> Dataset:
@@ -327,10 +325,10 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     options = _csv_options(args)
-    if options and args.target is None:  # a CSV of feature rows alone
-        X, _ = load_features(args.dataset, header=options["header"])
+    if "target" not in options and not _synthetic(args.dataset):  # a CSV of feature rows alone
+        X, _ = load_features(args.dataset, **options)
     else:
-        X = _dataset(args).X
+        X = parse_dataset_spec(args.dataset, **options).X
     preds = _predictions(model, X)
     text = "prediction\n" + "".join(f"{v:.17g}\n" for v in preds)
     payload = {"command": "predict", "n": int(preds.shape[0]), "out": args.out}

@@ -352,6 +352,18 @@ def standardize(train: Dataset, test: Dataset | None = None):
     return train_out, test_out, transform
 
 
+def _synthetic(spec: str) -> bool:
+    """Whether ``spec`` is a synthetic spec (a function's name, then ``:key=value`` parts)."""
+    return spec.split(":", 1)[0] in SYNTHETIC_FUNCTIONS
+
+
+def _reject_csv_options(spec: str, options: dict) -> None:
+    """Raise ``ValueError`` if ``spec`` is synthetic, naming each key of ``options`` not None."""
+    given = [name for name, value in options.items() if value is not None]
+    if given and _synthetic(spec):
+        raise ValueError(f"{' and '.join(given)}: the synthetic spec {spec!r} is not a CSV file")
+
+
 def parse_dataset_spec(spec: str, target=None, header: bool | None = None) -> Dataset:
     """Resolve a CLI dataset argument.
 
@@ -359,29 +371,30 @@ def parse_dataset_spec(spec: str, target=None, header: bool | None = None) -> Da
     defaults n=1000, sigma=0, seed=0).  Anything else is treated as a CSV
     path, read by :func:`load_csv` with ``target`` (default ``"y"``) and
     ``header`` (default ``True``).  Both describe a CSV file: a synthetic
-    spec given either one raises ``ValueError`` naming it.
+    spec given either one raises ``ValueError`` naming it, and so does a
+    synthetic spec with an unknown or repeated key, or a value that is not
+    of its key's type (the message names the key and the spec).
     """
-    head = spec.split(":", 1)[0]
-    if head in SYNTHETIC_FUNCTIONS:
-        given = [name for name, value in (("target", target), ("header", header))
-                 if value is not None]
-        if given:
-            raise ValueError(f"{' and '.join(given)}: the synthetic spec {spec!r} "
-                             f"is not a CSV file")
-        params = {"n": 1000, "sigma": 0.0, "seed": 0}
-        for part in spec.split(":")[1:]:
-            if "=" not in part:
+    _reject_csv_options(spec, {"target": target, "header": header})
+    if _synthetic(spec):
+        head, *parts = spec.split(":")
+        defaults, params = {"n": 1000, "sigma": 0.0, "seed": 0}, {}
+        for part in parts:
+            key, eq, value = part.partition("=")
+            if not eq:
                 raise ValueError(f"bad synthetic spec component {part!r}")
-            key, value = part.split("=", 1)
-            if key == "n":
-                params["n"] = int(value)
-            elif key == "sigma":
-                params["sigma"] = float(value)
-            elif key == "seed":
-                params["seed"] = int(value)
-            else:
+            if key not in defaults:
                 raise ValueError(f"unknown synthetic spec key {key!r}")
-        return gen_synthetic(head, params["n"], params["sigma"], params["seed"])
+            if key in params:
+                raise ValueError(f"synthetic spec {spec!r} gives {key!r} more than once")
+            kind = type(defaults[key])
+            try:
+                params[key] = kind(value)
+            except ValueError:
+                raise ValueError(f"synthetic spec {spec!r}: {key} must be "
+                                 f"{'an integer' if kind is int else 'a number'}, got {value!r}"
+                                 ) from None
+        return gen_synthetic(head, **(defaults | params))
     if not os.path.exists(spec):
         raise EmptyInput(f"{spec!r} is neither a file nor a synthetic spec")
     return load_csv(spec, target="y" if target is None else target,

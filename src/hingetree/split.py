@@ -9,7 +9,9 @@ damping factor in (0, 1] or ``"auto"``, a backtracking search that starts
 at ``mu0`` and shrinks geometrically until the objective strictly drops.
 One function, :func:`_newton_iteration`, is that iteration, and only the
 loop of :func:`find_optimal_split` runs it: one damped Newton step, fixed
-or line-searched, is a call with ``t_max=1`` and a ``start``.
+or line-searched, is a call with ``t_max=1`` and a ``start``, and the
+node objective at ``start`` is that call's ``objective_trace[0]``.  A row
+takes the first side by one tie rule, :func:`_first_pair`.
 Both sides' parameters are held as one ``(2, d+1)`` array, so a step, a
 line-search candidate and a parameter change are one set of elementwise
 operations; every value keeps the bits of the per-side arithmetic,
@@ -17,8 +19,7 @@ because the side values stay two matvecs and the objective and change
 norms stay dot products.  Those products go through ``ndarray.dot``,
 which makes the BLAS call of the ``@`` operator (``dgemv``, ``ddot``)
 without its ufunc dispatch, and so has its bits
-(``tests/test_linear.py::TestDotMatchesMatmul`` pins this); the hinge
-kind is resolved to its ufuncs once per call (:func:`_hinge`).
+(``tests/test_linear.py::TestDotMatchesMatmul`` pins this).
 Every function that takes samples and targets checks them with
 :func:`~hingetree.linear.check_training` first, unless it is handed a
 node that is already checked.  :func:`select_split` hands one node, its
@@ -136,7 +137,7 @@ class Split:
 
     ``theta1`` and ``theta2`` are kept as read-only float copies.  A median
     fallback split (:func:`median_fallback`) also records its feature and threshold.
-    A ``kind`` that is not a :class:`HingeKind` raises ``TypeError``, as in :func:`_hinge`.
+    A ``kind`` that is not a :class:`HingeKind` raises ``TypeError``.
     """
 
     kind: HingeKind
@@ -184,25 +185,22 @@ def _first_pair(kind, a, b):
     their coefficient vectors).  The max variant sends ``a >= b`` first and
     the min variant ``a <= b``, which is ``b >= a``, so a min pair comes
     back swapped.  Ties go to the first branch for both variants, and a
-    NaN value sends a row to the second.
+    NaN value sends a row to the second.  The split loop's masks and the
+    tree's routing both take this one tie rule.
     """
     return (a, b) if kind is HingeKind.MAX else (b, a)
 
 
 def _hinge(kind):
-    """``(envelope, first)``: the ufuncs that join a ``kind`` hinge's side values and pick its rows.
+    """The ufunc that joins a ``kind`` hinge's side values: ``np.maximum`` or ``np.minimum``.
 
-    ``envelope(a, b)`` is the hinge prediction, ``np.maximum`` or
-    ``np.minimum``; ``first(a, b)`` is the mask of the rows on the first
-    side by the rule of :func:`_first_pair`: ``np.greater_equal`` for max
-    and ``np.less_equal`` for min, whose ``a <= b`` is ``b >= a`` for every
-    value, NaN included.  A caller resolves both once per call, not per
-    iteration.  Any ``kind`` but a :class:`HingeKind` raises ``TypeError``.
+    A caller resolves it once per call, not per iteration.  Any ``kind``
+    but a :class:`HingeKind` raises ``TypeError``.
     """
     if kind is HingeKind.MAX:
-        return np.maximum, np.greater_equal
+        return np.maximum
     if kind is HingeKind.MIN:
-        return np.minimum, np.less_equal
+        return np.minimum
     raise TypeError(f"kind must be a HingeKind, got {kind!r}")
 
 
@@ -212,7 +210,7 @@ def _evaluate(Xa, y, th, envelope):
     ``a = Xa.dot(th[0])`` and ``b = Xa.dot(th[1])`` are two matvecs, not
     one product with ``th.T``, which would round differently; they are
     returned so that the caller can partition by them without recomputing
-    either.  ``envelope`` is the hinge's ufunc (:func:`_hinge`).
+    either.  ``envelope`` joins the side values, ``np.maximum`` or ``np.minimum``.
     """
     a = Xa.dot(th[0])
     b = Xa.dot(th[1])
@@ -234,28 +232,6 @@ def _check_pair(pair, d: int) -> np.ndarray:
     if not np.isfinite(th).all():
         raise NonFiniteInput("coefficient vectors contain a NaN or infinite value")
     return th
-
-
-def objective(X, y, theta1, theta2, kind: HingeKind) -> float:
-    """Node objective: half the summed squared error of the hinge prediction."""
-    X, y = check_training(X, y)
-    th = _check_pair((theta1, theta2), X.shape[1])
-    return _evaluate(augment(X), y, th, _hinge(kind)[0])[0]
-
-
-def partition(X, theta1, theta2, kind: HingeKind):
-    """Split row indices into (S1, S2) by the hinge comparison.
-
-    Max variant: j is in S1 iff x~.theta1 >= x~.theta2; min variant uses
-    <=.  The two sets are disjoint and exhaustive.  A NaN or infinite value
-    in ``X`` raises :class:`NonFiniteInput`, as in :func:`objective`.
-    """
-    Xa = augment(X)
-    if not np.isfinite(Xa).all():
-        raise NonFiniteInput("partition data contains a NaN or infinite value")
-    theta1, theta2 = _check_pair((theta1, theta2), Xa.shape[1] - 1)
-    first = _hinge(kind)[1](Xa.dot(theta1), Xa.dot(theta2))
-    return first.nonzero()[0], (~first).nonzero()[0]
 
 
 def _fit_subset(Xa, y, idx, alpha, min_subset, current):
@@ -362,8 +338,8 @@ def _newton_iteration(node: _Node, envelope, first, th, v0, mu, config: SplitCon
     """One damped Newton iteration from ``th`` on the partition ``first``: ``(mu, th', v, a, b)``.
 
     ``first`` masks the node's rows on the first side, ``v0`` is the
-    objective at the stacked parameters ``th`` and ``envelope`` the hinge's
-    ufunc (:func:`_hinge`).  A damping factor ``mu`` is stepped and
+    objective at the stacked parameters ``th`` and ``envelope`` the ufunc
+    that joins the side values.  A damping factor ``mu`` is stepped and
     evaluated, and comes back as given; ``mu`` None returns
     :func:`_line_search`.  ``v``, ``a`` and ``b`` are the objective and the
     side values at ``th'``.
@@ -504,7 +480,9 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     the partition of the current parameters, with the fixed step or, under
     ``"auto"``, the line search.  ``objective_trace`` holds the objective
     at the start and after each iteration, ``mu_trace`` each step, and
-    ``partition_sizes`` the sizes of each partition, the last included.
+    ``partition_sizes`` the sizes of each partition (by :func:`_first_pair`,
+    the one tie rule), the last included.  The node objective at a pair is
+    ``objective_trace[0]`` of a call with ``t_max=1`` and that pair as ``start``.
 
     Convergence means the summed parameter change (Euclidean norms) fell
     below ``epsilon`` or, under ``"auto"``, that no candidate decreased the
@@ -529,11 +507,11 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
         start = initialize_params(X, y, config.ridge_alpha, config.seed, _node=node)
     th = _check_pair(start, X.shape[1])
     fixed = None if config.auto_step else float(config.step)
-    envelope, first_side = _hinge(kind)
+    envelope = _hinge(kind)
 
     v, a, b = _evaluate(Xa, y, th, envelope)
     trace = [v]
-    first = first_side(a, b)
+    first = np.greater_equal(*_first_pair(kind, a, b))
     n1 = int(np.count_nonzero(first))
     sizes = [(n1, n - n1)]
     mu_trace: list[float] = []
@@ -549,7 +527,7 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
         m1, m2 = new - th
         change = math.sqrt(float(m1.dot(m1))) + math.sqrt(float(m2.dot(m2)))
         th = new
-        first = first_side(a, b)
+        first = np.greater_equal(*_first_pair(kind, a, b))
         n1 = int(np.count_nonzero(first))
         trace.append(v)
         mu_trace.append(mu)

@@ -302,7 +302,10 @@ def build_tree(X, y, config: TreeConfig | None = None) -> HrtModel:
     """Fit a hinge regression tree.
 
     Deterministic for identical (X, y, config): node seeds are derived
-    from ``config.split.seed`` through :func:`derive_seed`.  The rows are
+    from ``config.split.seed`` through :func:`derive_seed`.  The same
+    inputs and seed give the same bits for one NumPy, one BLAS kernel and
+    one BLAS thread count; another of any of these can round the solves
+    and products differently, and so fit another model.  The rows are
     checked (:func:`~hingetree.linear.check_training`) and augmented once,
     into the root's node (:func:`~hingetree.split._checked_node`); a
     child's node gathers its parent's rows by index, the first side's or

@@ -1,22 +1,79 @@
 """Reference code that the tests compare the package against.
 
 It is written from the docstrings and shares none of the package's fast
-paths: no refit cache, no stacked pair solve, no complement reuse.
+paths: no refit cache, no stacked pair solve, no complement reuse, and its
+own objective and partition in plain NumPy.  It imports from the package
+only what ``tests/test_reference_imports.py`` allows.
 """
 import numpy as np
 
 from hingetree import (
     DegenerateSystem,
     DimensionMismatch,
+    HingeKind,
     NonFiniteInput,
     SplitConfig,
     augment,
     initialize_params,
-    objective,
-    partition,
     ridge_solve,
 )
 from hingetree.linear import check_training
+
+
+def _check_pair(theta1, theta2, d: int):
+    """``[theta1, theta2]`` as float arrays, or the package's typed error.
+
+    Raises :class:`DimensionMismatch` unless both have length d+1, and
+    :class:`NonFiniteInput` if a coefficient is NaN or infinite.
+    """
+    thetas = [np.asarray(theta, dtype=float) for theta in (theta1, theta2)]
+    if any(theta.shape != (d + 1,) for theta in thetas):
+        raise DimensionMismatch(f"expected two coefficient vectors of length {d + 1}")
+    if not all(np.isfinite(theta).all() for theta in thetas):
+        raise NonFiniteInput("coefficient vectors contain a NaN or infinite value")
+    return thetas
+
+
+def _is_max(kind) -> bool:
+    """Whether ``kind`` is the max hinge; ``TypeError`` unless it is a :class:`HingeKind`."""
+    if kind is HingeKind.MAX:
+        return True
+    if kind is HingeKind.MIN:
+        return False
+    raise TypeError(f"kind must be a HingeKind, got {kind!r}")
+
+
+def objective(X, y, theta1, theta2, kind) -> float:
+    """Node objective: half the summed squared error of the hinge prediction.
+
+    The prediction is ``max(a, b)`` or ``min(a, b)`` of the side values
+    ``a = Xa @ theta1`` and ``b = Xa @ theta2`` on the augmented rows.
+    Samples are checked as the package checks them, and the pair as a
+    split's start; a ``kind`` that is not a :class:`HingeKind` raises
+    ``TypeError``.
+    """
+    X, y = check_training(X, y)
+    Xa = augment(X)
+    theta1, theta2 = _check_pair(theta1, theta2, X.shape[1])
+    a, b = Xa @ theta1, Xa @ theta2
+    r = y - (np.maximum(a, b) if _is_max(kind) else np.minimum(a, b))
+    return 0.5 * float(r @ r)
+
+
+def partition(X, theta1, theta2, kind):
+    """Row indices ``(S1, S2)``, disjoint and exhaustive, of the hinge comparison.
+
+    With the side values of :func:`objective`, row j is in S1 iff
+    ``a[j] >= b[j]`` for max and ``b[j] >= a[j]`` for min, so ties go to S1.
+    A NaN or infinite value in ``X`` raises :class:`NonFiniteInput`.
+    """
+    Xa = augment(X)
+    if not np.isfinite(Xa).all():
+        raise NonFiniteInput("partition data contains a NaN or infinite value")
+    theta1, theta2 = _check_pair(theta1, theta2, Xa.shape[1] - 1)
+    a, b = Xa @ theta1, Xa @ theta2
+    first = a >= b if _is_max(kind) else b >= a
+    return np.flatnonzero(first), np.flatnonzero(~first)
 
 
 def _check_indices(idx, n: int) -> np.ndarray:
@@ -56,11 +113,7 @@ def damped_update(X, y, s1, s2, theta1, theta2, mu: float, alpha: float = 0.0,
     SplitConfig(ridge_alpha=alpha, min_subset=min_subset)  # checks both as a split does
     X, y = check_training(X, y)
     n, d = X.shape
-    thetas = [np.asarray(theta, dtype=float) for theta in (theta1, theta2)]
-    if any(theta.shape != (d + 1,) for theta in thetas):
-        raise DimensionMismatch(f"expected two coefficient vectors of length {d + 1}")
-    if not all(np.isfinite(theta).all() for theta in thetas):
-        raise NonFiniteInput("coefficient vectors contain a NaN or infinite value")
+    thetas = _check_pair(theta1, theta2, d)
     Xa = augment(X)
     new = []
     for idx, theta in zip((_check_indices(s1, n), _check_indices(s2, n)), thetas):

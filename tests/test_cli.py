@@ -913,6 +913,17 @@ class TestParsing:
         assert err == f"error: {named}: the synthetic spec {self.SPEC!r} is not a CSV file\n"
         assert text == "" and os.listdir(tmp_path) == ["m.json"]
 
+    @pytest.mark.parametrize("spec, message", [
+        ("f1:n=abc", "synthetic spec 'f1:n=abc': n must be an integer, got 'abc'"),
+        ("f1:n=5:n=400", "synthetic spec 'f1:n=5:n=400' gives 'n' more than once"),
+    ], ids=["bad-value", "repeated-key"])
+    def test_malformed_synthetic_spec_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                      spec, message):
+        monkeypatch.chdir(tmp_path)
+        code, text, err = run(capsys, "train", spec, "hrt", "--out", "m.json")
+        assert (code, text, err) == (2, "", f"error: {message}\n")
+        assert os.listdir(tmp_path) == []
+
 
 def run_python(*args, **env):
     src = os.path.dirname(os.path.dirname(os.path.abspath(hingetree.__file__)))

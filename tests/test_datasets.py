@@ -413,6 +413,24 @@ class TestDatasetSpec:
         with pytest.raises(ValueError):
             parse_dataset_spec("sinc:n=10:bogus=3")
 
+    # The message names the key and the spec, which int()'s and float()'s do not.
+    @pytest.mark.parametrize("spec, message", [
+        ("f1:n=abc", "n must be an integer, got 'abc'"),
+        ("f1:n=5:seed=1.5", "seed must be an integer, got '1.5'"),
+        ("f1:sigma=x", "sigma must be a number, got 'x'"),
+    ])
+    def test_value_not_of_its_keys_type_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=f"^synthetic spec '{spec}': {message}$"):
+            parse_dataset_spec(spec)
+
+    # A repeated key is refused, not overwritten by its last value.
+    @pytest.mark.parametrize("spec, key", [("f1:n=5:n=400", "n"),
+                                           ("f2:seed=1:sigma=0:seed=1", "seed")])
+    def test_repeated_key_rejected(self, spec, key):
+        with pytest.raises(ValueError,
+                           match=f"^synthetic spec '{spec}' gives '{key}' more than once$"):
+            parse_dataset_spec(spec)
+
     def test_missing_file_rejected(self):
         with pytest.raises(EmptyInput):
             parse_dataset_spec("/no/such/file.csv")

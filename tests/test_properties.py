@@ -28,7 +28,6 @@ from hingetree import (
     initialize_params,
     loads_model,
     model_from_dict,
-    partition,
     predict,
     predict_batch,
     predict_boost,
@@ -39,7 +38,7 @@ from hingetree import (
 )
 from hingetree import cli, linear, split, tree
 from conftest import hinge_regression, relabel_leaves, unordered_partition, walked_boost
-from reference import replay_public_steps
+from reference import partition, replay_public_steps
 
 # Few derandomized examples keep the suite fast and its outcome fixed.
 FAST = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -66,6 +65,10 @@ def test_partition_is_disjoint_and_covers_every_row(instance):
     s1, s2 = partition(X, theta1, theta2, kind)
     assert np.intersect1d(s1, s2).size == 0
     assert np.array_equal(np.sort(np.concatenate([s1, s2])), np.arange(X.shape[0]))
+    if X.shape[0] >= 2:  # the split loop's first partition is the oracle's
+        out = find_optimal_split(X, np.zeros(X.shape[0]), kind,
+                                 SplitConfig(t_max=1, min_subset=1), (theta1, theta2))
+        assert out.partition_sizes[0] == (s1.size, s2.size)
 
 
 @FAST

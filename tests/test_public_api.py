@@ -12,7 +12,7 @@ PUBLIC_NAMES = {
     "affine", "augment", "fit_or_mean", "ridge_solve",
     # split
     "HingeKind", "Split", "SplitConfig", "SplitOutcome", "find_optimal_split",
-    "initialize_params", "median_fallback", "objective", "partition", "select_split",
+    "initialize_params", "median_fallback", "select_split",
     # tree
     "HrtModel", "Internal", "Leaf", "TrainStats", "TreeConfig", "build_tree", "derive_seed",
     "predict", "predict_batch",

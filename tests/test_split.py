@@ -8,6 +8,7 @@ from hingetree import (
     BoostConfig,
     DimensionMismatch,
     HingeKind,
+    HrtModel,
     NonFiniteInput,
     SplitConfig,
     TooFewSamples,
@@ -19,16 +20,15 @@ from hingetree import (
     gen_synthetic,
     initialize_params,
     median_fallback,
-    objective,
-    partition,
+    predict_batch,
     ridge_solve,
     select_split,
 )
 from hingetree import split
 from hingetree.linear import affine_row, ridge_solve_pair
-from hingetree.tree import derive_seed
+from hingetree.tree import Internal, Leaf, derive_seed, train_stats
 from conftest import hinge_regression, random_regression, unordered_partition
-from reference import damped_update, replay_public_steps
+from reference import damped_update, objective, partition, replay_public_steps
 
 
 def vee_data():
@@ -47,6 +47,36 @@ def one_step(X, y, theta1, theta2, kind, step, **fields):
     out = find_optimal_split(X, y, kind, SplitConfig(step=step, t_max=1, **fields),
                              (theta1, theta2))
     return (out.mu_trace[0] if out.mu_trace else 0.0), out.theta1, out.theta2
+
+
+def loop_from(X, y, theta1, theta2, kind):
+    """One iteration from (theta1, theta2), whose trace and sizes start with the pair's.
+
+    ``objective_trace[0]`` is the package's node objective at the pair and
+    ``partition_sizes[0]`` the sizes of its partition; ``min_subset`` 1
+    lets a node of two rows run.
+    """
+    return find_optimal_split(X, y, kind, SplitConfig(t_max=1, min_subset=1), (theta1, theta2))
+
+
+def first_side(X, theta1, theta2, kind):
+    """The rows on the first side of the oracle's partition, once the package agrees.
+
+    The split loop must give the partition's sizes (:func:`loop_from`), and
+    a one-split tree of the pair must send exactly those rows to its first
+    branch, the left leaf, which predicts 1.
+    """
+    X = np.asarray(X, dtype=float)
+    s1, s2 = partition(X, theta1, theta2, kind)
+    assert loop_from(X, np.zeros(len(X)), theta1, theta2, kind).partition_sizes[0] == (
+        s1.size, s2.size)
+    d = X.shape[1]
+    left, right = (Leaf(theta=np.r_[np.zeros(d), value], n_train=1) for value in (1.0, 0.0))
+    root = Internal(split=split.Split(kind=kind, theta1=theta1, theta2=theta2), left=left,
+                    right=right)
+    model = HrtModel(root=root, d=d, config=TreeConfig(), stats=train_stats(root))
+    assert np.array_equal(np.flatnonzero(predict_batch(model, X) == 1.0), s1)
+    return s1
 
 
 # "newton_step" and "backtracking_step" are one fixed and one line-searched step
@@ -250,11 +280,14 @@ class TestConfigValidation:
 
 
 class TestObjective:
+    """The oracle's objective, and the split loop's, which must have its bits."""
+
     def test_exact_piecewise_fit_of_abs(self):
         X, y = vee_data()
         t1 = np.array([1.0, 0.0])
         t2 = np.array([-1.0, 0.0])
         assert objective(X, y, t1, t2, HingeKind.MAX) == 0.0
+        assert loop_from(X, y, t1, t2, HingeKind.MAX).objective_trace[0] == 0.0
 
     def test_collapsed_hinge_equals_linear_residual(self):
         X, y = random_regression(0, 25, 3)
@@ -264,6 +297,8 @@ class TestObjective:
         expected = 0.5 * float(r @ r)
         for kind in HingeKind:
             assert objective(X, y, theta, theta, kind) == pytest.approx(expected, rel=1e-14)
+            assert loop_from(X, y, theta, theta, kind).objective_trace[0] == objective(
+                X, y, theta, theta, kind)
 
     def test_per_sample_recomputation_oracle(self):
         X = np.array([[0.0], [1.0], [2.0]])
@@ -276,9 +311,13 @@ class TestObjective:
             total += 0.5 * (yi - h) ** 2
         assert total == pytest.approx(1.5)
         assert objective(X, y, t1, t2, HingeKind.MAX) == pytest.approx(1.5, rel=1e-15)
+        assert loop_from(X, y, t1, t2, HingeKind.MAX).objective_trace[0] == objective(
+            X, y, t1, t2, HingeKind.MAX)
 
 
 class TestPartition:
+    """The tie rule, on the oracle's partition, the split loop's sizes and the tree's routing."""
+
     def test_sign_split(self):
         X = np.array([[-1.5], [-0.2], [0.0], [0.7], [2.0]])
         t1 = np.array([1.0, 0.0])
@@ -286,6 +325,7 @@ class TestPartition:
         s1, s2 = partition(X, t1, t2, HingeKind.MAX)
         assert sorted(s1) == [2, 3, 4]  # x >= 0, tie at 0 goes to S1
         assert sorted(s2) == [0, 1]
+        assert first_side(X, t1, t2, HingeKind.MAX).tolist() == [2, 3, 4]
 
     def test_equal_parameters_tie_rule(self):
         X, y = random_regression(1, 12, 2)
@@ -293,6 +333,7 @@ class TestPartition:
         for kind in HingeKind:
             s1, s2 = partition(X, theta, theta, kind)
             assert s1.size == 12 and s2.size == 0
+            assert first_side(X, theta, theta, kind).size == 12
 
     def test_four_point_enumeration(self):
         X = np.array([[-2.0], [-1.0], [0.0], [1.0]])
@@ -302,6 +343,7 @@ class TestPartition:
         expected_s1 = [j for j in range(4) if X[j, 0] >= 0.0]
         assert sorted(s1) == expected_s1 == [2, 3]
         assert sorted(s2) == [0, 1]
+        assert first_side(X, t1, t2, HingeKind.MAX).tolist() == [2, 3]
 
     def test_min_variant_flips_comparison(self):
         X = np.array([[-2.0], [-1.0], [0.0], [1.0]])
@@ -309,6 +351,7 @@ class TestPartition:
         t2 = np.array([0.0, 0.0])
         s1, _ = partition(X, t1, t2, HingeKind.MIN)
         assert sorted(s1) == [0, 1, 2]  # x <= 0
+        assert first_side(X, t1, t2, HingeKind.MIN).tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, value):
@@ -326,6 +369,7 @@ class TestPartition:
                 s1, s2 = partition(X, t1, t2, kind)
                 merged = np.sort(np.concatenate([s1, s2]))
                 assert np.array_equal(merged, np.arange(X.shape[0]))
+                assert np.array_equal(first_side(X, t1, t2, kind), s1)
 
 
 class TestRefit:
@@ -1076,6 +1120,7 @@ class TestDescentProperties:
         r = y - Xa @ theta
         for kind in HingeKind:
             assert objective(X, y, theta, theta, kind) == 0.5 * float(r @ r)
+            assert loop_from(X, y, theta, theta, kind).objective_trace[0] == 0.5 * float(r @ r)
         for row in X:
             lin = affine_row(row.tolist(), theta.tolist())
             assert max(lin, lin) == lin == min(lin, lin)
