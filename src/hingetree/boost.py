@@ -199,37 +199,39 @@ def predict_boost(model: BoostModel, x) -> float:
 
     ``x`` is checked and converted once, to Python floats
     (:func:`~hingetree.tree.check_row`, which raises :class:`NonFiniteInput`
-    for NaN or an infinity).  Two calls of the one-row kernel
-    :func:`~hingetree.linear.affine_row`, one over the rows of the
-    ensemble's ``coef_p`` and one over those of its ``coef_q``, then
-    evaluate both hinge sides of every node of the table built with the
-    model, off-path nodes included, and each node's child is picked once:
-    the first iff ``p >= q``, so a NaN side routes second, and a leaf
-    routes to itself.  Every learner follows the picked children from its
-    root for the table's ``deepest`` steps, and ``eta`` times each reached
-    leaf's value is added in stage order.  These are the operations of
+    for NaN or an infinity).  One call of the one-row kernel
+    :func:`~hingetree.linear.affine_row` over the rows of the ensemble's
+    ``coef`` then evaluates every node of the table built with the model,
+    off-path nodes included: an internal node's routing value and a leaf's
+    prediction.  Each node's child is picked once: the first iff its value
+    is ``>= 0``, so a NaN value routes second, and a leaf routes to itself.
+    Every learner follows the picked children from its root for the
+    table's ``deepest`` steps, and ``eta`` times each reached leaf's value
+    is added in stage order.  These are the operations of
     :func:`predict_boost_batch` on the same row, so the bits agree; an
     ensemble without learners returns f0.
 
     The cost grows with the ensemble's node count times d+1, where the
     batch router's grows with its learner count times ``deepest`` times
-    d+1, plus its per-level calls.  So this pass is the faster up to about
-    12,700 nodes at d = 16 and 25,000 at d = 2, and for huge ensembles of
-    deep trees :func:`predict_boost_batch` on a one-row batch is the faster.
+    d+1, plus its per-level calls.  So this pass is the faster for shallow
+    learners (6 to 10 times a one-row :func:`predict_boost_batch` for
+    depth-3 learners of up to 48,000 nodes in all, at d = 2 and d = 16),
+    and for huge ensembles of deep trees the one-row batch is the faster
+    (depth-10 learners: from about 16,000 nodes, at d = 2 and d = 16).
+    Both timed on one core of an x86-64 host, NumPy 2.4.6.
     """
     row = check_row(x, model.d)
-    coef_p, coef_q, left, right, starts, deepest = model._table
+    coef, left, right, starts, deepest = model._table
     # Off-path nodes may overflow on a finite row; they never reach the result.
     with np.errstate(over="ignore", invalid="ignore"):
-        p = affine_row(row, coef_p)
-        first = p >= affine_row(row, coef_q)
-    child = np.where(first, left, right)
+        value = affine_row(row, coef)
+    child = np.where(value >= 0.0, left, right)
     node = starts
     for _ in range(deepest):
         node = child.take(node)
     total = model.f0
-    for value in p.take(node).tolist():
-        total += model.eta * value
+    for leaf in value.take(node).tolist():
+        total += model.eta * leaf
     return total
 
 

@@ -22,7 +22,10 @@ right-hand side) without its ufunc dispatch and so has its bits
 Every routing decision and leaf value is evaluated by :func:`affine` or
 its one-row form :func:`affine_row`, which perform the same floating-point
 operations in the same order; :func:`affine_row` takes one model's
-coefficients or, elementwise, the d+1 rows of a table of many models.
+coefficients or, elementwise, the d+1 rows of a table of many models.  A
+routing decision is one affine, by the split's hyperplane ``p - q``
+(:attr:`~hingetree.split.Split.direction`): the row goes first iff its
+value is ``>= 0``.
 :func:`check_training` is the one check of training inputs, shared by the
 split, tree and boost layers.
 """

@@ -12,7 +12,9 @@ from .tree import HrtModel, Leaf, _preorder
 
 # FLOPs conventions: a length-p dot product costs p multiplies plus p-1
 # adds; "two" charges both branch predictors per split, "diff" charges a
-# single dot product with the difference hyperplane.
+# single dot product with the difference hyperplane.  "diff" is what the
+# routers perform: one affine per internal node on the path, by its split's
+# ``direction``, compared with 0, and one at the leaf.
 FLOPS_MODES = ("two", "diff")
 
 
@@ -36,7 +38,9 @@ def evaluate(predictions, targets) -> EvalReport:
 
     R^2 is undefined for constant targets; it is reported as NaN with
     ``r2_defined=False``.  A NaN or infinite value in either vector raises
-    :class:`NonFiniteInput`, since every score would then be NaN or infinite.
+    :class:`NonFiniteInput`, since every score would then be NaN or infinite,
+    and so, with no NumPy warning, do finite values too large for the
+    arithmetic: a score, a sum of squares or R^2 that overflows.
     """
     p = np.asarray(predictions, dtype=float).ravel()
     t = np.asarray(targets, dtype=float).ravel()
@@ -46,16 +50,19 @@ def evaluate(predictions, targets) -> EvalReport:
         raise EmptyInput("cannot evaluate zero samples")
     if not (np.isfinite(p).all() and np.isfinite(t).all()):
         raise NonFiniteInput("predictions or targets contain a NaN or infinite value")
-    err = p - t
-    rmse = float(np.sqrt(np.mean(err ** 2)))
-    mae = float(np.mean(np.abs(err)))
-    ss_res = float(err @ err)
-    centered = t - t.mean()
-    ss_tot = float(centered @ centered)
-    if ss_tot == 0.0:
-        return EvalReport(rmse=rmse, mae=mae, r2=math.nan, n=p.shape[0],
-                          r2_defined=False)
-    return EvalReport(rmse=rmse, mae=mae, r2=1.0 - ss_res / ss_tot, n=p.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = p - t
+        rmse = float(np.sqrt(np.mean(err ** 2)))
+        mae = float(np.mean(np.abs(err)))
+        ss_res = float(err @ err)
+        centered = t - t.mean()
+        ss_tot = float(centered @ centered)
+    r2_defined = ss_tot != 0.0
+    r2 = 1.0 - ss_res / ss_tot if r2_defined else math.nan
+    if (not all(map(math.isfinite, (rmse, mae, ss_res, ss_tot)))
+            or r2_defined and not math.isfinite(r2)):
+        raise NonFiniteInput("predictions or targets too large: a score overflows")
+    return EvalReport(rmse=rmse, mae=mae, r2=r2, n=p.shape[0], r2_defined=r2_defined)
 
 
 def hrt_inference_flops(model: HrtModel, mode: str = "two") -> FlopsReport:

@@ -22,9 +22,11 @@ rule and are never converted before it: a coefficient, ``f0``, ``eta``, a
 trace entry and a fallback threshold must be a finite JSON int or float
 (:func:`~hingetree.datasets._finite`; a boolean or a string is not one),
 and ``d``, ``n_train`` and a fallback feature (which must also lie in
-[0, d)) a non-negative JSON integer.  Growth records are not saved:
-loading builds each internal node's :class:`~hingetree.split.Split` and
-makes up no record.
+[0, d)) a non-negative JSON integer.  A split whose sides' difference,
+the hyperplane it routes by, overflows is rejected too.  Growth records
+are not saved: loading builds each internal node's
+:class:`~hingetree.split.Split`, which forms its routing ``direction``
+from the stored ``theta1`` and ``theta2``, and makes up no record.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from .boost import BoostConfig, BoostModel, _stage_config
 from .datasets import StandardizeTransform, _finite
-from .errors import CorruptModel
+from .errors import CorruptModel, NonFiniteInput
 from .split import HingeKind, Split, SplitConfig
 from .tree import HrtModel, Internal, Leaf, TreeConfig, TreeNode, train_stats
 
@@ -141,8 +143,11 @@ def _node_from_dict(doc, d: int, where: str) -> TreeNode:
             raise CorruptModel(f"{where}.fallback_feature: expected a feature index in "
                                f"[0, {d}), got {feature!r}")
         threshold = _number(body["fallback_threshold"], f"{where}.fallback_threshold")
-    split = Split(kind=HingeKind(body["kind"]), theta1=theta1, theta2=theta2,
-                  fallback_feature=feature, fallback_threshold=threshold)
+    try:
+        split = Split(kind=HingeKind(body["kind"]), theta1=theta1, theta2=theta2,
+                      fallback_feature=feature, fallback_threshold=threshold)
+    except NonFiniteInput as exc:
+        raise CorruptModel(f"{where}: {exc}") from None
     return Internal(split=split,
                     left=_node_from_dict(body["left"], d, f"{where}.left"),
                     right=_node_from_dict(body["right"], d, f"{where}.right"))

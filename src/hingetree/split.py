@@ -11,7 +11,9 @@ One function, :func:`_newton_iteration`, is that iteration, and only the
 loop of :func:`find_optimal_split` runs it: one damped Newton step, fixed
 or line-searched, is a call with ``t_max=1`` and a ``start``, and the
 node objective at ``start`` is that call's ``objective_trace[0]``.  A row
-takes the first side by one tie rule, :func:`_first_pair`.
+takes the first side by one tie rule, :func:`_first_pair`, which also
+orders the pair whose difference is a split's routing hyperplane
+(:attr:`Split.direction`).
 Both sides' parameters are held as one ``(2, d+1)`` array, so a step, a
 line-search candidate and a parameter change are one set of elementwise
 operations; every value keeps the bits of the per-side arithmetic,
@@ -133,11 +135,17 @@ class SplitConfig:
 
 @dataclass(frozen=True, eq=False)  # compares by identity, not by its arrays
 class Split:
-    """How a node routes: a row goes first iff ``p >= q`` for ``_first_pair(kind, theta1, theta2)``.
+    """How a node routes: a row ``x`` goes first iff ``affine(x, direction) >= 0``.
 
-    ``theta1`` and ``theta2`` are kept as read-only float copies.  A median
-    fallback split (:func:`median_fallback`) also records its feature and threshold.
-    A ``kind`` that is not a :class:`HingeKind` raises ``TypeError``.
+    ``direction`` is the routing hyperplane ``p - q`` for
+    ``(p, q) = _first_pair(kind, theta1, theta2)``, formed once, here, and
+    read by training and by every router, so ties go first and a NaN value
+    sends a row second.  ``theta1``, ``theta2`` and ``direction`` are kept
+    as read-only float copies.  A median fallback split
+    (:func:`median_fallback`) also records its feature and threshold.
+    A ``kind`` that is not a :class:`HingeKind` raises ``TypeError``, sides
+    of two shapes :class:`DimensionMismatch`, and a difference that is not
+    finite (two sides that overflow it) :class:`NonFiniteInput`.
     """
 
     kind: HingeKind
@@ -145,11 +153,23 @@ class Split:
     theta2: np.ndarray
     fallback_feature: int | None = None
     fallback_threshold: float | None = None
+    direction: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _hinge(self.kind)  # a kind that is not a HingeKind raises TypeError
-        object.__setattr__(self, "theta1", _read_only(self.theta1))
-        object.__setattr__(self, "theta2", _read_only(self.theta2))
+        theta1, theta2 = _read_only(self.theta1), _read_only(self.theta2)
+        if theta1.shape != theta2.shape:
+            raise DimensionMismatch(f"the sides' coefficients differ in shape: {theta1.shape} "
+                                    f"and {theta2.shape}")
+        p, q = _first_pair(self.kind, theta1, theta2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            direction = _read_only(p - q)
+        if not np.isfinite(direction).all():
+            raise NonFiniteInput("split direction p - q is not finite: the sides' "
+                                 "coefficients overflow it")
+        object.__setattr__(self, "theta1", theta1)
+        object.__setattr__(self, "theta2", theta2)
+        object.__setattr__(self, "direction", direction)
 
     @property
     def used_fallback(self) -> bool:
@@ -185,8 +205,9 @@ def _first_pair(kind, a, b):
     their coefficient vectors).  The max variant sends ``a >= b`` first and
     the min variant ``a <= b``, which is ``b >= a``, so a min pair comes
     back swapped.  Ties go to the first branch for both variants, and a
-    NaN value sends a row to the second.  The split loop's masks and the
-    tree's routing both take this one tie rule.
+    NaN value sends a row to the second.  The split loop's masks take this
+    one tie rule on the side values, and the tree routes by its pair of
+    vectors, as ``affine(x, p - q) >= 0`` (:attr:`Split.direction`).
     """
     return (a, b) if kind is HingeKind.MAX else (b, a)
 

@@ -17,16 +17,19 @@ before right, and then builds the frozen nodes children first.  A node
 keeps only the :class:`~hingetree.split.Split` that routes; the optimizer's
 :class:`~hingetree.split.SplitOutcome` goes to :func:`train_stats`.
 
-Every routing test is one rule, :func:`~hingetree.split._first_pair`: a
-row takes the first branch iff ``p >= q`` for the node's ordered pair of
-hinge sides, each evaluated by :func:`~hingetree.linear.affine` (or its
-one-row form :func:`~hingetree.linear.affine_row`).  Training,
-:func:`predict` (one row down one tree), the level-wise batch router
-:func:`_route` (many rows down one tree or a whole ensemble) and the
-one-pass ensemble row (:func:`~hingetree.boost.predict_boost`, which runs
-the one-row kernel over every node's coefficients at once) all perform
-the same rounded operations, so a training row reaches the leaf that was
-fitted on it, and scalar and batch predictions agree bit for bit.
+Every routing test is one rule on one hyperplane: a row ``x`` takes the
+first branch iff ``affine(x, split.direction) >= 0``, where the split's
+``direction`` is ``p - q`` for its ordered pair of hinge sides
+(:class:`~hingetree.split.Split`), evaluated by
+:func:`~hingetree.linear.affine` (or its one-row form
+:func:`~hingetree.linear.affine_row`).  Ties go first, and a NaN value
+sends the row second.  Training, :func:`predict` (one row down one
+tree), the level-wise batch router :func:`_route` (many rows down one
+tree or a whole ensemble) and the one-pass ensemble row
+(:func:`~hingetree.boost.predict_boost`, which runs the one-row kernel
+over every node's coefficients at once) all perform the same rounded
+operations, one affine per node, so a training row reaches the leaf that
+was fitted on it, and scalar and batch predictions agree bit for bit.
 
 A model's router table is built once, with the model, by :func:`_flatten`
 over one walk (:func:`_preorder`) of its trees.  A tree model's first
@@ -46,8 +49,8 @@ import numpy as np
 
 from .errors import AllFeaturesConstant, DimensionMismatch, NonFiniteInput
 from .linear import affine, affine_row, fit_or_mean
-from .split import (Split, SplitConfig, SplitOutcome, _check_numbers, _checked_node, _first_pair,
-                    _Node, _node_rows, _read_only, median_fallback, select_split)
+from .split import (Split, SplitConfig, SplitOutcome, _check_numbers, _checked_node, _Node,
+                    _node_rows, _read_only, median_fallback, select_split)
 
 _MASK64 = (1 << 64) - 1
 
@@ -201,16 +204,14 @@ class HrtModel:
 def _predict_rows(table: _Table) -> tuple:
     """``table`` as :func:`predict`'s rows, one per node, in the table's order.
 
-    Row i is ``(p, q, first, second)``: ``p`` and ``q`` are tuples of the
-    Python floats in column i of ``coef_p`` and ``coef_q``, and ``first``
-    and ``second`` are the indices of node i's children.  A leaf has no
-    second side: its row holds its model as ``p``, ``None`` as ``q``, and
-    routes to itself.  Row 0 is the root.
+    Row i is ``(coef, first, second)``: ``coef`` is a tuple of the Python
+    floats in column i of ``table.coef``, an internal node's ``direction``
+    or a leaf's model, and ``first`` and ``second`` are the indices of node
+    i's children.  A leaf routes to itself, so only a leaf's ``first``
+    equals its ``second``.  Row 0 is the root.
     """
-    return tuple((p, None if first == i else q, first, second) for i, (p, q, first, second)
-                 in enumerate(zip(map(tuple, table.coef_p.T.tolist()),
-                                  map(tuple, table.coef_q.T.tolist()),
-                                  table.left.tolist(), table.right.tolist())))
+    return tuple(zip(map(tuple, table.coef.T.tolist()), table.left.tolist(),
+                     table.right.tolist()))
 
 
 def _expand(node: _Node, depth, seed, config: TreeConfig, fits: list[SplitOutcome]):
@@ -249,8 +250,7 @@ def _expand(node: _Node, depth, seed, config: TreeConfig, fits: list[SplitOutcom
                      else median_fallback(X, seed=derive_seed(seed, depth, 2)))
         except AllFeaturesConstant:
             break
-        p, q = _first_pair(split.kind, split.theta1, split.theta2)
-        first = affine(X, p) >= affine(X, q)
+        first = affine(X, split.direction) >= 0.0
         if config.n_min <= np.count_nonzero(first) <= n - config.n_min:
             return None, split, first
     return (_leaf_model(Xa, y, config) if theta_leaf is None else theta_leaf), None, None
@@ -372,47 +372,47 @@ def predict(model: HrtModel, x) -> float:
 
     The walk reads only the model's rows (:attr:`HrtModel._rows`, built on
     the first call): from row 0 it moves to a node's first child iff
-    ``affine_row(x, p) >= affine_row(x, q)``, so ties on a split hyperplane
-    go first, matching training, and a side that evaluates to NaN sends
-    the row second.  ``p`` and ``q`` hold the bits of the node's
-    coefficients, and the affine arithmetic is
-    :func:`~hingetree.linear.affine_row`: a left-to-right float
-    accumulation of ``x[j] * w[j]`` followed by the bias, so the result
-    equals :func:`predict_batch` on the same row bit for bit.  A sample
-    holding NaN or an infinity raises :class:`NonFiniteInput`
-    (:func:`check_row`).  ``x`` is used as given: ``model.preprocess`` is
-    applied only by the CLI.
+    ``affine_row(x, direction) >= 0``, one affine per node, so ties on a
+    split hyperplane go first, matching training, and a value that
+    evaluates to NaN sends the row second; at the leaf, where ``first``
+    equals ``second``, the same call gives the prediction.  The rows hold
+    the bits of the splits' ``direction`` and the leaves' models, and the
+    affine arithmetic is :func:`~hingetree.linear.affine_row`: a
+    left-to-right float accumulation of ``x[j] * w[j]`` followed by the
+    bias, so the result equals :func:`predict_batch` on the same row bit
+    for bit.  A sample holding NaN or an infinity raises
+    :class:`NonFiniteInput` (:func:`check_row`).  ``x`` is used as given:
+    ``model.preprocess`` is applied only by the CLI.
     """
     x = check_row(x, model.d)
     rows = model._rows
     if rows is None:
         rows = _predict_rows(model._table)
         object.__setattr__(model, "_rows", rows)
-    p, q, first, second = rows[0]
-    while q is not None:
-        p, q, first, second = rows[first if affine_row(x, p) >= affine_row(x, q) else second]
-    return affine_row(x, p)
+    coef, first, second = rows[0]
+    while first != second:
+        coef, first, second = rows[first if affine_row(x, coef) >= 0.0 else second]
+    return affine_row(x, coef)
 
 
 class _Table(NamedTuple):
     """Trees as preorder node tables for :func:`_route`; built only by :func:`_flatten`.
 
-    Column i of ``coef_p`` and ``coef_q``, both of shape ``(d+1, nodes)``,
-    holds node i's ordered hinge pair (:func:`~hingetree.split._first_pair`),
-    or for a leaf its model twice.  ``left[i]`` and ``right[i]`` are node
-    i's first and second child; a leaf routes to itself.  ``starts`` holds
-    each tree's root index and ``deepest``, a Python int, the depth of the
-    deepest leaf of any tree (0 without trees).
+    Column i of ``coef``, of shape ``(d+1, nodes)``, holds internal node
+    i's routing hyperplane (its split's ``direction``, ``p - q``), or leaf
+    i's model.  ``left[i]`` and ``right[i]`` are node i's first and second
+    child; a leaf routes to itself.  ``starts`` holds each tree's root
+    index and ``deepest``, a Python int, the depth of the deepest leaf of
+    any tree (0 without trees).
 
     A tree model also copies its table into :func:`predict`'s Python rows
     (:attr:`HrtModel._rows`); an ensemble builds none for its own table, since
     :func:`~hingetree.boost.predict_boost` evaluates a row on all of it at
     once, with one :func:`~hingetree.linear.affine_row` call over the rows
-    of ``coef_p`` and one over those of ``coef_q``.
+    of ``coef``.
     """
 
-    coef_p: np.ndarray
-    coef_q: np.ndarray
+    coef: np.ndarray
     left: np.ndarray
     right: np.ndarray
     starts: np.ndarray
@@ -426,10 +426,11 @@ def _flatten(roots: list[TreeNode], d: int) -> _Table:
     node's children are found by their index in the walk (nodes hash by
     identity).  :class:`HrtModel` passes its root and
     :class:`~hingetree.boost.BoostModel` its learners' roots, once, when
-    the model is built; no prediction builds a table.  A node whose affine
-    models do not all hold d+1 coefficients (a hand-built model of the
-    wrong ``d``, say) raises :class:`DimensionMismatch` before any table
-    is formed.
+    the model is built; no prediction builds a table.  A node contributes
+    one column: a split its ``direction``, formed once by the split, a leaf
+    its model.  A node whose affine models do not all hold d+1
+    coefficients (a hand-built model of the wrong ``d``, say) raises
+    :class:`DimensionMismatch` before any table is formed.
     """
     nodes, starts, deepest = [], [], 0
     for root in roots:
@@ -438,19 +439,17 @@ def _flatten(roots: list[TreeNode], d: int) -> _Table:
             nodes.append(node)
             deepest = max(deepest, depth)  # the deepest node is a leaf
     index = {node: i for i, node in enumerate(nodes)}
-    pairs = [(n.theta, n.theta) if isinstance(n, Leaf)
-             else _first_pair(n.split.kind, n.split.theta1, n.split.theta2) for n in nodes]
-    for theta in (theta for pair in pairs for theta in pair):
+    coefs = [n.theta if isinstance(n, Leaf) else n.split.direction for n in nodes]
+    for theta in coefs:
         if theta.shape != (d + 1,):
             found = theta.size if theta.ndim == 1 else f"shape {theta.shape}"
             raise DimensionMismatch(
                 f"expected {d + 1} coefficients per affine model (d = {d}), found {found}")
     children = [(i, i) if isinstance(n, Leaf) else (index[n.left], index[n.right])
                 for i, n in enumerate(nodes)]
-    coefs = np.array(pairs, dtype=float).reshape(-1, 2, d + 1).transpose(1, 2, 0).copy()
+    coef = np.array(coefs, dtype=float).reshape(-1, d + 1).T.copy()
     links = np.array(children, dtype=np.intp).reshape(-1, 2).T.copy()
-    return _Table(coefs[0], coefs[1], links[0], links[1], np.array(starts, dtype=np.intp),
-                  deepest)
+    return _Table(coef, links[0], links[1], np.array(starts, dtype=np.intp), deepest)
 
 
 def _route(table: _Table, X: np.ndarray):
@@ -461,15 +460,16 @@ def _route(table: _Table, X: np.ndarray):
     (:func:`~hingetree.boost.predict_boost`).  Routing is level-wise, over
     the table built with the model (:func:`_flatten`): every (row, tree)
     pair starts at its tree's root.  Each step gathers the
-    pair's node coefficients, evaluates both hinge sides with
-    :func:`~hingetree.linear.affine` and moves the pair to the chosen child;
-    a leaf routes to itself, so after the table's ``deepest`` steps every
-    pair sits on its leaf, whose model gives the value.  Pairs are processed in blocks
+    pair's node coefficients with one ``take``, evaluates them with one
+    :func:`~hingetree.linear.affine` and moves the pair to its first child
+    where that value is ``>= 0``, else to its second; a leaf routes to
+    itself, so after the table's ``deepest`` steps every pair sits on its
+    leaf, whose model gives the value.  Pairs are processed in blocks
     of at most ``_BLOCK`` (a group holds one tree when the batch alone
     exceeds it), so the temporaries stay bounded whatever the batch and
     ensemble sizes.  Each value is computed with :func:`predict`'s operations.
     """
-    coef_p, coef_q, left, right, starts, deepest = table
+    coef, left, right, starts, deepest = table
     n = X.shape[0]
     group = max(1, _BLOCK // max(n, 1))
     for g in range(0, starts.size, group):
@@ -483,10 +483,9 @@ def _route(table: _Table, X: np.ndarray):
                 node = roots[None, :]  # every row at its trees' roots; broadcasts in affine
                 for _ in range(deepest):
                     # take() gathers several times faster than fancy indexing.
-                    p = affine(block, coef_p.take(node, axis=1))
-                    q = affine(block, coef_q.take(node, axis=1))
-                    node = np.where(p >= q, left.take(node), right.take(node))
-                values[r:r + rows] = affine(block, coef_p.take(node, axis=1))
+                    v = affine(block, coef.take(node, axis=1))
+                    node = np.where(v >= 0.0, left.take(node), right.take(node))
+                values[r:r + rows] = affine(block, coef.take(node, axis=1))
         yield from values.T
 
 

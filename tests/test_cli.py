@@ -409,6 +409,14 @@ class TestCorruptModelFile:
         assert code == 3
         assert err.startswith("error: root.internal: missing 'left'")
 
+    def test_split_whose_direction_overflows_is_data_error(self, tmp_path, capsys):
+        def overflowing(doc):
+            doc["root"]["internal"].update(kind="max", theta1=[1e308, 0.0],
+                                           theta2=[-1e308, 0.0])
+        code, _, err = self.corrupt(tmp_path, capsys, overflowing)
+        assert code == 3
+        assert err.startswith("error: root.internal: split direction p - q is not finite")
+
     def test_out_of_range_config_value_is_data_error(self, tmp_path, capsys):
         def bad_step(doc):
             doc["config"]["split"]["step"] = 5
@@ -949,6 +957,21 @@ class TestProcess:
         assert proc.returncode == 3
         assert proc.stderr == f"error: {message}\n"  # the error line alone, no NumPy warning
         assert not out.exists()
+
+    def test_eval_on_targets_too_large_to_score_is_data_error(self, tmp_path):
+        gen = np.random.default_rng(9)
+        X = gen.uniform(-1.0, 1.0, (50, 2))
+        data, model = tmp_path / "huge.csv", tmp_path / "m.json"
+        write_csv(hingetree.Dataset(X=X, y=gen.uniform(-1e200, 1e200, 50),
+                                    feature_names=["x1", "x2"], provenance={}), data)
+        assert run_python("-m", "hingetree.cli", "train", "f1:n=200", "hrt",
+                          "--out", str(model)).returncode == 0
+        proc = run_python("-m", "hingetree.cli", "eval", str(model), str(data),
+                          "--json", str(tmp_path / "e.json"))
+        assert proc.returncode == 3
+        # The error line alone, no NumPy warning, and no report with Infinity or NaN.
+        assert proc.stderr == "error: predictions or targets too large: a score overflows\n"
+        assert not (tmp_path / "e.json").exists()
 
     def test_module_entry_prints_usage(self):
         proc = run_python("-m", "hingetree.cli", "--help")

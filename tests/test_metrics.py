@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+
+import hingetree.tree
 
 from hingetree import (
     BoostConfig,
@@ -23,10 +26,13 @@ from hingetree import (
     fit_boost,
     gen_synthetic,
     hrt_inference_flops,
+    predict,
+    predict_batch,
     split_train_test,
 )
 from hingetree.boost import _stage_config
-from hingetree.tree import Internal, Leaf
+from hingetree.tree import Internal, Leaf, _preorder
+from conftest import relabel_leaves
 
 
 def leaf_model(d):
@@ -111,6 +117,16 @@ class TestEvaluate:
         args = (bad, good) if side == "predictions" else (good, bad)
         with pytest.raises(NonFiniteInput):
             evaluate(*args)
+
+    @pytest.mark.parametrize("predictions, targets", [
+        ([0.0, 0.0, 0.0], [-1e200, 0.0, 1e200]),  # the squared errors overflow
+        ([1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]),  # an error overflows
+        ([-1e200, 0.0, 1e200], [-1e200, 0.0, 1e200]),  # only the target spread overflows
+    ], ids=["squares", "error", "spread"])
+    def test_scores_that_overflow(self, predictions, targets):
+        # Once rmse=inf and r2=nan, after three NumPy warnings; the warnings fail this run.
+        with pytest.raises(NonFiniteInput, match="a score overflows"):
+            evaluate(predictions, targets)
 
 
 class TestTreeFlops:
@@ -203,6 +219,27 @@ class TestTrainedModelFlops:
         per_split = 2 * (2 * p - 1) + 1
         assert leaf_only <= report.inference_flops_per_sample
         assert report.inference_flops_per_sample <= leaf_only + model.stats.depth * per_split
+
+    def test_diff_mode_is_the_cost_of_the_walk_predict_makes(self):
+        # A row reaching a leaf at depth k costs predict k + 1 affine_row calls: one
+        # per split, by its direction, compared with 0, and one at the leaf.  A call is a
+        # length-p dot product (2p - 1, the bias counted as a product with 1).
+        ds = gen_synthetic("f1", 400, 0.1, seed=5)
+        model = build_tree(ds.X, ds.y, TreeConfig(d_max=4, tau_rmse=0.0))
+        labelled, counts = relabel_leaves(model)
+        depths = [depth for node, depth in _preorder(model.root) if isinstance(node, Leaf)]
+        leaf_of_row = predict_batch(labelled, ds.X).astype(int)
+        assert set(leaf_of_row.tolist()) == set(range(len(counts))) and max(depths) == 4
+        dot = 2 * (model.d + 1) - 1
+        cost = {}
+        for x, leaf in zip(ds.X, leaf_of_row.tolist()):
+            with mock.patch.object(hingetree.tree, "affine_row",
+                                   wraps=hingetree.tree.affine_row) as kernel:
+                predict(model, x)
+            assert kernel.call_count == depths[leaf] + 1
+            cost[leaf] = (kernel.call_count - 1) * (dot + 1) + dot
+        walked = float(np.mean([cost[leaf] for leaf in range(len(counts))]))
+        assert hrt_inference_flops(model, mode="diff").inference_flops_per_sample == walked
 
     def test_boost_flops_on_trained_ensemble(self):
         ds = gen_synthetic("sinc", 300, 0.025, seed=6)

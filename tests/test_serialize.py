@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from dataclasses import replace
 
@@ -18,12 +19,16 @@ from hingetree import (
     loads_model,
     model_from_dict,
     model_to_dict,
+    predict,
     predict_batch,
+    predict_boost,
     predict_boost_batch,
     save_model,
 )
-from hingetree.tree import Internal
+from hingetree.tree import Internal, _preorder
 from conftest import nested_document
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def trained_tree(seed=0):
@@ -183,6 +188,44 @@ class TestTreeRoundTrip:
             assert np.array_equal(a, b)
 
 
+class TestEarlierFiles:
+    """Files saved when every router still evaluated both hinge sides of a split.
+
+    ``earlier_tree.json`` is ``build_tree`` on ``gen_synthetic("f1", 200, 0.1, seed=5)``
+    with ``TreeConfig(d_max=3, tau_rmse=0.0)`` (five median fallbacks), and
+    ``earlier_boost.json`` ``fit_boost`` on the same rows with
+    ``BoostConfig(m_stages=4, tree=default_boost_tree_config(seed=3))``, both written by
+    ``save_model``.  ``earlier_predictions.json`` holds the hex floats of their
+    predictions then: on eight uniform rows in [-1, 1]^2, and on a training row moved onto
+    each fallback threshold that it still reaches.  Routing by one hyperplane per split
+    must give the same bits.
+    """
+
+    @pytest.mark.parametrize("kind, name, one, batch", [
+        ("hrt", "earlier_tree.json", predict, predict_batch),
+        ("boost", "earlier_boost.json", predict_boost, predict_boost_batch),
+    ])
+    def test_loads_and_predicts_the_recorded_bits(self, kind, name, one, batch):
+        with open(os.path.join(DATA, "earlier_predictions.json"), encoding="utf-8") as fh:
+            recorded = json.load(fh)[kind]
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            saved = fh.read()
+        model = loads_model(saved)
+        assert dumps_model(model) == saved  # the format is unchanged
+        rows = np.array([[float.fromhex(v) for v in row] for row in recorded["rows"]])
+        splits = [node.split for learner in getattr(model, "learners", [model])
+                  for node, _ in _preorder(learner.root) if isinstance(node, Internal)]
+        thresholds = {(s.fallback_feature, s.fallback_threshold) for s in splits
+                      if s.used_fallback}
+        on_threshold = [row for row in rows.tolist()
+                        if any(row[k] == t for k, t in thresholds)]
+        assert len(on_threshold) == len(rows) - 8 >= 4
+        assert any(not s.used_fallback for s in splits)
+        want = [float.fromhex(v) for v in recorded["predictions"]]
+        assert [float.hex(one(model, row)) for row in rows] == recorded["predictions"]
+        assert batch(model, rows).tobytes() == np.array(want).tobytes()
+
+
 class TestBoostRoundTrip:
     def test_predictions_bit_identical(self, tmp_path):
         ds, model = trained_boost()
@@ -315,6 +358,15 @@ class TestCorruptModel:
             first_leaf(doc["root"])["theta"][0] = bad
             with pytest.raises(CorruptModel):
                 model_from_dict(doc)
+
+    def test_split_whose_direction_overflows(self, tmp_path):
+        doc = self.tree_doc()
+        doc["root"]["internal"].update(kind="max", theta1=[1e308] + [0.0] * doc["d"],
+                                       theta2=[-1e308] + [0.0] * doc["d"])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel, match=r"^root\.internal: split direction p - q is not"):
+            load_model(str(path))
 
     def test_node_with_no_known_tag(self):
         doc = self.tree_doc()

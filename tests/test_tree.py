@@ -276,7 +276,7 @@ class TestRowsOnceAtTheRoot:
         # The root's left child, next in preorder, holds its first-side rows in their order.
         split = model.root.split
         p, q = _first_pair(split.kind, split.theta1, split.theta2)
-        first = affine(X, p) >= affine(X, q)
+        first = affine(X, p - q) >= 0.0
         assert nodes[1][0].tobytes() == X[first].tobytes()
         assert nodes[1][1].tobytes() == y[first].tobytes()
 
@@ -548,6 +548,10 @@ class TestCoefficientLength:
         with pytest.raises(DimensionMismatch, match=r"expected 3 coefficients .* found 6$"):
             HrtModel(root=wide.root, d=2, config=wide.config, stats=wide.stats)
 
+    def test_split_sides_of_two_lengths(self):
+        with pytest.raises(DimensionMismatch, match=r"differ in shape: \(3,\) and \(2,\)$"):
+            Split(kind=HingeKind.MAX, theta1=[1.0, 0.0, 0.0], theta2=[0.0, 1.0])
+
     def test_one_short_leaf(self):
         root = Internal(split=Split(kind=HingeKind.MAX, theta1=[1.0, 0.0, 0.0],
                                     theta2=[0.0, 1.0, 0.0]),
@@ -581,18 +585,17 @@ class TestScalarRows:
         index = {node: i for i, node in enumerate(nodes)}
         assert type(tree._rows) is tuple and len(tree._rows) == len(nodes) > 1
         for i, (node, row) in enumerate(zip(nodes, tree._rows)):
-            assert type(row) is tuple and len(row) == 4
-            p, q, first, second = row
-            sides = [p] if q is None else [p, q]
-            assert all(type(side) is tuple and len(side) == tree.d + 1 for side in sides)
-            assert all(type(v) is float for side in sides for v in side)
+            assert type(row) is tuple and len(row) == 3
+            coef, first, second = row
+            assert type(coef) is tuple and len(coef) == tree.d + 1
+            assert all(type(v) is float for v in coef)
             if isinstance(node, Leaf):
-                assert (q, first, second) == (None, i, i)
-                assert hex_floats(p) == hex_floats(node.theta)
+                assert (first, second) == (i, i)
+                assert hex_floats(coef) == hex_floats(node.theta)
             else:
                 o = node.split
-                want_p, want_q = _first_pair(o.kind, o.theta1, o.theta2)
-                assert (hex_floats(p), hex_floats(q)) == (hex_floats(want_p), hex_floats(want_q))
+                p, q = _first_pair(o.kind, o.theta1, o.theta2)
+                assert hex_floats(coef) == hex_floats(p - q)
                 assert (first, second) == (index[node.left], index[node.right])
 
     def test_predict_reads_only_the_rows_built_with_the_model(self):
@@ -600,7 +603,7 @@ class TestScalarRows:
         before = np.array([predict(tree, row) for row in X])
         assert before.tobytes() == predict_batch(tree, X).tobytes()
         failing = mock.Mock(side_effect=AssertionError("predict walked the tree"))
-        with mock.patch.object(hingetree.tree, "_first_pair", failing), \
+        with mock.patch.object(hingetree.tree, "_flatten", failing), \
                 mock.patch.object(hingetree.tree, "_preorder", failing):
             after = np.array([predict(tree, row) for row in X])
         assert after.tobytes() == before.tobytes()
@@ -664,6 +667,13 @@ class TestScalarRows:
         # Off the hyperplane each variant sends the row by its own order.
         above = 1.0 if kind is HingeKind.MAX else -1.0
         assert self.scalar_and_batch(model, [[1.0, 0.5], [0.5, 0.5]]) == [above, -above]
+
+    @pytest.mark.parametrize("kind", list(HingeKind))
+    def test_a_direction_that_overflows_is_refused(self, kind):
+        # p - q = +-2e308 overflows; routing by it would send the row (0, 0),
+        # whose sides tie at 0, second.  The refusal warns nothing (warnings fail the run).
+        with pytest.raises(NonFiniteInput, match="split direction p - q is not finite"):
+            Split(kind=kind, theta1=[1e308, 0.0, 0.0], theta2=[-1e308, 0.0, 0.0])
 
     @pytest.mark.parametrize("side", [1, 2])
     @pytest.mark.parametrize("kind", list(HingeKind))
