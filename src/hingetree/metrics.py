@@ -65,13 +65,14 @@ def evaluate(predictions, targets) -> EvalReport:
     return EvalReport(rmse=rmse, mae=mae, r2=r2, n=p.shape[0], r2_defined=r2_defined)
 
 
-def hrt_inference_flops(model: HrtModel, mode: str = "two") -> FlopsReport:
+def hrt_inference_flops(model: HrtModel, mode: str = "diff") -> FlopsReport:
     """Single-sample inference FLOPs, averaged over all root-to-leaf paths.
 
-    Each internal node costs two hinge dot products plus one comparison
-    (``mode="two"``, matching the stored two-model representation) or one
-    difference-hyperplane dot product plus a comparison (``mode="diff"``);
-    the reached leaf costs one dot product.  Paths are unweighted.
+    Each internal node costs one difference-hyperplane dot product plus a
+    comparison (``mode="diff"``, the default: what the routers perform) or
+    two hinge dot products plus one comparison (``mode="two"``, matching
+    the stored two-model representation); the reached leaf costs one dot
+    product.  Paths are unweighted.
     """
     if mode not in FLOPS_MODES:
         raise ValueError(f"mode must be one of {FLOPS_MODES}")
@@ -86,10 +87,11 @@ def hrt_inference_flops(model: HrtModel, mode: str = "two") -> FlopsReport:
     )
 
 
-def boost_inference_flops(model: BoostModel, mode: str = "two") -> FlopsReport:
+def boost_inference_flops(model: BoostModel, mode: str = "diff") -> FlopsReport:
     """Ensemble inference FLOPs: per-learner path averages plus the
     scale-and-accumulate scalar ops (2 per learner, 1 for the constant
-    initializer)."""
+    initializer).  ``mode`` is each learner's (:func:`hrt_inference_flops`),
+    ``"diff"`` by default."""
     per_learner = [hrt_inference_flops(t, mode) for t in model.learners]
     flops = sum(r.inference_flops_per_sample for r in per_learner)
     flops += 2 * len(model.learners) + 1

@@ -7,13 +7,14 @@ a damped Newton step on the node objective, because the Gauss-Newton
 Hessian is exact for a piecewise-linear model.  ``mu`` may be a fixed
 damping factor in (0, 1] or ``"auto"``, a backtracking search that starts
 at ``mu0`` and shrinks geometrically until the objective strictly drops.
-One function, :func:`_newton_iteration`, is that iteration, and only the
-loop of :func:`find_optimal_split` runs it: one damped Newton step, fixed
-or line-searched, is a call with ``t_max=1`` and a ``start``, and the
-node objective at ``start`` is that call's ``objective_trace[0]``.  A row
-takes the first side by one tie rule, :func:`_first_pair`, which also
-orders the pair whose difference is a split's routing hyperplane
-(:attr:`Split.direction`).
+The body of :func:`find_optimal_split`'s loop is that iteration, the only
+one in the package: one damped Newton step, fixed or line-searched, is a
+call with ``t_max=1`` and a ``start``, and the node objective at
+``start`` is that call's ``objective_trace[0]``.  The loop refits each
+distinct partition of a node once and never writes the targets it keeps
+(the cache rule, :class:`_Node`).  A row takes the first side by one tie
+rule, :func:`_first_pair`, which also orders the pair whose difference is
+a split's routing hyperplane (:attr:`Split.direction`).
 Both sides' parameters are held as one ``(2, d+1)`` array, so a step, a
 line-search candidate and a parameter change are one set of elementwise
 operations; every value keeps the bits of the per-side arithmetic,
@@ -287,38 +288,6 @@ def _refit(Xa, y, s1, s2, th, alpha, min_subset):
     return np.array((f1, f2)), f1 is not theta1 and f2 is not theta2
 
 
-def _step(th, target, delta, mu):
-    # ``delta`` is ``target - th``, formed once per direction; mu == 1
-    # lands exactly on the refit solution (unit Newton step).
-    if mu == 1.0:
-        return target.copy()
-    return th + mu * delta
-
-
-def _line_search(Xa, y, envelope, th, target, v0, config):
-    """Backtrack from ``mu0`` until a step from ``th`` toward ``target`` lowers the objective below v0.
-
-    Both are stacked ``(2, d+1)`` parameters.  Returns ``(mu, th', v, a,
-    b)`` with the accepted pair's side values ``a`` and ``b`` (see
-    :func:`_evaluate`); ``mu`` is 0, ``th`` and ``v0`` come back unchanged
-    and ``a``, ``b`` are None when no candidate lowers the objective.
-    That is the result, with no candidate evaluated, when the direction
-    ``target - th`` is all zeros: every candidate is then ``th`` up to the
-    sign of a zero, whose objective is ``v0`` and fails the strict test.
-    """
-    delta = target - th
-    if not delta.any():
-        return 0.0, th, v0, None, None
-    mu = config.mu0
-    for _ in range(config.max_backtracks):
-        candidate = _step(th, target, delta, mu)
-        v, a, b = _evaluate(Xa, y, candidate, envelope)
-        if v < v0:
-            return mu, candidate, v, a, b
-        mu *= config.beta
-    return 0.0, th, v0, None, None
-
-
 class _Node(NamedTuple):
     """One node's checked samples, their augmented design, and the refit targets solved on them.
 
@@ -329,7 +298,17 @@ class _Node(NamedTuple):
     :func:`select_split` builds its own.  Either way it goes to
     :func:`initialize_params` and to both :func:`find_optimal_split`
     variants; those called alone build one per call.  ``solved`` is read
-    and filled by :func:`_newton_iteration` alone.
+    and filled by the loop of :func:`find_optimal_split` alone, the one
+    Newton iteration.
+
+    The cache rule: each distinct partition is refitted once per node,
+    whichever side is first.  Targets that depended on the partition
+    alone (:func:`_refit`) are kept in ``solved`` by the bytes of their
+    mask; a mask that misses reuses its complement's targets with the two
+    rows swapped, and keeps them under its own bytes.  Each row of a
+    stacked solve has the bits of a single solve, so either way they are
+    the bits a refit would return.  Targets are never written (a unit step
+    lands on a copy), and one config serves all of a node's iterations.
     """
 
     X: np.ndarray
@@ -353,44 +332,6 @@ def _node_rows(node: _Node, rows: np.ndarray) -> _Node:
     """
     X, y, Xa, _ = node
     return _Node(X.take(rows, axis=0), y.take(rows), Xa.take(rows, axis=0), {})
-
-
-def _newton_iteration(node: _Node, envelope, first, th, v0, mu, config: SplitConfig):
-    """One damped Newton iteration from ``th`` on the partition ``first``: ``(mu, th', v, a, b)``.
-
-    ``first`` masks the node's rows on the first side, ``v0`` is the
-    objective at the stacked parameters ``th`` and ``envelope`` the ufunc
-    that joins the side values.  A damping factor ``mu`` is stepped and
-    evaluated, and comes back as given; ``mu`` None returns
-    :func:`_line_search`.  ``v``, ``a`` and ``b`` are the objective and the
-    side values at ``th'``.
-
-    The node's cache rule: each distinct partition is refitted once per
-    node, whichever side is first.  Targets that depended on the partition
-    alone (:func:`_refit`) are kept in ``node.solved`` by the bytes of
-    their mask; a mask that misses reuses its complement's targets with
-    the two rows swapped, and keeps them under its own bytes.  Each row of
-    a stacked solve has the bits of a single solve, so either way they are
-    the bits a refit would return.  Targets are never written, and one
-    config serves all of a node's iterations.
-    """
-    _, y, Xa, solved = node
-    key = first.tobytes()
-    target = solved.get(key)
-    if target is None:
-        second = ~first
-        target = solved.get(second.tobytes())
-        if target is not None:
-            target = solved[key] = target[::-1]  # the complement's sides, swapped
-        else:
-            target, alone = _refit(Xa, y, first.nonzero()[0], second.nonzero()[0], th,
-                                   config.ridge_alpha, config.min_subset)
-            if alone:
-                solved[key] = target
-    if mu is None:
-        return _line_search(Xa, y, envelope, th, target, v0, config)
-    new = _step(th, target, target - th, mu)
-    return (mu, new, *_evaluate(Xa, y, new, envelope))
 
 
 def _column_ranges(X) -> np.ndarray:
@@ -497,13 +438,19 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     Starts from ``start``, a pair of finite vectors of length d+1 (else
     :class:`DimensionMismatch` or :class:`NonFiniteInput`) that is read and
     never modified, or from :func:`initialize_params` when it is None.
-    Then runs at most ``t_max`` iterations of :func:`_newton_iteration` on
-    the partition of the current parameters, with the fixed step or, under
-    ``"auto"``, the line search.  ``objective_trace`` holds the objective
-    at the start and after each iteration, ``mu_trace`` each step, and
-    ``partition_sizes`` the sizes of each partition (by :func:`_first_pair`,
-    the one tie rule), the last included.  The node objective at a pair is
-    ``objective_trace[0]`` of a call with ``t_max=1`` and that pair as ``start``.
+    Then runs at most ``t_max`` damped Newton iterations, the body of its
+    loop and the package's only one: refit the partition of the current
+    parameters (the node's cached targets when it has them), then step
+    toward the targets.  A fixed step has one candidate, always taken, even
+    on a zero direction; under ``"auto"`` the line search tries at most
+    ``max_backtracks`` candidates from ``mu0``, shrinking by ``beta``, and
+    takes the first that strictly lowers the objective; a unit step lands
+    exactly on (a copy of) the targets.  ``objective_trace`` holds the
+    objective at the start and after each iteration, ``mu_trace`` each
+    step, and ``partition_sizes`` the sizes of each partition (by
+    :func:`_first_pair`, the one tie rule), the last included.  The node
+    objective at a pair is ``objective_trace[0]`` of a call with
+    ``t_max=1`` and that pair as ``start``.
 
     Convergence means the summed parameter change (Euclidean norms) fell
     below ``epsilon`` or, under ``"auto"``, that no candidate decreased the
@@ -513,47 +460,83 @@ def find_optimal_split(X, y, kind: HingeKind, config: SplitConfig,
     and ``mu_trace`` holds its step, or is empty when the search found no
     decreasing step, which leaves the parameters at ``start``.  A node of
     fewer than ``2 * min_subset`` rows raises :class:`TooFewSamples`.
-    Each distinct partition is refitted once per node (the cache rule of
-    :func:`_newton_iteration`).  ``_node``, private to this module, is
-    ``X`` and ``y`` already checked and augmented, with the cache that
-    :func:`select_split` shares between both variants; without it the
-    cache lasts one call.  The fallback split is not taken here; the tree
-    layer decides that.
+    Each distinct partition is refitted once per node, and the targets
+    kept are never written (the cache rule of :class:`_Node`).  The
+    config's fields are read once per call.  ``_node``, private to this
+    module, is ``X`` and ``y`` already checked and augmented, with the
+    cache that :func:`select_split` shares between both variants; without
+    it the cache lasts one call.  The fallback split is not taken here;
+    the tree layer decides that.
     """
     node = _node or _checked_node(X, y)
-    X, y, Xa, _ = node
+    X, y, Xa, solved = node
     n = y.shape[0]
     _check_size(n, config)
     if start is None:
         start = initialize_params(X, y, config.ridge_alpha, config.seed, _node=node)
     th = _check_pair(start, X.shape[1])
-    fixed = None if config.auto_step else float(config.step)
     envelope = _hinge(kind)
+    # The config, read once: a fixed step is one candidate, always taken.
+    auto = config.auto_step
+    mu0, tries = (config.mu0, config.max_backtracks) if auto else (float(config.step), 1)
+    beta, epsilon = config.beta, config.epsilon
+    alpha, min_subset = config.ridge_alpha, config.min_subset
+    cached = solved.get
+    greater_equal, count_nonzero, sqrt = np.greater_equal, np.count_nonzero, math.sqrt
 
-    v, a, b = _evaluate(Xa, y, th, envelope)
-    trace = [v]
-    first = np.greater_equal(*_first_pair(kind, a, b))
-    n1 = int(np.count_nonzero(first))
+    v0, a, b = _evaluate(Xa, y, th, envelope)
+    trace = [v0]
+    first = greater_equal(*_first_pair(kind, a, b))
+    n1 = int(count_nonzero(first))
     sizes = [(n1, n - n1)]
     mu_trace: list[float] = []
     converged = False
 
     for _ in range(config.t_max):
-        mu, new, v, a, b = _newton_iteration(node, envelope, first, th, trace[-1], fixed, config)
-        if mu == 0.0:
-            # No decreasing step exists along this direction (auto only); stop.
+        key = first.tobytes()
+        target = cached(key)
+        if target is None:
+            second = ~first
+            target = cached(second.tobytes())
+            if target is not None:
+                target = solved[key] = target[::-1]  # the complement's sides, swapped
+            else:
+                target, alone = _refit(Xa, y, first.nonzero()[0], second.nonzero()[0], th,
+                                       alpha, min_subset)
+                if alone:
+                    solved[key] = target
+        delta = target - th
+        if auto and not count_nonzero(delta):
+            # Every candidate is th up to the sign of a zero, whose objective
+            # v0 fails the strict test: none is evaluated.  The count is
+            # ``delta.any()`` without the reduction's overhead.
+            converged = True
+            break
+        mu = mu0
+        for _ in range(tries):
+            # mu == 1 lands exactly on the refit targets (unit Newton step),
+            # copied, since targets are never written.
+            new = target.copy() if mu == 1.0 else th + mu * delta
+            v, a, b = _evaluate(Xa, y, new, envelope)
+            if not auto or v < v0:
+                break
+            mu *= beta
+        else:
+            # No candidate decreases the objective along this direction; stop.
             converged = True
             break
         # Euclidean norms; math.sqrt of the dot gives np.linalg.norm's bits.
-        m1, m2 = new - th
-        change = math.sqrt(float(m1.dot(m1))) + math.sqrt(float(m2.dot(m2)))
-        th = new
-        first = np.greater_equal(*_first_pair(kind, a, b))
-        n1 = int(np.count_nonzero(first))
+        # The rows are indexed: unpacking iterates the array, four times slower.
+        m = new - th
+        m1, m2 = m[0], m[1]
+        change = sqrt(m1.dot(m1)) + sqrt(m2.dot(m2))
+        th, v0 = new, v
+        first = greater_equal(*_first_pair(kind, a, b))
+        n1 = int(count_nonzero(first))
         trace.append(v)
         mu_trace.append(mu)
         sizes.append((n1, n - n1))
-        if change < config.epsilon:
+        if change < epsilon:
             converged = True
             break
 

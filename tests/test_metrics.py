@@ -136,13 +136,13 @@ class TestTreeFlops:
         assert report.total_parameters == 3
 
     def test_depth_one_d2(self):
-        report = hrt_inference_flops(balanced_model(1, 2))
+        report = hrt_inference_flops(balanced_model(1, 2), mode="two")
         # internal: 2 * (2*3 - 1) + 1 = 11, leaf: 5, both paths 16
         assert report.inference_flops_per_sample == 16.0
         assert report.total_parameters == 3 * (2 * 1 + 2)
 
     def test_balanced_depth_two_d1(self):
-        report = hrt_inference_flops(balanced_model(2, 1))
+        report = hrt_inference_flops(balanced_model(2, 1), mode="two")
         # internal: 2 * 3 + 1 = 7 each, leaf: 3, each path 7 + 7 + 3 = 17
         assert report.inference_flops_per_sample == 17.0
 
@@ -150,6 +150,15 @@ class TestTreeFlops:
         report = hrt_inference_flops(balanced_model(1, 2), mode="diff")
         # internal: (2*3 - 1) + 1 = 6, leaf: 5 -> 11
         assert report.inference_flops_per_sample == 11.0
+
+    def test_default_mode_is_diff(self):
+        # The routers evaluate one affine per internal node, by its direction.
+        for model in (balanced_model(1, 2), balanced_model(2, 1)):
+            assert hrt_inference_flops(model) == hrt_inference_flops(model, mode="diff")
+            assert hrt_inference_flops(model) != hrt_inference_flops(model, mode="two")
+        learners = [balanced_model(2, 3)] * 2
+        assert (boost_inference_flops(boost_of(learners, 3))
+                == boost_inference_flops(boost_of(learners, 3), mode="diff"))
 
     def test_single_leaf_formula_across_dimensions(self):
         for d in range(1, 65):

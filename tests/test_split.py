@@ -600,6 +600,34 @@ class TestFindOptimalSplit:
         assert out.objective_trace == trace and out.mu_trace == mus
         assert out.converged == converged
 
+    @pytest.mark.parametrize("step, iterations, calls", [(1.0, 1, 2), (0.5, 1, 2),
+                                                         ("auto", 0, 1)])
+    def test_zero_direction_under_each_step_kind(self, monkeypatch, step, iterations, calls):
+        # A fixed step always takes its one candidate, on a zero direction too;
+        # only the line search ends there, with nothing evaluated or appended.
+        X = np.linspace(-1.0, 1.0, 21)[:, None]
+        y = np.abs(X[:, 0])
+        _, t1, t2 = one_step(X, y, [0.9, 0.05], [-0.9, 0.05], HingeKind.MAX, 1.0, ridge_alpha=0.0)
+        evaluations = record_calls(monkeypatch, "_evaluate")
+        out = find_optimal_split(X, y, HingeKind.MAX, SplitConfig(step=step, ridge_alpha=0.0),
+                                 (t1, t2))
+        assert out.converged and out.iterations == iterations and len(evaluations) == calls
+        assert out.mu_trace == [step] * iterations
+        assert out.objective_trace == [out.objective_trace[0]] * (iterations + 1)
+        assert np.array_equal(out.theta1, t1) and np.array_equal(out.theta2, t2)
+
+    @pytest.mark.parametrize("step", [1.0, "auto"])
+    def test_outcome_never_shares_memory_with_the_cached_targets(self, step):
+        # The refit cache's targets are never written: a unit step lands on a copy.
+        X = np.linspace(-1.0, 1.0, 21)[:, None]
+        y = np.abs(X[:, 0])
+        node = split._checked_node(X, y)
+        out = find_optimal_split(X, y, HingeKind.MAX, SplitConfig(step=step, ridge_alpha=0.0),
+                                 ([0.9, 0.05], [-0.9, 0.05]), _node=node)
+        assert 1.0 in out.mu_trace and node.solved
+        assert not any(np.shares_memory(theta, target) for theta in (out.theta1, out.theta2)
+                       for target in node.solved.values())
+
     def test_trace_length_matches_iterations(self):
         ds = gen_synthetic("twisted_sigmoid", 120, 0.025, seed=5)
         for step in (0.3, "auto"):
